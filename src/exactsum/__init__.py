@@ -45,7 +45,6 @@ from .polys import (
     RationalFunction,
     factor_linear,
     poly_gcd,
-    rf_normalize,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "quad_two_param",
     "recombine",
     "render",
-    "rf_normalize",
     "sum_alternating",
     "sum_plain",
     "telescope",

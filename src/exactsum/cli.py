@@ -80,8 +80,11 @@ def run(request: CliRequest):
     verify_info = None
     verify_ok = True
     if request.verify:
-        bracket = partial_sum_bracket(spec, request.oracle_terms, policy)
-        quad = _quadrature_value(spec, result.pf_echo, policy)
+        try:
+            bracket = partial_sum_bracket(spec, request.oracle_terms, policy)
+            quad = _quadrature_value(spec, result.pf_echo, policy)
+        except ExactSumError as exc:
+            return 2, "", f"error: {exc}\n"
         in_bracket = bracket.contains(result.numeric)
         quad_ok = (
             quad is None

@@ -236,7 +236,7 @@ def _fold(node: Node) -> RationalFunction:
     if isinstance(node, Num):
         return RationalFunction.constant(node.value)
     if isinstance(node, Var):
-        return RationalFunction.from_polys(Polynomial.variable(), Polynomial([1]))
+        return RationalFunction(Polynomial.variable(), Polynomial([1]))
     if isinstance(node, Neg):
         return -_fold(node.operand)
     if isinstance(node, Pow):

@@ -1,14 +1,19 @@
 """Exact partial-fraction decomposition over a factored denominator.
 
-The decomposition Q(n)/P(n) = sum_ij A_ij / (n + a_i)^j is found by
-matching coefficients and solving the resulting linear system with exact
-Gaussian elimination, which handles any multiplicity pattern uniformly.
+The decomposition Q(n)/P(n) = sum_ij A_ij / (n + a_i)^j is read off a
+local expansion at each pole: with t = n + a_i,
+
+    Q(t - a_i) / prod_{l != i} (t + a_l - a_i)^{m_l} = sum_k g_k t^k,
+
+and A_ij = g_{m_i - j}.  Only the first m_i terms of that series are
+needed, so the work is O(N^2) exact operations for total degree N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Tuple
 
 from .errors import DegreeTooHigh
@@ -60,48 +65,29 @@ class PartialFractions:
         raise KeyError((shift, order))
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination with exact rational pivoting; matrix is square."""
-    n = len(rhs)
-    m = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system in partial fractions")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def decompose(spec: SumSpec) -> PartialFractions:
     """Partial-fraction coefficients of Q(n)/P(n) over the factored denominator."""
-    factors = spec.factors
-    n_total = factors.total_degree
-
-    # Basis polynomial for unknown A_ij: P(n) / (n + a_i)^j.
-    basis = []
-    index = []
-    for a_i, m_i in factors:
-        rest = Polynomial([1])
-        for a_l, m_l in factors:
-            if a_l != a_i:
-                rest = rest * (Polynomial.linear(a_l) ** m_l)
-        for j in range(1, m_i + 1):
-            basis.append(rest * (Polynomial.linear(a_i) ** (m_i - j)))
-            index.append((a_i, j))
-
-    matrix = [
-        [basis[c].coeff(row) for c in range(n_total)] for row in range(n_total)
-    ]
-    rhs = [spec.numerator.coeff(row) for row in range(n_total)]
-    coeffs = _solve_exact(matrix, rhs)
-
-    return PartialFractions(tuple((a, j, c) for (a, j), c in zip(index, coeffs)))
+    q = spec.numerator.coeffs
+    entries = []
+    for a_i, m_i in spec.factors:
+        # Taylor coefficients of Q at n = -a_i, in powers of t = n + a_i.
+        g = [
+            sum(
+                (q[k] * comb(k, r) * (-a_i) ** (k - r) for k in range(r, len(q))),
+                Fraction(0),
+            )
+            for r in range(m_i)
+        ]
+        for a_l, m_l in spec.factors:
+            b = a_l - a_i
+            if b == 0:
+                continue
+            for _ in range(m_l):
+                # Divide the truncated series by (t + b).
+                for r in range(m_i):
+                    g[r] = (g[r] - (g[r - 1] if r else 0)) / b
+        entries.extend((a_i, j, g[m_i - j]) for j in range(1, m_i + 1))
+    return PartialFractions(tuple(entries))
 
 
 def recombine(pf: PartialFractions) -> RationalFunction:

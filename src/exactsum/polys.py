@@ -100,9 +100,11 @@ class Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        rhs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in rhs:
+                    out[i + j] += a * b
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -115,8 +117,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __divmod__(self, other: "Polynomial"):
@@ -158,6 +161,9 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
+    def derivative(self) -> "Polynomial":
+        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+
     def monic(self) -> "Polynomial":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
@@ -181,10 +187,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def poly_divmod(lhs: Polynomial, rhs: Polynomial):
-    return divmod(lhs, rhs)
-
-
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm."""
     if p.is_zero() and q.is_zero():
@@ -193,6 +195,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
     return a.monic()
+
+
+_ONE = Polynomial([1])
 
 
 @dataclass(frozen=True)
@@ -227,6 +232,9 @@ class RationalFunction:
         return self.numerator.is_zero()
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.denominator == _ONE and other.denominator == _ONE:
+            # A sum or product of polynomials is already reduced.
+            return RationalFunction(self.numerator + other.numerator, self.denominator)
         n = self.numerator * other.denominator + other.numerator * self.denominator
         return RationalFunction.from_polys(n, self.denominator * other.denominator)
 
@@ -237,6 +245,8 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.denominator == _ONE and other.denominator == _ONE:
+            return RationalFunction(self.numerator * other.numerator, self.denominator)
         return RationalFunction.from_polys(
             self.numerator * other.numerator,
             self.denominator * other.denominator,
@@ -253,11 +263,8 @@ class RationalFunction:
     def __pow__(self, k: int) -> "RationalFunction":
         if k < 0:
             raise ValueError("negative power on rational functions")
-        return RationalFunction.from_polys(self.numerator ** k, self.denominator ** k)
-
-
-def rf_normalize(numer: Polynomial, denom: Polynomial) -> RationalFunction:
-    return RationalFunction.from_polys(numer, denom)
+        # Powers of coprime polynomials stay coprime, and of a monic one monic.
+        return RationalFunction(self.numerator ** k, self.denominator ** k)
 
 
 class FactorList:
@@ -329,38 +336,6 @@ class FactorList:
 
 # -- linear factorization ---------------------------------------------------
 
-_TRIAL_DIVISION_CAP = 10 ** 6
-
-
-def _factorize_smooth(n: int):
-    """Trial-division factorization; large leftover cofactor kept as-is."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factorize zero")
-    factors: dict = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d <= _TRIAL_DIVISION_CAP:
-        for p in (d, d + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-        return factors, (n > _TRIAL_DIVISION_CAP ** 2)
-    return factors, False
-
-
-def _divisors(factors: dict):
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(set(divs))
-
 
 def _integer_primitive(p: Polynomial):
     """Clear denominators and divide by content; returns integer coeff list."""
@@ -374,112 +349,123 @@ def _integer_primitive(p: Polynomial):
     return [c // content for c in ints]
 
 
-def _deflate(coeffs, root: Fraction):
-    """Synthetic division of an exact coefficient list by (n - root).
+def _square_free_parts(f: Polynomial):
+    """Yun's square-free split of a monic f: f = prod_k parts[k-1] ** k.
 
-    Returns (quotient coeffs, remainder)."""
-    acc = Fraction(0)
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[k]
-        out[k - 1] = acc
-    rem = acc * root + coeffs[0]
-    return out, rem
-
-
-def _rational_root_candidates(ints):
-    """Candidate roots +-p/q with p | constant term, q | leading coefficient."""
-    a0, lead = ints[0], ints[-1]
-    f0, incomplete0 = _factorize_smooth(a0)
-    fl, incomplete1 = _factorize_smooth(lead)
-    if incomplete0 or incomplete1:
-        return None
-    bound = 1 + max(abs(Fraction(c, lead)) for c in ints)  # Cauchy root bound
-    cands = set()
-    for p in _divisors(f0):
-        for q in _divisors(fl):
-            r = Fraction(p, q)
-            if r <= bound:
-                cands.add(r)
-                cands.add(-r)
-    return sorted(cands)
+    The parts are monic, square-free and pairwise coprime; a part of
+    degree 0 means no factor of that multiplicity.
+    """
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b, c = divmod(f, a)[0], divmod(df, a)[0]
+    parts = []
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = poly_gcd(b, d)
+        parts.append(a)
+        b, c = divmod(b, a)[0], divmod(d, a)[0]
+    return parts
 
 
-def _numeric_root_candidates(coeffs_fr, q_bound: int):
-    """High-precision numeric roots rationalized with bounded denominators.
+def _gauss_eval(coeffs, x, scale):
+    """2^(scale*deg) * f(x / 2^scale) for integer coeffs and a Gaussian integer x."""
+    re, im = coeffs[-1], 0
+    xr, xi = x
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
+        re, im = re * xr - im * xi + (c << (scale * k)), re * xi + im * xr
+    return re, im
 
-    Fallback path for constant terms too large to factorize; every
-    candidate is still verified exactly before use.
+
+def _certified_numerators(ints, prec: int):
+    """Integers N such that every rational root of ints is some N / lead.
+
+    ints is square-free, so its roots x_k are simple.  Each approximation
+    c_k (rounded to the grid 2^-prec) is certified by exact integer
+    arithmetic: a disk of radius deg * |f(c_k) / f'(c_k)| around c_k holds
+    a root, and when the deg disks are pairwise disjoint each holds exactly
+    one.  A rational root z has lead * z an integer, since its reduced
+    denominator divides lead; with every radius below 1/(4 lead), lead * z
+    is the integer nearest lead * Re(c_k) for the disk that holds z.
+    Returns None when the disks are not certified at this precision.
     """
     import mpmath
 
-    deg = len(coeffs_fr) - 1
-    with mpmath.workdps(max(60, 25 * deg)):
-        cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs_fr)]
+    deg, lead = len(ints) - 1, ints[-1]
+    with mpmath.workprec(prec):
         try:
-            roots = mpmath.polyroots(cs, maxsteps=200, extraprec=200)
+            roots = mpmath.polyroots(list(reversed(ints)), maxsteps=prec)
         except mpmath.libmp.NoConvergence:
-            return []
-        cands = set()
-        for r in roots:
-            if abs(mpmath.im(r)) > mpmath.mpf(10) ** (-20):
-                continue
-            re = mpmath.re(r)
-            approx = Fraction(mpmath.nstr(re, 40)).limit_denominator(q_bound)
-            cands.add(approx)
-        return sorted(cands)
+            return None
+        grid = [
+            (int(mpmath.nint(mpmath.ldexp(mpmath.re(r), prec))),
+             int(mpmath.nint(mpmath.ldexp(mpmath.im(r), prec))))
+            for r in roots
+        ]
+    dints = [k * c for k, c in enumerate(ints)][1:]
+    radii = []  # integer upper bounds on 2^prec * radius
+    for x in grid:
+        fr, fi = _gauss_eval(ints, x, prec)
+        gr, gi = _gauss_eval(dints, x, prec)
+        g2 = gr * gr + gi * gi
+        if g2 == 0:
+            return None
+        # 2^prec * radius = deg * |F| / |G| with F, G the scaled values above.
+        rho = math.isqrt(-(-deg * deg * (fr * fr + fi * fi) // g2)) + 1
+        if 4 * lead * rho >= 1 << prec:
+            return None
+        radii.append(rho)
+    for k in range(deg):
+        for j in range(k):
+            dr, di = grid[k][0] - grid[j][0], grid[k][1] - grid[j][1]
+            if (radii[k] + radii[j]) ** 2 >= dr * dr + di * di:
+                return None
+    return {
+        (2 * lead * xr + (1 << prec)) >> (prec + 1)
+        for (xr, xi), rho in zip(grid, radii)
+        if abs(xi) <= rho
+    }
+
+
+def _rational_roots(f: Polynomial):
+    """Rational roots of a monic square-free f, and f divided by them.
+
+    Each candidate N / lead is kept only if exact division by (n - N/lead)
+    leaves no remainder.  The starting precision is set by the sizes of
+    the leading coefficient and of the coefficient height, and doubles
+    until the numeric roots are certified.
+    """
+    ints = _integer_primitive(f)
+    lead = ints[-1]
+    prec = 2 * (lead.bit_length() + max(abs(c) for c in ints).bit_length()) + 32
+    while (numerators := _certified_numerators(ints, prec)) is None:
+        prec *= 2
+    roots = []
+    for num in sorted(numerators):
+        root = Fraction(num, lead)
+        quot, rem = divmod(f, Polynomial.linear(-root))
+        if rem.is_zero():
+            roots.append(root)
+            f = quot
+    return roots, f
 
 
 def factor_linear(p: Polynomial) -> FactorList:
     """Factor p into rational linear factors (n + a_i)^{m_i}.
 
-    Raises NonLinearFactor (carrying the irreducible remainder) when a
-    factor of degree >= 1 with no rational root is left after deflation.
+    Raises NonLinearFactor when some factor has no rational root; its
+    remainder is the monic product of the factors left over, each raised
+    to its multiplicity.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("factor_linear requires a nonzero polynomial of degree >= 1")
-    ints = _integer_primitive(p)
-    work = [Fraction(c) for c in ints]
-
-    # Roots at zero first: multiplicity = lowest nonzero coefficient index.
-    factors: list = []
-    zmult = 0
-    while work[0] == 0:
-        work = work[1:]
-        zmult += 1
-    if zmult:
-        factors.append((Fraction(0), zmult))
-
-    while len(work) > 1:
-        # Re-derive integer form of the deflated polynomial for candidates.
-        lcm = 1
-        for c in work:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        iwork = [int(c * lcm) for c in work]
-        content = 0
-        for c in iwork:
-            content = math.gcd(content, abs(c))
-        iwork = [c // content for c in iwork]
-        cands = _rational_root_candidates(iwork)
-        if cands is None:
-            cands = _numeric_root_candidates(work, abs(iwork[-1]))
-        root = None
-        for r in cands:
-            _, rem = _deflate(work, r)
-            if rem == 0:
-                root = r
-                break
-        if root is None:
-            raise NonLinearFactor(Polynomial(work))
-        mult = 0
-        while True:
-            quot, rem = _deflate(work, root)
-            if rem != 0:
-                break
-            work = quot
-            mult += 1
-            if len(work) == 1:
-                break
-        factors.append((-root, mult))
-
-    return FactorList(factors)
+    pairs = []
+    leftover = Polynomial([1])
+    for mult, part in enumerate(_square_free_parts(p.monic()), 1):
+        if part.degree < 1:
+            continue
+        roots, rest = _rational_roots(part)
+        pairs.extend((-root, mult) for root in roots)
+        leftover = leftover * rest ** mult
+    if leftover.degree > 0:
+        raise NonLinearFactor(leftover)
+    return FactorList(pairs)

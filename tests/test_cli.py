@@ -108,6 +108,15 @@ class TestVerify:
         assert code == 0
         assert "quadrature None" in out.splitlines()[-1]
 
+    def test_verify_oracle_error_exit_code(self, capsys):
+        # the bracket needs > 4*10^6 terms to see the terms' sign settle
+        code = main(["(n-1000000)/(n+1)^3", "--verify"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_verify_failure_exit_code(self, monkeypatch):
         # force a disagreement to exercise the failure path
         import exactsum.cli as cli_mod

@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactsum.errors import DegreeTooHigh
+from exactsum.engine import evaluate
+from exactsum.errors import DegreeTooHigh, OrderTooLarge
+from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.partfrac import PartialFractions, decompose, recombine
-from exactsum.polys import Polynomial
+from exactsum.polys import FactorList, Polynomial
 
 from conftest import make_spec, random_plain_spec
 
@@ -88,3 +90,27 @@ def test_alternating_degree_n_minus_1_nonzero_pole_sum():
     pf = decompose(spec)
     assert pf.simple_pole_sum() == 1
     assert recombine(pf) == spec.rational_function()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(F(1000003, 999983), 2), (F(1, 2), 1), (0, 1)],
+        [(F(1, 1000), 2), (F(1, 1001), 1), (F(1, 999), 1)],
+        [(F(1, 3), 7), (F(2, 3), 2)],
+        [(0, 3), (F(5, 7), 2), (2, 1)],
+    ],
+)
+def test_roundtrip_hard_denominators(pairs):
+    spec = make_spec(pairs, numerator=Polynomial([3, -1, F(1, 2)]))
+    pf = decompose(spec)
+    assert recombine(pf) == spec.rational_function()
+    assert pf.simple_pole_sum() == 0
+
+
+def test_order_200_pole_rejected():
+    spec = ast_to_spec(parse_expression("1/n^200"))
+    assert spec.factors == FactorList([(0, 200)])
+    assert decompose(spec).coefficient(0, 200) == 1
+    with pytest.raises(OrderTooLarge):
+        evaluate(spec)

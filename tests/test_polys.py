@@ -7,9 +7,9 @@ from exactsum.errors import DuplicateShift, NegativeIntegerShift, NonLinearFacto
 from exactsum.polys import (
     FactorList,
     Polynomial,
+    RationalFunction,
     factor_linear,
     poly_gcd,
-    rf_normalize,
 )
 
 
@@ -88,6 +88,46 @@ class TestFactorLinear:
         p = fl.expand() * F(7, 3)
         assert factor_linear(p) == fl
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(F(1000003, 999983), 1), (F(1, 2), 1)],  # constants past 10^6
+            [(F(1000003, 999983), 2), (1000003, 1)],
+            [(F(1, 1000), 1), (F(1, 1001), 1)],  # roots 1/1001000 apart
+            [(F(1, 1000), 2), (F(1, 1001), 3), (F(1, 999), 1)],
+            [(F(1, 3), 7)],  # one square-free part at multiplicity 7
+            [(F(1, 3), 7), (F(2, 3), 1), (0, 4)],
+            [(0, 3)],  # root at zero
+            [(0, 2), (F(-5, 2), 2), (F(7, 4), 1)],
+        ],
+    )
+    def test_hard_denominators(self, pairs):
+        fl = FactorList(pairs)
+        p = fl.expand() * F(-11, 6)
+        assert factor_linear(p) == fl
+
+    def test_rational_roots_beside_a_root_cluster(self):
+        # n^6 - 2(10^5 n - 1)^2 has two irrational roots very close to each
+        # other and to 10^-5; telling them apart needs more than the
+        # starting precision, and the rational roots must still be found.
+        m = P(0, 0, 0, 0, 0, 0, 1) - P(-1, 10 ** 5) ** 2 * 2
+        p = m * P(F(-1, 10 ** 5), 1) ** 2 * P(F(1, 10 ** 5 + 1), 1)
+        with pytest.raises(NonLinearFactor) as exc:
+            factor_linear(p)
+        assert exc.value.remainder == m.monic()
+
+    def test_remainder_is_monic_leftover(self):
+        p = P(1, 0, 1) * FactorList([(F(1, 2), 2)]).expand() * 3
+        with pytest.raises(NonLinearFactor) as exc:
+            factor_linear(p)
+        assert exc.value.remainder == P(1, 0, 1)
+
+    def test_remainder_carries_multiplicity(self):
+        p = P(2, 0, 1) ** 2 * P(-3, 0, 0, 1) * P(1, 1)
+        with pytest.raises(NonLinearFactor) as exc:
+            factor_linear(p)
+        assert exc.value.remainder == P(2, 0, 1) ** 2 * P(-3, 0, 0, 1)
+
 
 class TestFactorList:
     def test_duplicate_shift_rejected(self):
@@ -103,24 +143,27 @@ class TestFactorList:
 
 
 class TestRfNormalize:
+    """Reduction of a quotient by RationalFunction.from_polys."""
+
     def test_cancel_common_factor(self):
-        rf = rf_normalize(P(-1, 1), P(-1, 0, 1))  # (n-1)/(n^2-1) -> 1/(n+1)
+        # (n-1)/(n^2-1) -> 1/(n+1)
+        rf = RationalFunction.from_polys(P(-1, 1), P(-1, 0, 1))
         assert rf.numerator == P(1)
         assert rf.denominator == P(1, 1)
 
     def test_scalar_cancellation(self):
-        rf = rf_normalize(P(2), P(0, 2))  # 2/(2n) -> 1/n
+        rf = RationalFunction.from_polys(P(2), P(0, 2))  # 2/(2n) -> 1/n
         assert rf.numerator == P(1)
         assert rf.denominator == P(0, 1)
 
     def test_already_reduced(self):
-        rf = rf_normalize(P(1), P(0, F(1, 2), 1))
+        rf = RationalFunction.from_polys(P(1), P(0, F(1, 2), 1))
         assert rf.numerator == P(1)
         assert rf.denominator == P(0, F(1, 2), 1)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            rf_normalize(P(1), Polynomial())
+            RationalFunction.from_polys(P(1), Polynomial())
 
 
 # -- properties -----------------------------------------------------------------
@@ -128,13 +171,15 @@ class TestRfNormalize:
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=20
 )
-shifts = rationals.filter(lambda a: not (a.denominator == 1 and a < 0))
+shifts = st.fractions(min_value=-20, max_value=20, max_denominator=50).filter(
+    lambda a: not (a.denominator == 1 and a < 0)
+)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(shifts, min_size=1, max_size=6, unique=True),
-    st.lists(st.integers(1, 2), min_size=6, max_size=6),
+    st.lists(st.integers(1, 4), min_size=6, max_size=6),
     rationals.filter(lambda c: c != 0),
 )
 def test_factor_roundtrip(roots, mults, lead):
@@ -166,6 +211,6 @@ def test_rf_normalize_idempotent(num, den):
     pn, pd = Polynomial(num), Polynomial(den)
     if pd.is_zero():
         return
-    rf = rf_normalize(pn, pd)
-    again = rf_normalize(rf.numerator, rf.denominator)
+    rf = RationalFunction.from_polys(pn, pd)
+    again = RationalFunction.from_polys(rf.numerator, rf.denominator)
     assert again == rf
