@@ -7,7 +7,7 @@ independently verifiable by quadrature and tail-bracketed partial sums.
 """
 
 from .closedform import SymbolicValue, assemble, psi_closed, render, to_numeric
-from .engine import SumResult, evaluate, sum_alternating, sum_plain, telescope
+from .engine import SumResult, evaluate, telescope
 from .errors import (
     ConstraintViolated,
     DegreeTooHigh,
@@ -87,8 +87,6 @@ __all__ = [
     "quad_two_param",
     "recombine",
     "render",
-    "sum_alternating",
-    "sum_plain",
     "telescope",
     "to_numeric",
     "zeta_int",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .closedform import render
+from .closedform import fraction_text, render
 from .engine import evaluate
 from .errors import ExactSumError, NotApplicable
 from .oracle import partial_sum_bracket, quad_alternating, quad_general
@@ -110,12 +110,12 @@ def run(request: CliRequest):
             "numeric": numeric_text,
             "digits": request.digits,
             "residuals": [
-                {"coeff": str(c), "order": o, "argument": str(a)}
+                {"coeff": fraction_text(c), "order": o, "argument": fraction_text(a)}
                 for c, o, a in result.exact.residuals
             ],
             "verify": verify_info,
             "partial_fractions": [
-                {"shift": str(a), "order": j, "coeff": str(c)}
+                {"shift": fraction_text(a), "order": j, "coeff": fraction_text(c)}
                 for a, j, c in result.pf_echo.entries
             ],
         }

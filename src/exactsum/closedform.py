@@ -11,6 +11,7 @@ becoming a float.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,11 +146,34 @@ def _base_value(order: int, arg: Fraction) -> SymbolicValue:
     return SymbolicValue.build({}, [(Fraction(1), order, arg)])
 
 
+def _reciprocal_power_sum(start: Fraction, count: int, power: int) -> Fraction:
+    """sum_{i<count} 1/(start + i)^power, exactly, by binary splitting.
+
+    With start = p/q each term is q^power / (p + i q)^power; the integer
+    fractions are combined pairwise up a product tree, so one gcd at the
+    end reduces the sum instead of one per term.
+    """
+    p, q = start.numerator, start.denominator
+
+    def split(lo: int, hi: int):
+        if hi - lo == 1:
+            return 1, (p + lo * q) ** power
+        mid = (lo + hi) // 2
+        n1, d1 = split(lo, mid)
+        n2, d2 = split(mid, hi)
+        return n1 * d2 + n2 * d1, d1 * d2
+
+    if count == 0:
+        return Fraction(0)
+    num, den = split(0, count)
+    return Fraction(num * q ** power, den)
+
+
 def psi_closed(order: int, argument) -> SymbolicValue:
     """Exact SymbolicValue for psi^(order)(argument), argument rational.
 
     Shifts the argument into (0, 1] with the recurrence
-    psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1), accumulating the exact
+    psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1), summing the exact
     rational corrections, then applies the known base values.
     """
     if order < 0:
@@ -158,18 +182,16 @@ def psi_closed(order: int, argument) -> SymbolicValue:
     if arg.denominator == 1 and arg <= 0:
         raise PoleArgument(f"psi^({order}) has a pole at {arg}")
 
-    sign = Fraction((-1) ** order * math.factorial(order))
-    correction = Fraction(0)
-    # Downward: psi^(o)(x) = psi^(o)(x-1) + (-1)^o o!/(x-1)^(o+1)
-    while arg > 1:
-        arg -= 1
-        correction += sign / arg ** (order + 1)
-    # Upward: psi^(o)(x) = psi^(o)(x+1) - (-1)^o o!/x^(o+1)
-    while arg <= 0:
-        correction -= sign / arg ** (order + 1)
-        arg += 1
+    base = arg - (math.ceil(arg) - 1)  # in (0, 1]
+    steps = abs(int(arg - base))
+    correction = (-1) ** order * math.factorial(order) * _reciprocal_power_sum(
+        min(arg, base), steps, order + 1
+    )
+    # Downward from arg > 1 adds the corrections; upward from arg <= 0 subtracts.
+    if arg <= 0:
+        correction = -correction
 
-    value = _base_value(order, arg)
+    value = _base_value(order, base)
     if correction:
         value = value + SymbolicValue.rational(correction)
     return value
@@ -213,8 +235,15 @@ def to_numeric(value: SymbolicValue, policy: PrecisionPolicy = DEFAULT_POLICY) -
         return +acc
 
 
+def fraction_text(c: Fraction) -> str:
+    """str(c) for any size: Decimal converts ints without the int-to-str digit cap."""
+    if c.denominator == 1:
+        return str(decimal.Decimal(c.numerator))
+    return f"{decimal.Decimal(c.numerator)}/{decimal.Decimal(c.denominator)}"
+
+
 def _coeff_text(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"({c})"
+    return fraction_text(c) if c.denominator == 1 else f"({fraction_text(c)})"
 
 
 def _symbol_text(sym) -> str:
@@ -243,7 +272,7 @@ def render(value: SymbolicValue) -> str:
     for c, order, arg in value.residuals:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
-        psi = f"psi({order}, {arg})"
+        psi = f"psi({order}, {fraction_text(arg)})"
         body = psi if mag == 1 else f"{_coeff_text(mag)}*{psi}"
         pieces.append((sign, body))
     if not pieces:

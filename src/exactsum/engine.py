@@ -20,7 +20,7 @@ from mpmath import mpf
 
 from .closedform import SymbolicValue, assemble
 from .errors import NegativeIntegerShift, PoleArgument
-from .partfrac import ALTERNATING, PLAIN, PartialFractions, SumSpec, decompose
+from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
 from . import polygamma as pg
 from .polygamma import DEFAULT_POLICY, PrecisionPolicy, to_mpf
 
@@ -59,7 +59,11 @@ def _numeric_from_terms(terms, policy: PrecisionPolicy) -> mpf:
         return +acc
 
 
-def _evaluate(spec: SumSpec, policy: PrecisionPolicy) -> SumResult:
+def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
+    """Evaluate sum_{n>=1} Q(n)/P(n) exactly and numerically.
+
+    An alternating spec sums (-1)^(n+1) Q(n)/P(n) instead.
+    """
     pf = decompose(spec)
     if spec.sign == PLAIN:
         terms = list(_psi_terms_plain(pf))
@@ -74,25 +78,6 @@ def _evaluate(spec: SumSpec, policy: PrecisionPolicy) -> SumResult:
         spec_echo=spec,
         pf_echo=pf,
     )
-
-
-def sum_plain(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
-    """Evaluate sum_{n>=1} Q(n)/P(n) exactly and numerically."""
-    if spec.sign != PLAIN:
-        raise ValueError("sum_plain requires a plain-mode spec")
-    return _evaluate(spec, policy)
-
-
-def sum_alternating(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
-    """Evaluate sum_{n>=1} (-1)^(n+1) Q(n)/P(n) exactly and numerically."""
-    if spec.sign != ALTERNATING:
-        raise ValueError("sum_alternating requires an alternating-mode spec")
-    return _evaluate(spec, policy)
-
-
-def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
-    """Dispatch on the spec's sign mode."""
-    return sum_plain(spec, policy) if spec.sign == PLAIN else sum_alternating(spec, policy)
 
 
 def telescope(a, k: int) -> SymbolicValue:

@@ -170,21 +170,32 @@ class Polynomial:
         lead = self.leading
         return Polynomial([c / lead for c in self.coeffs])
 
-    def __repr__(self):
+    def __str__(self):
+        """The polynomial in the input grammar, e.g. `n^3 - 2` or `n^2 + (1/3)*n`."""
         if self.is_zero():
-            return "Polynomial(0)"
-        parts = []
+            return "0"
+        out = ""
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
             if c == 0:
                 continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*n" if c != 1 else "n")
+            mag = abs(c)
+            coeff = str(mag) if mag.denominator == 1 else f"({mag})"
+            power = {0: "", 1: "n"}.get(k, f"n^{k}")
+            if not power:
+                body = coeff
+            elif mag == 1:
+                body = power
             else:
-                parts.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
-        return "Polynomial(" + " + ".join(parts) + ")"
+                body = f"{coeff}*{power}"
+            if not out:
+                out = ("-" if c < 0 else "") + body
+            else:
+                out += (" - " if c < 0 else " + ") + body
+        return out
+
+    def __repr__(self):
+        return f"Polynomial({self})"
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -1,4 +1,8 @@
 import json
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction as F
 
 import mpmath
 import pytest
@@ -79,11 +83,37 @@ class TestExitCodes:
         code, _, err = _run("1/(n^2+1)")
         assert code == 2
 
+    def test_nonlinear_factor_message_in_input_grammar(self, capsys):
+        assert main(["1/(n^3-2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: denominator has a factor with no rational root: n^3 - 2\n"
+        )
+
     def test_bad_digits_request(self):
         with pytest.raises(ValueError):
             CliRequest(expression="1/n^2", digits=5)
         with pytest.raises(ValueError):
             CliRequest(expression="1/n^2", oracle_terms=100)
+
+
+class TestLargeShifts:
+    def test_rational_part_beyond_int_str_digit_limit(self):
+        # the rational part has ~4300-digit terms, past int.__str__'s default cap
+        code, out, err = _run("1/(n+5000)^2", format="exact")
+        assert code == 0 and err == ""
+        m = re.fullmatch(r"-\((\d+)/(\d+)\) \+ \(1/6\)\*pi\^2\n", out)
+        assert m is not None
+        rational = -F(int(Decimal(m[1])), int(Decimal(m[2])))
+        # sum_{n>=1} 1/(n+5000)^2 = pi^2/6 - H^(2)_5000, summed over lcm(1..5000)^2
+        square = math.lcm(*range(1, 5001)) ** 2
+        harmonic = F(sum(square // (k * k) for k in range(1, 5001)), square)
+        assert rational == -harmonic
+
+        code, out, _ = _run("1/(n+5000)^2", format="json")
+        assert code == 0
+        assert json.loads(out)["exact"] + "\n" == m[0]
 
 
 class TestVerify:

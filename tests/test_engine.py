@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from exactsum.closedform import GAMMA, LN2, ONE, PI_SQUARED, render, to_numeric
-from exactsum.engine import evaluate, sum_alternating, sum_plain, telescope
+from exactsum.engine import evaluate, telescope
 from exactsum.errors import NegativeIntegerShift
 from exactsum.polygamma import PrecisionPolicy, to_mpf
 
@@ -16,28 +16,28 @@ POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
 
 class TestKnownClosedForms:
     def test_half_shift_pair(self):
-        r = sum_plain(make_spec([(0, 1), (F(1, 2), 1)]), POLICY)
+        r = evaluate(make_spec([(0, 1), (F(1, 2), 1)]), POLICY)
         assert render(r.exact) == "4 - 4*ln(2)"
         with mpmath.workdps(40):
             assert abs(r.numeric - mpmath.mpf("1.22741127776021876233107151417")) < mpmath.mpf(10) ** (-28)
 
     def test_basel(self):
-        r = sum_plain(make_spec([(0, 2)]), POLICY)
+        r = evaluate(make_spec([(0, 2)]), POLICY)
         assert render(r.exact) == "(1/6)*pi^2"
         with mpmath.workdps(40):
             assert abs(r.numeric - mpmath.pi ** 2 / 6) < mpmath.mpf(10) ** (-28)
 
     def test_half_shift_square(self):
-        r = sum_plain(make_spec([(F(1, 2), 2)]), POLICY)
+        r = evaluate(make_spec([(F(1, 2), 2)]), POLICY)
         assert r.exact.coefficient(PI_SQUARED) == F(1, 2)
         assert r.exact.coefficient(ONE) == -4
 
     def test_double_pole_half_shift(self):
-        r = sum_plain(make_spec([(0, 2), (F(1, 2), 1)]), POLICY)
+        r = evaluate(make_spec([(0, 2), (F(1, 2), 1)]), POLICY)
         assert render(r.exact) == "-8 + 8*ln(2) + (1/3)*pi^2"
 
     def test_shifted_double_pole(self):
-        r = sum_plain(make_spec([(1, 2), (F(1, 2), 1)]), POLICY)
+        r = evaluate(make_spec([(1, 2), (F(1, 2), 1)]), POLICY)
         # 2(4 ln2 - 1) - pi^2/3
         assert r.exact.coefficient(ONE) == -2
         assert r.exact.coefficient(LN2) == 8
@@ -46,15 +46,15 @@ class TestKnownClosedForms:
             assert abs(r.numeric - mpmath.mpf("0.2553093107831096")) < mpmath.mpf(10) ** (-15)
 
     def test_alternating_harmonic(self):
-        r = sum_alternating(make_spec([(0, 1)], sign="alternating"), POLICY)
+        r = evaluate(make_spec([(0, 1)], sign="alternating"), POLICY)
         assert render(r.exact) == "ln(2)"
 
     def test_alternating_half_shift(self):
-        r = sum_alternating(make_spec([(F(1, 2), 1)], sign="alternating"), POLICY)
+        r = evaluate(make_spec([(F(1, 2), 1)], sign="alternating"), POLICY)
         assert render(r.exact) == "2 - (1/2)*pi"
 
     def test_alternating_square(self):
-        r = sum_alternating(make_spec([(0, 2)], sign="alternating"), POLICY)
+        r = evaluate(make_spec([(0, 2)], sign="alternating"), POLICY)
         assert r.exact.coefficient(PI_SQUARED) == F(1, 12)
 
 
@@ -63,7 +63,7 @@ class TestAnalyticIdentities:
         # S(a,-a) = (1/2a)(1/a - pi cot(pi a)) to 1e-20 at 30 digits
         with mpmath.workdps(45):
             for a in (F(1, 3), F(1, 4), F(2, 5)):
-                r = sum_plain(make_spec([(a, 1), (-a, 1)]), POLICY)
+                r = evaluate(make_spec([(a, 1), (-a, 1)]), POLICY)
                 am = to_mpf(a)
                 ref = (1 / am - mpmath.pi * mpmath.cot(mpmath.pi * am)) / (2 * am)
                 assert abs(r.numeric - ref) < mpmath.mpf(10) ** (-20)
@@ -73,7 +73,7 @@ class TestAnalyticIdentities:
         from exactsum.closedform import psi_closed
 
         for a, n_pow in [(F(1, 2), 2), (F(1, 3), 3), (0, 4), (F(5, 4), 2)]:
-            r = sum_plain(make_spec([(a, n_pow)]), POLICY)
+            r = evaluate(make_spec([(a, n_pow)]), POLICY)
             direct = psi_closed(n_pow - 1, a + 1).scale(
                 F((-1) ** n_pow, math.factorial(n_pow - 1))
             )
@@ -123,7 +123,7 @@ class TestTelescope:
                 continue
             if any(j + a - k == 0 for j in range(1, k + 1)):
                 continue
-            r = sum_plain(make_spec([(a, 1), (b, 1)]), POLICY)
+            r = evaluate(make_spec([(a, 1), (b, 1)]), POLICY)
             assert r.exact.fully_reduced
             assert r.exact == telescope(a, k)
             done += 1
@@ -139,7 +139,7 @@ class TestAlternatingReductionGrid:
             for a in (F(0), F(1, 2), F(1), F(3, 2), F(-1, 4)):
                 for j in (1, 2, 3):
                     spec = make_spec([(a, j)], sign="alternating")
-                    r = sum_alternating(spec, POLICY)
+                    r = evaluate(spec, POLICY)
                     am = to_mpf(a)
                     ref = mpmath.nsum(
                         lambda n: (-1) ** (n + 1) / (n + am) ** j,
@@ -154,7 +154,7 @@ class TestAlternatingReductionGrid:
             for a in (F(0), F(1, 2), F(-1, 4)):
                 for j in (1, 2):
                     spec = make_spec([(a, j)], sign="alternating")
-                    r = sum_alternating(spec, POLICY)
+                    r = evaluate(spec, POLICY)
                     s = mpmath.mpf(0)
                     am = to_mpf(a)
                     n_terms = 20000
@@ -178,7 +178,7 @@ class TestEngineProperties:
             if n_total < 2:
                 continue
             spec = make_spec(pairs)
-            r = sum_plain(spec, POLICY)
+            r = evaluate(spec, POLICY)
             assert r.exact.coefficient(GAMMA) == 0
             done += 1
 
@@ -187,25 +187,21 @@ class TestEngineProperties:
             tol = mpmath.mpf(10) ** (-POLICY.target_digits + 3)
             for _ in range(15):
                 spec = random_plain_spec(rng, max_factors=3, max_mult=2)
-                r = sum_plain(spec, POLICY)
+                r = evaluate(spec, POLICY)
                 assert abs(to_numeric(r.exact, POLICY) - r.numeric) < tol * max(
                     1, abs(r.numeric)
                 )
 
     def test_fully_reduced_flag(self):
-        r = sum_plain(make_spec([(F(1, 3), 1), (F(4, 3), 1)]), POLICY)
+        r = evaluate(make_spec([(F(1, 3), 1), (F(4, 3), 1)]), POLICY)
         # arguments 4/3 and 7/3 shift to the same base 1/3: residuals cancel
         assert r.fully_reduced
-        r2 = sum_plain(make_spec([(F(1, 3), 2)]), POLICY)
+        r2 = evaluate(make_spec([(F(1, 3), 2)]), POLICY)
         assert not r2.fully_reduced
         assert r2.exact.residuals
 
     def test_dispatch(self):
-        spec = make_spec([(0, 2)])
-        assert evaluate(spec, POLICY).exact == sum_plain(spec, POLICY).exact
-
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(ValueError):
-            sum_plain(make_spec([(0, 1)], sign="alternating"), POLICY)
-        with pytest.raises(ValueError):
-            sum_alternating(make_spec([(0, 2)]), POLICY)
+        # evaluate follows the spec's sign mode
+        assert render(evaluate(make_spec([(0, 2)]), POLICY).exact) == "(1/6)*pi^2"
+        alternating = make_spec([(0, 2)], sign="alternating")
+        assert render(evaluate(alternating, POLICY).exact) == "(1/12)*pi^2"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from exactsum.engine import sum_alternating, sum_plain
+from exactsum.engine import evaluate
 from exactsum.errors import (
     ConstraintViolated,
     InsufficientTerms,
@@ -167,7 +167,7 @@ class TestQuadGeneral:
     def test_double_pole_half_shift_matches_engine(self):
         with mpmath.workdps(40):
             spec = make_spec([(0, 2), (F(1, 2), 1)])
-            engine = sum_plain(spec, POLICY).numeric
+            engine = evaluate(spec, POLICY).numeric
             quad = quad_general(decompose(spec), POLICY)
             assert abs(engine - quad) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
@@ -210,13 +210,13 @@ class TestCoherence:
         with mpmath.workdps(40):
             for _ in range(10):
                 spec = random_plain_spec(rng, max_factors=3, max_mult=2)
-                r = sum_plain(spec, POLICY)
+                r = evaluate(spec, POLICY)
                 bracket = partial_sum_bracket(spec, 3000, POLICY)
                 assert bracket.contains(r.numeric)
 
     def test_alternating_coherence(self):
         with mpmath.workdps(40):
             spec = make_spec([(F(1, 4), 2)], sign="alternating")
-            r = sum_alternating(spec, POLICY)
+            r = evaluate(spec, POLICY)
             bracket = partial_sum_bracket(spec, 5000, POLICY)
             assert bracket.contains(r.numeric)

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction as F
 
@@ -37,6 +38,22 @@ class TestBernoulli:
         assert bernoulli(4) == F(-1, 30)
         assert bernoulli(12) == F(-691, 2730)
         assert bernoulli(7) == 0
+
+    def test_matches_mpmath_bernfrac(self):
+        for m in range(1001):
+            assert bernoulli(m) == F(*mpmath.bernfrac(m)), m
+
+    def test_cache_filled_once_per_precision(self):
+        # the first call fills the table for every order and argument at
+        # this precision; later calls must not refill it
+        pg = importlib.import_module("exactsum.polygamma")
+        policy = PrecisionPolicy(target_digits=500)
+        polygamma(0, 1, policy)
+        table = pg._even_bernoulli
+        for n in (0, 1, 5, 30):
+            for x in (F(1, 3), 7, F(-9, 4), F(1000003, 7)):
+                polygamma(n, x, policy)
+        assert pg._even_bernoulli is table
 
 
 class TestDigamma:
@@ -127,6 +144,44 @@ class TestPolygamma:
                 mine = digamma(z, POLICY)
                 ref = mpmath.psi(0, to_mpf(z))
                 assert abs(mine - ref) < mpmath.mpf(10) ** (-28)
+
+
+GRID_ARGUMENTS = [
+    1, F(1, 2), F(1, 7), F(7, 3), F(-9, 4), F(25, 4), F(400, 3), F(1000003, 7), 200000,
+]
+GRID_ORDERS = [0, 1, 2, 3, 4, 5, 30]
+
+
+class TestKernelAccuracy:
+    """Relative error <= 10^-d against mpmath.psi evaluated at d + 40 digits.
+
+    psi^(30)(200000) ~ 10^-128 needs the fixed-point kernel to carry
+    ~30*log2(200000) bits beyond the target: an absolute 10^-d error
+    would be relative error ~1 at 30 digits.
+    """
+
+    @pytest.mark.parametrize("digits", [30, 300, 1000])
+    def test_grid(self, digits):
+        policy = PrecisionPolicy(target_digits=digits)
+        with mpmath.workdps(digits + 40):
+            tol = mpmath.mpf(10) ** (-digits)
+            for x in GRID_ARGUMENTS:
+                ref_x = to_mpf(F(x))
+                for n in GRID_ORDERS:
+                    ref = mpmath.psi(n, ref_x)
+                    assert abs(polygamma(n, x, policy) - ref) <= tol * abs(ref), (n, x)
+
+    @pytest.mark.parametrize("digits", [30, 300])
+    def test_mpf_arguments(self, digits):
+        # an mpf is an exact dyadic rational: the kernel rounds it to
+        # working precision, which moves psi by far less than 10^-d
+        policy = PrecisionPolicy(target_digits=digits)
+        with mpmath.workdps(digits + 40):
+            tol = mpmath.mpf(10) ** (-digits)
+            for x in (mpmath.mpf(10) / 3, -mpmath.mpf(73) / 10, mpmath.mpf("1e-5")):
+                for n in GRID_ORDERS:
+                    ref = mpmath.psi(n, x)
+                    assert abs(polygamma(n, x, policy) - ref) <= tol * abs(ref), (n, x)
 
 
 class TestZeta:
