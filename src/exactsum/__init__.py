@@ -19,17 +19,9 @@ from .errors import (
     NonLinearFactor,
     NotApplicable,
     OrderTooLarge,
-    ParametersEqual,
     PoleArgument,
 )
-from .oracle import (
-    Bracket,
-    partial_sum_bracket,
-    quad_alternating,
-    quad_general,
-    quad_square,
-    quad_two_param,
-)
+from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
 from .polygamma import (
@@ -60,7 +52,6 @@ __all__ = [
     "NonLinearFactor",
     "NotApplicable",
     "OrderTooLarge",
-    "ParametersEqual",
     "PartialFractions",
     "PoleArgument",
     "Polynomial",
@@ -83,8 +74,6 @@ __all__ = [
     "psi_closed",
     "quad_alternating",
     "quad_general",
-    "quad_square",
-    "quad_two_param",
     "recombine",
     "render",
     "telescope",

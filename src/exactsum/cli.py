@@ -1,19 +1,29 @@
 """Command-line front end.
 
     exactsum "<expr>" [--alternating] [--digits D]
-             [--format exact|numeric|both|json] [--verify] [--oracle-terms N]
+             [--format exact|numeric|both|json] [--verify]
 
 Exit codes: 0 success, 2 input/validation error, 3 verification failure.
+
+--verify certifies the printed value: the partial-sum bracket (printed
+rounded outward to D digits) must be narrower than one unit in the last
+printed digit and meet the printed value +- half that unit, and the
+quadrature value, where one applies, must agree with it to D/2 digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from .closedform import fraction_text, render
 from .engine import evaluate
@@ -23,8 +33,6 @@ from .parser import ast_to_spec, parse_expression
 from .partfrac import ALTERNATING, PLAIN
 from .polygamma import PrecisionPolicy, to_mpf
 
-VERIFY_QUAD_TOL_EXP = -10  # |engine - quadrature| < 10^-10 counts as agreement
-
 
 @dataclass(frozen=True)
 class CliRequest:
@@ -33,13 +41,10 @@ class CliRequest:
     digits: int = 30
     format: str = "both"
     verify: bool = False
-    oracle_terms: int = 10 ** 6
 
     def __post_init__(self):
         if not 10 <= self.digits <= 1000:
             raise ValueError("digits must be in [10, 1000]")
-        if not 10 ** 3 <= self.oracle_terms <= 10 ** 8:
-            raise ValueError("oracle-terms must be in [10^3, 10^8]")
         if self.format not in ("exact", "numeric", "both", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -48,6 +53,42 @@ def _numeric_string(x, digits: int) -> str:
     """Plain decimal string with exactly `digits` significant digits."""
     with mpmath.workdps(digits + 5):
         return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+
+
+def _exact(x) -> Fraction:
+    """The exact value of an mpf (a dyadic rational)."""
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _directed_string(x, digits: int, up: bool) -> str:
+    """`x` rounded to `digits` significant digits toward +inf (up) or -inf."""
+    q = _exact(x)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR
+        rounded = Decimal(q.numerator) / Decimal(q.denominator)
+    with mpmath.workdps(digits + 5):
+        return _numeric_string(mpmath.mpf(str(rounded)), digits)
+
+
+def _agrees(numeric_text: str, numeric, bracket, quad, digits: int) -> bool:
+    """Whether the oracles certify the printed value.
+
+    The bracket must be narrower than the printed value's last unit and
+    meet its half-unit interval (an exact zero must lie in the bracket);
+    quadrature, where it applies, must be within 10^-ceil(d/2) max(1, |quad|).
+    """
+    printed = Decimal(numeric_text)
+    ulp = Fraction(10) ** (printed.adjusted() - digits + 1) if printed else Fraction(0)
+    printed = Fraction(printed)
+    lo, hi = _exact(bracket.lo), _exact(bracket.hi)
+    narrow = hi - lo <= ulp or not printed
+    certified = narrow and lo <= printed + ulp / 2 and hi >= printed - ulp / 2
+    if quad is None:
+        return certified
+    with mpmath.workdps(digits + 10):
+        tol = mpmath.mpf(10) ** -math.ceil(digits / 2) * max(1, abs(quad))
+        return certified and abs(numeric - quad) <= tol
 
 
 def _quadrature_value(spec, pf, policy):
@@ -77,29 +118,24 @@ def run(request: CliRequest):
     except ExactSumError as exc:
         return 2, "", f"error: {exc}\n"
 
+    numeric_text = _numeric_string(result.numeric, request.digits)
     verify_info = None
     verify_ok = True
     if request.verify:
         try:
-            bracket = partial_sum_bracket(spec, request.oracle_terms, policy)
+            bracket = partial_sum_bracket(spec, policy)
             quad = _quadrature_value(spec, result.pf_echo, policy)
         except ExactSumError as exc:
             return 2, "", f"error: {exc}\n"
-        in_bracket = bracket.contains(result.numeric)
-        quad_ok = (
-            quad is None
-            or abs(result.numeric - quad) < mpmath.mpf(10) ** VERIFY_QUAD_TOL_EXP
-        )
-        verify_ok = in_bracket and quad_ok
+        verify_ok = _agrees(numeric_text, result.numeric, bracket, quad, request.digits)
         verify_info = {
-            "bracket_lo": _numeric_string(bracket.lo, request.digits),
-            "bracket_hi": _numeric_string(bracket.hi, request.digits),
+            "bracket_lo": _directed_string(bracket.lo, request.digits, up=False),
+            "bracket_hi": _directed_string(bracket.hi, request.digits, up=True),
             "quadrature": None if quad is None else _numeric_string(quad, request.digits),
             "agree": verify_ok,
         }
 
     exact_text = render(result.exact)
-    numeric_text = _numeric_string(result.numeric, request.digits)
 
     if request.format == "json":
         doc = {
@@ -170,13 +206,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check against the partial-sum bracket and quadrature oracles",
-    )
-    ap.add_argument(
-        "--oracle-terms",
-        type=int,
-        default=10 ** 6,
-        help="terms for the partial-sum oracle (10^3..10^8)",
+        help="certify the printed value against the partial-sum bracket and quadrature",
     )
     return ap
 
@@ -190,7 +220,6 @@ def main(argv=None) -> int:
             digits=args.digits,
             format=args.format,
             verify=args.verify,
-            oracle_terms=args.oracle_terms,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

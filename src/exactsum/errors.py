@@ -39,15 +39,11 @@ class OrderTooLarge(ExactSumError):
 
 
 class InsufficientTerms(ExactSumError):
-    """Partial-sum oracle could not confirm sign/monotonicity stabilization."""
+    """Partial-sum bracket would need a head longer than its fixed cap."""
 
 
 class NotApplicable(ExactSumError):
     """Quadrature oracle declines: parameters outside the integral's domain."""
-
-
-class ParametersEqual(ExactSumError):
-    """quad_two_param requires a != b."""
 
 
 class ConstraintViolated(ExactSumError):

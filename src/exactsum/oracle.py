@@ -1,11 +1,35 @@
 """Independent verification backends.
 
-Two routes that never touch the master formula: truncated partial sums
-with rigorous tail brackets, and adaptive quadrature of the integral
-representations.  Quadrature is a verifier, not the product, so its error
-target is deliberately looser (half the digits) than the symbolic path.
-The oracle fails loudly (InsufficientTerms / NotApplicable) rather than
-ever produce a wrong bracket.
+Two routes that never touch the master formula: a partial-sum bracket with
+a rigorously bounded tail, and adaptive quadrature of the integral
+representations.  The bracket reads only the `SumSpec`, never the
+partial-fraction table or the polygamma kernel.  Quadrature is a verifier,
+not the product, so its error target is deliberately looser (half the
+digits) than the symbolic path.
+
+The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
+h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
+one path.  With the head n < N summed term by term, the tail is
+(DLMF 2.10.1)
+
+    sum_{n>=N} h(n) = int_N^oo h + h(N)/2 - sum_{s<p} B_2s/(2s)! h^(2s-1)(N) + R_p.
+
+The integral comes from the Laurent coefficients c_k of h at infinity, the
+derivatives from the Taylor series of h at N.  With rho above every pole
+modulus, z = rho/N and M >= max_{|x|=rho} |h| (so |c_k| <= M rho^k):
+
+    integral truncated after c_K     <= M N z^(K+1) / (K (1 - z))
+    Euler-Maclaurin remainder R_p    <= M |B_2p| rho / (p (N - rho)^(2p))
+
+All arithmetic is on integers scaled by 2^W.  Both series are quotients by
+the poles' linear factors, scaled so that each division is by some
+(1 - phi v) with |phi| < 1; every rounding, and its growth through those
+divisions, is counted into the half-width.  N, K, p and W are chosen so
+that the half-width is at most 10^-(target+3) |S|, and the bracket is
+widened to that: the engine's numeric value carries errors near
+10^-(working digits), which a tighter bracket would exclude.  The oracle
+fails loudly (InsufficientTerms / NotApplicable) rather than ever produce
+a wrong bracket.
 """
 
 from __future__ import annotations
@@ -15,20 +39,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
-from .errors import (
-    ConstraintViolated,
-    InsufficientTerms,
-    NotApplicable,
-    ParametersEqual,
-)
-from .partfrac import ALTERNATING, PLAIN, PartialFractions, SumSpec
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, to_mpf
+from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
+from .partfrac import PLAIN, PartialFractions, SumSpec
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli, to_mpf
 
-_EXACT_TERMS_MAX = 400      # exact rational summation below this
-_MPF_TERMS_MAX = 20000      # per-term mpf summation below this; numpy beyond
+_HEAD_TERMS_MAX = 100_000  # longest head; N >= 4 rho
+_LOG2_2PI = math.log2(2 * math.pi)
+_RESOLVE_DIGITS = 60  # digits of cancellation below M resolved beyond the target
+_HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30-1000
 
 
 @dataclass(frozen=True)
@@ -47,136 +68,215 @@ class Bracket:
         return self.hi - self.lo
 
 
-def _term_fraction(spec: SumSpec, n: int) -> Fraction:
-    num = spec.numerator.eval_fraction(Fraction(n))
-    den = Fraction(1)
-    for a, m in spec.factors:
-        den *= (n + a) ** m
-    t = num / den
-    if spec.sign == ALTERNATING and n % 2 == 0:
-        t = -t
-    return t
+# -- integer polynomials (coefficient lists, index = power) ---------------------
 
 
-def _abs_term_fraction(spec: SumSpec, n: int) -> Fraction:
-    return abs(_term_fraction(spec, n))
+def _mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
-def _stabilization_bound(spec: SumSpec) -> int:
-    """Index past which the unsigned summand has fixed sign and |t| ~ c/n^g.
+def _compose(p: list, s: int, t: int) -> list:
+    """p(s x + t)."""
+    out = [0]
+    for c in reversed(p):
+        out = _mul(out, [t, s])
+        out[0] += c
+    return _trim(out)
 
-    Uses the Cauchy root bound of Q and the largest |a_i|; beyond twice
-    that, every factor and the numerator have settled sign and the
-    magnitude is governed by the degree gap.
+
+def _value(p: list, x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _series(first: list, phis: list, count: int):
+    """first(v) / prod_phi (1 - phi v) to `count` terms, all |phi| < 1.
+
+    `first` holds floor(2^W * coefficient) integers; each division rounds
+    phi * r down once per term.  Returns the coefficients on the same grid
+    and, per coefficient, a bound on its error in units of 2^-W: the input
+    floors give 1 each and a division adds e_i + e'_(i-1) + 1.
     """
-    q = spec.numerator
-    if q.is_zero():
-        return 1
-    cauchy = 1 + max(
-        (abs(c / q.leading) for c in q.coeffs), default=Fraction(0)
+    vals = first[:count] + [0] * (count - len(first))
+    errs = [1] * min(count, len(first)) + [0] * (count - len(first))
+    for phi in phis:
+        a, b = phi.numerator, phi.denominator
+        r = e = 0
+        for i in range(count):
+            r = vals[i] + a * r // b
+            e = errs[i] + e + 1
+            vals[i], errs[i] = r, e
+    return vals, errs
+
+
+# -- partial-sum bracket -----------------------------------------------------------
+
+
+def _summand(spec: SumSpec):
+    """(num, den, poles): h = num/den in integers, poles as (p, multiplicity)."""
+    coeffs = spec.numerator.coeffs
+    scale = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    num = [c.numerator * (scale // c.denominator) for c in coeffs]
+    den = [scale]
+    poles = []
+    for a, m in spec.factors:
+        # (n + a)^m = (q n + p)^m / q^m for a = p/q
+        num = [c * a.denominator ** m for c in num]
+        for _ in range(m):
+            den = _mul(den, [a.numerator, a.denominator])
+        poles.append((-a, m))
+    if spec.sign == PLAIN:
+        return num, den, poles
+    odd_num, odd_den = _compose(num, 2, -1), _compose(den, 2, -1)
+    even_num, even_den = _compose(num, 2, 0), _compose(den, 2, 0)
+    left, right = _mul(odd_num, even_den), _mul(even_num, odd_den)
+    h_num = [a - b for a, b in zip(left, right)]
+    poles = [((1 + p) / 2, m) for p, m in poles] + [(p / 2, m) for p, m in poles]
+    return _trim(h_num), _mul(odd_den, even_den), poles
+
+
+def _log2(x: Fraction) -> float:
+    return math.log2(x.numerator) - math.log2(x.denominator)
+
+
+def _plan(log2_m: float, rho: int, n: int, log2_tol: float):
+    """(K, p) meeting tol/3 each at head length n, or None if p cannot."""
+    log2_rho, log2_n, log2_gap = math.log2(rho), math.log2(n), math.log2(n - rho)
+    k = 1
+    while (
+        log2_m + (k + 1) * log2_rho - math.log2(k) - (k - 1) * log2_n - log2_gap
+        > log2_tol
+    ):
+        k += 1
+
+    def log2_em(p):
+        # |B_2p| <= 2 zeta(2) (2p)! / (2 pi)^(2p)
+        log2_b = 1.72 + math.lgamma(2 * p + 1) / math.log(2) - 2 * p * _LOG2_2PI
+        return log2_m + log2_b + log2_rho - math.log2(p) - 2 * p * log2_gap
+
+    p = 1
+    while log2_em(p) > log2_tol:
+        if log2_em(p + 1) >= log2_em(p):
+            return None
+        p += 1
+    return k, p
+
+
+def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
+    """(lo, hi, W, N): the sum lies in [lo, hi] * 2^-W, half-width <= tol."""
+    log2_m, log2_tol = _log2(m_bound), _log2(tol / 3)
+    n = max(4 * rho, math.ceil(_HEAD_PER_DIGIT * (log2_m - log2_tol) * math.log10(2)))
+    while n <= _HEAD_TERMS_MAX and (plan := _plan(log2_m, rho, n, log2_tol)) is None:
+        n *= 2
+    if n > _HEAD_TERMS_MAX:
+        raise InsufficientTerms(
+            f"the partial-sum bracket needs {n} head terms (cap {_HEAD_TERMS_MAX})"
+        )
+    k_max, p = plan
+    gap = len(den) - len(num)  # degree gap >= 2
+    laurent = range(gap, k_max + 1)
+    lead, den_n = den[-1], _value(den, n)
+    phis = [p_j / rho for p_j, m in poles for _ in range(m)]
+    # c_k rho^-k: (sum_i num_(dn-i) (v/rho)^i) / (lead rho^gap prod (1 - (p_j/rho) v))
+    first = [(c, lead * rho ** (gap + i)) for i, c in enumerate(reversed(num))]
+    # tau_j (N - rho)^j: num(N + (N - rho) v) / (den(N) prod (1 - phi_j v)),
+    # phi_j = (N - rho)/(p_j - N)
+    taylor_first = [(c, den_n) for c in _compose(num, n - rho, n)]
+    taylor_phis = [Fraction(n - rho) / (p_j - n) for p_j, m in poles for _ in range(m)]
+
+    # Error bounds depend on the operations only, so W can follow from them.
+    c_errs = _series([0] * len(first), phis, len(laurent))[1]
+    t_errs = _series([0] * len(taylor_first), taylor_phis, max(1, 2 * p - 2))[1]
+    log2_z, log2_gap = math.log2(rho) - math.log2(n), math.log2(n - rho)
+    carried = t_errs[0] / 2 + sum(
+        2 ** (math.log2(e) + math.log2(n) + k * log2_z - math.log2(k - 1))
+        for k, e in zip(laurent, c_errs)
+    ) + sum(
+        2 ** (math.log2(t_errs[2 * s - 1]) + _log2(abs(bernoulli(2 * s)))
+              - math.log2(2 * s) - (2 * s - 1) * log2_gap)
+        for s in range(1, p)
     )
-    amax = max((abs(a) for a in spec.factors.shifts), default=Fraction(0))
-    return int(math.ceil(2 * max(cauchy, amax, 1))) + 1
+    # head and h(N)/2, one floor per Laurent and Euler-Maclaurin term, and the
+    # carried series errors (doubled against float rounding)
+    floors = n + len(laurent) + p + math.ceil(2 * carried)
+    w = max(0, math.ceil(math.log2(floors) - log2_tol) + 1)
+
+    total = sum((_value(num, k) << w) // _value(den, k) for k in range(1, n))
+
+    # int_N^oo h = N sum_k (c_k rho^-k) z^k / (k - 1)
+    c = _series([(x << w) // y for x, y in first], phis, len(laurent))[0]
+    for k, ck in zip(laurent, c):
+        total += ck * rho ** k // (n ** (k - 1) * (k - 1))
+
+    # h(N)/2 - sum_{s<p} B_2s/(2s) tau_(2s-1)
+    t_first = [(x << w) // y for x, y in taylor_first]
+    t = _series(t_first, taylor_phis, max(1, 2 * p - 2))[0]
+    total += t[0] // 2
+    for s in range(1, p):
+        b2s = bernoulli(2 * s)
+        total -= b2s.numerator * t[2 * s - 1] // (
+            b2s.denominator * 2 * s * (n - rho) ** (2 * s - 1)
+        )
+
+    truncation = m_bound * rho ** (k_max + 1) / (k_max * n ** (k_max - 1) * (n - rho))
+    remainder = m_bound * abs(bernoulli(2 * p)) * rho / (p * (n - rho) ** (2 * p))
+    err = math.ceil((truncation + remainder) * (1 << w)) + floors
+    return total - err, total + err, w, n
 
 
-def _numpy_partial_sum(spec: SumSpec, n_terms: int) -> float:
-    qc = np.array([float(c) for c in spec.numerator.coeffs], dtype=np.float64)
-    total = 0.0
-    chunk = 1 << 20
-    start = 1
-    while start <= n_terms:
-        stop = min(n_terms, start + chunk - 1)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        num = np.zeros_like(n) if qc.size == 0 else np.polynomial.polynomial.polyval(n, qc)
-        den = np.ones_like(n)
-        for a, m in spec.factors:
-            den *= (n + float(a)) ** m
-        t = num / den
-        if spec.sign == ALTERNATING:
-            t[(np.arange(start, stop + 1) % 2) == 0] *= -1.0
-        total += float(np.sum(t))
-        start = stop + 1
-    return total
+def _dyadic(v: int, w: int) -> mpf:
+    return mpmath.mp.make_mpf(from_man_exp(v, -w))
 
 
 def partial_sum_bracket(
-    spec: SumSpec, n_terms: int, policy: PrecisionPolicy = DEFAULT_POLICY
+    spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> Bracket:
-    """Sum the first n_terms terms and bracket the tail rigorously.
+    """Interval containing the sum, of half-width 10^-(target+3) |S|.
 
-    Plain mode: past the stabilization index the summand has one sign and
-    |t(n)| <= C/n^2 with C = n_terms^2 |t(n_terms)| * 2 (margin factor),
-    so the tail lies between 0 and C/(n_terms - 1) by integral comparison.
-    Alternating mode: the tail is bracketed by the first omitted term once
-    |t| is confirmed monotone decreasing.
+    The first pass aims at 10^-(target+3) M; a pass that does not reach
+    the goal is repeated at a tolerance set from what it resolved.  A sum
+    too close to zero to resolve at _RESOLVE_DIGITS beyond that, such as
+    an exact zero, gets the last pass's bracket instead.  The head length
+    N >= 4 rho grows with the poles' moduli; a head above _HEAD_TERMS_MAX
+    terms raises InsufficientTerms.
     """
-    amax = max((abs(a) for a in spec.factors.shifts), default=Fraction(0))
-    if n_terms < 10 * (1 + amax):
-        raise ValueError(f"n_terms must be >= {int(10 * (1 + amax))}")
-    n_stab = _stabilization_bound(spec)
-    if n_terms < 2 * n_stab:
-        raise InsufficientTerms(
-            f"need n_terms >= {2 * n_stab} to confirm sign stabilization"
-        )
-
-    with mpmath.workdps(policy.working_digits):
-        # Partial sum: exact, per-term mpf, or vectorized float64 depending
-        # on size; the float paths get an outward rounding pad below.
-        pad = mpmath.mpf(0)
-        if n_terms <= _EXACT_TERMS_MAX:
-            s_exact = sum(
-                (_term_fraction(spec, n) for n in range(1, n_terms + 1)),
-                Fraction(0),
-            )
-            s = to_mpf(s_exact)
-            pad = mpmath.mpf(10) ** (-policy.working_digits + 2)
-        elif n_terms <= _MPF_TERMS_MAX:
-            s = mpmath.mpf(0)
-            for n in range(1, n_terms + 1):
-                num = spec.numerator(mpmath.mpf(n))
-                den = mpmath.mpf(1)
-                for a, m in spec.factors:
-                    den *= (n + to_mpf(a)) ** m
-                t = num / den
-                if spec.sign == ALTERNATING and n % 2 == 0:
-                    t = -t
-                s += t
-            pad = mpmath.mpf(10) ** (-policy.working_digits + 6)
-        else:
-            s = mpmath.mpf(_numpy_partial_sum(spec, n_terms))
-            # float64 pairwise summation error, padded generously
-            pad = mpmath.mpf(1e-11) * (1 + abs(s))
-
-        if spec.sign == PLAIN:
-            t_last = _term_fraction(spec, n_terms)
-            # Confirm the sign has stabilized over a sampled window.
-            sign_last = 1 if t_last > 0 else (-1 if t_last < 0 else 0)
-            for n in (n_terms - 1, n_terms // 2 + n_stab, n_stab * 2):
-                t = _term_fraction(spec, n)
-                sgn = 1 if t > 0 else (-1 if t < 0 else 0)
-                if sgn != 0 and sign_last != 0 and sgn != sign_last:
-                    raise InsufficientTerms(
-                        "summand sign not stabilized by n_terms"
-                    )
-            c_bound = Fraction(n_terms) ** 2 * abs(t_last) * 2
-            tail_hi = to_mpf(c_bound / (n_terms - 1))
-            if sign_last >= 0:
-                lo, hi = s, s + tail_hi
-            else:
-                lo, hi = s - tail_hi, s
-        else:
-            m1 = _abs_term_fraction(spec, n_terms)
-            m2 = _abs_term_fraction(spec, n_terms + 1)
-            m0 = _abs_term_fraction(spec, n_terms - 1)
-            if not (m2 <= m1 <= m0):
-                raise InsufficientTerms(
-                    "alternating magnitudes not monotone decreasing at n_terms"
-                )
-            first_omitted = _term_fraction(spec, n_terms + 1)
-            t = to_mpf(first_omitted)
-            lo, hi = (s, s + t) if t >= 0 else (s + t, s)
-
-        return Bracket(lo=lo - pad, hi=hi + pad, terms_used=n_terms)
+    num, den, poles = _summand(spec)
+    if not num:
+        return Bracket(mpf(0), mpf(0), 0)
+    rho = int(max(abs(p) for p, _ in poles)) + 1
+    m_bound = Fraction(sum(abs(c) * rho ** i for i, c in enumerate(num)), abs(den[-1]))
+    for p, m in poles:
+        m_bound /= (rho - abs(p)) ** m
+    rel = Fraction(1, 10 ** (policy.target_digits + 3))
+    floor = rel * m_bound / 10 ** _RESOLVE_DIGITS
+    scale = m_bound
+    while True:
+        tol = max(rel * scale / 2, floor)
+        lo, hi, w, n = _bracket(num, den, poles, rho, m_bound, tol)
+        s_min = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        goal = s_min * rel.numerator // rel.denominator
+        if hi - lo <= 2 * goal:
+            mid = (lo + hi) // 2
+            lo, hi = mid - goal, mid + goal
+            break
+        if tol == floor:
+            break
+        # |S| >= s_min, or |S| <= hi - lo when the bracket straddles zero
+        scale = Fraction(s_min or hi - lo, 1 << w)
+    return Bracket(_dyadic(lo, w), _dyadic(hi, w), n)
 
 
 # -- quadrature oracles ---------------------------------------------------------
@@ -188,39 +288,15 @@ def _quad_dps(policy: PrecisionPolicy) -> int:
     return policy.target_digits + 5
 
 
-def quad_two_param(a, b, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """S(a, b) = 1/(a-b) * integral_0^1 (t^b - t^a)/(1-t) dt, for a, b > -1."""
-    a, b = Fraction(a), Fraction(b)
-    if a == b:
-        raise ParametersEqual("quad_two_param requires a != b")
-    if a <= -1 or b <= -1:
-        raise NotApplicable("integral representation needs a, b > -1")
-    with mpmath.workdps(_quad_dps(policy)):
-        am, bm = to_mpf(a), to_mpf(b)
+def _expm1(y: mpf) -> mpf:
+    """e^y - 1 for small |y|, computed as exp(y) - 1 with the bits it cancels added.
 
-        def f(t):
-            # (t^b - t^a)/(1-t) = t^a * expm1((b-a) ln t) / (1-t), stable at t -> 1
-            eps1 = t - 1
-            logt = mpmath.log1p(eps1)
-            return t ** am * mpmath.expm1((bm - am) * logt) / (-eps1)
-
-        val = mpmath.quad(f, [0, 1]) / (am - bm)
-        return +val
-
-
-def quad_square(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """sum 1/(n+a)^2 = -integral_0^1 t^a ln(t)/(1-t) dt, for a > -1."""
-    a = Fraction(a)
-    if a <= -1:
-        raise NotApplicable("integral representation needs a > -1")
-    with mpmath.workdps(_quad_dps(policy)):
-        am = to_mpf(a)
-
-        def f(t):
-            eps1 = t - 1
-            return -(t ** am) * mpmath.log1p(eps1) / (-eps1)
-
-        return +mpmath.quad(f, [0, 1])
+    mpmath.expm1 goes through its slower accurate-summation path.
+    """
+    if not y:
+        return mpf(0)
+    with mpmath.extraprec(max(0, -mpmath.mag(y)) + 10):
+        return mpmath.exp(y) - 1
 
 
 def quad_alternating(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
@@ -228,9 +304,11 @@ def quad_alternating(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
     a = Fraction(a)
     if a <= -1:
         raise NotApplicable("integral representation needs a > -1")
+    m = math.ceil(1 / (1 + a))  # t = s^m keeps the integrand bounded at 0
     with mpmath.workdps(_quad_dps(policy)):
         am = to_mpf(a)
-        return +mpmath.quad(lambda t: t ** am / (1 + t), [0, 1])
+        power = m * (am + 1) - 1
+        return +mpmath.quad(lambda s: m * s ** power / (1 + s ** m), [0, 1])
 
 
 def quad_general(
@@ -241,7 +319,7 @@ def quad_general(
     Integrates sum_ij A_ij/(j-1)! x^(j-1) e^(-(a_i+1)x)/(1-e^(-x)) for
     j >= 2 plus the combined j = 1 integrand, which converges only jointly
     under sum_i A_i1 = 0 and is therefore never integrated term by term.
-    The range splits at x = 1; the tail substitutes u = e^(-x).
+    The range splits at x = 1; the tail substitutes e^(-x) = s^m.
     """
     entries = [(a, j, c) for a, j, c in pf.entries if c != 0]
     if any(Fraction(a) <= -1 for a, _, _ in entries):
@@ -260,17 +338,22 @@ def quad_general(
 
         def f_head(x):
             # x in (0, 1]; removable singularity at x = 0 handled via expm1
-            denom = -mpmath.expm1(-x)
+            denom = -_expm1(-x)
             acc = mpmath.mpf(0)
             for am, cm in simple:
-                acc += cm * mpmath.expm1(-(am + 1) * x)
+                acc += cm * _expm1(-(am + 1) * x)
             for am, j, cm in higher:
                 acc += cm * x ** (j - 1) * mpmath.exp(-(am + 1) * x)
             return acc / denom
 
-        def f_tail(u):
-            # u = e^(-x) in (0, 1/e]; the -1/u pieces of the j = 1 terms
-            # cancel exactly under the constraint and are dropped.
+        # u = e^(-x) = s^m on the tail: near s = 0 the integrand is
+        # ~ s^(m (a + 1) - 1), which m >= 1/(a + 1) keeps bounded.
+        m = math.ceil(1 / (1 + min((Fraction(a) for a, _, _ in entries), default=0)))
+
+        def f_tail(s):
+            # the -1/u pieces of the j = 1 terms cancel exactly under the
+            # constraint and are dropped
+            u = s ** m
             acc = mpmath.mpf(0)
             for am, cm in simple:
                 acc += cm * u ** am
@@ -278,8 +361,8 @@ def quad_general(
                 neglog = -mpmath.log(u)
                 for am, j, cm in higher:
                     acc += cm * neglog ** (j - 1) * u ** am
-            return acc / (1 - u)
+            return acc / (1 - u) * m * s ** (m - 1)
 
         head = mpmath.quad(f_head, [0, 1])
-        tail = mpmath.quad(f_tail, [0, mpmath.exp(-1)])
+        tail = mpmath.quad(f_tail, [0, mpmath.exp(mpmath.mpf(-1) / m)])
         return +(head + tail)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,6 +9,8 @@ import mpmath
 import pytest
 
 from exactsum.cli import CliRequest, main, run
+from exactsum.engine import evaluate
+from exactsum.errors import InsufficientTerms
 
 
 def _run(expression, **kwargs):
@@ -94,8 +97,6 @@ class TestExitCodes:
     def test_bad_digits_request(self):
         with pytest.raises(ValueError):
             CliRequest(expression="1/n^2", digits=5)
-        with pytest.raises(ValueError):
-            CliRequest(expression="1/n^2", oracle_terms=100)
 
 
 class TestLargeShifts:
@@ -118,34 +119,94 @@ class TestLargeShifts:
 
 class TestVerify:
     def test_verify_success(self):
-        code, out, err = _run("1/(n^2+n/2)", verify=True, oracle_terms=10 ** 4)
+        code, out, err = _run("1/(n^2+n/2)", verify=True)
         assert code == 0 and err == ""
         vline = out.splitlines()[-1]
         assert vline.startswith("verify: bracket [")
         assert vline.endswith("agree: true")
 
     def test_verify_alternating_simple_poles(self):
-        code, out, _ = _run(
-            "1/(n+1/2)", sign="alternating", verify=True, oracle_terms=10 ** 4
-        )
+        code, out, _ = _run("1/(n+1/2)", sign="alternating", verify=True)
         assert code == 0
         assert "quadrature None" not in out.splitlines()[-1]
 
     def test_verify_alternating_higher_order_bracket_only(self):
-        code, out, _ = _run(
-            "1/n^2", sign="alternating", verify=True, oracle_terms=10 ** 4
-        )
+        code, out, _ = _run("1/n^2", sign="alternating", verify=True)
         assert code == 0
         assert "quadrature None" in out.splitlines()[-1]
 
-    def test_verify_oracle_error_exit_code(self, capsys):
-        # the bracket needs > 4*10^6 terms to see the terms' sign settle
-        code = main(["(n-1000000)/(n+1)^3", "--verify"])
+    def test_verify_oracle_error_exit_code(self, capsys, monkeypatch):
+        import exactsum.cli as cli_mod
+
+        def too_long(spec, policy):
+            raise InsufficientTerms("the partial-sum bracket needs 400004 head terms")
+
+        monkeypatch.setattr(cli_mod, "partial_sum_bracket", too_long)
+        code = main(["1/(n+1/2)^2", "--verify"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_verify_far_numerator_root(self):
+        # the terms change sign only at n = 10^6; the bracket's head depends
+        # on the poles alone (this exited 1, then 2, with InsufficientTerms)
+        code, out, err = _run("(n-1000000)/(n+1)^3", format="json", verify=True)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["verify"]["agree"] is True
+        with mpmath.workdps(60):
+            ref = mpmath.zeta(2) - 1 - 1000001 * (mpmath.zeta(3) - 1)
+            assert mpmath.mpf(doc["verify"]["bracket_lo"]) <= ref
+            assert ref <= mpmath.mpf(doc["verify"]["bracket_hi"])
+
+    def test_verify_certifies_every_printed_digit(self):
+        # ~40 digits cancel between the partial fractions; the printed
+        # bracket now pins all 20 printed digits (it was ~2e-6 wide)
+        code, out, _ = _run("n^28/(n+20)^30", digits=20, format="json", verify=True)
+        assert code == 0
+        doc = json.loads(out)
+        v = doc["verify"]
+        assert v["agree"] is True
+        with mpmath.workdps(60):
+            ref = mpmath.nsum(lambda n: n ** 28 / (n + 20) ** 30, [1, mpmath.inf])
+            lo, hi = mpmath.mpf(v["bracket_lo"]), mpmath.mpf(v["bracket_hi"])
+            assert lo <= ref <= hi
+            assert hi - lo <= mpmath.mpf(10) ** -22  # one unit of the 20th digit
+            assert lo <= mpmath.mpf(doc["numeric"]) <= hi
+
+    def test_verify_rejects_wrong_last_digits(self, monkeypatch):
+        # numeric off by 3 units in the 30th digit: quadrature agrees to far
+        # more than 10^-10, but the bracket misses the printed value
+        import exactsum.cli as cli_mod
+
+        def skewed(spec, policy):
+            result = evaluate(spec, policy)
+            with mpmath.workdps(policy.working_digits):
+                numeric = result.numeric + mpmath.mpf("3e-29")
+            return dataclasses.replace(result, numeric=numeric)
+
+        monkeypatch.setattr(cli_mod, "evaluate", skewed)
+        code, out, err = _run("1/n^2", verify=True)
+        assert code == 3
+        assert "agree: false" in out
+
+    def test_verify_shift_between_minus_one_and_zero(self):
+        # quadrature must reach 10^-15 here, where it once reached 4.5e-11
+        code, out, _ = _run("-(9/4)*n/((n-3/4)*(n+3)^2)", verify=True)
+        assert code == 0
+        assert out.splitlines()[-1].endswith("agree: true")
+
+    def test_verify_bracket_rounded_outward(self):
+        # lo is rounded down and hi up to the printed digits
+        code, out, _ = _run("1/(n^2+n/2)", format="json", verify=True)
+        assert code == 0
+        v = json.loads(out)["verify"]
+        with mpmath.workdps(60):
+            exact = 4 * (1 - mpmath.ln(2))
+            assert mpmath.mpf(v["bracket_lo"]) <= exact <= mpmath.mpf(v["bracket_hi"])
+        assert Decimal(v["bracket_hi"]) - Decimal(v["bracket_lo"]) == Decimal("1e-29")
 
     def test_verify_failure_exit_code(self, monkeypatch):
         # force a disagreement to exercise the failure path
@@ -154,7 +215,7 @@ class TestVerify:
         monkeypatch.setattr(
             cli_mod, "_quadrature_value", lambda spec, pf, policy: mpmath.mpf(999)
         )
-        code, out, err = _run("1/n^2", verify=True, oracle_terms=10 ** 4)
+        code, out, err = _run("1/n^2", verify=True)
         assert code == 3
         assert "verification failed" in err
         assert "agree: false" in out
@@ -193,7 +254,7 @@ class TestJson:
         assert set(entry) == {"coeff", "order", "argument"}
 
     def test_json_verify_block(self):
-        _, out, _ = _run("1/n^2", format="json", verify=True, oracle_terms=10 ** 4)
+        _, out, _ = _run("1/n^2", format="json", verify=True)
         doc = json.loads(out)
         v = doc["verify"]
         assert v["agree"] is True

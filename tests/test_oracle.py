@@ -1,24 +1,16 @@
+import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exactsum.engine import evaluate
-from exactsum.errors import (
-    ConstraintViolated,
-    InsufficientTerms,
-    NotApplicable,
-    ParametersEqual,
-)
-from exactsum.oracle import (
-    partial_sum_bracket,
-    quad_alternating,
-    quad_general,
-    quad_square,
-    quad_two_param,
-)
+from exactsum.errors import ConstraintViolated, NotApplicable
+from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_general
 from exactsum.partfrac import PartialFractions, decompose
 from exactsum.polygamma import PrecisionPolicy, to_mpf
+from exactsum.polys import Polynomial
 
 from conftest import make_spec, random_plain_spec
 
@@ -29,103 +21,199 @@ QUAD_TOL_EXP = -15  # error target 10^(-target/2)
 class TestPartialSumBracket:
     def test_basel_bracket(self):
         with mpmath.workdps(40):
-            b = partial_sum_bracket(make_spec([(0, 2)]), 1000, POLICY)
+            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
             assert b.contains(mpmath.pi ** 2 / 6)
-            # tail bound C/(N-1) with margin factor 2: just above 2/N
             assert b.width < mpmath.mpf("2.1e-3")
 
     def test_half_shift_pair_bracket(self):
         with mpmath.workdps(40):
-            b = partial_sum_bracket(make_spec([(0, 1), (F(1, 2), 1)]), 10 ** 4, POLICY)
-            assert b.contains(mpmath.mpf("1.22741127776021876233107151417"))
+            b = partial_sum_bracket(make_spec([(0, 1), (F(1, 2), 1)]), POLICY)
+            assert b.contains(4 * (1 - mpmath.ln(2)))  # 1.22741127776021876233107151417
 
     def test_alternating_bracket(self):
         with mpmath.workdps(40):
             spec = make_spec([(F(1, 2), 1)], sign="alternating")
-            b = partial_sum_bracket(spec, 10 ** 4, POLICY)
+            b = partial_sum_bracket(spec, POLICY)
             assert b.contains(2 - mpmath.pi / 2)
-            assert b.width <= to_mpf(F(1, 10 ** 4) ) # first omitted term + pad
+            assert b.width <= to_mpf(F(1, 10 ** 4))
 
     def test_exact_small_path(self):
         with mpmath.workdps(40):
-            b = partial_sum_bracket(make_spec([(0, 2)]), 100, POLICY)
+            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
             assert b.contains(mpmath.pi ** 2 / 6)
 
     def test_numpy_large_path(self):
         with mpmath.workdps(40):
-            b = partial_sum_bracket(make_spec([(0, 2)]), 10 ** 5, POLICY)
+            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
             assert b.contains(mpmath.pi ** 2 / 6)
             assert b.width < mpmath.mpf("5e-5")
 
     def test_negative_summand_bracket(self):
-        # Q = -1: eventually negative terms flip the tail side
-        from exactsum.polys import Polynomial
-
+        # Q = -1: negative terms put the tail below the partial sum
         with mpmath.workdps(40):
             spec = make_spec([(0, 2)], numerator=Polynomial([-1]))
-            b = partial_sum_bracket(spec, 2000, POLICY)
+            b = partial_sum_bracket(spec, POLICY)
             assert b.contains(-mpmath.pi ** 2 / 6)
 
     def test_insufficient_terms(self):
-        with pytest.raises((InsufficientTerms, ValueError)):
-            # stabilization bound for a far-out numerator root is huge
-            from exactsum.polys import Polynomial
-
+        # the terms change sign at n = 50000; the head length depends on
+        # the poles alone, so a far-out numerator root costs nothing
+        with mpmath.workdps(60):
             spec = make_spec([(0, 3)], numerator=Polynomial([-50000, 1]))
-            partial_sum_bracket(spec, 1000, POLICY)
+            b = partial_sum_bracket(spec, POLICY)
+            assert b.contains(mpmath.zeta(2) - 50000 * mpmath.zeta(3))
+            assert b.terms_used < 1000
 
-    def test_minimum_terms_enforced(self):
-        with pytest.raises(ValueError):
-            partial_sum_bracket(make_spec([(F(9, 2), 1), (0, 1)]), 20, POLICY)
+    @pytest.mark.parametrize("digits", [30, 300])
+    def test_width_bound_at_target(self, digits):
+        policy = PrecisionPolicy(target_digits=digits)
+        with mpmath.workdps(digits + 40):
+            cases = [
+                (make_spec([(0, 2)]), mpmath.pi ** 2 / 6),
+                (
+                    make_spec([(0, 2), (F(1, 2), 1)]),
+                    mpmath.pi ** 2 / 3 - 8 + 8 * mpmath.ln(2),
+                ),
+                (make_spec([(F(1, 2), 1)], sign="alternating"), 2 - mpmath.pi / 2),
+            ]
+            for spec, ref in cases:
+                b = partial_sum_bracket(spec, policy)
+                assert b.contains(ref)
+                assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -(digits + 3) * abs(ref)
+
+    def test_alternating_double_pole(self):
+        # sum (-1)^(n+1)/(n+1/4)^2 = (psi'(5/8) - psi'(9/8))/4
+        with mpmath.workdps(70):
+            spec = make_spec([(F(1, 4), 2)], sign="alternating")
+            eighth = mpmath.mpf(1) / 8
+            ref = (mpmath.psi(1, 5 * eighth) - mpmath.psi(1, 9 * eighth)) / 4
+            b = partial_sum_bracket(spec, POLICY)
+            assert b.contains(ref)
+            assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
+
+    def test_high_order_pole_against_nsum(self):
+        # M ~ 21^28 on |x| = 21: some 40 digits cancel in the tail
+        with mpmath.workdps(60):
+            spec = make_spec([(20, 30)], numerator=Polynomial([0] * 28 + [1]))
+            ref = mpmath.nsum(lambda n: n ** 28 / (n + 20) ** 30, [1, mpmath.inf])
+            b = partial_sum_bracket(spec, PrecisionPolicy(target_digits=20))
+            assert b.contains(ref)
+            assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -23 * abs(ref)
+
+    def test_exact_zero_sum(self):
+        # sum 1/((n+1/2)(n-3/2)) = 0: no relative width exists, the bracket
+        # still holds 0 and ends
+        b = partial_sum_bracket(make_spec([(F(1, 2), 1), (F(-3, 2), 1)]), POLICY)
+        assert b.lo <= 0 <= b.hi
+        assert b.width < mpmath.mpf(10) ** -60
+
+
+def _psi_reference(spec):
+    """The sum from mpmath.psi over the partial fractions, at the current precision."""
+    total = mpmath.mpf(0)
+    for a, j, c in decompose(spec).entries:
+        am = to_mpf(a)
+        scale = to_mpf(c) * (-1) ** j / math.factorial(j - 1)
+        if spec.sign == "plain":
+            total += scale * mpmath.psi(j - 1, am + 1)
+        else:
+            total += scale / 2 ** j * (
+                mpmath.psi(j - 1, (am + 1) / 2) - mpmath.psi(j - 1, (am + 2) / 2)
+            )
+    return total
+
+
+shifts = st.fractions(min_value=-3, max_value=12, max_denominator=12).filter(
+    lambda a: not (a.denominator == 1 and a < 0)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(shifts, st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=8
+    ),
+    st.sampled_from(["plain", "alternating"]),
+)
+def test_bracket_contains_psi_reference(pairs, coeffs, sign):
+    bound = sum(m for _, m in pairs) - (2 if sign == "plain" else 1)
+    assume(bound >= 0)
+    numerator = Polynomial(coeffs[: bound + 1])
+    assume(not numerator.is_zero())
+    spec = make_spec(pairs, sign, numerator)
+    with mpmath.workdps(80):
+        ref = _psi_reference(spec)
+        assume(abs(ref) > mpmath.mpf(10) ** -30)  # exact zeros: test_exact_zero_sum
+        b = partial_sum_bracket(spec, POLICY)
+        assert b.contains(ref)
+        assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
+
+
+def _quad(pairs):
+    return quad_general(decompose(make_spec(pairs)), POLICY)
 
 
 class TestQuadTwoParam:
+    # sum 1/((n+a)(n+b)), once quad_two_param(a, b)
     def test_half_shift_pair_value(self):
         with mpmath.workdps(40):
-            v = quad_two_param(F(1, 2), 0, POLICY)
+            v = _quad([(F(1, 2), 1), (0, 1)])
             assert abs(v - 4 * (1 - mpmath.ln(2))) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_telescoping_value(self):
         # brute-force-pinned: sum 1/((n+1)n) = 1
         with mpmath.workdps(40):
-            assert abs(quad_two_param(1, 0, POLICY) - 1) < mpmath.mpf(10) ** QUAD_TOL_EXP
+            assert abs(_quad([(1, 1), (0, 1)]) - 1) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_swap_symmetry(self):
         with mpmath.workdps(40):
             a, b = F(1, 3), F(5, 4)
             assert abs(
-                quad_two_param(a, b, POLICY) - quad_two_param(b, a, POLICY)
+                _quad([(a, 1), (b, 1)]) - _quad([(b, 1), (a, 1)])
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_equal_parameters(self):
-        with pytest.raises(ParametersEqual):
-            quad_two_param(F(1, 2), F(1, 2), POLICY)
+        # a = b merges into the double pole 1/(n+1/2)^2
+        with mpmath.workdps(40):
+            assert abs(
+                _quad([(F(1, 2), 1), (F(1, 2), 1)]) - (mpmath.pi ** 2 / 2 - 4)
+            ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_domain(self):
         with pytest.raises(NotApplicable):
-            quad_two_param(F(-3, 2), 0, POLICY)
+            _quad([(F(-3, 2), 1), (0, 1)])
 
 
 class TestQuadSquare:
+    # sum 1/(n+a)^2, once quad_square(a)
     def test_basel(self):
         with mpmath.workdps(40):
-            assert abs(quad_square(0, POLICY) - mpmath.pi ** 2 / 6) < mpmath.mpf(10) ** QUAD_TOL_EXP
+            assert abs(
+                _quad([(0, 2)]) - mpmath.pi ** 2 / 6
+            ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_half(self):
         with mpmath.workdps(40):
             assert abs(
-                quad_square(F(1, 2), POLICY) - (mpmath.pi ** 2 / 2 - 4)
+                _quad([(F(1, 2), 2)]) - (mpmath.pi ** 2 / 2 - 4)
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_shift_one(self):
         with mpmath.workdps(40):
             assert abs(
-                quad_square(1, POLICY) - (mpmath.pi ** 2 / 6 - 1)
+                _quad([(1, 2)]) - (mpmath.pi ** 2 / 6 - 1)
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_domain(self):
+        # -3/2, not -2: a negative integer shift is rejected before quadrature
         with pytest.raises(NotApplicable):
-            quad_square(-2, POLICY)
+            _quad([(F(-3, 2), 2)])
 
 
 class TestQuadAlternating:
@@ -150,6 +238,14 @@ class TestQuadAlternating:
         with pytest.raises(NotApplicable):
             quad_alternating(F(-5, 4), POLICY)
 
+    def test_shift_between_minus_one_and_zero(self):
+        # t^(-3/4) near t = 0 cost tanh-sinh all but ~9 digits before t = s^4
+        with mpmath.workdps(40):
+            eighth = mpmath.mpf(1) / 8
+            ref = (mpmath.digamma(5 * eighth) - mpmath.digamma(eighth)) / 2
+            v = quad_alternating(F(-3, 4), POLICY)
+            assert abs(v - ref) < mpmath.mpf(10) ** QUAD_TOL_EXP
+
 
 class TestQuadGeneral:
     def test_basel(self):
@@ -171,6 +267,16 @@ class TestQuadGeneral:
             quad = quad_general(decompose(spec), POLICY)
             assert abs(engine - quad) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
+    def test_shift_between_minus_one_and_zero(self):
+        # u^(-3/4) at the tail's u = 0 end held quadrature to ~4.5e-11
+        with mpmath.workdps(40):
+            spec = make_spec(
+                [(F(-3, 4), 1), (3, 2)], numerator=Polynomial([0, F(-9, 4)])
+            )
+            engine = evaluate(spec, POLICY).numeric
+            quad = quad_general(decompose(spec), POLICY)
+            assert abs(quad - engine) < mpmath.mpf(10) ** QUAD_TOL_EXP
+
     def test_constraint_violated(self):
         pf = PartialFractions(((F(0), 1, F(1)),))
         with pytest.raises(ConstraintViolated):
@@ -182,13 +288,14 @@ class TestQuadGeneral:
             quad_general(pf, POLICY)
 
     def test_substitution_equivalence_with_two_param(self):
-        # single simple-pole pair: x-domain route equals the t-domain
-        # Eq-(5)-style route under t = e^(-x)
+        # single simple-pole pair: the x-domain integral equals
+        # sum 1/((n+a)(n+b)) = (psi(1+a) - psi(1+b))/(a-b)
         with mpmath.workdps(40):
             for a, b in [(F(1, 2), F(0)), (F(3, 4), F(1, 3)), (F(2), F(1, 5))]:
                 pf = decompose(make_spec([(a, 1), (b, 1)]))
                 v1 = quad_general(pf, POLICY)
-                v2 = quad_two_param(a, b, POLICY)
+                am, bm = to_mpf(a), to_mpf(b)
+                v2 = (mpmath.digamma(1 + am) - mpmath.digamma(1 + bm)) / (am - bm)
                 assert abs(v1 - v2) < 2 * mpmath.mpf(10) ** QUAD_TOL_EXP
 
 
@@ -202,8 +309,10 @@ class TestCoherence:
                     continue
                 pf = decompose(spec)
                 quad = quad_general(pf, POLICY)
-                bracket = partial_sum_bracket(spec, 4000, POLICY)
-                assert bracket.contains(quad)
+                bracket = partial_sum_bracket(spec, POLICY)
+                # the bracket (10^-33 relative) is far inside quadrature's target
+                tol = mpmath.mpf(10) ** QUAD_TOL_EXP
+                assert bracket.lo - tol <= quad <= bracket.hi + tol
                 done += 1
 
     def test_closed_forms_inside_brackets(self, rng):
@@ -211,12 +320,12 @@ class TestCoherence:
             for _ in range(10):
                 spec = random_plain_spec(rng, max_factors=3, max_mult=2)
                 r = evaluate(spec, POLICY)
-                bracket = partial_sum_bracket(spec, 3000, POLICY)
+                bracket = partial_sum_bracket(spec, POLICY)
                 assert bracket.contains(r.numeric)
 
     def test_alternating_coherence(self):
         with mpmath.workdps(40):
             spec = make_spec([(F(1, 4), 2)], sign="alternating")
             r = evaluate(spec, POLICY)
-            bracket = partial_sum_bracket(spec, 5000, POLICY)
+            bracket = partial_sum_bracket(spec, POLICY)
             assert bracket.contains(r.numeric)
