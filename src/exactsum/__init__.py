@@ -6,8 +6,8 @@ closed-form symbolic value and an arbitrary-precision numeric value, each
 independently verifiable by quadrature and tail-bracketed partial sums.
 """
 
-from .closedform import SymbolicValue, assemble, psi_closed, render, to_numeric
-from .engine import SumResult, evaluate, telescope
+from .closedform import SymbolicValue, assemble, psi_closed, render
+from .engine import SumResult, evaluate
 from .errors import (
     ConstraintViolated,
     DegreeTooHigh,
@@ -24,13 +24,7 @@ from .errors import (
 from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
-from .polygamma import (
-    PrecisionPolicy,
-    constant,
-    digamma,
-    polygamma,
-    zeta_int,
-)
+from .polygamma import PrecisionPolicy, digamma, polygamma, zeta_int
 from .polys import (
     FactorList,
     Polynomial,
@@ -62,7 +56,6 @@ __all__ = [
     "SymbolicValue",
     "assemble",
     "ast_to_spec",
-    "constant",
     "decompose",
     "digamma",
     "evaluate",
@@ -76,8 +69,6 @@ __all__ = [
     "quad_general",
     "recombine",
     "render",
-    "telescope",
-    "to_numeric",
     "zeta_int",
 ]
 

@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 input/validation error, 3 verification failure.
 --verify certifies the printed value: the partial-sum bracket (printed
 rounded outward to D digits) must be narrower than one unit in the last
 printed digit and meet the printed value +- half that unit, and the
-quadrature value, where one applies, must agree with it to D/2 digits.
+quadrature value must agree with it to ceil(D/2) digits.  Quadrature
+applies to every sum, plain or alternating, whose shifts are all > -1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -28,10 +28,10 @@ from mpmath.libmp import to_rational
 from .closedform import fraction_text, render
 from .engine import evaluate
 from .errors import ExactSumError, NotApplicable
-from .oracle import partial_sum_bracket, quad_alternating, quad_general
+from .oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import ALTERNATING, PLAIN
-from .polygamma import PrecisionPolicy, to_mpf
+from .polygamma import PrecisionPolicy
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def _agrees(numeric_text: str, numeric, bracket, quad, digits: int) -> bool:
 
     The bracket must be narrower than the printed value's last unit and
     meet its half-unit interval (an exact zero must lie in the bracket);
-    quadrature, where it applies, must be within 10^-ceil(d/2) max(1, |quad|).
+    quadrature, where it applies, must be within 10^-quad_digits(d) max(1, |quad|).
     """
     printed = Decimal(numeric_text)
     ulp = Fraction(10) ** (printed.adjusted() - digits + 1) if printed else Fraction(0)
@@ -87,23 +87,16 @@ def _agrees(numeric_text: str, numeric, bracket, quad, digits: int) -> bool:
     if quad is None:
         return certified
     with mpmath.workdps(digits + 10):
-        tol = mpmath.mpf(10) ** -math.ceil(digits / 2) * max(1, abs(quad))
+        tol = mpmath.mpf(10) ** -quad_digits(digits) * max(1, abs(quad))
         return certified and abs(numeric - quad) <= tol
 
 
 def _quadrature_value(spec, pf, policy):
-    """Matching quadrature oracle for the spec, or None when inapplicable."""
+    """Quadrature of the sum, or None when a shift is <= -1."""
     try:
         if spec.sign == PLAIN:
             return quad_general(pf, policy)
-        if all(j == 1 for _, j, _ in pf.entries):
-            with mpmath.workdps(policy.working_digits):
-                total = mpmath.mpf(0)
-                for a, _, c in pf.entries:
-                    if c != 0:
-                        total += to_mpf(c) * quad_alternating(a, policy)
-                return +total
-        return None
+        return quad_alternating(pf, policy)
     except NotApplicable:
         return None
 

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-import mpmath
-from mpmath import mpf
-
 from .errors import PoleArgument
-from . import polygamma as pg
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, to_mpf
 
 # Basis symbols as small tags; Zeta carries its integer argument.
 ONE = ("one", 0)
@@ -83,14 +78,6 @@ class SymbolicValue:
     @property
     def fully_reduced(self) -> bool:
         return not self.residuals
-
-    def is_rational(self) -> bool:
-        return not self.residuals and all(s == ONE for s, _ in self.basis_coeffs)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not a pure rational")
-        return self.coefficient(ONE)
 
     def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
         coeffs: Dict = dict(self.basis_coeffs)
@@ -208,31 +195,7 @@ def assemble(terms: Iterable) -> SymbolicValue:
     return total
 
 
-# -- numeric evaluation and rendering ------------------------------------------
-
-
-def to_numeric(value: SymbolicValue, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """Evaluate a SymbolicValue to an arbitrary-precision float."""
-    with mpmath.workdps(policy.working_digits):
-        acc = mpmath.mpf(0)
-        for sym, c in value.basis_coeffs:
-            kind, k = sym
-            if kind == "one":
-                base = mpmath.mpf(1)
-            elif kind == "gamma":
-                base = pg.constant("gamma", policy)
-            elif kind == "ln2":
-                base = pg.constant("ln2", policy)
-            elif kind == "pi":
-                base = pg.constant("pi", policy)
-            elif kind == "pi2":
-                base = pg.constant("pi", policy) ** 2
-            else:
-                base = pg.zeta_int(k, policy)
-            acc += to_mpf(c) * base
-        for c, order, arg in value.residuals:
-            acc += to_mpf(c) * pg.polygamma(order, arg, policy)
-        return +acc
+# -- rendering ------------------------------------------------------------------
 
 
 def fraction_text(c: Fraction) -> str:

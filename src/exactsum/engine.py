@@ -19,7 +19,6 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import SymbolicValue, assemble
-from .errors import NegativeIntegerShift, PoleArgument
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
 from . import polygamma as pg
 from .polygamma import DEFAULT_POLICY, PrecisionPolicy, to_mpf
@@ -79,25 +78,3 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
         pf_echo=pf,
     )
 
-
-def telescope(a, k: int) -> SymbolicValue:
-    """Exact value of sum_{n>=1} 1/((n+a)(n+a-k)) as a pure rational.
-
-    The sum collapses to the finite harmonic-type form
-    (1/k) * sum_{j=1..k} 1/(j+a-k); the index placement is pinned by
-    brute-force partial sums in the regression tests.
-    """
-    a = Fraction(a)
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    for shift in (a, a - k):
-        if shift.denominator == 1 and shift < 0:
-            raise NegativeIntegerShift(f"shift {shift} is a negative integer")
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        d = j + a - k
-        if d == 0:
-            raise PoleArgument(f"telescoping term 1/({j}+{a}-{k}) has zero denominator")
-        total += Fraction(1) / d
-    return SymbolicValue.rational(total / k)

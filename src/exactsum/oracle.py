@@ -1,11 +1,12 @@
 """Independent verification backends.
 
 Two routes that never touch the master formula: a partial-sum bracket with
-a rigorously bounded tail, and adaptive quadrature of the integral
-representations.  The bracket reads only the `SumSpec`, never the
-partial-fraction table or the polygamma kernel.  Quadrature is a verifier,
-not the product, so its error target is deliberately looser (half the
-digits) than the symbolic path.
+a rigorously bounded tail, and tanh-sinh quadrature of one integral
+representation of the whole partial-fraction table, for either sign.  The
+bracket reads only the `SumSpec`, never the partial-fraction table or the
+polygamma kernel.  Quadrature is a verifier, not the product: the CLI
+checks it to quad_digits(d) = ceil(d/2) of the d printed digits, and it
+integrates at ten digits more than that.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -282,10 +283,14 @@ def partial_sum_bracket(
 # -- quadrature oracles ---------------------------------------------------------
 
 
+def quad_digits(digits: int) -> int:
+    """Digits to which quadrature checks a `digits`-digit value: ceil(d/2)."""
+    return -(-digits // 2)
+
+
 def _quad_dps(policy: PrecisionPolicy) -> int:
-    # Error target is 10^(-target/2); working at full target digits keeps
-    # tanh-sinh comfortably inside that.
-    return policy.target_digits + 5
+    # ten guard digits above what the check uses keep tanh-sinh inside it
+    return quad_digits(policy.target_digits) + 10
 
 
 def _expm1(y: mpf) -> mpf:
@@ -299,45 +304,75 @@ def _expm1(y: mpf) -> mpf:
         return mpmath.exp(y) - 1
 
 
-def quad_alternating(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """sum (-1)^(n+1)/(n+a) = integral_0^1 t^a/(1+t) dt, for a > -1."""
-    a = Fraction(a)
-    if a <= -1:
-        raise NotApplicable("integral representation needs a > -1")
-    m = math.ceil(1 / (1 + a))  # t = s^m keeps the integrand bounded at 0
+def _table(pf: PartialFractions):
+    """(nonzero entries, m) with m = ceil(1/(1 + min a_i)); needs every a_i > -1."""
+    entries = [(Fraction(a), j, c) for a, j, c in pf.entries if c != 0]
+    if any(a <= -1 for a, _, _ in entries):
+        raise NotApplicable("integral representation needs all a_i > -1")
+    return entries, math.ceil(1 / (1 + min((a for a, _, _ in entries), default=0)))
+
+
+def _integrand(entries, m: int, sign: int):
+    """s -> m sum_ij A_ij/(j-1)! s^(m(a_i+1)-1) (-m ln s)^(j-1) / (1 - sign s^m).
+
+    sum_n sign^(n-1)/(n + a)^j = 1/(j-1)! int_0^1 (-ln u)^(j-1) u^a/(1 - sign u) du
+    (u = e^-x in DLMF 25.11.25), and u = s^m keeps u^a bounded at s = 0.
+    """
+    terms = [
+        (to_mpf(m * (a + 1) - 1), j - 1, to_mpf(c / math.factorial(j - 1)))
+        for a, j, c in entries
+    ]
+    logs = any(k for _, k, _ in terms)
+
+    def f(s):
+        neglog = -m * mpmath.log(s) if logs else None
+        acc = mpf(0)
+        for power, k, c in terms:
+            t = c * s ** power
+            acc += t * neglog ** k if k else t
+        return m * acc / (1 - sign * s ** m)
+
+    return f
+
+
+def quad_alternating(
+    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
+) -> mpf:
+    """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j as one integral over s in [0, 1].
+
+    The integrand has no singularity at u = 1, so it needs neither a
+    constraint on the A_i1 nor a separate head.
+    """
+    entries, m = _table(pf)
     with mpmath.workdps(_quad_dps(policy)):
-        am = to_mpf(a)
-        power = m * (am + 1) - 1
-        return +mpmath.quad(lambda s: m * s ** power / (1 + s ** m), [0, 1])
+        return +mpmath.quad(_integrand(entries, m, -1), [0, 1])
 
 
 def quad_general(
     pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> mpf:
-    """x-domain integral of the full partial-fraction table.
+    """sum_n sum_ij A_ij/(n + a_i)^j as an integral of the whole table.
 
-    Integrates sum_ij A_ij/(j-1)! x^(j-1) e^(-(a_i+1)x)/(1-e^(-x)) for
-    j >= 2 plus the combined j = 1 integrand, which converges only jointly
-    under sum_i A_i1 = 0 and is therefore never integrated term by term.
-    The range splits at x = 1; the tail substitutes e^(-x) = s^m.
+    In x = -ln u the integrand is sum_ij A_ij/(j-1)! x^(j-1) e^(-(a_i+1)x)
+    / (1 - e^(-x)).  Its j = 1 part converges at x = 0 only jointly under
+    sum_i A_i1 = 0, so the head x in (0, 1] subtracts the cancelling 1/x
+    pieces through expm1.  The tail x > 1 is the shared integrand, in
+    which those pieces sum to zero and are left out.
     """
-    entries = [(a, j, c) for a, j, c in pf.entries if c != 0]
-    if any(Fraction(a) <= -1 for a, _, _ in entries):
-        raise NotApplicable("integral representation needs all a_i > -1")
+    entries, m = _table(pf)
     if pf.simple_pole_sum() != 0:
         raise ConstraintViolated(
             "sum of simple-pole coefficients must vanish for the combined integral"
         )
     with mpmath.workdps(_quad_dps(policy)):
-        simple = [(to_mpf(Fraction(a)), to_mpf(c)) for a, j, c in entries if j == 1]
+        simple = [(to_mpf(a), to_mpf(c)) for a, j, c in entries if j == 1]
         higher = [
-            (to_mpf(Fraction(a)), j, to_mpf(c / math.factorial(j - 1)))
+            (to_mpf(a), j, to_mpf(c / math.factorial(j - 1)))
             for a, j, c in entries
             if j >= 2
         ]
 
         def f_head(x):
-            # x in (0, 1]; removable singularity at x = 0 handled via expm1
             denom = -_expm1(-x)
             acc = mpmath.mpf(0)
             for am, cm in simple:
@@ -346,23 +381,6 @@ def quad_general(
                 acc += cm * x ** (j - 1) * mpmath.exp(-(am + 1) * x)
             return acc / denom
 
-        # u = e^(-x) = s^m on the tail: near s = 0 the integrand is
-        # ~ s^(m (a + 1) - 1), which m >= 1/(a + 1) keeps bounded.
-        m = math.ceil(1 / (1 + min((Fraction(a) for a, _, _ in entries), default=0)))
-
-        def f_tail(s):
-            # the -1/u pieces of the j = 1 terms cancel exactly under the
-            # constraint and are dropped
-            u = s ** m
-            acc = mpmath.mpf(0)
-            for am, cm in simple:
-                acc += cm * u ** am
-            if higher:
-                neglog = -mpmath.log(u)
-                for am, j, cm in higher:
-                    acc += cm * neglog ** (j - 1) * u ** am
-            return acc / (1 - u) * m * s ** (m - 1)
-
         head = mpmath.quad(f_head, [0, 1])
-        tail = mpmath.quad(f_tail, [0, mpmath.exp(mpmath.mpf(-1) / m)])
+        tail = mpmath.quad(_integrand(entries, m, 1), [0, mpmath.exp(mpmath.mpf(-1) / m)])
         return +(head + tail)

@@ -251,10 +251,6 @@ def _fold(node: Node) -> RationalFunction:
     return rf_l / rf_r
 
 
-def ast_to_rational_function(ast: Node) -> RationalFunction:
-    return _fold(ast)
-
-
 def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
     """Fold the AST into Q/P, factor the denominator, validate convergence.
 

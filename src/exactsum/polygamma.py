@@ -300,14 +300,3 @@ def zeta_int(k: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
             j += 1
         return +acc
 
-
-def constant(name: str, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """Named constants gamma, pi, ln2 at working precision."""
-    with mpmath.workdps(policy.working_digits):
-        if name == "pi":
-            return +mpmath.pi
-        if name == "ln2":
-            return mpmath.ln(2)
-        if name == "gamma":
-            return -digamma(1, policy)
-        raise ValueError(f"unknown constant {name!r}")

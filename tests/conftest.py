@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from exactsum.polys import FactorList, Polynomial
@@ -13,6 +14,28 @@ def make_spec(pairs, sign="plain", numerator=None):
         FactorList.from_pairs(pairs),
         sign,
     )
+
+
+def symbolic_numeric(value):
+    """A SymbolicValue at the current mpmath precision, from mpmath's own
+    constants and mpmath.psi for the residual terms."""
+    basis = {
+        "one": lambda k: 1,
+        "gamma": lambda k: mpmath.euler,
+        "ln2": lambda k: mpmath.ln2,
+        "pi": lambda k: mpmath.pi,
+        "pi2": lambda k: mpmath.pi ** 2,
+        "zeta": mpmath.zeta,
+    }
+    total = mpmath.mpf(0)
+    for (kind, k), c in value.basis_coeffs:
+        total += mpmath.mpf(c.numerator) / c.denominator * basis[kind](k)
+    for c, order, arg in value.residuals:
+        total += (
+            mpmath.mpf(c.numerator) / c.denominator
+            * mpmath.psi(order, mpmath.mpf(arg.numerator) / arg.denominator)
+        )
+    return total
 
 
 def random_shift(rng: random.Random, max_den=4, lo=-2, hi=6) -> Fraction:

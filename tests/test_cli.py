@@ -130,10 +130,33 @@ class TestVerify:
         assert code == 0
         assert "quadrature None" not in out.splitlines()[-1]
 
-    def test_verify_alternating_higher_order_bracket_only(self):
-        code, out, _ = _run("1/n^2", sign="alternating", verify=True)
+    def test_verify_alternating_higher_order_poles(self):
+        # sum (-1)^(n+1)/n^2 = pi^2/12, checked by quadrature too
+        code, out, _ = _run("1/n^2", sign="alternating", format="json", verify=True)
         assert code == 0
-        assert "quadrature None" in out.splitlines()[-1]
+        v = json.loads(out)["verify"]
+        assert v["agree"] is True
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(v["quadrature"]) - mpmath.pi ** 2 / 12) < 1e-15
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["1/(n+1/3)^2", "1/(n-3/4)^3", "(n^2+1)/((n+2)^2*(n+1/7)^3)"],
+    )
+    def test_verify_alternating_quadrature(self, expression):
+        code, out, err = _run(expression, sign="alternating", verify=True)
+        assert code == 0 and err == ""
+        vline = out.splitlines()[-1]
+        assert "quadrature None" not in vline
+        assert vline.endswith("agree: true")
+
+    def test_verify_shift_below_minus_one_has_no_quadrature(self):
+        # no integral representation applies; the bracket alone certifies
+        for sign in ("plain", "alternating"):
+            code, out, _ = _run("1/(n-5/4)^2", sign=sign, verify=True)
+            assert code == 0
+            vline = out.splitlines()[-1]
+            assert "quadrature None" in vline and vline.endswith("agree: true")
 
     def test_verify_oracle_error_exit_code(self, capsys, monkeypatch):
         import exactsum.cli as cli_mod

@@ -14,10 +14,14 @@ from exactsum.closedform import (
     assemble,
     psi_closed,
     render,
-    to_numeric,
 )
+from exactsum.engine import evaluate
 from exactsum.errors import PoleArgument
+from exactsum.partfrac import decompose
 from exactsum.polygamma import PrecisionPolicy, polygamma
+from exactsum.polys import Polynomial
+
+from conftest import make_spec, symbolic_numeric
 
 POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
 
@@ -52,7 +56,7 @@ class TestPsiClosed:
         with mpmath.workdps(40):
             tol = mpmath.mpf(10) ** (-25)
             for arg in (F(1, 4), F(3, 4), F(5, 4), F(-1, 4)):
-                sym = to_numeric(psi_closed(0, arg), POLICY)
+                sym = symbolic_numeric(psi_closed(0, arg))
                 num = polygamma(0, arg, POLICY)
                 assert abs(sym - num) < tol
 
@@ -125,27 +129,39 @@ def test_numeric_consistency_randomized(rng):
             arg = F(num, den)
             if arg.denominator == 1 and arg <= 0:
                 continue
-            sym = to_numeric(psi_closed(order, arg), POLICY)
+            sym = symbolic_numeric(psi_closed(order, arg))
             ref = polygamma(order, arg, POLICY)
             assert abs(sym - ref) < tol * max(1, abs(ref))
             checked += 1
 
 
 class TestToNumeric:
+    """Closed forms evaluated with mpmath's constants."""
+
     def test_four_minus_four_ln2(self):
         with mpmath.workdps(40):
             v = SymbolicValue.build({ONE: F(4), LN2: F(-4)})
             expected = mpmath.mpf("1.22741127776021876233107151417")
-            assert abs(to_numeric(v, POLICY) - expected) < mpmath.mpf(10) ** (-28)
+            assert abs(symbolic_numeric(v) - expected) < mpmath.mpf(10) ** (-28)
 
     def test_pi_squared_half_minus_four(self):
         with mpmath.workdps(40):
             v = SymbolicValue.build({PI_SQUARED: F(1, 2), ONE: F(-4)})
             expected = mpmath.mpf("0.934802200544679309417245499938")
-            assert abs(to_numeric(v, POLICY) - expected) < mpmath.mpf(10) ** (-28)
+            assert abs(symbolic_numeric(v) - expected) < mpmath.mpf(10) ** (-28)
 
-    def test_zero(self):
-        assert to_numeric(SymbolicValue.zero(), POLICY) == 0
+    def test_large_cancelling_coefficients(self):
+        # n^28/(n+20)^30: coefficients near 4e36 cancel to a sum near 1.7e-3
+        spec = make_spec([(20, 30)], numerator=Polynomial([0] * 28 + [1]))
+        exact = evaluate(spec, PrecisionPolicy(target_digits=20)).exact
+        with mpmath.workdps(80):
+            # sum_j A_j zeta(j, 21), the Hurwitz zeta summing 1/(n+20)^j
+            ref = sum(
+                mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(j, 21)
+                for _, j, c in decompose(spec).entries
+                if c
+            )
+            assert abs(symbolic_numeric(exact) - ref) < mpmath.mpf(10) ** -20 * abs(ref)
 
 
 class TestRender:

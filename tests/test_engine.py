@@ -4,12 +4,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from exactsum.closedform import GAMMA, LN2, ONE, PI_SQUARED, render, to_numeric
-from exactsum.engine import evaluate, telescope
+from exactsum.closedform import GAMMA, LN2, ONE, PI_SQUARED, SymbolicValue, render
+from exactsum.engine import evaluate
 from exactsum.errors import NegativeIntegerShift
 from exactsum.polygamma import PrecisionPolicy, to_mpf
 
-from conftest import make_spec, random_plain_spec, random_shift
+from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric
 
 POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
 
@@ -81,14 +81,20 @@ class TestAnalyticIdentities:
 
 
 class TestTelescope:
+    """sum 1/((n+a)(n+a-k)) through evaluate: a pure rational."""
+
+    @staticmethod
+    def _pair(a, k):
+        return evaluate(make_spec([(a, 1), (a - k, 1)]), POLICY).exact
+
     def test_orientation_pinned_by_oracle(self):
         # frozen brute-force values: sum 1/((n+1)n) = 1, sum 1/((n+1)(n+2)) = 1/2
-        assert telescope(1, 1).as_rational() == 1
-        assert telescope(2, 1).as_rational() == F(1, 2)
+        assert self._pair(1, 1) == SymbolicValue.rational(1)
+        assert self._pair(2, 1) == SymbolicValue.rational(F(1, 2))
         # sum 1/((n+5/2)(n+1/2)) telescopes to (1/2)(2/3 + 2/5) = 8/15
-        assert telescope(F(5, 2), 2).as_rational() == F(8, 15)
+        assert self._pair(F(5, 2), 2) == SymbolicValue.rational(F(8, 15))
         # sum 1/((n+1/2)(n-3/2)) = (1/2)(-2 + 2) = 0
-        assert telescope(F(1, 2), 2).as_rational() == 0
+        assert self._pair(F(1, 2), 2) == SymbolicValue.rational(0)
 
     def test_brute_force_regression(self):
         with mpmath.workdps(30):
@@ -98,20 +104,24 @@ class TestTelescope:
                 am, bm = to_mpf(a), to_mpf(a - k)
                 for n in range(1, n_terms):
                     s += 1 / ((n + am) * (n + bm))
-                assert abs(s - to_mpf(telescope(a, k).as_rational())) < mpmath.mpf("1e-4")
+                exact = self._pair(a, k)
+                value = exact.coefficient(ONE)
+                assert exact == SymbolicValue.rational(value)
+                assert abs(s - to_mpf(value)) < mpmath.mpf("1e-4")
 
     def test_zero_denominator_case_is_rejected_as_shift(self):
         # j + a - k = 0 forces a - k to be a negative integer, so the
         # shift validation fires before any division by zero can happen
         with pytest.raises(NegativeIntegerShift):
-            telescope(1, 2)
+            self._pair(1, 2)
 
     def test_negative_integer_shift(self):
         with pytest.raises(NegativeIntegerShift):
-            telescope(-2, 1)
+            self._pair(-2, 1)
 
     def test_consistency_with_sum_plain(self, rng):
         # two simple factors k apart must collapse to the finite rational
+        # (1/k) sum_{j=1..k} 1/(j + a - k)
         done = 0
         while done < 25:
             a = random_shift(rng, max_den=4, lo=0, hi=5)
@@ -125,7 +135,8 @@ class TestTelescope:
                 continue
             r = evaluate(make_spec([(a, 1), (b, 1)]), POLICY)
             assert r.exact.fully_reduced
-            assert r.exact == telescope(a, k)
+            expected = sum(F(1) / (j + a - k) for j in range(1, k + 1)) / k
+            assert r.exact == SymbolicValue.rational(expected)
             done += 1
 
 
@@ -188,7 +199,7 @@ class TestEngineProperties:
             for _ in range(15):
                 spec = random_plain_spec(rng, max_factors=3, max_mult=2)
                 r = evaluate(spec, POLICY)
-                assert abs(to_numeric(r.exact, POLICY) - r.numeric) < tol * max(
+                assert abs(symbolic_numeric(r.exact) - r.numeric) < tol * max(
                     1, abs(r.numeric)
                 )
 

@@ -216,35 +216,52 @@ class TestQuadSquare:
             _quad([(F(-3, 2), 2)])
 
 
+def _quad_alt(pairs):
+    return quad_alternating(decompose(make_spec(pairs, sign="alternating")), POLICY)
+
+
 class TestQuadAlternating:
     def test_ln2(self):
         with mpmath.workdps(40):
-            assert abs(quad_alternating(0, POLICY) - mpmath.ln(2)) < mpmath.mpf(10) ** QUAD_TOL_EXP
+            assert abs(_quad_alt([(0, 1)]) - mpmath.ln(2)) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_half(self):
         with mpmath.workdps(40):
             assert abs(
-                quad_alternating(F(1, 2), POLICY) - (2 - mpmath.pi / 2)
+                _quad_alt([(F(1, 2), 1)]) - (2 - mpmath.pi / 2)
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_shift_one_by_hand(self):
         # integral of t/(1+t) over [0,1] = 1 - ln 2
         with mpmath.workdps(40):
             assert abs(
-                quad_alternating(1, POLICY) - (1 - mpmath.ln(2))
+                _quad_alt([(1, 1)]) - (1 - mpmath.ln(2))
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_domain(self):
         with pytest.raises(NotApplicable):
-            quad_alternating(F(-5, 4), POLICY)
+            _quad_alt([(F(-5, 4), 1)])
 
     def test_shift_between_minus_one_and_zero(self):
         # t^(-3/4) near t = 0 cost tanh-sinh all but ~9 digits before t = s^4
         with mpmath.workdps(40):
             eighth = mpmath.mpf(1) / 8
             ref = (mpmath.digamma(5 * eighth) - mpmath.digamma(eighth)) / 2
-            v = quad_alternating(F(-3, 4), POLICY)
+            v = _quad_alt([(F(-3, 4), 1)])
             assert abs(v - ref) < mpmath.mpf(10) ** QUAD_TOL_EXP
+
+    def test_higher_order_poles(self):
+        # the whole table, double and triple poles included, against nsum
+        with mpmath.workdps(40):
+            for pairs in ([(F(1, 3), 2)], [(F(-3, 4), 3)], [(2, 2), (F(1, 7), 3)]):
+                pf = decompose(make_spec(pairs, sign="alternating"))
+                terms = [(to_mpf(a), j, to_mpf(c)) for a, j, c in pf.entries]
+                ref = mpmath.nsum(
+                    lambda n: (-1) ** (n + 1) * sum(c / (n + a) ** j for a, j, c in terms),
+                    [1, mpmath.inf],
+                    method="a",
+                )
+                assert abs(quad_alternating(pf, POLICY) - ref) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
 
 class TestQuadGeneral:

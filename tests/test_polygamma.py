@@ -9,7 +9,6 @@ from exactsum.errors import OrderTooLarge, PoleArgument
 from exactsum.polygamma import (
     PrecisionPolicy,
     bernoulli,
-    constant,
     digamma,
     polygamma,
     to_mpf,
@@ -214,13 +213,19 @@ class TestZeta:
 
 
 class TestConstants:
+    """The basis constants, from the kernel and from mpmath."""
+
     def test_ln2(self):
+        # psi(1) - psi(1/2) = 2 ln 2
         with mpmath.workdps(40):
-            assert close(constant("ln2", POLICY), LN2_30)
+            assert close(mpmath.ln2, LN2_30)
+            assert close((digamma(1, POLICY) - digamma(F(1, 2), POLICY)) / 2, LN2_30)
 
     def test_pi(self):
+        # psi(3/4) - psi(1/4) = pi
         with mpmath.workdps(40):
-            assert close(constant("pi", POLICY), PI_30)
+            assert close(mpmath.pi, PI_30)
+            assert close(digamma(F(3, 4), POLICY) - digamma(F(1, 4), POLICY), PI_30)
 
     def test_gamma_against_partial_sum_definition(self):
         # gamma = lim (sum 1/n - ln N); Euler-Maclaurin corrected partial sum
@@ -233,8 +238,9 @@ class TestConstants:
             est += to_mpf(bernoulli(2)) / (2 * n_cut ** 2)
             est += to_mpf(bernoulli(4)) / (4 * mpmath.mpf(n_cut) ** 4)
             est += to_mpf(bernoulli(6)) / (6 * mpmath.mpf(n_cut) ** 6)
-            assert abs(constant("gamma", POLICY) - est) < mpmath.mpf(10) ** (-12)
-            assert close(constant("gamma", POLICY), GAMMA_30)
+            assert abs(-digamma(1, POLICY) - est) < mpmath.mpf(10) ** (-12)
+            assert close(-digamma(1, POLICY), GAMMA_30)
+            assert close(mpmath.euler, GAMMA_30)
 
 
 def test_higher_precision_self_consistency():
