@@ -20,11 +20,13 @@ from .errors import (
     NotApplicable,
     OrderTooLarge,
     PoleArgument,
+    PrecisionExhausted,
+    ShiftTooLarge,
 )
 from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
-from .polygamma import PrecisionPolicy, digamma, polygamma, zeta_int
+from .polygamma import PrecisionPolicy, PsiSum, digamma, psi_sum, zeta_int
 from .polys import (
     FactorList,
     Polynomial,
@@ -49,10 +51,13 @@ __all__ = [
     "PartialFractions",
     "PoleArgument",
     "Polynomial",
+    "PrecisionExhausted",
     "PrecisionPolicy",
+    "PsiSum",
     "RationalFunction",
     "SumResult",
     "SumSpec",
+    "ShiftTooLarge",
     "SymbolicValue",
     "assemble",
     "ast_to_spec",
@@ -63,8 +68,8 @@ __all__ = [
     "parse_expression",
     "partial_sum_bracket",
     "poly_gcd",
-    "polygamma",
     "psi_closed",
+    "psi_sum",
     "quad_alternating",
     "quad_general",
     "recombine",

@@ -50,9 +50,11 @@ class CliRequest:
 
 
 def _numeric_string(x, digits: int) -> str:
-    """Plain decimal string with exactly `digits` significant digits."""
-    with mpmath.workdps(digits + 5):
-        return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    """Plain decimal string with exactly `digits` significant digits.
+
+    It rounds the exact value of `x`, the rounding `psi_sum` certifies.
+    """
+    return mpmath.nstr(x, digits, strip_zeros=False)
 
 
 def _exact(x) -> Fraction:

@@ -6,7 +6,10 @@ alternating sums split even/odd indices, which turns each partial-fraction
 term of order j at shift a into
     (-1)^j / ((j-1)! 2^j) * [psi^(j-1)((a+1)/2) - psi^(j-1)((a+2)/2)].
 The exact symbolic path and the numeric path are evaluated independently
-from the same psi terms.
+from the same psi terms: `assemble` reduces them to the constant basis, and
+`polygamma.psi_sum` sums them in fixed point to a value whose every printed
+digit is true.  Only where that sum cancels below the precision ceiling
+does an exactly zero closed form stand in for it.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import mpf
 
 from .closedform import SymbolicValue, assemble
+from .errors import PrecisionExhausted
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
-from . import polygamma as pg
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, to_mpf
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, psi_sum
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,8 @@ class SumResult:
     fully_reduced: bool
     spec_echo: SumSpec
     pf_echo: PartialFractions
+    working_digits: int  # precision of the accepted fixed-point pass
+    digits_lost: int  # digits cancelled between residue classes
 
 
 def _psi_terms_plain(pf: PartialFractions):
@@ -50,14 +54,6 @@ def _psi_terms_alternating(pf: PartialFractions):
         yield (-c, j - 1, Fraction(a + 2, 2))
 
 
-def _numeric_from_terms(terms, policy: PrecisionPolicy) -> mpf:
-    with mpmath.workdps(policy.working_digits):
-        acc = mpmath.mpf(0)
-        for coeff, order, arg in terms:
-            acc += to_mpf(coeff) * pg.polygamma(order, arg, policy)
-        return +acc
-
-
 def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
     """Evaluate sum_{n>=1} Q(n)/P(n) exactly and numerically.
 
@@ -69,12 +65,18 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
     else:
         terms = list(_psi_terms_alternating(pf))
     exact = assemble(terms)
-    numeric = _numeric_from_terms(terms, policy)
+    try:
+        numeric = psi_sum(terms, policy)
+    except PrecisionExhausted:
+        if not exact.is_zero():
+            raise
+        numeric = PsiSum(mpf(0), policy.working_digits, 0)
     return SumResult(
         exact=exact,
-        numeric=numeric,
+        numeric=numeric.value,
         fully_reduced=exact.fully_reduced,
         spec_echo=spec,
         pf_echo=pf,
+        working_digits=numeric.working_digits,
+        digits_lost=numeric.digits_lost,
     )
-

@@ -38,6 +38,14 @@ class OrderTooLarge(ExactSumError):
     """Polygamma order above the supported limit."""
 
 
+class PrecisionExhausted(ExactSumError):
+    """The numeric sum cancels below what the precision ceiling can certify."""
+
+
+class ShiftTooLarge(ExactSumError):
+    """A denominator shift |a| above partfrac.MAX_SHIFT."""
+
+
 class InsufficientTerms(ExactSumError):
     """Partial-sum bracket would need a head longer than its fixed cap."""
 

@@ -27,8 +27,8 @@ the poles' linear factors, scaled so that each division is by some
 (1 - phi v) with |phi| < 1; every rounding, and its growth through those
 divisions, is counted into the half-width.  N, K, p and W are chosen so
 that the half-width is at most 10^-(target+3) |S|, and the bracket is
-widened to that: the engine's numeric value carries errors near
-10^-(working digits), which a tighter bracket would exclude.  The oracle
+widened to that: the engine's numeric value may be off by up to
+10^-(target+3) |S|, which a tighter bracket would exclude.  The oracle
 fails loudly (InsufficientTerms / NotApplicable) rather than ever produce
 a wrong bracket.
 """
@@ -44,10 +44,10 @@ from mpmath import mpf
 from mpmath.libmp import from_man_exp
 
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
-from .partfrac import PLAIN, PartialFractions, SumSpec
+from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
 from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli, to_mpf
 
-_HEAD_TERMS_MAX = 100_000  # longest head; N >= 4 rho
+_HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
 _LOG2_2PI = math.log2(2 * math.pi)
 _RESOLVE_DIGITS = 60  # digits of cancellation below M resolved beyond the target
 _HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30-1000

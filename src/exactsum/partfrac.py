@@ -16,11 +16,15 @@ from fractions import Fraction
 from math import comb
 from typing import Tuple
 
-from .errors import DegreeTooHigh
+from .errors import DegreeTooHigh, ShiftTooLarge
 from .polys import FactorList, Polynomial, RationalFunction
 
 PLAIN = "plain"
 ALTERNATING = "alternating"
+
+# Largest |a_i|: the partial-sum bracket's head of 4 (|a| + 1) terms must fit
+# its cap, and the closed form's rational part grows with the shift.
+MAX_SHIFT = 25_000
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,9 @@ class SumSpec:
     def __post_init__(self):
         if self.sign not in (PLAIN, ALTERNATING):
             raise ValueError(f"unknown sign mode {self.sign!r}")
+        for a, _ in self.factors:
+            if abs(a) > MAX_SHIFT:
+                raise ShiftTooLarge(f"shift {a} exceeds the limit |a| <= {MAX_SHIFT}")
         n_total = self.factors.total_degree
         bound = n_total - 2 if self.sign == PLAIN else n_total - 1
         if self.numerator.degree > bound:

@@ -1,15 +1,24 @@
-"""Arbitrary-precision digamma / polygamma / zeta evaluation.
+"""The one psi kernel: S = sum c psi^(n)(x) in fixed point, with true digits.
 
-psi^(n)(x) at a rational x = p/q is one integer kernel on values scaled by
-2^W: the upward recurrence sums 2^W n! q^(n+1) // (p + i q)^(n+1), one
-big-by-small division per shift, until x + s is large enough; there the
-asymptotic series with exact Bernoulli coefficients is summed on a carried
-power 2^(W+E) (q/P)^(2k+n), one multiply and one divide per term.  W and E
-are derived from the precision, the order and the argument before the
-loops start; ln(X) (order 0) is the only mpmath evaluation.  Bernoulli
-numbers come from tangent numbers in integer arithmetic.  zeta(k) uses a
-direct series with an Euler-Maclaurin tail; the polygamma-at-1 identity
-serves as an independent cross-check in the test suite.
+`psi_sum` takes the whole term list [(c, n, x)] with rational c and x and
+works on integers scaled by 2^W.  Terms are grouped by residue class
+(q, p mod q) of x = p/q.  Each class climbs one upward ladder from its
+smallest argument to X = P/q past the shift threshold; a rung adds the
+accumulated integer coefficients C_n over one power of its argument, with
+one division, so cancellation inside a class costs no precision, and a
+class whose C_n all cancel is a finite rational carried exactly.  At X one
+asymptotic series with exact Bernoulli numbers serves every order of the
+class.  The order-0 totals of a convergent sum add up to zero, so
+sum C ln X becomes logarithms of ratios near 1, each an integer atanh
+series; only a lone digamma keeps one mpmath ln.  Every floor is counted,
+and a Ziv loop reruns a pass whose error does not pin the target digits
+(A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann, "Modern
+Computer Arithmetic", ch. 3-4).  `polygamma` and `digamma` are one-term
+calls into `psi_sum`.
+
+Bernoulli numbers come from tangent numbers in integer arithmetic.  zeta(k)
+uses a direct series with an Euler-Maclaurin tail; the polygamma-at-1
+identity serves as an independent cross-check in the test suite.
 
 Refs: R. P. Brent and D. Harvey, "Fast computation of Bernoulli, Tangent
 and Secant numbers" (2011); B. Haible and T. Papanikolaou, "Fast
@@ -25,10 +34,13 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_man_exp, to_str
 
-from .errors import OrderTooLarge, PoleArgument
+from .errors import OrderTooLarge, PoleArgument, PrecisionExhausted
 
 MAX_ORDER = 30
+MAX_WORKING_BITS = 10_000  # precision ceiling of the Ziv loop (~3000 digits)
+_ZIV_GUARD_DIGITS = 5  # digits a rerun adds beyond the measured shortfall
 
 
 @dataclass(frozen=True)
@@ -153,15 +165,15 @@ def _shift_threshold(working_digits: int, order: int) -> int:
     # A shift costs one small division, so shifting to 1.5 d (~0.3 d terms
     # of ~3.3 d bits) is cheaper; measured best of 0.5, 1, 1.5, 2, 3 times d
     # at 30 and 1000 digits.  The order slows the series, hence + order.
+    # It also fixes the Bernoulli table a precision needs (_bernoulli_limit).
     return 3 * working_digits // 2 + order
 
 
-def _series_plan(order: int, log2_x: float, tol_bits: float):
-    """(K, E) for the asymptotic series at X = 2^log2_x.
+def _series_plan(order: int, log2_x: float, tol_bits: float) -> int:
+    """K for the asymptotic series at X = 2^log2_x.
 
     K terms k = 1..K leave a first omitted term below 2^-tol_bits, using
-    |B_2k| (2k+n-1)!/(2k)! < C_k = 4 (2k+n-1)!/(2 pi)^(2k); E >= log2 of
-    every coefficient the series uses: C_k, (n-1)! and n!/2.
+    |B_2k| (2k+n-1)!/(2k)! < C_k = 4 (2k+n-1)!/(2 pi)^(2k).
     """
     n = order
 
@@ -180,10 +192,7 @@ def _series_plan(order: int, log2_x: float, tol_bits: float):
             hi = mid
         else:
             lo = mid
-    terms = hi - 1
-    # C_k falls, then rises: its largest used value is at k = 1 or k = K.
-    e = max(_log2_factorial(n), log2_coeff(1), log2_coeff(max(1, terms)))
-    return terms, math.ceil(e) + 1
+    return hi - 1
 
 
 def _precision_bits(working_digits: int) -> int:
@@ -197,79 +206,303 @@ def _bernoulli_limit(working_digits: int) -> int:
     for n in range(MAX_ORDER + 1):
         x = _shift_threshold(working_digits, n)
         mag = max(0.0, n * math.log2(x) - _log2_factorial(n - 1)) if n else 0.0
-        terms, _ = _series_plan(n, math.log2(x), bits + mag)
-        need = max(need, 2 * terms)
+        need = max(need, 2 * _series_plan(n, math.log2(x), bits + mag))
     return need
 
 
-def _psi_numeric(order: int, x, policy: PrecisionPolicy) -> mpf:
-    n = order
-    xf = _exact_argument(x, policy)
-    _check_pole(xf, policy)
-    p, q = xf.numerator, xf.denominator
-    wd = policy.working_digits
-    shifts = max(0, -((p - _shift_threshold(wd, n) * q) // q))
-    big_p = p + shifts * q  # X = P/q
+# -- the combiner -------------------------------------------------------------
 
-    # Absolute error 2^-W must be relative: |psi^(n)(x)| >= (n-1)!/|x|^n.
-    log2_abs_x = math.log2(abs(p)) - math.log2(q)
-    mag = max(0.0, n * log2_abs_x - _log2_factorial(n - 1)) if n else 0.0
-    tol_bits = _precision_bits(wd) + mag
-    terms, e = _series_plan(n, math.log2(big_p) - math.log2(q), tol_bits)
-    w = math.ceil(tol_bits) + (shifts + terms + 4).bit_length()
-    table = _even_bernoulli
-    if len(table) <= terms:
-        table = _fill_bernoulli(max(2 * terms, _bernoulli_limit(wd)))
 
-    # Recurrence: n! sum_{i<s} 1/(x+i)^(n+1), scaled by 2^W.
-    fact_n = math.factorial(n)
-    numer = (fact_n * q ** (n + 1)) << w
-    total = 0
-    for i in range(shifts):
-        total += numer // (p + i * q) ** (n + 1)
+@dataclass(frozen=True)
+class PsiSum:
+    """sum c psi^(n)(x) as an exact dyadic whose target-digit string is true.
 
-    # Series: n!/(2X^(n+1)) + (n-1)!/X^n + sum_k B_2k (2k+n-1)!/(2k)! / X^(2k+n),
-    # scaled by 2^(W+E); (2k+n-1)!/(2k)! is the integer `rising` for n >= 1
-    # and 1/(2k) for n = 0.
-    t = (q ** n << (w + e)) // big_p ** n
-    acc = t * q * fact_n // (2 * big_p)
-    if n:
-        acc += t * math.factorial(n - 1)
-    q2, p2 = q * q, big_p * big_p
-    rising = math.factorial(n + 1) // 2 if n else 1
-    for k in range(1, terms + 1):
-        t = t * q2 // p2
-        b = table[k]
-        if n:
-            acc += t * b.numerator * rising // b.denominator
-            rising = rising * (2 * k + n) * (2 * k + n + 1) // ((2 * k + 1) * (2 * k + 2))
+    `working_digits` is the precision of the pass that was accepted;
+    `digits_lost` is floor(log10(sum_cls |T_cls| / |S|)), the cancellation
+    between residue classes (0 for an exact zero).
+    """
+
+    value: mpf
+    working_digits: int
+    digits_lost: int
+
+
+def _log2_size(c: Fraction, n: int, x: Fraction) -> float:
+    """A rough log2 |c psi^(n)(x)|, used only to place the first pass's grid."""
+    log2_c = math.log2(abs(c.numerator)) - math.log2(c.denominator)
+    if x < 0:
+        # near a pole the recurrence term n!/delta^(n+1) dominates
+        delta = abs(x - round(x))
+        return log2_c + _log2_factorial(n) - (n + 1) * math.log2(delta)
+    log2_x = math.log2(x.numerator) - math.log2(x.denominator)
+    if n == 0:
+        # |psi(x)| ~ max(|ln x|, 1/x), taken as at least 1
+        return log2_c + max(0.0, -log2_x, math.log2(abs(log2_x) * math.log(2) or 1.0))
+    return log2_c + max(_log2_factorial(n - 1) - n * log2_x, _log2_factorial(n) - (n + 1) * log2_x)
+
+
+def _classes(terms, d: int):
+    """Terms grouped by residue class (q, p mod q) of x = p/q.
+
+    Each class is (q, p0, events, totals): p0/q is its smallest argument,
+    an event (offset, n, c d) is a term at argument p0/q + offset, and
+    totals maps each order to its nonzero sum of c d over the class.
+    """
+    groups = {}
+    for c, n, x in terms:
+        groups.setdefault((x.denominator, x.numerator % x.denominator), []).append((x.numerator, n, c))
+    classes = []
+    for (q, _), members in groups.items():
+        p0 = min(p for p, _, _ in members)
+        events = sorted(((p - p0) // q, n, c.numerator * (d // c.denominator)) for p, n, c in members)
+        totals = {}
+        for _, n, c in events:
+            totals[n] = totals.get(n, 0) + c
+        classes.append((q, p0, events, {n: c for n, c in totals.items() if c}))
+    return classes
+
+
+def _split_sum(pieces):
+    """sum num/den over (num, den) pairs, as one (num, den) without gcds."""
+    while len(pieces) > 1:
+        pairs = [(a * y + b * x, x * y) for (a, x), (b, y) in zip(pieces[::2], pieces[1::2])]
+        pieces = pairs + pieces[len(pairs) * 2:]
+    return pieces[0] if pieces else (0, 1)
+
+
+def _ladder(q: int, p0: int, events, steps: int, w: int, exact: bool):
+    """The rungs y = p0/q + j, 0 <= j < steps, as (value, error) on a 2^-w grid.
+
+    Rung j adds sum_n (-1)^(n+1) n! C_n q^(n+1) / Y^(n+1), Y = p0 + j q, where
+    C_n sums the coefficients of the terms at offsets <= j; the numerator is
+    one integer over Y^(M+1), M the highest live order, so one division per
+    rung.  With `exact` the rungs are summed as one rational instead, and the
+    only error is the final floor.
+    """
+    by_offset = {}
+    for o, n, c in events:
+        by_offset.setdefault(o, []).append((n, c))
+    offsets = sorted(by_offset)
+    cumulative = {}
+    value = err = 0
+    pieces = []
+    for start, end in zip(offsets, offsets[1:] + [steps]):
+        for n, c in by_offset[start]:
+            cumulative[n] = cumulative.get(n, 0) + c
+        live = [n for n, c in cumulative.items() if c]
+        if not live or start >= end:
+            continue
+        m = max(live)
+        a = [(-1) ** (n + 1) * math.factorial(n) * q ** (n + 1) * cumulative.get(n, 0)
+             for n in range(m + 1)]
+        ys = range(p0 + start * q, p0 + end * q, q)
+        if exact:
+            for y in ys:
+                num = 0
+                for an in a:
+                    num = num * y + an
+                pieces.append((num, y ** (m + 1)))
+            continue
+        if live == [m]:
+            numer, power = a[m] << w, m + 1
+            for y in ys:
+                value += numer // y ** power
         else:
-            acc += t * b.numerator // (b.denominator * 2 * k)
-    total += acc >> e
+            for y in ys:
+                num = 0
+                for an in a:
+                    num = num * y + an
+                value += (num << w) // y ** (m + 1)
+        err += len(ys)
+    if exact:
+        num, den = _split_sum(pieces)
+        value, rest = divmod(num << w, den)
+        err = 1 if rest else 0
+    return value, err
 
-    # psi^(n)(x) = (-1)^(n+1) (series + recurrence sum), plus ln X at order 0.
-    if n % 2 == 0:
-        total = -total
-    with mpmath.workprec(w + 32):
-        value = mpmath.ldexp(mpmath.mpf(total), -w)
-        if n == 0:
-            value += mpmath.ln(mpmath.mpf(big_p) / q)
-    with mpmath.workdps(wd):
-        return +value
+
+def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
+    """sum_n C_n psi^(n)(X) at X = P/q without C_0 ln X, as (value, error) on 2^-w.
+
+    Term k is B_2k/(2k) z^k / P^N times the small integer
+    m_k = sum_n (-1)^(n+1) C_n rho_n(k) q^n P^(N-n), with z = q^2/P^2 and
+    rho_n(k) = 2k (2k+1) ... (2k+n-1).  Horner's rule in z runs from k = K
+    down, so no product is big by big.  Its k-th partial sum is later
+    multiplied by z^(k-1), so it is carried on a grid L (k-1) bits coarser,
+    L = floor(log2(1/z)): every floor then costs at most 2^-(w+g) in the
+    result, and the numbers stay near the size of their share of the sum.
+    """
+    top = max(totals)
+    weights = [(-1) ** (n + 1) * totals.get(n, 0) * q ** n * big_p ** (top - n)
+               for n in range(top + 1)]
+    # n!/(2 X^(n+1)) + (n-1)!/X^n over the common denominator 2 P^(N+1)
+    head = sum(
+        weights[n] * (math.factorial(n) * q + (2 * math.factorial(n - 1) * big_p if n else 0))
+        for n in totals
+    )
+    value = (head << w) // (2 * big_p ** (top + 1))
+    table = _even_bernoulli
+    q2, p2 = q * q, big_p * big_p
+    g, drop = terms.bit_length() + 1, (p2 // q2).bit_length() - 1
+    acc = 0
+    for k in range(terms, 0, -1):
+        m = 0
+        for n in range(top, -1, -1):
+            m = m * (2 * k + n) + weights[n]
+        b = table[k]
+        num, den, grid = b.numerator * m, b.denominator * 2 * k, w + g - (k - 1) * drop
+        beta = (num << grid) // den if grid >= 0 else num // (den << -grid)
+        acc = (acc << drop) * q2 // p2 + beta
+    series = acc * q2 // p2 // (big_p ** top << g)
+    # head, final floors and the 2K damped ones, and one truncation unit per order
+    return value + series, 3 + len(totals)
+
+
+def _atanh(u: int, v: int, w: int):
+    """(T, e) with |T - 2^w atanh(u/v)| <= e, for 0 <= u/v <= 1/3."""
+    t = (u << w) // v
+    total, u2, v2, j = t, u * u, v * v, 1
+    while t:
+        t = t * u2 // v2
+        total += t // (2 * j + 1)
+        j += 1
+    return total, 2 * j + 4
+
+
+def _ln_ratio(a: int, b: int, w: int):
+    """(L, e) with |L - 2^w ln(a/b)| <= e for integers a, b > 0.
+
+    a/b = 2^m r with r in [2/3, 4/3], and ln r = 2 atanh((r-1)/(r+1)); the
+    ln 2 = 2 atanh(1/3) series runs only when m != 0.
+    """
+    m = a.bit_length() - b.bit_length()
+    a, b = (a, b << m) if m >= 0 else (a << -m, b)
+    if 3 * a > 4 * b:
+        m, b = m + 1, b << 1
+    elif 3 * a < 2 * b:
+        m, a = m - 1, a << 1
+    t, e = _atanh(abs(a - b), a + b, w)
+    total, err = (2 * t if a >= b else -2 * t), 2 * e
+    if m:
+        t, e = _atanh(1, 3, w)
+        total, err = total + 2 * m * t, err + 2 * abs(m) * e
+    return total, err
+
+
+def _scaled_ln(c: int, a: int, b: int, w: int, lone: bool):
+    """(c 2^w ln(a/b), error): the integer series, or one mpmath ln if `lone`."""
+    g = abs(c).bit_length() + 2
+    if lone:
+        with mpmath.workprec(w + g + 32):
+            lg = int(mpmath.floor(mpmath.ldexp(mpmath.ln(mpmath.mpf(a) / b), w + g)))
+        e = 2
+    else:
+        lg, e = _ln_ratio(a, b, w + g)
+    return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
+
+
+def _psi_pass(classes, w: int, wd: int):
+    """One fixed-point pass: (A, err, size) with |S d 2^w - A| <= err.
+
+    d is the coefficients' common denominator; `size` is sum_cls |T_cls| on
+    the same scale.  Order-0 totals C_cls enter as
+    sum C_cls ln(X_cls / X_ref) + (sum C_cls) ln X_ref; the last term is
+    zero for every convergent sum, and otherwise one mpmath ln.
+    """
+    parts, errs, logs = [], [], []
+    for q, p0, events, totals in classes:
+        last = events[-1][0]
+        if not totals:
+            # the class telescopes: a finite rational sum, carried exactly
+            value, err = _ladder(q, p0, events, last, w, exact=True)
+            parts.append(value)
+            errs.append(err)
+            continue
+        steps = max(last, -((p0 - _shift_threshold(wd, max(totals)) * q) // q))
+        big_p = p0 + steps * q
+        log2_x = math.log2(big_p) - math.log2(q)
+        terms = max(_series_plan(n, log2_x, w + math.log2(abs(c))) for n, c in totals.items())
+        if len(_even_bernoulli) <= terms:
+            _fill_bernoulli(max(2 * terms, _bernoulli_limit(wd)))
+        value, err = _ladder(q, p0, events, steps, w, exact=False)
+        series, series_err = _series(q, big_p, totals, terms, w)
+        parts.append(value + series)
+        errs.append(err + series_err)
+        if totals.get(0):
+            logs.append((len(parts) - 1, totals[0], big_p, q))
+    if logs:
+        ref, _, ref_p, ref_q = logs[0]
+        for i, c, big_p, q in logs[1:]:
+            value, err = _scaled_ln(c, big_p * ref_q, q * ref_p, w, lone=False)
+            parts[i] += value
+            errs[i] += err
+        c_sum = sum(c for _, c, _, _ in logs)
+        if c_sum:
+            value, err = _scaled_ln(c_sum, ref_p, ref_q, w, lone=True)
+            parts[ref] += value
+            errs[ref] += err
+    return sum(parts), sum(errs), sum(abs(v) for v in parts)
+
+
+def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
+    """S = sum c psi^(n)(x) over terms (c, n, x) with rational c and x.
+
+    A pass on the 2^-W grid is accepted when |S| exceeds its counted error
+    by 10^(target+3) and both ends of [S - err, S + err] give the same
+    target-digit string (mpmath.nstr), so that string is the true one.
+    Otherwise the pass reruns at the digits it fell short by, plus a guard
+    (Ziv).  Reruns stop at MAX_WORKING_BITS: a pass there that still falls
+    short raises PrecisionExhausted.
+    """
+    checked = []
+    for c, n, x in terms:
+        if n < 0:
+            raise ValueError("polygamma order must be >= 0")
+        if n > MAX_ORDER:
+            raise OrderTooLarge(f"order {n} > {MAX_ORDER}")
+        c, x = Fraction(c), Fraction(x)
+        _check_pole(x, policy)
+        if c:
+            checked.append((c, n, x))
+    d = math.lcm(*(c.denominator for c, _, _ in checked))
+    classes = _classes(checked, d)
+    est = max((_log2_size(c, n, x) for c, n, x in checked), default=0.0)
+    target = policy.target_digits
+    wd = policy.working_digits
+    wd_max = math.floor((MAX_WORKING_BITS - _GUARD_BITS) / math.log2(10))
+    while True:
+        w = max(0, _precision_bits(wd) - math.ceil(est) - (d.bit_length() - 1))
+        a, e, size = _psi_pass(classes, w, wd)
+        v, rest = divmod(a, d)
+        err = -(-e // d) + (1 if rest else 0)
+        lower, need = abs(v) - err, err * 10 ** (target + 3)
+        if err == 0 or (
+            lower >= need
+            and to_str(from_man_exp(v - err, -w), target, strip_zeros=False)
+            == to_str(from_man_exp(v + err, -w), target, strip_zeros=False)
+        ):
+            lost = math.floor(math.log10(size) - math.log10(abs(a))) if v and size else 0
+            return PsiSum(mpmath.mp.make_mpf(from_man_exp(v, -w)), wd, max(0, lost))
+        if wd >= wd_max:
+            raise PrecisionExhausted(
+                f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
+                f"its {target} digits cannot be certified"
+            )
+        if lower > 0:
+            deficit = max(0.0, math.log10(need) - math.log10(lower))
+            wd = min(wd_max, wd + math.ceil(deficit) + _ZIV_GUARD_DIGITS)
+        else:
+            wd = min(wd_max, 2 * wd)
 
 
 def digamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
     """psi(x) for rational or high-precision real x."""
-    return _psi_numeric(0, x, policy)
+    return polygamma(0, x, policy)
 
 
 def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """psi^(order)(x); order 0 is digamma."""
-    if order < 0:
-        raise ValueError("polygamma order must be >= 0")
-    if order > MAX_ORDER:
-        raise OrderTooLarge(f"order {order} > {MAX_ORDER}")
-    return _psi_numeric(order, x, policy)
+    """psi^(order)(x); order 0 is digamma.  A one-term psi_sum."""
+    return psi_sum([(1, order, _exact_argument(x, policy))], policy).value
 
 
 def zeta_int(k: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -98,6 +99,18 @@ class TestExitCodes:
         with pytest.raises(ValueError):
             CliRequest(expression="1/n^2", digits=5)
 
+    @pytest.mark.parametrize("expression", ["1/(n+100000)^2", "1/(n+200000)^2"])
+    def test_shift_height_limit_fails_fast(self, expression):
+        # refused before any closed-form algebra (which took 9.9 s at 100000)
+        start = time.perf_counter()
+        code, out, err = _run(expression)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == "" and "exceeds the limit" in err
+
+    def test_shift_just_below_limit_accepted(self):
+        code, out, _ = _run("1/(n+24000)^2", format="numeric")
+        assert code == 0 and out.startswith("0.00004166")
+
 
 class TestLargeShifts:
     def test_rational_part_beyond_int_str_digit_limit(self):
@@ -115,6 +128,25 @@ class TestLargeShifts:
         code, out, _ = _run("1/(n+5000)^2", format="json")
         assert code == 0
         assert json.loads(out)["exact"] + "\n" == m[0]
+
+
+class TestCancellationDigit:
+    """The alternating spec whose value ...93286097491 once printed ...974."""
+
+    EXPRESSION = (
+        "((9/3)*n^0 + (-3/3)*n^1 + (-9/3)*n^2 + (6/4)*n^3 + (-3/2)*n^4 + (9/3)*n^5 + n^6)"
+        "/((n + (2))^2*(n + (6))^3*(n + (7))^3)"
+    )
+
+    def test_last_digit_rounds_true(self):
+        code, out, _ = _run(self.EXPRESSION, sign="alternating", digits=100, format="numeric")
+        assert code == 0
+        assert out.endswith("66689932860975\n")
+
+    def test_verify_agrees(self):
+        code, out, err = _run(self.EXPRESSION, sign="alternating", digits=100, verify=True)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith("agree: true")
 
 
 class TestVerify:

@@ -1,12 +1,17 @@
+import importlib
+import json
 import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from exactsum.cli import CliRequest, run
 from exactsum.closedform import GAMMA, LN2, ONE, PI_SQUARED, SymbolicValue, render
-from exactsum.engine import evaluate
+from exactsum.engine import _psi_terms_plain, evaluate
 from exactsum.errors import NegativeIntegerShift
+from exactsum.parser import ast_to_spec, parse_expression
+from exactsum.partfrac import decompose
 from exactsum.polygamma import PrecisionPolicy, to_mpf
 
 from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric
@@ -216,3 +221,134 @@ class TestEngineProperties:
         assert render(evaluate(make_spec([(0, 2)]), POLICY).exact) == "(1/6)*pi^2"
         alternating = make_spec([(0, 2)], sign="alternating")
         assert render(evaluate(alternating, POLICY).exact) == "(1/12)*pi^2"
+
+
+def _expression(pairs, coeffs):
+    """The summand sum_i coeffs[i] n^i / prod (n + a)^m in the CLI grammar."""
+    numerator = " + ".join(f"({c})*n^{i}" for i, c in enumerate(coeffs) if c)
+    denominator = "*".join(f"(n + ({a}))^{m}" for a, m in pairs)
+    return f"({numerator})/({denominator})"
+
+
+# sum_{n>=1} (-1)^(n+1) of this is ~3.5e-8 from residue-class sums of
+# size ~10^4: about 12 digits cancel between the classes
+ALTERNATING_CANCELLING = (
+    "((9/3)*n^0 + (-3/3)*n^1 + (-9/3)*n^2 + (6/4)*n^3 + (-3/2)*n^4 + (9/3)*n^5 + n^6)"
+    "/((n + (2))^2*(n + (6))^3*(n + (7))^3)"
+)
+
+
+def _cancellation_family(rng):
+    """(expression, sign): n^(k-2)/(n+a)^k, mixed-sign numerators, and the
+    alternating spec above."""
+    family = []
+    for _ in range(2):
+        k = rng.randint(4, 9)
+        a = random_shift(rng, max_den=4, lo=0, hi=8)
+        family.append((_expression([(a, k)], [0] * (k - 2) + [1]), "plain"))
+    for sign in ("plain", "alternating"):
+        shifts = {F(rng.randint(0, 24), den) for den in (1, 2, 3)}
+        pairs = [(a, rng.randint(1, 3)) for a in sorted(shifts)]
+        degree = sum(m for _, m in pairs) - (2 if sign == "plain" else 1)
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+        family.append((_expression(pairs, coeffs + [F(rng.choice((-1, 1)))]), sign))
+    family.append((ALTERNATING_CANCELLING, "alternating"))
+    return family
+
+
+def _psi_reference(doc, digits):
+    """The master formula over the reported partial fractions, by mpmath.psi."""
+    with mpmath.workdps(digits + 60):
+        total = mpmath.mpf(0)
+        for entry in doc["partial_fractions"]:
+            a, j, c = F(entry["shift"]), entry["order"], F(entry["coeff"])
+            scale = F((-1) ** j, math.factorial(j - 1)) * c
+            if doc["sign"] == "plain":
+                total += to_mpf(scale) * mpmath.psi(j - 1, to_mpf(a + 1))
+            else:
+                total += to_mpf(scale / 2 ** j) * (
+                    mpmath.psi(j - 1, to_mpf((a + 1) / 2)) - mpmath.psi(j - 1, to_mpf((a + 2) / 2))
+                )
+        return mpmath.nstr(total, digits, strip_zeros=False)
+
+
+class TestCancellationFamily:
+    """Every printed digit is true where the psi terms cancel.
+
+    The reference is mpmath.psi at digits + 60, rounded to the printed
+    digits; at 30 and 100 digits the oracles must certify the same string.
+    """
+
+    @pytest.mark.parametrize("digits", [30, 100, 1000])
+    def test_printed_digits_match_reference(self, rng, digits):
+        family = _cancellation_family(rng)
+        if digits == 1000:
+            family = family[2:3] + family[-1:]  # mpmath.psi is slow here
+        for expression, sign in family:
+            code, out, _ = run(CliRequest(expression, sign, digits, "json", digits < 1000))
+            doc = json.loads(out)
+            assert code == 0, (expression, sign)
+            assert doc["numeric"] == _psi_reference(doc, digits), (expression, sign)
+            if digits < 1000:
+                assert doc["verify"]["agree"] is True, (expression, sign)
+
+    def test_convergent_sum_makes_no_mpmath_ln_or_psi(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mpmath called")
+
+        monkeypatch.setattr(mpmath, "ln", refuse)
+        monkeypatch.setattr(mpmath, "psi", refuse)
+        for sign in ("plain", "alternating"):
+            spec = make_spec([(0, 2), (F(1, 3), 1), (F(7, 2), 1)], sign)
+            evaluate(spec, PrecisionPolicy(target_digits=100))
+
+    def test_cancellation_is_measured(self):
+        spec = ast_to_spec(parse_expression(ALTERNATING_CANCELLING), "alternating")
+        r = evaluate(spec, PrecisionPolicy(target_digits=100))
+        assert r.digits_lost >= 10
+        # the first pass at 110 digits could not pin 103: the loop reran
+        assert r.working_digits >= 100 + 3 + r.digits_lost
+
+
+class TestExactnessAndCeiling:
+    TELESCOPING = "1/((n+1/2)*(n-3/2))"
+
+    @pytest.mark.parametrize("digits", [30, 1000])
+    def test_telescoping_class_is_exactly_zero(self, monkeypatch, digits):
+        # one residue class whose coefficients cancel: a finite rational sum
+        # with no error, so no pass past the first is ever needed
+        pg = importlib.import_module("exactsum.polygamma")
+        policy = PrecisionPolicy(target_digits=digits)
+        monkeypatch.setattr(pg, "MAX_WORKING_BITS", pg._precision_bits(policy.working_digits))
+        spec = ast_to_spec(parse_expression(self.TELESCOPING), "plain")
+        terms = list(_psi_terms_plain(decompose(spec)))
+        s = pg.psi_sum(terms, policy)
+        assert s.value == 0 and s.digits_lost == 0
+        code, out, _ = run(CliRequest(self.TELESCOPING, "plain", digits, "numeric"))
+        assert code == 0 and out == "0.0\n"
+
+    def test_precision_ceiling_is_a_typed_error(self, monkeypatch):
+        pg = importlib.import_module("exactsum.polygamma")
+        policy = PrecisionPolicy(target_digits=100)
+        monkeypatch.setattr(pg, "MAX_WORKING_BITS", pg._precision_bits(policy.working_digits))
+        code, out, err = run(CliRequest(ALTERNATING_CANCELLING, "alternating", 100))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "ceiling" in err
+
+    def test_exact_zero_across_classes(self, monkeypatch):
+        # psi(1/4) + psi(3/4) - 3 psi(1/2) + psi(1) = 0 (Gauss multiplication):
+        # no fixed-point pass can separate it from zero, so the closed form,
+        # identically zero, supplies the value at the ceiling
+        pg = importlib.import_module("exactsum.polygamma")
+        policy = PrecisionPolicy(target_digits=30)
+        monkeypatch.setattr(pg, "MAX_WORKING_BITS", pg._precision_bits(policy.working_digits))
+        code, out, _ = run(CliRequest("-(1/(n-3/4) + 1/(n-1/4) - 3/(n-1/2) + 1/n)"))
+        assert code == 0 and out == "exact: 0\nnumeric: 0.0\n"
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_classes_far_apart(self, digits):
+        # X = 60.5 and X = 201 differ by more than 4/3: ln(X/X_ref) takes the
+        # ln 2 reduction
+        code, out, _ = run(CliRequest("1/((n+1/2)*(n+200))", "plain", digits, "json"))
+        doc = json.loads(out)
+        assert code == 0 and doc["numeric"] == _psi_reference(doc, digits)

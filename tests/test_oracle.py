@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from exactsum.engine import evaluate
 from exactsum.errors import ConstraintViolated, NotApplicable
+from exactsum import oracle
 from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_general
-from exactsum.partfrac import PartialFractions, decompose
+from exactsum.partfrac import MAX_SHIFT, PartialFractions, decompose
 from exactsum.polygamma import PrecisionPolicy, to_mpf
 from exactsum.polys import Polynomial
 
@@ -346,3 +347,8 @@ class TestCoherence:
             r = evaluate(spec, POLICY)
             bracket = partial_sum_bracket(spec, POLICY)
             assert bracket.contains(r.numeric)
+
+
+def test_head_cap_serves_every_accepted_shift():
+    # the head starts at N = 4 rho with rho = floor(max |pole|) + 1
+    assert 4 * (MAX_SHIFT + 1) <= oracle._HEAD_TERMS_MAX

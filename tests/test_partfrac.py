@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from exactsum.engine import evaluate
-from exactsum.errors import DegreeTooHigh, OrderTooLarge
+from exactsum.errors import DegreeTooHigh, OrderTooLarge, ShiftTooLarge
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.partfrac import PartialFractions, decompose, recombine
+from exactsum.partfrac import MAX_SHIFT, PartialFractions, decompose, recombine
 from exactsum.polys import FactorList, Polynomial
 
 from conftest import make_spec, random_plain_spec
@@ -114,3 +114,11 @@ def test_order_200_pole_rejected():
     assert decompose(spec).coefficient(0, 200) == 1
     with pytest.raises(OrderTooLarge):
         evaluate(spec)
+
+
+def test_shift_height_limit():
+    # checked when the spec is built, before any partial-fraction algebra
+    assert make_spec([(MAX_SHIFT, 2)]).factors.total_degree == 2
+    for a in (MAX_SHIFT + 1, F(-2 * MAX_SHIFT - 1, 2)):
+        with pytest.raises(ShiftTooLarge):
+            make_spec([(a, 2)])
