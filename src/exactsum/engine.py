@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_nearest
 
-from .closedform import SymbolicValue, assemble
-from .errors import PrecisionExhausted
+from .closedform import ONE, SymbolicValue, assemble
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, psi_sum
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, _precision_bits, psi_sum
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,16 @@ def _psi_terms_alternating(pf: PartialFractions):
         yield (-c, j - 1, Fraction(a + 2, 2))
 
 
+def _rational_value(exact: SymbolicValue, policy: PrecisionPolicy) -> PsiSum:
+    """A rational closed form as a PsiSum, rounded to working precision plus
+    the bits of its denominator, so that no rounding of the target digits
+    falls on the other side of a decimal tie."""
+    r = exact.coefficient(ONE)
+    bits = _precision_bits(policy.working_digits) + r.denominator.bit_length()
+    value = mpmath.mp.make_mpf(from_rational(r.numerator, r.denominator, bits, round_nearest))
+    return PsiSum(value, policy.working_digits, 0)
+
+
 def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
     """Evaluate sum_{n>=1} Q(n)/P(n) exactly and numerically.
 
@@ -65,12 +76,10 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
     else:
         terms = list(_psi_terms_alternating(pf))
     exact = assemble(terms)
-    try:
+    if exact.fully_reduced and all(s == ONE for s, _ in exact.basis_coeffs):
+        numeric = _rational_value(exact, policy)
+    else:
         numeric = psi_sum(terms, policy)
-    except PrecisionExhausted:
-        if not exact.is_zero():
-            raise
-        numeric = PsiSum(mpf(0), policy.working_digits, 0)
     return SumResult(
         exact=exact,
         numeric=numeric.value,

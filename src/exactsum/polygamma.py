@@ -6,11 +6,12 @@ works on integers scaled by 2^W.  Terms are grouped by residue class
 smallest argument to X = P/q past the shift threshold; a rung adds the
 accumulated integer coefficients C_n over one power of its argument, with
 one division, so cancellation inside a class costs no precision, and a
-class whose C_n all cancel is a finite rational carried exactly.  At X one
-asymptotic series with exact Bernoulli numbers serves every order of the
-class.  The order-0 totals of a convergent sum add up to zero, so
-sum C ln X becomes logarithms of ratios near 1, each an integer atanh
-series; only a lone digamma keeps one mpmath ln.  Every floor is counted,
+class whose C_n all cancel stops at its last term with no series.  At X
+one asymptotic series with exact Bernoulli numbers serves every order of
+the class.  The order-0 totals of a convergent sum add up to zero, so
+sum C ln X becomes logarithms of ratios near 1; those, and the ln X of a
+lone digamma, are integer atanh series, so no mpmath ln is called.  Every
+floor is counted,
 and a Ziv loop reruns a pass whose error does not pin the target digits
 (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann, "Modern
 Computer Arithmetic", ch. 3-4).  `polygamma` and `digamma` are one-term
@@ -262,22 +263,13 @@ def _classes(terms, d: int):
     return classes
 
 
-def _split_sum(pieces):
-    """sum num/den over (num, den) pairs, as one (num, den) without gcds."""
-    while len(pieces) > 1:
-        pairs = [(a * y + b * x, x * y) for (a, x), (b, y) in zip(pieces[::2], pieces[1::2])]
-        pieces = pairs + pieces[len(pairs) * 2:]
-    return pieces[0] if pieces else (0, 1)
-
-
-def _ladder(q: int, p0: int, events, steps: int, w: int, exact: bool):
+def _ladder(q: int, p0: int, events, steps: int, w: int):
     """The rungs y = p0/q + j, 0 <= j < steps, as (value, error) on a 2^-w grid.
 
     Rung j adds sum_n (-1)^(n+1) n! C_n q^(n+1) / Y^(n+1), Y = p0 + j q, where
     C_n sums the coefficients of the terms at offsets <= j; the numerator is
     one integer over Y^(M+1), M the highest live order, so one division per
-    rung.  With `exact` the rungs are summed as one rational instead, and the
-    only error is the final floor.
+    rung.
     """
     by_offset = {}
     for o, n, c in events:
@@ -285,7 +277,6 @@ def _ladder(q: int, p0: int, events, steps: int, w: int, exact: bool):
     offsets = sorted(by_offset)
     cumulative = {}
     value = err = 0
-    pieces = []
     for start, end in zip(offsets, offsets[1:] + [steps]):
         for n, c in by_offset[start]:
             cumulative[n] = cumulative.get(n, 0) + c
@@ -296,13 +287,6 @@ def _ladder(q: int, p0: int, events, steps: int, w: int, exact: bool):
         a = [(-1) ** (n + 1) * math.factorial(n) * q ** (n + 1) * cumulative.get(n, 0)
              for n in range(m + 1)]
         ys = range(p0 + start * q, p0 + end * q, q)
-        if exact:
-            for y in ys:
-                num = 0
-                for an in a:
-                    num = num * y + an
-                pieces.append((num, y ** (m + 1)))
-            continue
         if live == [m]:
             numer, power = a[m] << w, m + 1
             for y in ys:
@@ -314,10 +298,6 @@ def _ladder(q: int, p0: int, events, steps: int, w: int, exact: bool):
                     num = num * y + an
                 value += (num << w) // y ** (m + 1)
         err += len(ys)
-    if exact:
-        num, den = _split_sum(pieces)
-        value, rest = divmod(num << w, den)
-        err = 1 if rest else 0
     return value, err
 
 
@@ -389,15 +369,10 @@ def _ln_ratio(a: int, b: int, w: int):
     return total, err
 
 
-def _scaled_ln(c: int, a: int, b: int, w: int, lone: bool):
-    """(c 2^w ln(a/b), error): the integer series, or one mpmath ln if `lone`."""
+def _scaled_ln(c: int, a: int, b: int, w: int):
+    """(c 2^w ln(a/b), error) for integers a, b > 0."""
     g = abs(c).bit_length() + 2
-    if lone:
-        with mpmath.workprec(w + g + 32):
-            lg = int(mpmath.floor(mpmath.ldexp(mpmath.ln(mpmath.mpf(a) / b), w + g)))
-        e = 2
-    else:
-        lg, e = _ln_ratio(a, b, w + g)
+    lg, e = _ln_ratio(a, b, w + g)
     return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
 
 
@@ -407,14 +382,14 @@ def _psi_pass(classes, w: int, wd: int):
     d is the coefficients' common denominator; `size` is sum_cls |T_cls| on
     the same scale.  Order-0 totals C_cls enter as
     sum C_cls ln(X_cls / X_ref) + (sum C_cls) ln X_ref; the last term is
-    zero for every convergent sum, and otherwise one mpmath ln.
+    zero for every convergent sum.  A class whose totals all cancel is a
+    finite sum: its ladder stops at its last term and it has no series.
     """
     parts, errs, logs = [], [], []
     for q, p0, events, totals in classes:
         last = events[-1][0]
         if not totals:
-            # the class telescopes: a finite rational sum, carried exactly
-            value, err = _ladder(q, p0, events, last, w, exact=True)
+            value, err = _ladder(q, p0, events, last, w)
             parts.append(value)
             errs.append(err)
             continue
@@ -424,7 +399,7 @@ def _psi_pass(classes, w: int, wd: int):
         terms = max(_series_plan(n, log2_x, w + math.log2(abs(c))) for n, c in totals.items())
         if len(_even_bernoulli) <= terms:
             _fill_bernoulli(max(2 * terms, _bernoulli_limit(wd)))
-        value, err = _ladder(q, p0, events, steps, w, exact=False)
+        value, err = _ladder(q, p0, events, steps, w)
         series, series_err = _series(q, big_p, totals, terms, w)
         parts.append(value + series)
         errs.append(err + series_err)
@@ -433,12 +408,12 @@ def _psi_pass(classes, w: int, wd: int):
     if logs:
         ref, _, ref_p, ref_q = logs[0]
         for i, c, big_p, q in logs[1:]:
-            value, err = _scaled_ln(c, big_p * ref_q, q * ref_p, w, lone=False)
+            value, err = _scaled_ln(c, big_p * ref_q, q * ref_p, w)
             parts[i] += value
             errs[i] += err
         c_sum = sum(c for _, c, _, _ in logs)
         if c_sum:
-            value, err = _scaled_ln(c_sum, ref_p, ref_q, w, lone=True)
+            value, err = _scaled_ln(c_sum, ref_p, ref_q, w)
             parts[ref] += value
             errs[ref] += err
     return sum(parts), sum(errs), sum(abs(v) for v in parts)
@@ -451,8 +426,10 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
     by 10^(target+3) and both ends of [S - err, S + err] give the same
     target-digit string (mpmath.nstr), so that string is the true one.
     Otherwise the pass reruns at the digits it fell short by, plus a guard
-    (Ziv).  Reruns stop at MAX_WORKING_BITS: a pass there that still falls
-    short raises PrecisionExhausted.
+    (Ziv); when only the rounding is undecided, the value lies near a
+    decimal tie and the rerun doubles the digits beyond the target.  Reruns
+    stop at MAX_WORKING_BITS: a pass there that still falls short raises
+    PrecisionExhausted, as an exactly zero sum always does.
     """
     checked = []
     for c, n, x in terms:
@@ -488,8 +465,10 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
                 f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
                 f"its {target} digits cannot be certified"
             )
-        if lower > 0:
-            deficit = max(0.0, math.log10(need) - math.log10(lower))
+        if lower >= need:
+            wd = min(wd_max, 2 * wd - target + _ZIV_GUARD_DIGITS)
+        elif lower > 0:
+            deficit = math.log10(need) - math.log10(lower)
             wd = min(wd_max, wd + math.ceil(deficit) + _ZIV_GUARD_DIGITS)
         else:
             wd = min(wd_max, 2 * wd)

@@ -2,13 +2,13 @@ import dataclasses
 import json
 import math
 import re
-import time
 from decimal import Decimal
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from exactsum import engine
 from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
 from exactsum.errors import InsufficientTerms
@@ -100,11 +100,13 @@ class TestExitCodes:
             CliRequest(expression="1/n^2", digits=5)
 
     @pytest.mark.parametrize("expression", ["1/(n+100000)^2", "1/(n+200000)^2"])
-    def test_shift_height_limit_fails_fast(self, expression):
+    def test_shift_height_limit_fails_fast(self, monkeypatch, expression):
         # refused before any closed-form algebra (which took 9.9 s at 100000)
-        start = time.perf_counter()
+        def refuse(*args):
+            raise AssertionError("partial fractions reached")
+
+        monkeypatch.setattr(engine, "decompose", refuse)
         code, out, err = _run(expression)
-        assert time.perf_counter() - start < 0.1
         assert code == 2 and out == "" and "exceeds the limit" in err
 
     def test_shift_just_below_limit_accepted(self):
@@ -147,6 +149,20 @@ class TestCancellationDigit:
         code, out, err = _run(self.EXPRESSION, sign="alternating", digits=100, verify=True)
         assert code == 0 and err == ""
         assert out.splitlines()[-1].endswith("agree: true")
+
+
+class TestRationalValue:
+    def test_decimal_tie_prints(self):
+        # 1/((n+a)(n+a+1)) telescopes to 1/(a+1) = 0.12345678905 exactly, a
+        # tie at 10 digits that no fixed-point interval can round one way
+        expression = "1/((n+17530864219/2469135781)*(n+20000000000/2469135781))"
+        code, out, err = _run(expression, digits=10, verify=True)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "exact: (2469135781/20000000000)"
+        # both neighbours are half a unit away
+        assert lines[1] in ("numeric: 0.1234567890", "numeric: 0.1234567891")
+        assert lines[2].endswith("agree: true")
 
 
 class TestVerify:

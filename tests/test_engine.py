@@ -8,11 +8,11 @@ import pytest
 
 from exactsum.cli import CliRequest, run
 from exactsum.closedform import GAMMA, LN2, ONE, PI_SQUARED, SymbolicValue, render
-from exactsum.engine import _psi_terms_plain, evaluate
+from exactsum import engine
+from exactsum.engine import evaluate
 from exactsum.errors import NegativeIntegerShift
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.partfrac import decompose
-from exactsum.polygamma import PrecisionPolicy, to_mpf
+from exactsum.polygamma import PrecisionPolicy, digamma, psi_sum, to_mpf
 
 from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric
 
@@ -296,11 +296,18 @@ class TestCancellationFamily:
         def refuse(*args):
             raise AssertionError("mpmath called")
 
+        with mpmath.workdps(60):
+            reference = mpmath.digamma(mpmath.mpf(2) ** 70 / 3)
         monkeypatch.setattr(mpmath, "ln", refuse)
         monkeypatch.setattr(mpmath, "psi", refuse)
         for sign in ("plain", "alternating"):
             spec = make_spec([(0, 2), (F(1, 3), 1), (F(7, 2), 1)], sign)
             evaluate(spec, PrecisionPolicy(target_digits=100))
+        # a lone digamma takes its ln X from the same integer series
+        policy = PrecisionPolicy(target_digits=50)
+        value = digamma(F(2 ** 70, 3), policy)
+        with mpmath.workdps(60):
+            assert abs(value - reference) < mpmath.mpf(10) ** -49 * abs(reference)
 
     def test_cancellation_is_measured(self):
         spec = ast_to_spec(parse_expression(ALTERNATING_CANCELLING), "alternating")
@@ -310,22 +317,29 @@ class TestCancellationFamily:
         assert r.working_digits >= 100 + 3 + r.digits_lost
 
 
+def _refuse_psi_sum(*args):
+    raise AssertionError("fixed-point pass made")
+
+
 class TestExactnessAndCeiling:
     TELESCOPING = "1/((n+1/2)*(n-3/2))"
 
     @pytest.mark.parametrize("digits", [30, 1000])
     def test_telescoping_class_is_exactly_zero(self, monkeypatch, digits):
-        # one residue class whose coefficients cancel: a finite rational sum
-        # with no error, so no pass past the first is ever needed
-        pg = importlib.import_module("exactsum.polygamma")
-        policy = PrecisionPolicy(target_digits=digits)
-        monkeypatch.setattr(pg, "MAX_WORKING_BITS", pg._precision_bits(policy.working_digits))
+        # one residue class whose coefficients cancel: the closed form is the
+        # rational 0, which is the value, so no fixed-point pass is made
+        monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
         spec = ast_to_spec(parse_expression(self.TELESCOPING), "plain")
-        terms = list(_psi_terms_plain(decompose(spec)))
-        s = pg.psi_sum(terms, policy)
-        assert s.value == 0 and s.digits_lost == 0
+        r = evaluate(spec, PrecisionPolicy(target_digits=digits))
+        assert r.numeric == 0 and r.digits_lost == 0
         code, out, _ = run(CliRequest(self.TELESCOPING, "plain", digits, "numeric"))
         assert code == 0 and out == "0.0\n"
+
+    def test_telescoping_class_through_psi_sum(self):
+        # psi(1/2) - psi(5/2) = -(2 + 2/3): a class with no series, its ladder
+        # stopping at the last term
+        s = psi_sum([(1, 0, F(1, 2)), (-1, 0, F(5, 2))], POLICY)
+        assert mpmath.nstr(s.value, 30) == "-2." + "6" * 28 + "7"
 
     def test_precision_ceiling_is_a_typed_error(self, monkeypatch):
         pg = importlib.import_module("exactsum.polygamma")
@@ -337,13 +351,18 @@ class TestExactnessAndCeiling:
 
     def test_exact_zero_across_classes(self, monkeypatch):
         # psi(1/4) + psi(3/4) - 3 psi(1/2) + psi(1) = 0 (Gauss multiplication):
-        # no fixed-point pass can separate it from zero, so the closed form,
-        # identically zero, supplies the value at the ceiling
-        pg = importlib.import_module("exactsum.polygamma")
-        policy = PrecisionPolicy(target_digits=30)
-        monkeypatch.setattr(pg, "MAX_WORKING_BITS", pg._precision_bits(policy.working_digits))
+        # no fixed-point pass can separate it from zero; the closed form,
+        # identically zero, is the value
+        monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
         code, out, _ = run(CliRequest("-(1/(n-3/4) + 1/(n-1/4) - 3/(n-1/2) + 1/n)"))
         assert code == 0 and out == "exact: 0\nnumeric: 0.0\n"
+
+    def test_rational_value_is_exact_to_the_printed_digits(self, monkeypatch):
+        # sum 1/((n+1/3)(n+4/3)) = 3/4; sum 1/((n+1/7)(n+8/7)) = 7/8
+        monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
+        for expression, value in (("1/((n+1/3)*(n+4/3))", "0.75"), ("1/((n+1/7)*(n+8/7))", "0.875")):
+            code, out, _ = run(CliRequest(expression, "plain", 40, "numeric"))
+            assert code == 0 and out == value.ljust(42, "0") + "\n"
 
     @pytest.mark.parametrize("digits", [30, 100])
     def test_classes_far_apart(self, digits):

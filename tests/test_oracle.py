@@ -350,5 +350,11 @@ class TestCoherence:
 
 
 def test_head_cap_serves_every_accepted_shift():
-    # the head starts at N = 4 rho with rho = floor(max |pole|) + 1
-    assert 4 * (MAX_SHIFT + 1) <= oracle._HEAD_TERMS_MAX
+    # the largest accepted shift puts rho at MAX_SHIFT + 1, so the head
+    # starts at N = 4 rho: exactly the cap
+    spec = make_spec([(MAX_SHIFT, 2)])
+    bracket = partial_sum_bracket(spec, POLICY)
+    assert bracket.terms_used == oracle._HEAD_TERMS_MAX
+    with mpmath.workdps(50):
+        assert bracket.contains(mpmath.psi(1, MAX_SHIFT + 1))
+        assert bracket.width < mpmath.mpf(10) ** -32 * mpmath.psi(1, MAX_SHIFT + 1)
