@@ -11,6 +11,7 @@ from .engine import SumResult, evaluate
 from .errors import (
     ConstraintViolated,
     DegreeTooHigh,
+    DivisionByZero,
     DuplicateShift,
     ExactSumError,
     ExpressionSyntaxError,
@@ -27,18 +28,13 @@ from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
 from .polygamma import PrecisionPolicy, PsiSum, digamma, psi_sum, zeta_int
-from .polys import (
-    FactorList,
-    Polynomial,
-    RationalFunction,
-    factor_linear,
-    poly_gcd,
-)
+from .polys import FactorList, Polynomial, factor_linear
 
 __all__ = [
     "Bracket",
     "ConstraintViolated",
     "DegreeTooHigh",
+    "DivisionByZero",
     "DuplicateShift",
     "ExactSumError",
     "ExpressionSyntaxError",
@@ -54,7 +50,6 @@ __all__ = [
     "PrecisionExhausted",
     "PrecisionPolicy",
     "PsiSum",
-    "RationalFunction",
     "SumResult",
     "SumSpec",
     "ShiftTooLarge",
@@ -67,7 +62,6 @@ __all__ = [
     "factor_linear",
     "parse_expression",
     "partial_sum_bracket",
-    "poly_gcd",
     "psi_closed",
     "psi_sum",
     "quad_alternating",

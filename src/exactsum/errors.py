@@ -27,7 +27,12 @@ class DuplicateShift(ExactSumError):
 
 
 class DegreeTooHigh(ExactSumError):
-    """Numerator degree violates the convergence bound for the sign mode."""
+    """Numerator degree violates the convergence bound for the sign mode,
+    or the folded expression exceeds partfrac's degree or coefficient limit."""
+
+
+class DivisionByZero(ExactSumError, ZeroDivisionError):
+    """The expression divides by something that folds to zero."""
 
 
 class PoleArgument(ExactSumError):
@@ -39,11 +44,13 @@ class OrderTooLarge(ExactSumError):
 
 
 class PrecisionExhausted(ExactSumError):
-    """The numeric sum cancels below what the precision ceiling can certify."""
+    """A numeric step cannot certify its result below its precision ceiling:
+    the sum cancels too far, or the denominator's roots stay uncertified."""
 
 
 class ShiftTooLarge(ExactSumError):
-    """A denominator shift |a| above partfrac.MAX_SHIFT."""
+    """A denominator shift |a| above partfrac.MAX_SHIFT, or shifts and
+    multiplicities whose closed form exceeds partfrac.MAX_CLOSED_FORM."""
 
 
 class InsufficientTerms(ExactSumError):

@@ -46,6 +46,7 @@ from mpmath.libmp import from_man_exp
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
 from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli, to_mpf
+from .polys import Polynomial
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
 _LOG2_2PI = math.log2(2 * math.pi)
@@ -69,38 +70,7 @@ class Bracket:
         return self.hi - self.lo
 
 
-# -- integer polynomials (coefficient lists, index = power) ---------------------
-
-
-def _mul(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _compose(p: list, s: int, t: int) -> list:
-    """p(s x + t)."""
-    out = [0]
-    for c in reversed(p):
-        out = _mul(out, [t, s])
-        out[0] += c
-    return _trim(out)
-
-
-def _value(p: list, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+# -- fixed-point series ------------------------------------------------------------
 
 
 def _series(first: list, phis: list, count: int):
@@ -127,26 +97,22 @@ def _series(first: list, phis: list, count: int):
 
 
 def _summand(spec: SumSpec):
-    """(num, den, poles): h = num/den in integers, poles as (p, multiplicity)."""
-    coeffs = spec.numerator.coeffs
-    scale = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    num = [c.numerator * (scale // c.denominator) for c in coeffs]
-    den = [scale]
+    """(num, den, poles): h = num/den in integer polynomials, poles as (p, multiplicity)."""
+    content, num = spec.numerator.primitive()
+    num = num * content.numerator
+    den = Polynomial([content.denominator])
     poles = []
     for a, m in spec.factors:
         # (n + a)^m = (q n + p)^m / q^m for a = p/q
-        num = [c * a.denominator ** m for c in num]
-        for _ in range(m):
-            den = _mul(den, [a.numerator, a.denominator])
+        num = num * a.denominator ** m
+        den = den * Polynomial([a.numerator, a.denominator]) ** m
         poles.append((-a, m))
     if spec.sign == PLAIN:
         return num, den, poles
-    odd_num, odd_den = _compose(num, 2, -1), _compose(den, 2, -1)
-    even_num, even_den = _compose(num, 2, 0), _compose(den, 2, 0)
-    left, right = _mul(odd_num, even_den), _mul(even_num, odd_den)
-    h_num = [a - b for a, b in zip(left, right)]
+    odd_num, odd_den = num.compose(2, -1), den.compose(2, -1)
+    even_num, even_den = num.compose(2, 0), den.compose(2, 0)
     poles = [((1 + p) / 2, m) for p, m in poles] + [(p / 2, m) for p, m in poles]
-    return _trim(h_num), _mul(odd_den, even_den), poles
+    return odd_num * even_den - even_num * odd_den, odd_den * even_den, poles
 
 
 def _log2(x: Fraction) -> float:
@@ -187,15 +153,15 @@ def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
             f"the partial-sum bracket needs {n} head terms (cap {_HEAD_TERMS_MAX})"
         )
     k_max, p = plan
-    gap = len(den) - len(num)  # degree gap >= 2
+    gap = den.degree - num.degree  # >= 2
     laurent = range(gap, k_max + 1)
-    lead, den_n = den[-1], _value(den, n)
+    lead, den_n = den.leading, den.value(n)
     phis = [p_j / rho for p_j, m in poles for _ in range(m)]
     # c_k rho^-k: (sum_i num_(dn-i) (v/rho)^i) / (lead rho^gap prod (1 - (p_j/rho) v))
-    first = [(c, lead * rho ** (gap + i)) for i, c in enumerate(reversed(num))]
+    first = [(c, lead * rho ** (gap + i)) for i, c in enumerate(reversed(num.coeffs))]
     # tau_j (N - rho)^j: num(N + (N - rho) v) / (den(N) prod (1 - phi_j v)),
     # phi_j = (N - rho)/(p_j - N)
-    taylor_first = [(c, den_n) for c in _compose(num, n - rho, n)]
+    taylor_first = [(c, den_n) for c in num.compose(n - rho, n).coeffs]
     taylor_phis = [Fraction(n - rho) / (p_j - n) for p_j, m in poles for _ in range(m)]
 
     # Error bounds depend on the operations only, so W can follow from them.
@@ -215,7 +181,7 @@ def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
     floors = n + len(laurent) + p + math.ceil(2 * carried)
     w = max(0, math.ceil(math.log2(floors) - log2_tol) + 1)
 
-    total = sum((_value(num, k) << w) // _value(den, k) for k in range(1, n))
+    total = sum((num.value(k) << w) // den.value(k) for k in range(1, n))
 
     # int_N^oo h = N sum_k (c_k rho^-k) z^k / (k - 1)
     c = _series([(x << w) // y for x, y in first], phis, len(laurent))[0]
@@ -255,10 +221,12 @@ def partial_sum_bracket(
     terms raises InsufficientTerms.
     """
     num, den, poles = _summand(spec)
-    if not num:
+    if num.is_zero():
         return Bracket(mpf(0), mpf(0), 0)
     rho = int(max(abs(p) for p, _ in poles)) + 1
-    m_bound = Fraction(sum(abs(c) * rho ** i for i, c in enumerate(num)), abs(den[-1]))
+    m_bound = Fraction(
+        sum(abs(c) * rho ** i for i, c in enumerate(num.coeffs)), abs(den.leading)
+    )
     for p, m in poles:
         m_bound /= (rho - abs(p)) ** m
     rel = Fraction(1, 10 ** (policy.target_digits + 3))

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    DegreeTooHigh,
-    ExpressionSyntaxError,
-    NonLinearFactor,
-)
-from .partfrac import SumSpec
-from .polys import Polynomial, RationalFunction, factor_linear
+from .errors import DegreeTooHigh, DivisionByZero, ExpressionSyntaxError
+from .partfrac import MAX_DEGREE, MAX_HEIGHT_BITS, SumSpec
+from .polys import Polynomial, factor_linear, reduced
 
 
 # -- AST ------------------------------------------------------------------------
@@ -79,6 +75,11 @@ def render_ast(node: Node) -> str:
 
 
 _PUNCT = set("+-*/^()")
+
+
+def _unexpected(tok) -> str:
+    kind, value, _ = tok
+    return "unexpected end of input" if kind == "end" else f"unexpected token {str(value)!r}"
 
 
 def _tokenize(text: str):
@@ -138,9 +139,7 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.peek()
         if tok[0] != kind:
-            raise ExpressionSyntaxError(
-                f"unexpected token {tok[1]!r}", tok[2], f"expected {kind!r}"
-            )
+            raise ExpressionSyntaxError(_unexpected(tok), tok[2], f"expected {kind!r}")
         return self.advance()
 
     def parse(self) -> Node:
@@ -150,7 +149,7 @@ class _Parser:
             hint = None
             if tok[0] == "(":
                 hint = "implicit multiplication is not supported; write '*' explicitly"
-            raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2], hint)
+            raise ExpressionSyntaxError(_unexpected(tok), tok[2], hint)
         return node
 
     def expr(self) -> Node:
@@ -218,9 +217,7 @@ class _Parser:
             self.advance()
             return Neg(self.factor())
         raise ExpressionSyntaxError(
-            f"unexpected token {tok[1]!r}",
-            tok[2],
-            "expected a number, 'n', '(' or '-'",
+            _unexpected(tok), tok[2], "expected a number, 'n', '(' or '-'"
         )
 
 
@@ -231,40 +228,60 @@ def parse_expression(text: str) -> Node:
 
 # -- AST folding --------------------------------------------------------------------
 
+_ONE, _N = Polynomial([1]), Polynomial([0, 1])
 
-def _fold(node: Node) -> RationalFunction:
+
+def _check_size(degree: int, bits: int = 0):
+    if degree > MAX_DEGREE:
+        raise DegreeTooHigh(f"the expression has degree {degree} > {MAX_DEGREE}")
+    if bits > MAX_HEIGHT_BITS:
+        raise DegreeTooHigh(
+            f"the expression has coefficients of {bits} bits > {MAX_HEIGHT_BITS}"
+        )
+
+
+def _fold(node: Node):
+    """The AST as an unreduced integer pair (N, D) of value N/D.
+
+    The size of every power and product is checked before it is expanded.
+    """
     if isinstance(node, Num):
-        return RationalFunction.constant(node.value)
+        return Polynomial([node.value.numerator]), Polynomial([node.value.denominator])
     if isinstance(node, Var):
-        return RationalFunction(Polynomial.variable(), Polynomial([1]))
+        return _N, _ONE
     if isinstance(node, Neg):
-        return -_fold(node.operand)
+        num, den = _fold(node.operand)
+        return -num, den
     if isinstance(node, Pow):
-        return _fold(node.base) ** node.exponent
-    rf_l, rf_r = _fold(node.left), _fold(node.right)
-    if node.op == "+":
-        return rf_l + rf_r
+        num, den = _fold(node.base)
+        k = node.exponent
+        height = max(abs(c).bit_length() for c in num.coeffs + den.coeffs)
+        _check_size(max(num.degree, den.degree) * k, height * k)
+        return num ** k, den ** k
+    (n1, d1), (n2, d2) = _fold(node.left), _fold(node.right)
+    if node.op == "/":
+        if n2.is_zero():
+            raise DivisionByZero("division by zero")
+        n2, d2 = d2, n2
+    _check_size(max(n1.degree, d1.degree) + max(n2.degree, d2.degree))
+    if node.op in "*/":
+        return n1 * n2, d1 * d2
     if node.op == "-":
-        return rf_l - rf_r
-    if node.op == "*":
-        return rf_l * rf_r
-    return rf_l / rf_r
+        n2 = -n2
+    return n1 * d2 + n2 * d1, d1 * d2
 
 
 def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
-    """Fold the AST into Q/P, factor the denominator, validate convergence.
+    """Fold the AST into Q/P, reduce it once, factor P, validate convergence.
 
-    Raises NonLinearFactor, NegativeIntegerShift (via factoring) or
-    DegreeTooHigh (divergent numerator degree, or no denominator at all).
+    Raises DivisionByZero, NonLinearFactor, NegativeIntegerShift (via
+    factoring), DegreeTooHigh (a fold above the size limits, a divergent
+    numerator degree, or no denominator at all) or a SumSpec limit error.
     """
-    rf = _fold(ast)
-    if rf.denominator.degree < 1:
+    numerator, denominator = reduced(*_fold(ast))
+    if denominator.degree < 1:
         raise DegreeTooHigh(
             "summand has no denominator in n; the series diverges "
             "(deg Q must be <= deg P - 2 for plain sums)"
         )
-    try:
-        factors = factor_linear(rf.denominator)
-    except NonLinearFactor as exc:
-        raise NonLinearFactor(exc.remainder) from None
-    return SumSpec(rf.numerator, factors, sign)
+    return SumSpec(numerator, factor_linear(denominator), sign)

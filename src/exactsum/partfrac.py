@@ -16,15 +16,26 @@ from fractions import Fraction
 from math import comb
 from typing import Tuple
 
-from .errors import DegreeTooHigh, ShiftTooLarge
-from .polys import FactorList, Polynomial, RationalFunction
+from .errors import DegreeTooHigh, OrderTooLarge, ShiftTooLarge
+from .polygamma import MAX_ORDER
+from .polys import FactorList, Polynomial, reduced
 
 PLAIN = "plain"
 ALTERNATING = "alternating"
 
+# Size limits, each checked before the work it bounds.
 # Largest |a_i|: the partial-sum bracket's head of 4 (|a| + 1) terms must fit
-# its cap, and the closed form's rational part grows with the shift.
+# its cap.
 MAX_SHIFT = 25_000
+# Largest multiplicity: a pole of order m needs psi^(m-1).
+MAX_MULTIPLICITY = MAX_ORDER + 1
+# Largest sum of (|a_i| + 1) m_i: the closed form's rational part has about
+# |a_i| terms of order m_i per pole, each with a denominator of m_i log|a_i|
+# bits.  At the limit a request takes ~1 s and prints ~57 kB.
+MAX_CLOSED_FORM = 64_000
+# Largest degree, and coefficient size in bits, that folding may expand.
+MAX_DEGREE = 256
+MAX_HEIGHT_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,9 +49,19 @@ class SumSpec:
     def __post_init__(self):
         if self.sign not in (PLAIN, ALTERNATING):
             raise ValueError(f"unknown sign mode {self.sign!r}")
-        for a, _ in self.factors:
+        for a, m in self.factors:
             if abs(a) > MAX_SHIFT:
                 raise ShiftTooLarge(f"shift {a} exceeds the limit |a| <= {MAX_SHIFT}")
+            if m > MAX_MULTIPLICITY:
+                raise OrderTooLarge(
+                    f"pole of order {m} at shift {a} exceeds the limit {MAX_MULTIPLICITY}"
+                )
+        size = sum((abs(a) + 1) * m for a, m in self.factors)
+        if size > MAX_CLOSED_FORM:
+            raise ShiftTooLarge(
+                f"sum of (|a| + 1) * m over the poles is {size} > {MAX_CLOSED_FORM}, "
+                "the closed form's limit"
+            )
         n_total = self.factors.total_degree
         bound = n_total - 2 if self.sign == PLAIN else n_total - 1
         if self.numerator.degree > bound:
@@ -49,9 +70,6 @@ class SumSpec:
                 f"(deg Q must be <= deg P - {2 if self.sign == PLAIN else 1} "
                 f"for {self.sign} sums to converge)"
             )
-
-    def rational_function(self) -> RationalFunction:
-        return RationalFunction.from_polys(self.numerator, self.factors.expand())
 
 
 @dataclass(frozen=True)
@@ -97,14 +115,17 @@ def decompose(spec: SumSpec) -> PartialFractions:
     return PartialFractions(tuple(entries))
 
 
-def recombine(pf: PartialFractions) -> RationalFunction:
-    """Common-denominator recombination; inverse of decompose."""
-    total = RationalFunction.constant(0)
+def recombine(pf: PartialFractions):
+    """Common-denominator recombination; inverse of decompose.
+
+    Returns the sum in lowest terms as `polys.reduced` gives it.
+    """
+    num, den = Polynomial(), Polynomial([1])
     for a, j, c in pf.entries:
         if c == 0:
             continue
-        term = RationalFunction.from_polys(
-            Polynomial.constant(c), Polynomial.linear(a) ** j
-        )
-        total = total + term
-    return total
+        # c / (n + a)^j = c.num a.den^j / (c.den (a.den n + a.num)^j)
+        term_num = Polynomial([c.numerator * a.denominator ** j])
+        term_den = Polynomial([a.numerator, a.denominator]) ** j * c.denominator
+        num, den = num * term_den + term_num * den, den * term_den
+    return reduced(num, den)

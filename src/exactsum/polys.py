@@ -1,34 +1,38 @@
-"""Exact polynomials, rational functions and linear factorization over Q.
+"""Exact polynomials over the integers, and linear factorization.
 
-Coefficient lists are dense (index = power of n); degrees in this package
-are tiny, so simplicity wins over sparse representations.  All values are
-immutable and all operations are pure functions.
+Coefficient tuples are dense (index = power of n); degrees in this package
+are small, so simplicity wins over sparse representations.  Values are
+immutable and operations are pure functions.
+
+The arithmetic is generic over exact numbers, but every algorithm here
+runs on integer coefficients: reducing a quotient to lowest terms, Yun's
+square-free split and taking out rational roots all divide exactly by
+primitive divisors.  By Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1), a
+primitive integer polynomial that divides an integer one over Q divides it
+over Z, so none of these steps ever needs a Fraction.  Rational
+coefficients appear only where a result has them, such as a numerator
+over a monic denominator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
+from .errors import (
+    DuplicateShift,
+    NegativeIntegerShift,
+    NonLinearFactor,
+    PrecisionExhausted,
+)
 
-Rational = Fraction
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+# Doublings of the root-finding precision before factoring gives up.
+_MAX_DOUBLINGS = 6
 
 
 class Polynomial:
-    """Dense polynomial in n with exact rational coefficients.
+    """Dense polynomial in n with exact (integer or Fraction) coefficients.
 
     The zero polynomial has an empty coefficient tuple and degree -1
     (stand-in for "minus infinity"); nonzero polynomials never carry a
@@ -38,26 +42,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([_as_fraction(c)])
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial n."""
-        return cls([0, 1])
-
-    @classmethod
-    def linear(cls, shift) -> "Polynomial":
-        """The factor n + shift."""
-        return cls([_as_fraction(shift), 1])
+        self.coeffs = tuple(cs)
 
     # -- structure -------------------------------------------------------
 
@@ -69,13 +57,10 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -95,11 +80,11 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
+        if not isinstance(other, Polynomial):
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         rhs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
@@ -122,53 +107,63 @@ class Polynomial:
                 base = base * base
         return result
 
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] -= c * oc
-        return Polynomial(quot), Polynomial(rem)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, float and mpf arguments."""
-        if isinstance(x, (Fraction, int)):
-            return self.eval_fraction(Fraction(x))
-        zero = 0 * x
-        acc = zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + (zero + c.numerator) / c.denominator
-        return acc
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def value(self, x):
+        """Horner evaluation at an exact (or float) x."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
+    def compose(self, s, t) -> "Polynomial":
+        """The polynomial p(s n + t)."""
+        out, inner = Polynomial(), Polynomial([t, s])
+        for c in reversed(self.coeffs):
+            out = out * inner + Polynomial([c])
+        return out
+
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot be made monic")
-        lead = self.leading
-        return Polynomial([c / lead for c in self.coeffs])
+    def primitive(self):
+        """(c, p) with self = c * p, p integer and primitive, lead(p) > 0.
+
+        c is an exact rational; the zero polynomial gives (0, itself).
+        """
+        if not self.coeffs:
+            return 0, self
+        # A list, not a generator: on CPython 3.11, unpacking generators of
+        # varying length grew memory ~2 MB over 60 rounds of frontend-30d gcds.
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+        return Fraction(g, den), Polynomial([c // g for c in ints])
+
+    def exact_div(self, other: "Polynomial"):
+        """self / other over Z, or None when other does not divide self there.
+
+        Both integer.  For a primitive divisor that is exactly when it
+        divides self over Q.
+        """
+        rem, lead, low = list(self.coeffs), other.leading, other.coeffs[:-1]
+        quot = []
+        while len(rem) > len(low):
+            q, r = divmod(rem.pop(), lead)
+            if r:
+                return None
+            quot.append(q)
+            if q:
+                k = len(rem) - len(low)
+                for i, c in enumerate(low):
+                    rem[k + i] -= q * c
+        if any(rem):
+            return None
+        return Polynomial(reversed(quot))
 
     def __str__(self):
         """The polynomial in the input grammar, e.g. `n^3 - 2` or `n^2 + (1/3)*n`."""
@@ -198,84 +193,54 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Primitive part of a pseudo-remainder of integer a by integer b.
+
+    Each step scales the remainder by lead(b) / gcd(lead(b), top) only, so
+    the result is a remainder of a times some integer.
+    """
+    rem, lead, low = list(a.coeffs), b.leading, b.coeffs[:-1]
+    while len(rem) > len(low):
+        top = rem.pop()
+        if top:
+            g = math.gcd(top, lead)
+            scale, top = lead // g, top // g
+            k = len(rem) - len(low)
+            rem = [c * scale for c in rem]
+            for i, c in enumerate(low):
+                rem[k + i] -= top * c
+    return Polynomial(rem).primitive()[1]
+
+
+def primitive_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Greatest common divisor: primitive, integer, with positive leading coefficient.
+
+    Euclid's algorithm on primitive pseudo-remainders (Knuth, TAOCP vol. 2,
+    4.6.1), so every coefficient stays an integer of bounded size.
+    """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    a, b = p, q
+    a, b = p.primitive()[1], q.primitive()[1]
     while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+        a, b = b, _pseudo_remainder(a, b)
+    return a
 
 
-_ONE = Polynomial([1])
+def reduced(num: Polynomial, den: Polynomial):
+    """num/den in lowest terms, as (Q, D) with num/den = Q / (D / lead D).
 
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Reduced quotient of polynomials with monic denominator."""
-
-    numerator: Polynomial
-    denominator: Polynomial
-
-    @classmethod
-    def from_polys(cls, numer: Polynomial, denom: Polynomial) -> "RationalFunction":
-        """Reduce by the polynomial gcd and normalize the denominator to monic."""
-        if denom.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if numer.is_zero():
-            return cls(Polynomial(), Polynomial([1]))
-        g = poly_gcd(numer, denom)
-        if g.degree > 0:
-            numer = divmod(numer, g)[0]
-            denom = divmod(denom, g)[0]
-        lead = denom.leading
-        if lead != 1:
-            numer = numer * (1 / lead)
-            denom = denom.monic()
-        return cls(numer, denom)
-
-    @classmethod
-    def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial([_as_fraction(c)]), Polynomial([1]))
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.denominator == _ONE and other.denominator == _ONE:
-            # A sum or product of polynomials is already reduced.
-            return RationalFunction(self.numerator + other.numerator, self.denominator)
-        n = self.numerator * other.denominator + other.numerator * self.denominator
-        return RationalFunction.from_polys(n, self.denominator * other.denominator)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.denominator == _ONE and other.denominator == _ONE:
-            return RationalFunction(self.numerator * other.numerator, self.denominator)
-        return RationalFunction.from_polys(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-        )
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction.from_polys(
-            self.numerator * other.denominator,
-            self.denominator * other.numerator,
-        )
-
-    def __pow__(self, k: int) -> "RationalFunction":
-        if k < 0:
-            raise ValueError("negative power on rational functions")
-        # Powers of coprime polynomials stay coprime, and of a monic one monic.
-        return RationalFunction(self.numerator ** k, self.denominator ** k)
+    D is primitive and integer with a positive leading coefficient; Q is
+    the numerator over the monic form of D, with exact rational
+    coefficients.  A zero num gives (0, 1).
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero():
+        return Polynomial(), Polynomial([1])
+    (cn, num), (cd, den) = num.primitive(), den.primitive()
+    g = primitive_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * (cn / (cd * den.leading)), den
 
 
 class FactorList:
@@ -290,7 +255,7 @@ class FactorList:
     def __init__(self, pairs: Sequence):
         norm = []
         for a, m in pairs:
-            a = _as_fraction(a)
+            a = Fraction(a)
             m = int(m)
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m}")
@@ -310,7 +275,7 @@ class FactorList:
         """Build a canonical FactorList, merging duplicate shifts."""
         merged: dict = {}
         for a, m in pairs:
-            a = _as_fraction(a)
+            a = Fraction(a)
             merged[a] = merged.get(a, 0) + int(m)
         return cls(sorted(merged.items()))
 
@@ -323,9 +288,10 @@ class FactorList:
         return tuple(a for a, _ in self.pairs)
 
     def expand(self) -> Polynomial:
+        """The monic product of the factors (n + a_i)^m_i."""
         p = Polynomial([1])
         for a, m in self.pairs:
-            p = p * (Polynomial.linear(a) ** m)
+            p = p * Polynomial([a, 1]) ** m
         return p
 
     def __iter__(self):
@@ -348,33 +314,22 @@ class FactorList:
 # -- linear factorization ---------------------------------------------------
 
 
-def _integer_primitive(p: Polynomial):
-    """Clear denominators and divide by content; returns integer coeff list."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    return [c // content for c in ints]
-
-
 def _square_free_parts(f: Polynomial):
-    """Yun's square-free split of a monic f: f = prod_k parts[k-1] ** k.
+    """Yun's square-free split of a primitive integer f: f = prod_k parts[k-1] ** k.
 
-    The parts are monic, square-free and pairwise coprime; a part of
-    degree 0 means no factor of that multiplicity.
+    The parts are primitive, square-free and pairwise coprime; a part of
+    degree 0 means no factor of that multiplicity.  Every division is by a
+    primitive gcd, hence exact over Z, and b and c keep a common scale.
     """
     df = f.derivative()
-    a = poly_gcd(f, df)
-    b, c = divmod(f, a)[0], divmod(df, a)[0]
+    a = primitive_gcd(f, df)
+    b, c = f.exact_div(a), df.exact_div(a)
     parts = []
     while b.degree > 0:
         d = c - b.derivative()
-        a = poly_gcd(b, d)
+        a = primitive_gcd(b, d)
         parts.append(a)
-        b, c = divmod(b, a)[0], divmod(d, a)[0]
+        b, c = b.exact_div(a), d.exact_div(a)
     return parts
 
 
@@ -404,7 +359,11 @@ def _certified_numerators(ints, prec: int):
     deg, lead = len(ints) - 1, ints[-1]
     with mpmath.workprec(prec):
         try:
-            roots = mpmath.polyroots(list(reversed(ints)), maxsteps=prec)
+            # Durand-Kerner stops once each correction is below 2^-prec; for
+            # clustered roots it needs extra bits in proportion to prec.
+            roots = mpmath.polyroots(
+                list(reversed(ints)), maxsteps=prec, extraprec=prec // 2
+            )
         except mpmath.libmp.NoConvergence:
             return None
         grid = [
@@ -438,23 +397,31 @@ def _certified_numerators(ints, prec: int):
 
 
 def _rational_roots(f: Polynomial):
-    """Rational roots of a monic square-free f, and f divided by them.
+    """Rational roots of a primitive square-free integer f, and f divided by them.
 
-    Each candidate N / lead is kept only if exact division by (n - N/lead)
-    leaves no remainder.  The starting precision is set by the sizes of
+    A candidate N / lead is kept only if f divides exactly over Z by
+    q n - p, for p/q its lowest terms.  The starting precision is set by the sizes of
     the leading coefficient and of the coefficient height, and doubles
-    until the numeric roots are certified.
+    until the numeric roots are certified, at most _MAX_DOUBLINGS times.
     """
-    ints = _integer_primitive(f)
+    ints = f.coeffs
     lead = ints[-1]
     prec = 2 * (lead.bit_length() + max(abs(c) for c in ints).bit_length()) + 32
-    while (numerators := _certified_numerators(ints, prec)) is None:
+    for _ in range(_MAX_DOUBLINGS + 1):
+        numerators = _certified_numerators(ints, prec)
+        if numerators is not None:
+            break
         prec *= 2
+    else:
+        raise PrecisionExhausted(
+            f"the roots of a degree-{f.degree} factor of the denominator were "
+            f"not certified at {prec // 2} bits"
+        )
     roots = []
     for num in sorted(numerators):
         root = Fraction(num, lead)
-        quot, rem = divmod(f, Polynomial.linear(-root))
-        if rem.is_zero():
+        quot = f.exact_div(Polynomial([-root.numerator, root.denominator]))
+        if quot is not None:
             roots.append(root)
             f = quot
     return roots, f
@@ -464,14 +431,14 @@ def factor_linear(p: Polynomial) -> FactorList:
     """Factor p into rational linear factors (n + a_i)^{m_i}.
 
     Raises NonLinearFactor when some factor has no rational root; its
-    remainder is the monic product of the factors left over, each raised
-    to its multiplicity.
+    remainder is the primitive integer product of the factors left over,
+    each raised to its multiplicity.
     """
-    if p.is_zero() or p.degree < 1:
+    if p.degree < 1:
         raise ValueError("factor_linear requires a nonzero polynomial of degree >= 1")
     pairs = []
     leftover = Polynomial([1])
-    for mult, part in enumerate(_square_free_parts(p.monic()), 1):
+    for mult, part in enumerate(_square_free_parts(p.primitive()[1]), 1):
         if part.degree < 1:
             continue
         roots, rest = _rational_roots(part)

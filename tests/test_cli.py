@@ -2,16 +2,20 @@ import dataclasses
 import json
 import math
 import re
+import time
+from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from exactsum import engine
+from exactsum import engine, parser
 from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
 from exactsum.errors import InsufficientTerms
+from exactsum.partfrac import MAX_SHIFT
 
 
 def _run(expression, **kwargs):
@@ -112,6 +116,129 @@ class TestExitCodes:
     def test_shift_just_below_limit_accepted(self):
         code, out, _ = _run("1/(n+24000)^2", format="numeric")
         assert code == 0 and out.startswith("0.00004166")
+
+    @pytest.mark.parametrize("expression", ["1/(n-n)", "1/0", "1/n^2/0"])
+    def test_division_by_zero(self, expression):
+        code, out, err = _run(expression)
+        assert (code, out, err) == (2, "", "error: division by zero\n")
+
+    def test_end_of_input_message(self):
+        code, _, err = _run("1/(n+1)^2+")
+        assert code == 2 and "unexpected end of input" in err and "None" not in err
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["1/(n+1)^2000", "1/(n+1)^999999999", "1/(n^2*((2^256)^256)^256)"],
+    )
+    def test_fold_size_limit_fails_fast(self, monkeypatch, expression):
+        # refused while folding, before the power is expanded or reduced
+        def refuse(*args):
+            raise AssertionError("reduction reached")
+
+        monkeypatch.setattr(parser, "reduced", refuse)
+        code, out, err = _run(expression)
+        assert code == 2 and out == "" and "the expression has" in err
+
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            ("1/(n+8000)^31", "the closed form's limit"),
+            ("1/(n+25000)^8", "the closed form's limit"),
+            ("1/(n+25000)^31", "the closed form's limit"),
+            ("1/(n+1)^32", "pole of order 32"),
+            ("1/n^200", "pole of order 200"),
+        ],
+    )
+    def test_spec_size_limits_fail_fast(self, monkeypatch, expression, message):
+        # refused when the spec is built (1/(n+8000)^31 once took 10.8 s in
+        # assemble, and 1/(n+25000)^31 over 90 s)
+        def refuse(*args):
+            raise AssertionError("partial fractions reached")
+
+        monkeypatch.setattr(engine, "decompose", refuse)
+        code, out, err = _run(expression)
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "expression, numeric",
+        [
+            (f"1/(n+{MAX_SHIFT})^2", "0.0000399992000106666666632533333372"),
+            ("1/(n+2000)^31", "3.08118566533783638182139529462e-101"),
+        ],
+    )
+    def test_largest_closed_forms_accepted(self, expression, numeric):
+        # both values agree with a direct partial sum whose tail is negligible
+        assert _run(expression, format="numeric") == (0, numeric + "\n", "")
+
+
+class TestFactoringPrecision:
+    SIX_POLES = "1/((n+1/3)*(n+1/2)*(n+3/5)*(n+2/3)*(n+5/7)*(n+3/4))"
+
+    def test_clustered_poles_certify_in_one_pass(self, monkeypatch):
+        # mpmath's default 10 extra bits never let Durand-Kerner converge on
+        # these six close poles, and the precision doubled without end
+        calls = []
+        polyroots = mpmath.polyroots
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("extraprec"))
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", counted)
+        start = time.perf_counter()
+        code, out, _ = _run(self.SIX_POLES, format="json")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and len(calls) == 1
+        # mpmath.nsum agrees to all 30 digits
+        assert json.loads(out)["numeric"] == "0.0664411097487909626791399092342"
+
+    def test_uncertified_roots_exit_2(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("never converges")
+
+        monkeypatch.setattr(mpmath, "polyroots", diverge)
+        code, out, err = _run(self.SIX_POLES)
+        assert code == 2 and out == "" and "not certified" in err
+
+
+_numbers = st.one_of(
+    st.integers(0, 30).map(str),
+    st.builds("{}.{}".format, st.integers(0, 9), st.integers(0, 99)),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 9)),
+)
+_expressions = st.recursive(
+    st.one_of(st.just("n"), _numbers),
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 4)),
+        inner.map("-{}".format),
+    ),
+    max_leaves=10,
+)
+_poles = st.builds("(n {} {})^{}".format, st.sampled_from("+-"), _numbers, st.integers(1, 3))
+_summands = st.one_of(
+    _expressions,
+    st.builds(
+        "({})/({})".format,
+        _expressions,
+        st.lists(st.one_of(_poles, _expressions), min_size=1, max_size=5).map("*".join),
+    ),
+)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_summands, st.booleans(), st.booleans())
+def test_grammar_fuzz_exits_cleanly(expression, alternating, verify):
+    """Any expression in the grammar ends in exit 0, 2 or 3, never a traceback."""
+    sign = "alternating" if alternating else "plain"
+    code, _, err = _run(expression, sign=sign, verify=verify)
+    assert code in (0, 2, 3), err
 
 
 class TestLargeShifts:

@@ -4,6 +4,7 @@ import pytest
 
 from exactsum.errors import (
     DegreeTooHigh,
+    DivisionByZero,
     ExpressionSyntaxError,
     NegativeIntegerShift,
     NonLinearFactor,
@@ -70,6 +71,15 @@ class TestGrammar:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("n^(1/2)")
 
+    def test_end_of_input_named(self):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression("1/(n+1)^2+")
+        assert exc.value.offset == 10
+        assert "unexpected end of input" in str(exc.value)
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression("1/n^2 3")
+        assert "unexpected token '3'" in str(exc.value)
+
     def test_whitespace_tolerated(self):
         assert parse_expression(" 1 / ( n + 1 ) ") == parse_expression("1/(n+1)")
 
@@ -107,6 +117,22 @@ class TestAstToSpec:
         # integer shift!) cancels before validation
         spec = ast_to_spec(parse_expression("(n-1)/((n-1)*n^2)"), "plain")
         assert spec.factors.pairs == ((F(0), 2),)
+
+    def test_division_by_zero(self):
+        for text in ("1/(n-n)", "1/0", "n/((n+1)*(2-2))"):
+            with pytest.raises(DivisionByZero):
+                ast_to_spec(parse_expression(text), "plain")
+
+    def test_fold_degree_limit(self):
+        with pytest.raises(DegreeTooHigh) as exc:
+            ast_to_spec(parse_expression("1/(n^2+1)^129"), "plain")
+        assert "degree 258 > 256" in str(exc.value)
+
+    def test_integer_fold_keeps_rational_numerator(self):
+        # (2/3)/(2n^2 + n) is (1/3)/(n^2 + n/2) over the monic denominator
+        spec = ast_to_spec(parse_expression("(2/3)/(2*n^2+n)"), "plain")
+        assert spec.numerator == Polynomial([F(1, 3)])
+        assert spec.factors.pairs == ((F(0), 1), (F(1, 2), 1))
 
     def test_alternating_degree_allowance(self):
         spec = ast_to_spec(parse_expression("(n+1)/(n^2+n/2)"), "alternating")

@@ -2,13 +2,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactsum.engine import evaluate
 from exactsum.errors import DegreeTooHigh, OrderTooLarge, ShiftTooLarge
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.partfrac import MAX_SHIFT, PartialFractions, decompose, recombine
-from exactsum.polys import FactorList, Polynomial
+from exactsum.partfrac import (
+    MAX_CLOSED_FORM,
+    MAX_MULTIPLICITY,
+    MAX_SHIFT,
+    PartialFractions,
+    decompose,
+    recombine,
+)
+from exactsum.polys import Polynomial, reduced
 
 from conftest import make_spec, random_plain_spec
+
+
+def rational_function(spec):
+    """The spec's Q/P in lowest terms, as recombine returns it."""
+    return reduced(spec.numerator, spec.factors.expand())
 
 
 class TestDecomposeExamples:
@@ -32,7 +43,7 @@ class TestDecomposeExamples:
         assert pf.coefficient(1, 2) == -2
         assert pf.coefficient(F(1, 2), 1) == 4
         # pinned by exact recombination
-        assert recombine(pf) == make_spec([(1, 2), (F(1, 2), 1)]).rational_function()
+        assert recombine(pf) == rational_function(make_spec([(1, 2), (F(1, 2), 1)]))
 
     def test_degree_too_high_plain(self):
         with pytest.raises(DegreeTooHigh):
@@ -48,24 +59,25 @@ class TestDecomposeExamples:
 class TestRecombine:
     def test_half_shift_pair_roundtrip(self):
         pf = PartialFractions(((F(0), 1, F(2)), (F(1, 2), 1, F(-2))))
-        rf = recombine(pf)
-        assert rf.numerator == Polynomial([1])
-        assert rf.denominator == Polynomial([0, F(1, 2), 1])
+        num, den = recombine(pf)
+        assert num == Polynomial([1])
+        assert den == Polynomial([0, 1, 2])  # primitive: (n^2 + n/2) * 2
 
     def test_empty_table(self):
-        assert recombine(PartialFractions(())).is_zero()
+        num, _ = recombine(PartialFractions(()))
+        assert num.is_zero()
 
     def test_single_term(self):
-        rf = recombine(PartialFractions(((F(0), 2, F(1)),)))
-        assert rf.numerator == Polynomial([1])
-        assert rf.denominator == Polynomial([0, 0, 1])
+        num, den = recombine(PartialFractions(((F(0), 2, F(1)),)))
+        assert num == Polynomial([1])
+        assert den == Polynomial([0, 0, 1])
 
 
 def test_roundtrip_randomized(rng):
     for _ in range(40):
         spec = random_plain_spec(rng)
         pf = decompose(spec)
-        assert recombine(pf) == spec.rational_function()
+        assert recombine(pf) == rational_function(spec)
 
 
 def test_simple_pole_sum_vanishes(rng):
@@ -89,7 +101,7 @@ def test_alternating_degree_n_minus_1_nonzero_pole_sum():
     )
     pf = decompose(spec)
     assert pf.simple_pole_sum() == 1
-    assert recombine(pf) == spec.rational_function()
+    assert recombine(pf) == rational_function(spec)
 
 
 @pytest.mark.parametrize(
@@ -104,16 +116,14 @@ def test_alternating_degree_n_minus_1_nonzero_pole_sum():
 def test_roundtrip_hard_denominators(pairs):
     spec = make_spec(pairs, numerator=Polynomial([3, -1, F(1, 2)]))
     pf = decompose(spec)
-    assert recombine(pf) == spec.rational_function()
+    assert recombine(pf) == rational_function(spec)
     assert pf.simple_pole_sum() == 0
 
 
 def test_order_200_pole_rejected():
-    spec = ast_to_spec(parse_expression("1/n^200"))
-    assert spec.factors == FactorList([(0, 200)])
-    assert decompose(spec).coefficient(0, 200) == 1
+    # the multiplicity limit refuses the spec before any partial fractions
     with pytest.raises(OrderTooLarge):
-        evaluate(spec)
+        ast_to_spec(parse_expression("1/n^200"))
 
 
 def test_shift_height_limit():
@@ -122,3 +132,18 @@ def test_shift_height_limit():
     for a in (MAX_SHIFT + 1, F(-2 * MAX_SHIFT - 1, 2)):
         with pytest.raises(ShiftTooLarge):
             make_spec([(a, 2)])
+
+
+def test_multiplicity_limit():
+    assert make_spec([(0, MAX_MULTIPLICITY)]).factors.total_degree == MAX_MULTIPLICITY
+    with pytest.raises(OrderTooLarge):
+        make_spec([(0, MAX_MULTIPLICITY + 1)])
+
+
+def test_closed_form_limit():
+    # sum of (|a| + 1) m: 4 (a + 1) is exactly the limit at the first shift
+    a = MAX_CLOSED_FORM // 4 - 1
+    assert make_spec([(a, 4)]).factors.total_degree == 4
+    for pairs in ([(a + 1, 4)], [(a, 4), (F(1, 2), 1)]):
+        with pytest.raises(ShiftTooLarge):
+            make_spec(pairs)

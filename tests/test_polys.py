@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactsum.errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
-from exactsum.polys import (
-    FactorList,
-    Polynomial,
-    RationalFunction,
-    factor_linear,
-    poly_gcd,
-)
+from exactsum.polys import FactorList, Polynomial, factor_linear, primitive_gcd, reduced
 
 
 def P(*coeffs):
@@ -22,47 +16,53 @@ class TestArithmetic:
         assert P(1, 1) * P(-1, 1) == P(-1, 0, 1)
 
     def test_divmod_by_hand(self):
-        # (n^2 + n/2) / n  ->  q = n + 1/2, r = 0
-        q, r = divmod(P(0, F(1, 2), 1), P(0, 1))
-        assert q == P(F(1, 2), 1)
-        assert r.is_zero()
+        # (2n^2 + n) / n  ->  2n + 1 exactly over Z
+        assert P(0, 1, 2).exact_div(P(0, 1)) == P(1, 2)
+        # 3n + 1 does not divide 2n^2 + n over Q, nor 2 divide 2n + 1 over Z
+        assert P(0, 1, 2).exact_div(P(1, 3)) is None
+        assert P(1, 2).exact_div(P(2)) is None
 
     def test_add_zero_identity(self):
         p = P(3, F(1, 7), 2)
         assert p + Polynomial() == p
 
     def test_divmod_reconstructs(self):
-        lhs, rhs = P(1, 0, -2, 5), P(F(1, 3), 1)
-        q, r = divmod(lhs, rhs)
-        assert q * rhs + r == lhs
-        assert r.degree < rhs.degree
+        lhs, rhs = P(1, 0, -2, 5), P(1, 3)
+        assert (lhs * rhs).exact_div(rhs) == lhs
+        assert (lhs * rhs + P(1)).exact_div(rhs) is None
 
     def test_division_by_zero_polynomial(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(P(1, 1), Polynomial())
+        with pytest.raises(ValueError):
+            P(1, 1).exact_div(Polynomial())
 
     def test_degree_of_zero(self):
         assert Polynomial().degree == -1
 
     def test_evaluation(self):
         p = P(1, 0, 1)  # n^2 + 1
-        assert p.eval_fraction(F(1, 2)) == F(5, 4)
-        assert p(2.0) == 5.0
+        assert p.value(F(1, 2)) == F(5, 4)
+        assert p.value(2.0) == 5.0
+        assert p.compose(2, -1) == P(2, -4, 4)  # (2n - 1)^2 + 1
+
+    def test_primitive_part(self):
+        content, prim = P(F(-2, 3), 0, F(4, 9)).primitive()
+        assert (content, prim) == (F(2, 9), P(-3, 0, 2))
+        assert P(0, -6).primitive() == (F(-6), P(0, 1))
 
 
 class TestGcd:
     def test_common_linear_factor(self):
-        assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)
+        assert primitive_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)
 
-    def test_gcd_with_zero_is_monic(self):
-        assert poly_gcd(P(2, 4), Polynomial()) == P(F(1, 2), 1)
+    def test_gcd_with_zero_is_primitive(self):
+        assert primitive_gcd(P(2, 4), Polynomial()) == P(1, 2)
 
     def test_distinct_roots_coprime(self):
-        assert poly_gcd(P(0, 1), P(F(1, 2), 1)) == P(1)
+        assert primitive_gcd(P(0, 1), P(F(1, 2), 1)) == P(1)
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
-            poly_gcd(Polynomial(), Polynomial())
+            primitive_gcd(Polynomial(), Polynomial())
 
 
 class TestFactorLinear:
@@ -114,7 +114,7 @@ class TestFactorLinear:
         p = m * P(F(-1, 10 ** 5), 1) ** 2 * P(F(1, 10 ** 5 + 1), 1)
         with pytest.raises(NonLinearFactor) as exc:
             factor_linear(p)
-        assert exc.value.remainder == m.monic()
+        assert exc.value.remainder == m  # m is monic
 
     def test_remainder_is_monic_leftover(self):
         p = P(1, 0, 1) * FactorList([(F(1, 2), 2)]).expand() * 3
@@ -143,27 +143,23 @@ class TestFactorList:
 
 
 class TestRfNormalize:
-    """Reduction of a quotient by RationalFunction.from_polys."""
+    """Reduction of a quotient by `reduced`."""
 
     def test_cancel_common_factor(self):
         # (n-1)/(n^2-1) -> 1/(n+1)
-        rf = RationalFunction.from_polys(P(-1, 1), P(-1, 0, 1))
-        assert rf.numerator == P(1)
-        assert rf.denominator == P(1, 1)
+        assert reduced(P(-1, 1), P(-1, 0, 1)) == (P(1), P(1, 1))
 
     def test_scalar_cancellation(self):
-        rf = RationalFunction.from_polys(P(2), P(0, 2))  # 2/(2n) -> 1/n
-        assert rf.numerator == P(1)
-        assert rf.denominator == P(0, 1)
+        assert reduced(P(2), P(0, 2)) == (P(1), P(0, 1))  # 2/(2n) -> 1/n
 
     def test_already_reduced(self):
-        rf = RationalFunction.from_polys(P(1), P(0, F(1, 2), 1))
-        assert rf.numerator == P(1)
-        assert rf.denominator == P(0, F(1, 2), 1)
+        # the numerator is over the monic denominator, n^2 + n/2
+        assert reduced(P(1), P(0, F(1, 2), 1)) == (P(1), P(0, 1, 2))
+        assert reduced(P(3), P(0, -2, -4)) == (P(F(-3, 4)), P(0, 1, 2))
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            RationalFunction.from_polys(P(1), Polynomial())
+            reduced(P(1), Polynomial())
 
 
 # -- properties -----------------------------------------------------------------
@@ -199,10 +195,10 @@ def test_gcd_divides_both(cs1, cs2):
     p, q = Polynomial(cs1), Polynomial(cs2)
     if p.is_zero() and q.is_zero():
         return
-    g = poly_gcd(p, q)
+    g = primitive_gcd(p, q)
     for x in (p, q):
         if not x.is_zero():
-            assert divmod(x, g)[1].is_zero()
+            assert x.primitive()[1].exact_div(g) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,6 +207,5 @@ def test_rf_normalize_idempotent(num, den):
     pn, pd = Polynomial(num), Polynomial(den)
     if pd.is_zero():
         return
-    rf = RationalFunction.from_polys(pn, pd)
-    again = RationalFunction.from_polys(rf.numerator, rf.denominator)
-    assert again == rf
+    num, den = reduced(pn, pd)
+    assert reduced(num, den * F(1, den.leading)) == (num, den)
