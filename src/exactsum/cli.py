@@ -8,8 +8,10 @@ Exit codes: 0 success, 2 input/validation error, 3 verification failure.
 --verify certifies the printed value: the partial-sum bracket (printed
 rounded outward to D digits) must be narrower than one unit in the last
 printed digit and meet the printed value +- half that unit, and the
-quadrature value must agree with it to ceil(D/2) digits.  Quadrature
-applies to every sum, plain or alternating, whose shifts are all > -1.
+quadrature value must agree with it to ceil(D/2) significant digits (to
+10^-ceil(D/2) absolutely when the printed value is 0).  Quadrature
+applies to every sum, plain or alternating, whose shifts are all > -1,
+and integrates the whole partial-fraction table once over [0, 1].
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def _agrees(numeric_text: str, numeric, bracket, quad, digits: int) -> bool:
 
     The bracket must be narrower than the printed value's last unit and
     meet its half-unit interval (an exact zero must lie in the bracket);
-    quadrature, where it applies, must be within 10^-quad_digits(d) max(1, |quad|).
+    quadrature, where it applies, must be within 10^-quad_digits(d) |numeric|,
+    or within 10^-quad_digits(d) of a printed 0.
     """
     printed = Decimal(numeric_text)
     ulp = Fraction(10) ** (printed.adjusted() - digits + 1) if printed else Fraction(0)
@@ -89,7 +92,7 @@ def _agrees(numeric_text: str, numeric, bracket, quad, digits: int) -> bool:
     if quad is None:
         return certified
     with mpmath.workdps(digits + 10):
-        tol = mpmath.mpf(10) ** -quad_digits(digits) * max(1, abs(quad))
+        tol = mpmath.mpf(10) ** -quad_digits(digits) * (abs(numeric) if printed else 1)
         return certified and abs(numeric - quad) <= tol
 
 

@@ -56,9 +56,8 @@ class SymbolicValue:
         for coeff, order, arg in residuals:
             key = (order, arg)
             merged[key] = merged.get(key, Fraction(0)) + coeff
-        rs = tuple(
-            (c, o, a) for (o, a), c in sorted(merged.items()) if c != 0
-        )
+        # a list, not a generator: see polys.Polynomial.primitive
+        rs = tuple([(c, o, a) for (o, a), c in sorted(merged.items()) if c != 0])
         return cls(cs, rs)
 
     @classmethod

@@ -2,11 +2,13 @@
 
 Two routes that never touch the master formula: a partial-sum bracket with
 a rigorously bounded tail, and tanh-sinh quadrature of one integral
-representation of the whole partial-fraction table, for either sign.  The
-bracket reads only the `SumSpec`, never the partial-fraction table or the
-polygamma kernel.  Quadrature is a verifier, not the product: the CLI
-checks it to quad_digits(d) = ceil(d/2) of the d printed digits, and it
-integrates at ten digits more than that.
+representation of the whole partial-fraction table over s in [0, 1], one
+mpmath.quad call for either sign.  The bracket reads only the `SumSpec`,
+never the partial-fraction table or the polygamma kernel.  Quadrature is a
+verifier, not the product: the CLI checks it to quad_digits(d) = ceil(d/2)
+significant digits of the d printed ones, and it integrates at ten digits
+more than that, rerunning at more where its error estimate is not within
+that many digits of the integral.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -50,7 +52,7 @@ from .polys import Polynomial
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
 _LOG2_2PI = math.log2(2 * math.pi)
-_RESOLVE_DIGITS = 60  # digits of cancellation below M resolved beyond the target
+_RESOLVE_DIGITS = 60  # digits of cancellation below the sum's scale resolved beyond the target
 _HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30-1000
 
 
@@ -214,9 +216,10 @@ def partial_sum_bracket(
     """Interval containing the sum, of half-width 10^-(target+3) |S|.
 
     The first pass aims at 10^-(target+3) M; a pass that does not reach
-    the goal is repeated at a tolerance set from what it resolved.  A sum
-    too close to zero to resolve at _RESOLVE_DIGITS beyond that, such as
-    an exact zero, gets the last pass's bracket instead.  The head length
+    the goal is repeated at a tolerance set from what it resolved.  Once a
+    pass excludes zero, one more pass reaches the goal; a bracket that
+    still straddles zero _RESOLVE_DIGITS beyond the first tolerance, such
+    as an exact zero's, is the last pass's bracket instead.  The head length
     N >= 4 rho grows with the poles' moduli; a head above _HEAD_TERMS_MAX
     terms raises InsufficientTerms.
     """
@@ -231,9 +234,8 @@ def partial_sum_bracket(
         m_bound /= (rho - abs(p)) ** m
     rel = Fraction(1, 10 ** (policy.target_digits + 3))
     floor = rel * m_bound / 10 ** _RESOLVE_DIGITS
-    scale = m_bound
+    tol = rel * m_bound / 2
     while True:
-        tol = max(rel * scale / 2, floor)
         lo, hi, w, n = _bracket(num, den, poles, rho, m_bound, tol)
         s_min = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         goal = s_min * rel.numerator // rel.denominator
@@ -241,10 +243,14 @@ def partial_sum_bracket(
             mid = (lo + hi) // 2
             lo, hi = mid - goal, mid + goal
             break
-        if tol == floor:
+        if s_min:
+            # |S| >= s_min, so a pass at this tolerance is the last one
+            tol = rel * Fraction(s_min, 1 << w) / 2
+        elif tol > floor:
+            # |S| <= hi - lo while the bracket straddles zero
+            tol = max(rel * Fraction(hi - lo, 1 << w) / 2, floor)
+        else:
             break
-        # |S| >= s_min, or |S| <= hi - lo when the bracket straddles zero
-        scale = Fraction(s_min or hi - lo, 1 << w)
     return Bracket(_dyadic(lo, w), _dyadic(hi, w), n)
 
 
@@ -259,17 +265,6 @@ def quad_digits(digits: int) -> int:
 def _quad_dps(policy: PrecisionPolicy) -> int:
     # ten guard digits above what the check uses keep tanh-sinh inside it
     return quad_digits(policy.target_digits) + 10
-
-
-def _expm1(y: mpf) -> mpf:
-    """e^y - 1 for small |y|, computed as exp(y) - 1 with the bits it cancels added.
-
-    mpmath.expm1 goes through its slower accurate-summation path.
-    """
-    if not y:
-        return mpf(0)
-    with mpmath.extraprec(max(0, -mpmath.mag(y)) + 10):
-        return mpmath.exp(y) - 1
 
 
 def _table(pf: PartialFractions):
@@ -303,52 +298,51 @@ def _integrand(entries, m: int, sign: int):
     return f
 
 
+def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> mpf:
+    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over s in [0, 1].
+
+    For sign +1 the integrand is 0/0 at s = 1.  mpmath's tanh-sinh nodes
+    stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
+    so that costs bits only at nodes whose weights are ~2^-prec.
+
+    mpmath stops on an absolute error, so a pass is accepted only when its
+    error estimate is within 10^-quad_digits(d) |I|; otherwise it reruns at
+    the digits it fell short by.  Reruns stop once they resolve
+    _RESOLVE_DIGITS below the largest |A_ij|, where an exact zero ends.
+    """
+    entries, m = _table(pf)
+    want = quad_digits(policy.target_digits)
+    dps = _quad_dps(policy)
+    scale = max((_log2(abs(c)) for _, _, c in entries), default=0.0) * math.log10(2)
+    ceiling = dps + _RESOLVE_DIGITS - math.floor(scale)
+    while True:
+        with mpmath.workdps(dps):
+            value, err = mpmath.quad(_integrand(entries, m, sign), [0, 1], error=True)
+            goal = mpmath.mpf(10) ** -want * abs(value)
+            if err <= goal or dps >= ceiling:
+                return value
+            # the pass resolved max(err, eps) absolutely
+            short = mpmath.log10(max(err, mpmath.eps) / goal) if goal else ceiling - dps
+        dps = min(ceiling, dps + math.ceil(short))
+
+
 def quad_alternating(
     pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> mpf:
-    """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j as one integral over s in [0, 1].
-
-    The integrand has no singularity at u = 1, so it needs neither a
-    constraint on the A_i1 nor a separate head.
-    """
-    entries, m = _table(pf)
-    with mpmath.workdps(_quad_dps(policy)):
-        return +mpmath.quad(_integrand(entries, m, -1), [0, 1])
+    """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j by quadrature of the whole table."""
+    return _quad(pf, -1, policy)
 
 
 def quad_general(
     pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> mpf:
-    """sum_n sum_ij A_ij/(n + a_i)^j as an integral of the whole table.
+    """sum_n sum_ij A_ij/(n + a_i)^j by quadrature of the whole table.
 
-    In x = -ln u the integrand is sum_ij A_ij/(j-1)! x^(j-1) e^(-(a_i+1)x)
-    / (1 - e^(-x)).  Its j = 1 part converges at x = 0 only jointly under
-    sum_i A_i1 = 0, so the head x in (0, 1] subtracts the cancelling 1/x
-    pieces through expm1.  The tail x > 1 is the shared integrand, in
-    which those pieces sum to zero and are left out.
+    The j = 1 terms' 1/(1 - u) poles at u = 1 cancel only jointly, under
+    sum_i A_i1 = 0; without it the integral diverges.
     """
-    entries, m = _table(pf)
     if pf.simple_pole_sum() != 0:
         raise ConstraintViolated(
             "sum of simple-pole coefficients must vanish for the combined integral"
         )
-    with mpmath.workdps(_quad_dps(policy)):
-        simple = [(to_mpf(a), to_mpf(c)) for a, j, c in entries if j == 1]
-        higher = [
-            (to_mpf(a), j, to_mpf(c / math.factorial(j - 1)))
-            for a, j, c in entries
-            if j >= 2
-        ]
-
-        def f_head(x):
-            denom = -_expm1(-x)
-            acc = mpmath.mpf(0)
-            for am, cm in simple:
-                acc += cm * _expm1(-(am + 1) * x)
-            for am, j, cm in higher:
-                acc += cm * x ** (j - 1) * mpmath.exp(-(am + 1) * x)
-            return acc / denom
-
-        head = mpmath.quad(f_head, [0, 1])
-        tail = mpmath.quad(_integrand(entries, m, 1), [0, mpmath.exp(mpmath.mpf(-1) / m)])
-        return +(head + tail)
+    return _quad(pf, 1, policy)

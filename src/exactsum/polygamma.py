@@ -3,7 +3,8 @@
 `psi_sum` takes the whole term list [(c, n, x)] with rational c and x and
 works on integers scaled by 2^W.  Terms are grouped by residue class
 (q, p mod q) of x = p/q.  Each class climbs one upward ladder from its
-smallest argument to X = P/q past the shift threshold; a rung adds the
+smallest argument to X = P/q past the shift threshold, and further while
+the series there cannot reach its coefficients' precision; a rung adds the
 accumulated integer coefficients C_n over one power of its argument, with
 one division, so cancellation inside a class costs no precision, and a
 class whose C_n all cancel stops at its last term with no series.  At X
@@ -41,15 +42,15 @@ from .errors import OrderTooLarge, PoleArgument, PrecisionExhausted
 
 MAX_ORDER = 30
 MAX_WORKING_BITS = 10_000  # precision ceiling of the Ziv loop (~3000 digits)
+GUARD_DIGITS = 10  # working digits beyond the target
 _ZIV_GUARD_DIGITS = 5  # digits a rerun adds beyond the measured shortfall
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Target output digits plus guard digits for intermediate work."""
+    """Target output digits; work runs GUARD_DIGITS beyond them."""
 
     target_digits: int = 30
-    guard_digits: int = 10
 
     def __post_init__(self):
         if self.target_digits < 10:
@@ -57,7 +58,7 @@ class PrecisionPolicy:
 
     @property
     def working_digits(self) -> int:
-        return self.target_digits + self.guard_digits
+        return self.target_digits + GUARD_DIGITS
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -170,11 +171,12 @@ def _shift_threshold(working_digits: int, order: int) -> int:
     return 3 * working_digits // 2 + order
 
 
-def _series_plan(order: int, log2_x: float, tol_bits: float) -> int:
-    """K for the asymptotic series at X = 2^log2_x.
+def _series_plan(order: int, log2_x: float, tol_bits: float):
+    """K for the asymptotic series at X = 2^log2_x, or None if X is too small.
 
     K terms k = 1..K leave a first omitted term below 2^-tol_bits, using
-    |B_2k| (2k+n-1)!/(2k)! < C_k = 4 (2k+n-1)!/(2 pi)^(2k).
+    |B_2k| (2k+n-1)!/(2k)! < C_k = 4 (2k+n-1)!/(2 pi)^(2k).  None means the
+    terms start growing before one falls below 2^-tol_bits.
     """
     n = order
 
@@ -186,7 +188,7 @@ def _series_plan(order: int, log2_x: float, tol_bits: float) -> int:
     lo = 0
     hi = max(1, (int(2.0 ** min(60.0, _LOG2_2PI + log2_x)) - n) // 2)
     if log2_coeff(hi) - (2 * hi + n) * log2_x >= -tol_bits:
-        raise ArithmeticError("asymptotic series diverges before reaching precision")
+        return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if log2_coeff(mid) - (2 * mid + n) * log2_x < -tol_bits:
@@ -394,9 +396,15 @@ def _psi_pass(classes, w: int, wd: int):
             errs.append(err)
             continue
         steps = max(last, -((p0 - _shift_threshold(wd, max(totals)) * q) // q))
-        big_p = p0 + steps * q
-        log2_x = math.log2(big_p) - math.log2(q)
-        terms = max(_series_plan(n, log2_x, w + math.log2(abs(c))) for n, c in totals.items())
+        while True:
+            big_p = p0 + steps * q
+            log2_x = math.log2(big_p) - math.log2(q)
+            plans = [_series_plan(n, log2_x, w + math.log2(abs(c))) for n, c in totals.items()]
+            if None not in plans:
+                break
+            # coefficients far above the threshold's precision: climb to 2X
+            steps += -(-big_p // q)
+        terms = max(plans)
         if len(_even_bernoulli) <= terms:
             _fill_bernoulli(max(2 * terms, _bernoulli_limit(wd)))
         value, err = _ladder(q, p0, events, steps, w)
@@ -441,7 +449,8 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
         _check_pole(x, policy)
         if c:
             checked.append((c, n, x))
-    d = math.lcm(*(c.denominator for c, _, _ in checked))
+    # a list, not a generator: see polys.Polynomial.primitive
+    d = math.lcm(*[c.denominator for c, _, _ in checked])
     classes = _classes(checked, d)
     est = max((_log2_size(c, n, x) for c, n, x in checked), default=0.0)
     target = policy.target_digits

@@ -23,7 +23,7 @@ from exactsum.polygamma import PrecisionPolicy, digamma, polygamma, to_mpf, zeta
 
 from conftest import make_spec, random_plain_spec, random_shift
 
-POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
+POLICY = PrecisionPolicy(target_digits=30)
 ABS_TOL_EXP = -12
 
 

@@ -259,6 +259,18 @@ class TestLargeShifts:
         assert json.loads(out)["exact"] + "\n" == m[0]
 
 
+    def test_coefficients_far_above_the_shift_threshold(self):
+        # the psi series at the usual shift threshold cannot reach these
+        # coefficients' precision; this ended in an ArithmeticError traceback
+        expression = "1/((n+200)^31*(n+1/2)^31*(n+3/2)^31)"
+        code, out, err = _run(expression, format="json", verify=True)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        v = doc["verify"]
+        assert v["agree"] is True
+        assert Decimal(v["bracket_lo"]) <= Decimal(doc["numeric"]) <= Decimal(v["bracket_hi"])
+
+
 class TestCancellationDigit:
     """The alternating spec whose value ...93286097491 once printed ...974."""
 
@@ -389,6 +401,24 @@ class TestVerify:
         code, out, err = _run("1/n^2", verify=True)
         assert code == 3
         assert "agree: false" in out
+
+    def test_verify_high_order_at_large_shift(self):
+        # S ~ 2.9e-71 lies 71 digits below the bracket's bound M = 1 on |h|;
+        # the bracket once stopped 8.8e-95 wide against a printed unit of 1e-100
+        code, out, err = _run("1/(n+200)^31", format="json", verify=True)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        v = doc["verify"]
+        assert v["agree"] is True
+        assert Decimal(v["bracket_hi"]) - Decimal(v["bracket_lo"]) <= Decimal("1e-100")
+        with mpmath.workdps(50):
+            quad = mpmath.mpf(v["quadrature"])
+            assert abs(quad - mpmath.mpf(doc["numeric"])) <= mpmath.mpf(10) ** -15 * quad
+
+    def test_verify_at_1000_digits(self):
+        code, out, err = _run("1/(n^2*(n+1/2))", digits=1000, verify=True)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith("agree: true")
 
     def test_verify_shift_between_minus_one_and_zero(self):
         # quadrature must reach 10^-15 here, where it once reached 4.5e-11

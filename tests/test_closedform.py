@@ -23,7 +23,7 @@ from exactsum.polys import Polynomial
 
 from conftest import make_spec, symbolic_numeric
 
-POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
+POLICY = PrecisionPolicy(target_digits=30)
 
 
 class TestPsiClosed:

@@ -16,7 +16,7 @@ from exactsum.polygamma import PrecisionPolicy, digamma, psi_sum, to_mpf
 
 from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric
 
-POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
+POLICY = PrecisionPolicy(target_digits=30)
 
 
 class TestKnownClosedForms:

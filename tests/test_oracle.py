@@ -15,7 +15,7 @@ from exactsum.polys import Polynomial
 
 from conftest import make_spec, random_plain_spec
 
-POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
+POLICY = PrecisionPolicy(target_digits=30)
 QUAD_TOL_EXP = -15  # error target 10^(-target/2)
 
 
@@ -266,6 +266,28 @@ class TestQuadAlternating:
 
 
 class TestQuadGeneral:
+    def test_one_integral_over_the_unit_interval(self, monkeypatch):
+        calls = []
+        quad = mpmath.quad
+
+        def counted(f, *points, **kwargs):
+            calls.append(points)
+            return quad(f, *points, **kwargs)
+
+        monkeypatch.setattr(mpmath, "quad", counted)
+        quad_general(decompose(make_spec([(0, 2), (F(1, 2), 1)])), POLICY)
+        assert calls == [([0, 1],)]
+
+    @pytest.mark.parametrize("shift", [20, 200])
+    def test_relative_accuracy_far_below_one(self, shift):
+        # S ~ 1.4e-41 and 2.9e-71: mpmath.quad stops on an absolute error,
+        # which once left these two right to only 3 and 1 digits
+        spec = make_spec([(shift, 31)])
+        engine = evaluate(spec, POLICY).numeric
+        quad = quad_general(decompose(spec), POLICY)
+        with mpmath.workdps(40):
+            assert abs(quad - engine) <= mpmath.mpf(10) ** QUAD_TOL_EXP * abs(engine)
+
     def test_basel(self):
         with mpmath.workdps(40):
             pf = decompose(make_spec([(0, 2)]))

@@ -15,7 +15,7 @@ from exactsum.polygamma import (
     zeta_int,
 )
 
-POLICY = PrecisionPolicy(target_digits=30, guard_digits=10)
+POLICY = PrecisionPolicy(target_digits=30)
 
 # Reference digits, frozen from widely tabulated constants.
 with mpmath.workdps(40):
