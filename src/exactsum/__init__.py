@@ -27,7 +27,7 @@ from .errors import (
 from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
-from .polygamma import PrecisionPolicy, PsiSum, digamma, psi_sum, zeta_int
+from .polygamma import PrecisionPolicy, PsiSum, psi_sum
 from .polys import FactorList, Polynomial, factor_linear
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "assemble",
     "ast_to_spec",
     "decompose",
-    "digamma",
     "evaluate",
     "factor_linear",
     "parse_expression",
@@ -68,7 +67,6 @@ __all__ = [
     "quad_general",
     "recombine",
     "render",
-    "zeta_int",
 ]
 
 __version__ = "0.1.0"

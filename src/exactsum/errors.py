@@ -36,7 +36,7 @@ class DivisionByZero(ExactSumError, ZeroDivisionError):
 
 
 class PoleArgument(ExactSumError):
-    """Digamma/polygamma argument is (numerically) a non-positive integer."""
+    """Digamma/polygamma argument is a non-positive integer."""
 
 
 class OrderTooLarge(ExactSumError):

@@ -6,9 +6,10 @@ representation of the whole partial-fraction table over s in [0, 1], one
 mpmath.quad call for either sign.  The bracket reads only the `SumSpec`,
 never the partial-fraction table or the polygamma kernel.  Quadrature is a
 verifier, not the product: the CLI checks it to quad_digits(d) = ceil(d/2)
-significant digits of the d printed ones, and it integrates at ten digits
-more than that, rerunning at more where its error estimate is not within
-that many digits of the integral.
+significant digits of the d printed ones, and it integrates the table
+divided by the power of 2 nearest below its largest coefficient at ten
+digits more than that, rerunning at more where its error estimate is not
+within that many digits of the integral.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -218,10 +219,10 @@ def partial_sum_bracket(
     The first pass aims at 10^-(target+3) M; a pass that does not reach
     the goal is repeated at a tolerance set from what it resolved.  Once a
     pass excludes zero, one more pass reaches the goal; a bracket that
-    still straddles zero _RESOLVE_DIGITS beyond the first tolerance, such
-    as an exact zero's, is the last pass's bracket instead.  The head length
-    N >= 4 rho grows with the poles' moduli; a head above _HEAD_TERMS_MAX
-    terms raises InsufficientTerms.
+    still straddles zero _RESOLVE_DIGITS below 10^-(target+3) max |h(k)|
+    over 1 <= k <= 4 rho, such as an exact zero's, is the last pass's
+    bracket instead.  The head length N >= 4 rho grows with the poles'
+    moduli; a head above _HEAD_TERMS_MAX terms raises InsufficientTerms.
     """
     num, den, poles = _summand(spec)
     if num.is_zero():
@@ -233,8 +234,8 @@ def partial_sum_bracket(
     for p, m in poles:
         m_bound /= (rho - abs(p)) ** m
     rel = Fraction(1, 10 ** (policy.target_digits + 3))
-    floor = rel * m_bound / 10 ** _RESOLVE_DIGITS
     tol = rel * m_bound / 2
+    floor = None
     while True:
         lo, hi, w, n = _bracket(num, den, poles, rho, m_bound, tol)
         s_min = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
@@ -246,11 +247,18 @@ def partial_sum_bracket(
         if s_min:
             # |S| >= s_min, so a pass at this tolerance is the last one
             tol = rel * Fraction(s_min, 1 << w) / 2
-        elif tol > floor:
-            # |S| <= hi - lo while the bracket straddles zero
-            tol = max(rel * Fraction(hi - lo, 1 << w) / 2, floor)
-        else:
+            continue
+        if floor is None:
+            # M bounds h near the poles, far above the terms when they lie
+            # close to the circle; the floor takes the terms' scale, to a
+            # factor of 2, instead
+            bits = max(abs(num.value(k)).bit_length() - abs(den.value(k)).bit_length()
+                       for k in range(1, 4 * rho + 1))
+            floor = rel * Fraction(2) ** bits / 10 ** _RESOLVE_DIGITS
+        if tol <= floor:
             break
+        # |S| <= hi - lo while the bracket straddles zero
+        tol = max(rel * Fraction(hi - lo, 1 << w) / 2, floor)
     return Bracket(_dyadic(lo, w), _dyadic(hi, w), n)
 
 
@@ -305,22 +313,26 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> mpf:
     stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
     so that costs bits only at nodes whose weights are ~2^-prec.
 
-    mpmath stops on an absolute error, so a pass is accepted only when its
-    error estimate is within 10^-quad_digits(d) |I|; otherwise it reruns at
-    the digits it fell short by.  Reruns stop once they resolve
-    _RESOLVE_DIGITS below the largest |A_ij|, where an exact zero ends.
+    The table is divided by 2^e, e = floor(log2 max |A_ij|), and the
+    integral multiplied back, so the working digits do not depend on the
+    coefficients' scale.  mpmath stops on an absolute error, so a pass is
+    accepted only when its error estimate is within 10^-quad_digits(d) |I|;
+    otherwise it reruns at the digits it fell short by.  Reruns stop once
+    they resolve _RESOLVE_DIGITS beyond the first pass, where an exact zero
+    ends.
     """
     entries, m = _table(pf)
+    e = max((math.floor(_log2(abs(c))) for _, _, c in entries), default=0)
+    entries = [(a, j, c / Fraction(2) ** e) for a, j, c in entries]
     want = quad_digits(policy.target_digits)
     dps = _quad_dps(policy)
-    scale = max((_log2(abs(c)) for _, _, c in entries), default=0.0) * math.log10(2)
-    ceiling = dps + _RESOLVE_DIGITS - math.floor(scale)
+    ceiling = dps + _RESOLVE_DIGITS
     while True:
         with mpmath.workdps(dps):
             value, err = mpmath.quad(_integrand(entries, m, sign), [0, 1], error=True)
             goal = mpmath.mpf(10) ** -want * abs(value)
             if err <= goal or dps >= ceiling:
-                return value
+                return mpmath.ldexp(value, e)
             # the pass resolved max(err, eps) absolutely
             short = mpmath.log10(max(err, mpmath.eps) / goal) if goal else ceiling - dps
         dps = min(ceiling, dps + math.ceil(short))

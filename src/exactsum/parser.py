@@ -222,8 +222,16 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Node:
-    """Parse an expression in n into its AST."""
-    return _Parser(text).parse()
+    """Parse an expression in n into its AST.
+
+    Recursive descent takes a few frames per nesting level, so input nested
+    past the interpreter's recursion limit raises ExpressionSyntaxError.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # -- AST folding --------------------------------------------------------------------
@@ -276,9 +284,15 @@ def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
 
     Raises DivisionByZero, NonLinearFactor, NegativeIntegerShift (via
     factoring), DegreeTooHigh (a fold above the size limits, a divergent
-    numerator degree, or no denominator at all) or a SumSpec limit error.
+    numerator degree, or no denominator at all), ExpressionSyntaxError (an
+    AST deeper than the recursion limit, such as a chain of ~1000 operands)
+    or a SumSpec limit error.
     """
-    numerator, denominator = reduced(*_fold(ast))
+    try:
+        folded = _fold(ast)
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply to fold", 0) from None
+    numerator, denominator = reduced(*folded)
     if denominator.degree < 1:
         raise DegreeTooHigh(
             "summand has no denominator in n; the series diverges "

@@ -1,8 +1,11 @@
 """The one psi kernel: S = sum c psi^(n)(x) in fixed point, with true digits.
 
-`psi_sum` takes the whole term list [(c, n, x)] with rational c and x and
-works on integers scaled by 2^W.  Terms are grouped by residue class
-(q, p mod q) of x = p/q.  Each class climbs one upward ladder from its
+`psi_sum` takes the whole term list [(c, n, x)] with exact rational c and x
+and works on integers scaled by 2^W.  The coefficients' content s comes out
+first, c = s k with coprime integers k; the kernel sums k psi^(n)(x) on a
+grid set by that sum's size alone, and s enters once per pass, when the
+result is rounded outward onto a dyadic grid.  Terms are grouped by residue
+class (q, p mod q) of x = p/q.  Each class climbs one upward ladder from its
 smallest argument to X = P/q past the shift threshold, and further while
 the series there cannot reach its coefficients' precision; a rung adds the
 accumulated integer coefficients C_n over one power of its argument, with
@@ -15,12 +18,12 @@ lone digamma, are integer atanh series, so no mpmath ln is called.  Every
 floor is counted,
 and a Ziv loop reruns a pass whose error does not pin the target digits
 (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann, "Modern
-Computer Arithmetic", ch. 3-4).  `polygamma` and `digamma` are one-term
-calls into `psi_sum`.
+Computer Arithmetic", ch. 3-4).  `polygamma` is a one-term call into
+`psi_sum`.
 
-Bernoulli numbers come from tangent numbers in integer arithmetic.  zeta(k)
-uses a direct series with an Euler-Maclaurin tail; the polygamma-at-1
-identity serves as an independent cross-check in the test suite.
+Bernoulli numbers come from tangent numbers in integer arithmetic; a pass
+asks `bernoulli` for the last one its series uses, and the table grows by
+that function's doubling rule alone.
 
 Refs: R. P. Brent and D. Harvey, "Fast computation of Bernoulli, Tangent
 and Secant numbers" (2011); B. Haible and T. Papanikolaou, "Fast
@@ -131,28 +134,6 @@ def to_mpf(x) -> mpf:
     return mpmath.mpf(x)
 
 
-def _exact_argument(x, policy: PrecisionPolicy) -> Fraction:
-    """x as an exact rational; an mpf is rounded to working precision first."""
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    with mpmath.workdps(policy.working_digits):
-        xm = mpmath.mpf(x)
-    if not mpmath.isfinite(xm):
-        raise ValueError(f"polygamma argument {x} is not finite")
-    man, exp = xm.man_exp  # man_exp gives |mantissa|
-    if xm < 0:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _check_pole(x: Fraction, policy: PrecisionPolicy):
-    nearest = round(x)
-    if nearest <= 0 and abs(x - nearest) * 10 ** policy.target_digits < 1:
-        raise PoleArgument(
-            f"polygamma argument within 10^-{policy.target_digits} of the pole at {nearest}"
-        )
-
-
 _LOG2_2PI = math.log2(2 * math.pi)
 _GUARD_BITS = 16
 
@@ -167,7 +148,6 @@ def _shift_threshold(working_digits: int, order: int) -> int:
     # A shift costs one small division, so shifting to 1.5 d (~0.3 d terms
     # of ~3.3 d bits) is cheaper; measured best of 0.5, 1, 1.5, 2, 3 times d
     # at 30 and 1000 digits.  The order slows the series, hence + order.
-    # It also fixes the Bernoulli table a precision needs (_bernoulli_limit).
     return 3 * working_digits // 2 + order
 
 
@@ -202,15 +182,9 @@ def _precision_bits(working_digits: int) -> int:
     return math.ceil(working_digits * math.log2(10)) + _GUARD_BITS
 
 
-def _bernoulli_limit(working_digits: int) -> int:
-    """Largest Bernoulli index any order can need at this precision (at x = threshold)."""
-    bits = _precision_bits(working_digits)
-    need = 0
-    for n in range(MAX_ORDER + 1):
-        x = _shift_threshold(working_digits, n)
-        mag = max(0.0, n * math.log2(x) - _log2_factorial(n - 1)) if n else 0.0
-        need = max(need, 2 * _series_plan(n, math.log2(x), bits + mag))
-    return need
+def _shift_div(x: int, w: int, den: int) -> int:
+    """floor(x 2^w / den) for either sign of w."""
+    return (x << w) // den if w >= 0 else x // (den << -w)
 
 
 # -- the combiner -------------------------------------------------------------
@@ -230,9 +204,9 @@ class PsiSum:
     digits_lost: int
 
 
-def _log2_size(c: Fraction, n: int, x: Fraction) -> float:
-    """A rough log2 |c psi^(n)(x)|, used only to place the first pass's grid."""
-    log2_c = math.log2(abs(c.numerator)) - math.log2(c.denominator)
+def _log2_size(k: int, n: int, x: Fraction) -> float:
+    """A rough log2 |k psi^(n)(x)|, used only to place the first pass's grid."""
+    log2_c = math.log2(abs(k))
     if x < 0:
         # near a pole the recurrence term n!/delta^(n+1) dominates
         delta = abs(x - round(x))
@@ -244,20 +218,20 @@ def _log2_size(c: Fraction, n: int, x: Fraction) -> float:
     return log2_c + max(_log2_factorial(n - 1) - n * log2_x, _log2_factorial(n) - (n + 1) * log2_x)
 
 
-def _classes(terms, d: int):
-    """Terms grouped by residue class (q, p mod q) of x = p/q.
+def _classes(terms):
+    """Terms (k, n, x), k an integer, grouped by residue class (q, p mod q) of x = p/q.
 
     Each class is (q, p0, events, totals): p0/q is its smallest argument,
-    an event (offset, n, c d) is a term at argument p0/q + offset, and
-    totals maps each order to its nonzero sum of c d over the class.
+    an event (offset, n, k) is a term at argument p0/q + offset, and
+    totals maps each order to its nonzero sum of k over the class.
     """
     groups = {}
-    for c, n, x in terms:
-        groups.setdefault((x.denominator, x.numerator % x.denominator), []).append((x.numerator, n, c))
+    for k, n, x in terms:
+        groups.setdefault((x.denominator, x.numerator % x.denominator), []).append((x.numerator, n, k))
     classes = []
     for (q, _), members in groups.items():
         p0 = min(p for p, _, _ in members)
-        events = sorted(((p - p0) // q, n, c.numerator * (d // c.denominator)) for p, n, c in members)
+        events = sorted(((p - p0) // q, n, k) for p, n, k in members)
         totals = {}
         for _, n, c in events:
             totals[n] = totals.get(n, 0) + c
@@ -271,8 +245,10 @@ def _ladder(q: int, p0: int, events, steps: int, w: int):
     Rung j adds sum_n (-1)^(n+1) n! C_n q^(n+1) / Y^(n+1), Y = p0 + j q, where
     C_n sums the coefficients of the terms at offsets <= j; the numerator is
     one integer over Y^(M+1), M the highest live order, so one division per
-    rung.
+    rung.  A negative w runs the rungs on the 2^0 grid and rounds their sum
+    onto 2^-w once.
     """
+    grid = max(w, 0)
     by_offset = {}
     for o, n, c in events:
         by_offset.setdefault(o, []).append((n, c))
@@ -290,7 +266,7 @@ def _ladder(q: int, p0: int, events, steps: int, w: int):
              for n in range(m + 1)]
         ys = range(p0 + start * q, p0 + end * q, q)
         if live == [m]:
-            numer, power = a[m] << w, m + 1
+            numer, power = a[m] << grid, m + 1
             for y in ys:
                 value += numer // y ** power
         else:
@@ -298,8 +274,11 @@ def _ladder(q: int, p0: int, events, steps: int, w: int):
                 num = 0
                 for an in a:
                     num = num * y + an
-                value += (num << w) // y ** (m + 1)
+                value += (num << grid) // y ** (m + 1)
         err += len(ys)
+    if w < 0:
+        # the floor moves the sum by < 1 unit of 2^-w
+        return value >> -w, (err >> -w) + 2
     return value, err
 
 
@@ -322,7 +301,7 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
         weights[n] * (math.factorial(n) * q + (2 * math.factorial(n - 1) * big_p if n else 0))
         for n in totals
     )
-    value = (head << w) // (2 * big_p ** (top + 1))
+    value = _shift_div(head, w, 2 * big_p ** (top + 1))
     table = _even_bernoulli
     q2, p2 = q * q, big_p * big_p
     g, drop = terms.bit_length() + 1, (p2 // q2).bit_length() - 1
@@ -372,17 +351,17 @@ def _ln_ratio(a: int, b: int, w: int):
 
 
 def _scaled_ln(c: int, a: int, b: int, w: int):
-    """(c 2^w ln(a/b), error) for integers a, b > 0."""
-    g = abs(c).bit_length() + 2
+    """(c 2^w ln(a/b), error) for integers a, b > 0 and either sign of w."""
+    g = max(abs(c).bit_length() + 2, -w)
     lg, e = _ln_ratio(a, b, w + g)
     return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
 
 
 def _psi_pass(classes, w: int, wd: int):
-    """One fixed-point pass: (A, err, size) with |S d 2^w - A| <= err.
+    """One fixed-point pass: (A, err, size) with |S 2^w - A| <= err.
 
-    d is the coefficients' common denominator; `size` is sum_cls |T_cls| on
-    the same scale.  Order-0 totals C_cls enter as
+    S = sum k psi^(n)(x) over the classes' integer coefficients; `size` is
+    sum_cls |T_cls| on the same scale.  Order-0 totals C_cls enter as
     sum C_cls ln(X_cls / X_ref) + (sum C_cls) ln X_ref; the last term is
     zero for every convergent sum.  A class whose totals all cancel is a
     finite sum: its ladder stops at its last term and it has no series.
@@ -405,8 +384,7 @@ def _psi_pass(classes, w: int, wd: int):
             # coefficients far above the threshold's precision: climb to 2X
             steps += -(-big_p // q)
         terms = max(plans)
-        if len(_even_bernoulli) <= terms:
-            _fill_bernoulli(max(2 * terms, _bernoulli_limit(wd)))
+        bernoulli(2 * terms)  # B_2K and all below it in the table
         value, err = _ladder(q, p0, events, steps, w)
         series, series_err = _series(q, big_p, totals, terms, w)
         parts.append(value + series)
@@ -428,16 +406,20 @@ def _psi_pass(classes, w: int, wd: int):
 
 
 def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
-    """S = sum c psi^(n)(x) over terms (c, n, x) with rational c and x.
+    """S = sum c psi^(n)(x) over terms (c, n, x) with exact rational c and x.
 
-    A pass on the 2^-W grid is accepted when |S| exceeds its counted error
-    by 10^(target+3) and both ends of [S - err, S + err] give the same
-    target-digit string (mpmath.nstr), so that string is the true one.
-    Otherwise the pass reruns at the digits it fell short by, plus a guard
-    (Ziv); when only the rounding is undecided, the value lies near a
-    decimal tie and the rerun doubles the digits beyond the target.  Reruns
-    stop at MAX_WORKING_BITS: a pass there that still falls short raises
-    PrecisionExhausted, as an exactly zero sum always does.
+    With c = s k, s = g/d, the pass sums k psi^(n)(x) on a 2^-W grid, W set
+    by the size of that sum; W < 0 when the k lie far above the target's
+    bits.  (g/d) [A - err, A + err] 2^-W is then rounded outward onto the
+    2^-(W+t) grid, t = bitlen(d) - bitlen(g) + 1, where one unit of A spans
+    at least one unit.  A pass is accepted when |S|
+    exceeds its counted error by 10^(target+3) and both ends of that
+    interval give the same target-digit string (mpmath.nstr), so that string
+    is the true one.  Otherwise the pass reruns at the digits it fell short
+    by, plus a guard (Ziv); when only the rounding is undecided, the value
+    lies near a decimal tie and the rerun doubles the digits beyond the
+    target.  Reruns stop at MAX_WORKING_BITS: a pass there that still falls
+    short raises PrecisionExhausted, as an exactly zero sum always does.
     """
     checked = []
     for c, n, x in terms:
@@ -446,29 +428,36 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
         if n > MAX_ORDER:
             raise OrderTooLarge(f"order {n} > {MAX_ORDER}")
         c, x = Fraction(c), Fraction(x)
-        _check_pole(x, policy)
+        if x.denominator == 1 and x <= 0:
+            raise PoleArgument(f"psi^({n}) has a pole at {x}")
         if c:
             checked.append((c, n, x))
-    # a list, not a generator: see polys.Polynomial.primitive
-    d = math.lcm(*[c.denominator for c, _, _ in checked])
-    classes = _classes(checked, d)
-    est = max((_log2_size(c, n, x) for c, n, x in checked), default=0.0)
+    # the content s > 0, so that the k = c/s are coprime integers; lists,
+    # not generators: see polys.Polynomial.primitive
+    s = Fraction(math.gcd(*[c.numerator for c, _, _ in checked]),
+                 math.lcm(*[c.denominator for c, _, _ in checked]))
+    g, d = s.numerator, s.denominator
+    scaled = [(c.numerator * (d // c.denominator) // g, n, x) for c, n, x in checked]
+    classes = _classes(scaled)
+    est = max((_log2_size(k, n, x) for k, n, x in scaled), default=0.0)
+    t = d.bit_length() - g.bit_length() + 1
     target = policy.target_digits
     wd = policy.working_digits
     wd_max = math.floor((MAX_WORKING_BITS - _GUARD_BITS) / math.log2(10))
     while True:
-        w = max(0, _precision_bits(wd) - math.ceil(est) - (d.bit_length() - 1))
+        w = _precision_bits(wd) - math.ceil(est)
         a, e, size = _psi_pass(classes, w, wd)
-        v, rest = divmod(a, d)
-        err = -(-e // d) + (1 if rest else 0)
+        lo = _shift_div(g * (a - e), t, d)
+        hi = -_shift_div(-g * (a + e), t, d)
+        v, err = (lo + hi) // 2, (hi - lo + 1) // 2
         lower, need = abs(v) - err, err * 10 ** (target + 3)
         if err == 0 or (
             lower >= need
-            and to_str(from_man_exp(v - err, -w), target, strip_zeros=False)
-            == to_str(from_man_exp(v + err, -w), target, strip_zeros=False)
+            and to_str(from_man_exp(v - err, -w - t), target, strip_zeros=False)
+            == to_str(from_man_exp(v + err, -w - t), target, strip_zeros=False)
         ):
             lost = math.floor(math.log10(size) - math.log10(abs(a))) if v and size else 0
-            return PsiSum(mpmath.mp.make_mpf(from_man_exp(v, -w)), wd, max(0, lost))
+            return PsiSum(mpmath.mp.make_mpf(from_man_exp(v, -w - t)), wd, max(0, lost))
         if wd >= wd_max:
             raise PrecisionExhausted(
                 f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
@@ -483,41 +472,9 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
             wd = min(wd_max, 2 * wd)
 
 
-def digamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """psi(x) for rational or high-precision real x."""
-    return polygamma(0, x, policy)
-
-
 def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """psi^(order)(x); order 0 is digamma.  A one-term psi_sum."""
-    return psi_sum([(1, order, _exact_argument(x, policy))], policy).value
+    """psi^(order)(x) for any x that Fraction() takes; order 0 is digamma.
 
-
-def zeta_int(k: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """zeta(k) for integer k >= 2: direct series plus Euler-Maclaurin tail."""
-    if k < 2:
-        raise ValueError("zeta_int requires k >= 2")
-    with mpmath.workdps(policy.working_digits):
-        eps = mpmath.mpf(10) ** (-policy.working_digits)
-        n_cut = max(10, int(0.8 * policy.working_digits))
-        acc = mpmath.mpf(0)
-        for n in range(1, n_cut):
-            acc += mpmath.mpf(1) / mpmath.mpf(n) ** k
-        nm = mpmath.mpf(n_cut)
-        acc += nm ** (1 - k) / (k - 1)
-        acc += nm ** (-k) / 2
-        # Correction terms B_2j/(2j)! * (k)(k+1)...(k+2j-2) * N^(1-k-2j).
-        rising = Fraction(k)
-        prev = mpmath.inf
-        j = 1
-        while True:
-            coeff = bernoulli(2 * j) / math.factorial(2 * j) * rising
-            term = to_mpf(coeff) * nm ** (1 - k - 2 * j)
-            if abs(term) < eps or abs(term) > prev:
-                break
-            acc += term
-            prev = abs(term)
-            rising *= (k + 2 * j - 1) * (k + 2 * j)
-            j += 1
-        return +acc
-
+    A one-term psi_sum.
+    """
+    return psi_sum([(1, order, x)], policy).value

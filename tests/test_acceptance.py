@@ -19,7 +19,7 @@ from exactsum.engine import evaluate
 from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_general
 from exactsum.partfrac import decompose
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.polygamma import PrecisionPolicy, digamma, polygamma, to_mpf, zeta_int
+from exactsum.polygamma import PrecisionPolicy, polygamma, to_mpf
 
 from conftest import make_spec, random_plain_spec, random_shift
 
@@ -166,12 +166,12 @@ def test_criterion_10_identity_suites():
                 assert abs(lhs - rhs) < tol, (z, n)
         # reflection: psi(1-z) - psi(z) = pi cot(pi z)
         for z in (F(1, 3), F(1, 4), F(2, 5), F(7, 10)):
-            lhs = digamma(1 - z, POLICY) - digamma(z, POLICY)
+            lhs = polygamma(0, 1 - z, POLICY) - polygamma(0, z, POLICY)
             rhs = mpmath.pi * mpmath.cot(mpmath.pi * to_mpf(z))
             assert abs(lhs - rhs) < tol, z
         # psi^(n)(1) and psi^(n)(1/2) in terms of zeta, n <= 5
         for n in range(1, 6):
-            zeta = zeta_int(n + 1, POLICY)
+            zeta = mpmath.zeta(n + 1)
             sign = (-1) ** (n + 1)
             assert abs(
                 polygamma(n, 1, POLICY) - sign * math.factorial(n) * zeta

@@ -128,6 +128,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "expression",
+        ["(" * 400 + "1/n^2" + ")" * 400, "1/(" + "+".join(["n"] * 2000) + ")^2"],
+        ids=["400-parentheses", "2000-operand-chain"],
+    )
+    def test_deep_nesting_exits_2(self, expression):
+        # deeper than the parser's or the fold's recursion can go
+        code, out, err = _run(expression)
+        assert code == 2 and out == "" and err.startswith("error:") and "nested" in err
+
+    @pytest.mark.parametrize(
+        "expression",
         ["1/(n+1)^2000", "1/(n+1)^999999999", "1/(n^2*((2^256)^256)^256)"],
     )
     def test_fold_size_limit_fails_fast(self, monkeypatch, expression):
@@ -269,6 +279,62 @@ class TestLargeShifts:
         v = doc["verify"]
         assert v["agree"] is True
         assert Decimal(v["bracket_lo"]) <= Decimal(doc["numeric"]) <= Decimal(v["bracket_hi"])
+
+
+class TestExtremeScales:
+    """Valid sums with coefficients or psi arguments far from 1; every one
+    passes the limits table."""
+
+    @staticmethod
+    def _numeric(expression, **kwargs):
+        code, out, err = _run(expression, format="json", **kwargs)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        if kwargs.get("verify"):
+            assert doc["verify"]["agree"] is True
+        return doc["numeric"]
+
+    def test_argument_near_the_pole_at_0(self):
+        # the psi argument is 10^-40 > 0; it was refused as a pole
+        with mpmath.workdps(60):
+            x = mpmath.mpf(10) ** -40
+            plain = mpmath.psi(1, x)
+            alternating = (mpmath.psi(1, x / 2) - mpmath.psi(1, (x + 1) / 2)) / 4
+        expression = "1/(n-1+1/10^40)^2"
+        for sign, ref in (("plain", plain), ("alternating", alternating)):
+            text = self._numeric(expression, sign=sign, verify=True)
+            assert text == mpmath.nstr(ref, 30, strip_zeros=False)
+            assert text == "1.00000000000000000000000000000e+80"
+
+    @pytest.mark.parametrize("expression", ["10^5000/n^2", "10^5000/n^2 + 1/n^3"])
+    def test_huge_coefficients(self, expression):
+        # the first exited 1 from a str() of a 5000-digit integer after ~40 s;
+        # in the second the 1/n^3 term lies 5000 digits below the grid
+        with mpmath.workdps(60):
+            ref = mpmath.mpf(10) ** 5000 * mpmath.zeta(2) + mpmath.zeta(3)
+        text = self._numeric(expression)
+        assert text == mpmath.nstr(ref, 30, strip_zeros=False)
+        assert text == "1.64493406684822643647241516665e+5000"
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tiny_coefficients(self, sign):
+        # nothing cancels, yet the precision ceiling was reported
+        with mpmath.workdps(60):
+            ref = sign * mpmath.zeta(2) / mpmath.mpf(10) ** 5000
+        prefix = "" if sign > 0 else "-"
+        text = self._numeric(prefix + "1/(10^5000*n^2)", verify=True)
+        assert text == mpmath.nstr(ref, 30, strip_zeros=False)
+        assert text == prefix + "1.64493406684822643647241516665e-5000"
+
+    def test_alternating_bracket_far_below_its_bound(self):
+        # S ~ 5e-61 lies 109 digits below the bound M ~ 2.9e48 on the
+        # composed alternating summand; the bracket stopped at M's scale
+        with mpmath.workdps(60):
+            ref = (mpmath.psi(19, mpmath.mpf(1001) / 2) - mpmath.psi(19, 501)) / (
+                2 ** 20 * mpmath.factorial(19)
+            )
+        text = self._numeric("1/(n+1000)^20", sign="alternating", verify=True)
+        assert text == mpmath.nstr(ref, 30, strip_zeros=False)
 
 
 class TestCancellationDigit:
