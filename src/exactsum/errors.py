@@ -44,8 +44,8 @@ class OrderTooLarge(ExactSumError):
 
 
 class PrecisionExhausted(ExactSumError):
-    """A numeric step cannot certify its result below its precision ceiling:
-    the sum cancels too far, or the denominator's roots stay uncertified."""
+    """The psi kernel (polygamma.psi_sum) cannot certify the sum's digits
+    below its precision ceiling: the sum cancels too far."""
 
 
 class ShiftTooLarge(ExactSumError):
@@ -66,12 +66,14 @@ class ConstraintViolated(ExactSumError):
 
 
 class ExpressionSyntaxError(ExactSumError):
-    """Parse failure, with byte offset and an expected-token hint."""
+    """Parse failure, with byte offset (None when no offset applies) and an
+    expected-token hint."""
 
-    def __init__(self, message, offset, hint=None):
+    def __init__(self, message, offset=None, hint=None):
         self.offset = offset
         self.hint = hint
-        text = f"syntax error at offset {offset}: {message}"
+        where = "" if offset is None else f" at offset {offset}"
+        text = f"syntax error{where}: {message}"
         if hint:
             text += f" ({hint})"
         super().__init__(text)

@@ -291,7 +291,7 @@ def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
     try:
         folded = _fold(ast)
     except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply to fold", 0) from None
+        raise ExpressionSyntaxError("expression nested too deeply to fold") from None
     numerator, denominator = reduced(*folded)
     if denominator.degree < 1:
         raise DegreeTooHigh(

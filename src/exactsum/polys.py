@@ -20,15 +20,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DuplicateShift,
-    NegativeIntegerShift,
-    NonLinearFactor,
-    PrecisionExhausted,
-)
+from .errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
 
-# Doublings of the root-finding precision before factoring gives up.
-_MAX_DOUBLINGS = 6
+# Past this many residues per coefficient, splitting by gcds beats a search
+# of every residue mod p (measured at degrees 2 to 32).
+_SEARCH_FACTOR = 128
 
 
 class Polynomial:
@@ -333,93 +329,93 @@ def _square_free_parts(f: Polynomial):
     return parts
 
 
-def _gauss_eval(coeffs, x, scale):
-    """2^(scale*deg) * f(x / 2^scale) for integer coeffs and a Gaussian integer x."""
-    re, im = coeffs[-1], 0
-    xr, xi = x
-    for k, c in enumerate(reversed(coeffs[:-1]), 1):
-        re, im = re * xr - im * xi + (c << (scale * k)), re * xi + im * xr
-    return re, im
+def _divmod_p(a: Polynomial, b: Polynomial, p: int):
+    """Quotient and remainder of a by a nonzero b over the integers mod p."""
+    rem, k, inv = [c % p for c in a.coeffs], b.degree, pow(b.leading, -1, p)
+    quot = [0] * max(len(rem) - k, 0)
+    for i in reversed(range(len(quot))):
+        q = quot[i] = rem[i + k] * inv % p
+        for j, c in enumerate(b.coeffs[:-1]):
+            rem[i + j] = (rem[i + j] - q * c) % p
+    return Polynomial(quot), Polynomial(rem[:k])
 
 
-def _certified_numerators(ints, prec: int):
-    """Integers N such that every rational root of ints is some N / lead.
+def _gcd_p(a: Polynomial, b: Polynomial, p: int) -> Polynomial:
+    while not b.is_zero():
+        a, b = b, _divmod_p(a, b, p)[1]
+    return a
 
-    ints is square-free, so its roots x_k are simple.  Each approximation
-    c_k (rounded to the grid 2^-prec) is certified by exact integer
-    arithmetic: a disk of radius deg * |f(c_k) / f'(c_k)| around c_k holds
-    a root, and when the deg disks are pairwise disjoint each holds exactly
-    one.  A rational root z has lead * z an integer, since its reduced
-    denominator divides lead; with every radius below 1/(4 lead), lead * z
-    is the integer nearest lead * Re(c_k) for the disk that holds z.
-    Returns None when the disks are not certified at this precision.
+
+def _powmod_p(a: Polynomial, e: int, f: Polynomial, p: int) -> Polynomial:
+    """a^e mod f over the integers mod p, by left-to-right binary powering."""
+    out = Polynomial([1])
+    for bit in bin(e)[2:]:
+        out = _divmod_p(out * out * (a if bit == "1" else 1), f, p)[1]
+    return out
+
+
+def _value_mod(coeffs, x, m):
+    """Horner evaluation of integer coeffs at x, mod m."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _roots_mod(fp: Polynomial, p: int):
+    """The roots of fp, square-free mod p, as residues.
+
+    A small field, p = 2 always among them, is searched residue by residue.
+    Otherwise the product h = gcd(fp, x^p - x) of the linear factors is
+    split by gcds with (x + a)^((p-1)/2) - 1 for a = 0, 1, ...; some a
+    separates any two roots (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 14.3).
     """
-    import mpmath
-
-    deg, lead = len(ints) - 1, ints[-1]
-    with mpmath.workprec(prec):
-        try:
-            # Durand-Kerner stops once each correction is below 2^-prec; for
-            # clustered roots it needs extra bits in proportion to prec.
-            roots = mpmath.polyroots(
-                list(reversed(ints)), maxsteps=prec, extraprec=prec // 2
-            )
-        except mpmath.libmp.NoConvergence:
-            return None
-        grid = [
-            (int(mpmath.nint(mpmath.ldexp(mpmath.re(r), prec))),
-             int(mpmath.nint(mpmath.ldexp(mpmath.im(r), prec))))
-            for r in roots
-        ]
-    dints = [k * c for k, c in enumerate(ints)][1:]
-    radii = []  # integer upper bounds on 2^prec * radius
-    for x in grid:
-        fr, fi = _gauss_eval(ints, x, prec)
-        gr, gi = _gauss_eval(dints, x, prec)
-        g2 = gr * gr + gi * gi
-        if g2 == 0:
-            return None
-        # 2^prec * radius = deg * |F| / |G| with F, G the scaled values above.
-        rho = math.isqrt(-(-deg * deg * (fr * fr + fi * fi) // g2)) + 1
-        if 4 * lead * rho >= 1 << prec:
-            return None
-        radii.append(rho)
-    for k in range(deg):
-        for j in range(k):
-            dr, di = grid[k][0] - grid[j][0], grid[k][1] - grid[j][1]
-            if (radii[k] + radii[j]) ** 2 >= dr * dr + di * di:
-                return None
-    return {
-        (2 * lead * xr + (1 << prec)) >> (prec + 1)
-        for (xr, xi), rho in zip(grid, radii)
-        if abs(xi) <= rho
-    }
+    if p <= _SEARCH_FACTOR * len(fp.coeffs):
+        return [r for r in range(p) if _value_mod(fp.coeffs, r, p) == 0]
+    x = Polynomial([0, 1])
+    stack, roots, a = [_gcd_p(fp, _powmod_p(x, p, fp, p) - x, p)], [], 0
+    while stack:
+        h = stack.pop()
+        if h.degree == 1:
+            roots.append(-h.coeffs[0] * pow(h.leading, -1, p) % p)
+        elif h.degree > 1:
+            w = _powmod_p(Polynomial([a, 1]), (p - 1) // 2, h, p)
+            g = _gcd_p(h, w - Polynomial([1]), p)
+            stack += [g, _divmod_p(h, g, p)[0]] if 0 < g.degree < h.degree else [h]
+            a += 1
+    return roots
 
 
 def _rational_roots(f: Polynomial):
     """Rational roots of a primitive square-free integer f, and f divided by them.
 
-    A candidate N / lead is kept only if f divides exactly over Z by
-    q n - p, for p/q its lowest terms.  The starting precision is set by the sizes of
-    the leading coefficient and of the coefficient height, and doubles
-    until the numeric roots are certified, at most _MAX_DOUBLINGS times.
+    A rational root z makes N = lead * z an integer below lead + max|c_i|,
+    Cauchy's bound.  For the least prime p that leaves f square-free and of
+    full degree (only the primes dividing lead * disc(f) do not, so the
+    search ends), z mod p is a simple root of f mod p.  Newton's iteration
+    lifts it to z mod p^e (Loos, SIAM J. Comput. 12, 1983), and once p^e
+    exceeds twice the bound, N is the symmetric residue of lead * z.  A
+    candidate N / lead is kept only if f divides exactly over Z by q n - p',
+    for p'/q its lowest terms.
     """
-    ints = f.coeffs
-    lead = ints[-1]
-    prec = 2 * (lead.bit_length() + max(abs(c) for c in ints).bit_length()) + 32
-    for _ in range(_MAX_DOUBLINGS + 1):
-        numerators = _certified_numerators(ints, prec)
-        if numerators is not None:
-            break
-        prec *= 2
-    else:
-        raise PrecisionExhausted(
-            f"the roots of a degree-{f.degree} factor of the denominator were "
-            f"not certified at {prec // 2} bits"
-        )
+    ints, dints, lead = f.coeffs, f.derivative().coeffs, f.leading
+    p = 1
+    while True:
+        p += 1
+        if lead % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            fp, dp = (Polynomial([c % p for c in g]) for g in (ints, dints))
+            if _gcd_p(fp, dp, p).degree == 0:
+                break
+    bound = 2 * (lead + max(abs(c) for c in ints))
     roots = []
-    for num in sorted(numerators):
-        root = Fraction(num, lead)
+    for r in _roots_mod(fp, p):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(ints, r, m) * pow(_value_mod(dints, r, m), -1, m)) % m
+        num = lead * r % m
+        root = Fraction(num - m if 2 * num > m else num, lead)
         quot = f.exact_div(Polynomial([-root.numerator, root.denominator]))
         if quot is not None:
             roots.append(root)

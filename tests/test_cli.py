@@ -16,6 +16,7 @@ from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
 from exactsum.errors import InsufficientTerms
 from exactsum.partfrac import MAX_SHIFT
+from exactsum.polys import FactorList, factor_linear
 
 
 def _run(expression, **kwargs):
@@ -136,6 +137,12 @@ class TestExitCodes:
         code, out, err = _run(expression)
         assert code == 2 and out == "" and err.startswith("error:") and "nested" in err
 
+    def test_fold_too_deep_names_no_offset(self):
+        # the AST has no source offsets, so the error claims none
+        code, out, err = _run("1/(" + "+".join(["n"] * 2000) + ")^2")
+        assert (code, out) == (2, "") and "offset" not in err
+        assert err == "error: syntax error: expression nested too deeply to fold\n"
+
     @pytest.mark.parametrize(
         "expression",
         ["1/(n+1)^2000", "1/(n+1)^999999999", "1/(n^2*((2^256)^256)^256)"],
@@ -181,34 +188,32 @@ class TestExitCodes:
         assert _run(expression, format="numeric") == (0, numeric + "\n", "")
 
 
-class TestFactoringPrecision:
+class TestFactoring:
     SIX_POLES = "1/((n+1/3)*(n+1/2)*(n+3/5)*(n+2/3)*(n+5/7)*(n+3/4))"
+    # shifts k/7 for k < 32: degree 32, and every prime below 37 is bad
+    SEVENTHS = "1/(" + "*".join(f"(n+{k}/7)" for k in range(32)) + ")"
 
-    def test_clustered_poles_certify_in_one_pass(self, monkeypatch):
-        # mpmath's default 10 extra bits never let Durand-Kerner converge on
-        # these six close poles, and the precision doubled without end
-        calls = []
-        polyroots = mpmath.polyroots
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("extraprec"))
-            return polyroots(*args, **kwargs)
-
-        monkeypatch.setattr(mpmath, "polyroots", counted)
+    def test_clustered_poles(self):
         start = time.perf_counter()
         code, out, _ = _run(self.SIX_POLES, format="json")
         assert time.perf_counter() - start < 1
-        assert code == 0 and len(calls) == 1
         # mpmath.nsum agrees to all 30 digits
-        assert json.loads(out)["numeric"] == "0.0664411097487909626791399092342"
+        assert code == 0 and json.loads(out)["numeric"] == "0.0664411097487909626791399092342"
 
-    def test_uncertified_roots_exit_2(self, monkeypatch):
-        def diverge(*args, **kwargs):
-            raise mpmath.libmp.NoConvergence("never converges")
+    def test_seventh_shifts_degree_32(self):
+        start = time.perf_counter()
+        code, out, _ = _run(self.SEVENTHS, format="json")
+        assert time.perf_counter() - start < 0.5
+        # mpmath.nsum agrees to all 30 digits
+        assert code == 0 and json.loads(out)["numeric"] == "1.52042757974121615814398467522e-15"
 
-        monkeypatch.setattr(mpmath, "polyroots", diverge)
-        code, out, err = _run(self.SIX_POLES)
-        assert code == 2 and out == "" and "not certified" in err
+    def test_no_floating_point_root_finder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.polyroots called")
+
+        monkeypatch.setattr(mpmath, "polyroots", refuse)
+        shifts = FactorList([(F(k, 7), 1) for k in range(32)])
+        assert factor_linear(shifts.expand()) == shifts
 
 
 _numbers = st.one_of(

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from exactsum import polys
 from exactsum.errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
 from exactsum.polys import FactorList, Polynomial, factor_linear, primitive_gcd, reduced
 
@@ -116,6 +118,27 @@ class TestFactorLinear:
             factor_linear(p)
         assert exc.value.remainder == m  # m is monic
 
+    def test_smallest_primes_all_bad(self):
+        # the numerators 0..40 collide mod every prime below 41 and the lead
+        # 41*43*47 rules out the next three, so the first good prime is 53
+        lead = 41 * 43 * 47
+        fl = FactorList([(F(k, lead), 1) for k in range(41)])
+        assert factor_linear(fl.expand() * lead) == fl
+
+    def test_good_prime_past_the_residue_search(self):
+        # every prime a residue search would take divides the lead, so the
+        # roots mod the first good prime come from splitting by gcds
+        last = polys._SEARCH_FACTOR * 3
+        lead = math.prod(q for q in range(2, last + 1) if all(q % d for d in range(2, q)))
+        fl = FactorList([(F(1, lead), 1), (F(2, lead), 1)])
+        assert factor_linear(fl.expand() * lead) == fl
+
+    def test_roots_mod_a_large_prime(self):
+        p = 10007  # p = 3 mod 4, so n^2 + 1 has no root mod p
+        roots = [0, 1, 5, 1234, p - 1]
+        f = math.prod((P(-r, 1) for r in roots), start=P(1, 0, 1))
+        assert sorted(polys._roots_mod(Polynomial([c % p for c in f.coeffs]), p)) == roots
+
     def test_remainder_is_monic_leftover(self):
         p = P(1, 0, 1) * FactorList([(F(1, 2), 2)]).expand() * 3
         with pytest.raises(NonLinearFactor) as exc:
@@ -184,6 +207,45 @@ def test_factor_roundtrip(roots, mults, lead):
     out = factor_linear(p)
     assert out == fl
     assert out.expand() * p.leading == p
+
+
+def _brute_rational_roots(f):
+    """The rational roots of integer f by the rational-root theorem: every
+    root of f / n^k is some +-d1/d2 with d1 | f's lowest nonzero coefficient
+    and d2 | lead."""
+    low = next(c for c in f.coeffs if c)
+    divisors = [
+        {d for k in range(1, math.isqrt(abs(c)) + 1) if c % k == 0 for d in (k, abs(c) // k)}
+        for c in (low, f.leading)
+    ]
+    candidates = {F(s * d1, d2) for d1 in divisors[0] for d2 in divisors[1] for s in (1, -1)}
+    return sorted(z for z in candidates | {F(0)} if f.value(z) == 0)
+
+
+_quadratics = st.tuples(st.integers(1, 4), st.integers(-9, 9), st.integers(-9, 9)).filter(
+    lambda t: math.gcd(*t) == 1 and math.isqrt(max(t[1] ** 2 - 4 * t[0] * t[2], 0)) ** 2
+    != t[1] ** 2 - 4 * t[0] * t[2]
+)
+_cubics = st.tuples(st.integers(1, 3), *[st.integers(-9, 9)] * 3).filter(
+    lambda t: math.gcd(*t) == 1 and not _brute_rational_roots(Polynomial(reversed(t)))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=6), max_size=4, unique=True),
+    st.lists(st.one_of(_quadratics, _cubics).map(lambda t: Polynomial(reversed(t))),
+             max_size=2, unique=True),
+)
+def test_rational_roots_match_the_rational_root_theorem(roots, cofactors):
+    """A primitive square-free product of linear factors and irreducible
+    quadratics or cubics gives back its rational roots and the cofactors."""
+    assume(roots or cofactors)
+    rest = math.prod(cofactors, start=P(1))
+    f = math.prod((P(-r.numerator, r.denominator) for r in roots), start=rest)
+    found, left = polys._rational_roots(f)
+    assert sorted(found) == _brute_rational_roots(f) == sorted(roots)
+    assert left == rest
 
 
 @settings(max_examples=60, deadline=None)
