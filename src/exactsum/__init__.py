@@ -27,7 +27,7 @@ from .errors import (
 from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
-from .polygamma import PrecisionPolicy, PsiSum, psi_sum
+from .polygamma import PrecisionPolicy, PsiSum, decimal_text, psi_sum
 from .polys import FactorList, Polynomial, factor_linear
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "SymbolicValue",
     "assemble",
     "ast_to_spec",
+    "decimal_text",
     "decompose",
     "evaluate",
     "factor_linear",

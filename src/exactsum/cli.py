@@ -12,20 +12,20 @@ quadrature value must agree with it to ceil(D/2) significant digits (to
 10^-ceil(D/2) absolutely when the printed value is 0).  Quadrature
 applies to every sum, plain or alternating, whose shifts are all > -1,
 and integrates the whole partial-fraction table once over [0, 1].
+
+Every number printed is an exact rational until `decimal_text` prints it:
+the value (a rational closed form, or the psi kernel's dyadic, whose text
+the kernel certified), the bracket ends and the quadrature's mpf.  The
+check compares those rationals exactly.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import to_rational
 
 from .closedform import fraction_text, render
 from .engine import evaluate
@@ -33,7 +33,7 @@ from .errors import ExactSumError, NotApplicable
 from .oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import ALTERNATING, PLAIN
-from .polygamma import PrecisionPolicy
+from .polygamma import PrecisionPolicy, decimal_text
 
 
 @dataclass(frozen=True)
@@ -51,59 +51,35 @@ class CliRequest:
             raise ValueError(f"unknown format {self.format!r}")
 
 
-def _numeric_string(x, digits: int) -> str:
-    """Plain decimal string with exactly `digits` significant digits.
-
-    It rounds the exact value of `x`, the rounding `psi_sum` certifies.
-    """
-    return mpmath.nstr(x, digits, strip_zeros=False)
-
-
-def _exact(x) -> Fraction:
-    """The exact value of an mpf (a dyadic rational)."""
-    return Fraction(*to_rational(x._mpf_))
-
-
-def _directed_string(x, digits: int, up: bool) -> str:
-    """`x` rounded to `digits` significant digits toward +inf (up) or -inf."""
-    q = _exact(x)
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR
-        rounded = Decimal(q.numerator) / Decimal(q.denominator)
-    with mpmath.workdps(digits + 5):
-        return _numeric_string(mpmath.mpf(str(rounded)), digits)
-
-
-def _agrees(numeric_text: str, numeric, bracket, quad, digits: int) -> bool:
-    """Whether the oracles certify the printed value.
+def _agrees(result, bracket, quad, digits: int) -> bool:
+    """Whether the oracles certify the printed value, in exact rationals.
 
     The bracket must be narrower than the printed value's last unit and
     meet its half-unit interval (an exact zero must lie in the bracket);
-    quadrature, where it applies, must be within 10^-quad_digits(d) |numeric|,
+    quadrature, where it applies, must be within 10^-quad_digits(d) |value|,
     or within 10^-quad_digits(d) of a printed 0.
     """
-    printed = Decimal(numeric_text)
-    ulp = Fraction(10) ** (printed.adjusted() - digits + 1) if printed else Fraction(0)
-    printed = Fraction(printed)
-    lo, hi = _exact(bracket.lo), _exact(bracket.hi)
+    printed = Fraction(result.text)
+    mantissa, _, exponent = result.text.partition("e")
+    last = int(exponent or 0) - len(mantissa.partition(".")[2])  # the last digit's place
+    ulp = Fraction(10) ** last if printed else 0
+    lo, hi = bracket.lower, bracket.upper
     narrow = hi - lo <= ulp or not printed
     certified = narrow and lo <= printed + ulp / 2 and hi >= printed - ulp / 2
     if quad is None:
         return certified
-    with mpmath.workdps(digits + 10):
-        tol = mpmath.mpf(10) ** -quad_digits(digits) * (abs(numeric) if printed else 1)
-        return certified and abs(numeric - quad) <= tol
+    tol = Fraction(1, 10 ** quad_digits(digits)) * (abs(result.value) if printed else 1)
+    return certified and abs(result.value - quad) <= tol
 
 
 def _quadrature_value(spec, pf, policy):
-    """Quadrature of the sum, or None when a shift is <= -1."""
+    """The exact value of the quadrature's mpf, or None when a shift is <= -1."""
     try:
-        if spec.sign == PLAIN:
-            return quad_general(pf, policy)
-        return quad_alternating(pf, policy)
+        quad = quad_general(pf, policy) if spec.sign == PLAIN else quad_alternating(pf, policy)
     except NotApplicable:
         return None
+    sign, man, exp, _ = quad._mpf_
+    return (-man if sign else man) * Fraction(2) ** exp
 
 
 def run(request: CliRequest):
@@ -116,7 +92,6 @@ def run(request: CliRequest):
     except ExactSumError as exc:
         return 2, "", f"error: {exc}\n"
 
-    numeric_text = _numeric_string(result.numeric, request.digits)
     verify_info = None
     verify_ok = True
     if request.verify:
@@ -125,11 +100,11 @@ def run(request: CliRequest):
             quad = _quadrature_value(spec, result.pf_echo, policy)
         except ExactSumError as exc:
             return 2, "", f"error: {exc}\n"
-        verify_ok = _agrees(numeric_text, result.numeric, bracket, quad, request.digits)
+        verify_ok = _agrees(result, bracket, quad, request.digits)
         verify_info = {
-            "bracket_lo": _directed_string(bracket.lo, request.digits, up=False),
-            "bracket_hi": _directed_string(bracket.hi, request.digits, up=True),
-            "quadrature": None if quad is None else _numeric_string(quad, request.digits),
+            "bracket_lo": decimal_text(bracket.lower, request.digits, -1),
+            "bracket_hi": decimal_text(bracket.upper, request.digits, +1),
+            "quadrature": None if quad is None else decimal_text(quad, request.digits),
             "agree": verify_ok,
         }
 
@@ -141,7 +116,7 @@ def run(request: CliRequest):
             "sign": request.sign,
             "exact": exact_text,
             "fully_reduced": result.fully_reduced,
-            "numeric": numeric_text,
+            "numeric": result.text,
             "digits": request.digits,
             "residuals": [
                 {"coeff": fraction_text(c), "order": o, "argument": fraction_text(a)}
@@ -164,10 +139,10 @@ def run(request: CliRequest):
         if fmt == "exact":
             lines.append(exact_text)
         elif fmt == "numeric":
-            lines.append(numeric_text)
+            lines.append(result.text)
         else:
             lines.append(f"exact: {exact_text}")
-            lines.append(f"numeric: {numeric_text}")
+            lines.append(f"numeric: {result.text}")
         if verify_info is not None:
             lines.append(
                 "verify: bracket [{}, {}], quadrature {}, agree: {}".format(

@@ -7,9 +7,9 @@ term of order j at shift a into
     (-1)^j / ((j-1)! 2^j) * [psi^(j-1)((a+1)/2) - psi^(j-1)((a+2)/2)].
 The exact symbolic path and the numeric path are evaluated independently
 from the same psi terms: `assemble` reduces them to the constant basis, and
-`polygamma.psi_sum` sums them in fixed point to a value whose every printed
-digit is true.  Only where that sum cancels below the precision ceiling
-does an exactly zero closed form stand in for it.
+`polygamma.psi_sum` sums them in fixed point to a dyadic whose every printed
+digit is true.  A rational closed form, which may be 0 or lie on a decimal
+tie, is the value itself, with no pass.  Both stay exact rationals.
 """
 
 from __future__ import annotations
@@ -18,24 +18,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest
-
 from .closedform import ONE, SymbolicValue, assemble
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, _precision_bits, psi_sum
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, decimal_text, psi_sum, to_mpf
 
 
 @dataclass(frozen=True)
 class SumResult:
     exact: SymbolicValue
-    numeric: mpf
+    value: Fraction  # the rational closed form, or psi_sum's dyadic
+    text: str  # `value` to the target digits, every digit true
     fully_reduced: bool
     spec_echo: SumSpec
     pf_echo: PartialFractions
     working_digits: int  # precision of the accepted fixed-point pass
     digits_lost: int  # digits cancelled between residue classes
+    numeric = property(lambda self: to_mpf(self.value))  # an mpf, for callers in mpmath
 
 
 def _psi_terms_plain(pf: PartialFractions):
@@ -55,16 +53,6 @@ def _psi_terms_alternating(pf: PartialFractions):
         yield (-c, j - 1, Fraction(a + 2, 2))
 
 
-def _rational_value(exact: SymbolicValue, policy: PrecisionPolicy) -> PsiSum:
-    """A rational closed form as a PsiSum, rounded to working precision plus
-    the bits of its denominator, so that no rounding of the target digits
-    falls on the other side of a decimal tie."""
-    r = exact.coefficient(ONE)
-    bits = _precision_bits(policy.working_digits) + r.denominator.bit_length()
-    value = mpmath.mp.make_mpf(from_rational(r.numerator, r.denominator, bits, round_nearest))
-    return PsiSum(value, policy.working_digits, 0)
-
-
 def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
     """Evaluate sum_{n>=1} Q(n)/P(n) exactly and numerically.
 
@@ -77,12 +65,14 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
         terms = list(_psi_terms_alternating(pf))
     exact = assemble(terms)
     if exact.fully_reduced and all(s == ONE for s, _ in exact.basis_coeffs):
-        numeric = _rational_value(exact, policy)
+        r = exact.coefficient(ONE)
+        numeric = PsiSum(r, decimal_text(r, policy.target_digits), policy.working_digits, 0)
     else:
         numeric = psi_sum(terms, policy)
     return SumResult(
         exact=exact,
-        numeric=numeric.value,
+        value=numeric.exact,
+        text=numeric.text,
         fully_reduced=exact.fully_reduced,
         spec_echo=spec,
         pf_echo=pf,

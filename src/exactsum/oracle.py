@@ -42,10 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_man_exp
-
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
 from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli, to_mpf
@@ -59,18 +55,19 @@ _HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30
 
 @dataclass(frozen=True)
 class Bracket:
-    """Rigorous interval [lo, hi] guaranteed to contain the series limit."""
+    """Rigorous interval [lower, upper] guaranteed to contain the series limit;
+    `lo`, `hi`, `width` and `contains` work in mpf, for callers in mpmath."""
 
-    lo: mpf
-    hi: mpf
+    lower: Fraction
+    upper: Fraction
     terms_used: int
+
+    lo = property(lambda self: to_mpf(self.lower))
+    hi = property(lambda self: to_mpf(self.upper))
+    width = property(lambda self: to_mpf(self.upper - self.lower))
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> mpf:
-        return self.hi - self.lo
 
 
 # -- fixed-point series ------------------------------------------------------------
@@ -207,10 +204,6 @@ def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
     return total - err, total + err, w, n
 
 
-def _dyadic(v: int, w: int) -> mpf:
-    return mpmath.mp.make_mpf(from_man_exp(v, -w))
-
-
 def partial_sum_bracket(
     spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> Bracket:
@@ -226,7 +219,7 @@ def partial_sum_bracket(
     """
     num, den, poles = _summand(spec)
     if num.is_zero():
-        return Bracket(mpf(0), mpf(0), 0)
+        return Bracket(Fraction(0), Fraction(0), 0)
     rho = int(max(abs(p) for p, _ in poles)) + 1
     m_bound = Fraction(
         sum(abs(c) * rho ** i for i, c in enumerate(num.coeffs)), abs(den.leading)
@@ -259,7 +252,7 @@ def partial_sum_bracket(
             break
         # |S| <= hi - lo while the bracket straddles zero
         tol = max(rel * Fraction(hi - lo, 1 << w) / 2, floor)
-    return Bracket(_dyadic(lo, w), _dyadic(hi, w), n)
+    return Bracket(Fraction(lo, 1 << w), Fraction(hi, 1 << w), n)
 
 
 # -- quadrature oracles ---------------------------------------------------------
@@ -289,6 +282,8 @@ def _integrand(entries, m: int, sign: int):
     sum_n sign^(n-1)/(n + a)^j = 1/(j-1)! int_0^1 (-ln u)^(j-1) u^a/(1 - sign u) du
     (u = e^-x in DLMF 25.11.25), and u = s^m keeps u^a bounded at s = 0.
     """
+    import mpmath
+
     terms = [
         (to_mpf(m * (a + 1) - 1), j - 1, to_mpf(c / math.factorial(j - 1)))
         for a, j, c in entries
@@ -297,7 +292,7 @@ def _integrand(entries, m: int, sign: int):
 
     def f(s):
         neglog = -m * mpmath.log(s) if logs else None
-        acc = mpf(0)
+        acc = mpmath.mpf(0)
         for power, k, c in terms:
             t = c * s ** power
             acc += t * neglog ** k if k else t
@@ -306,8 +301,8 @@ def _integrand(entries, m: int, sign: int):
     return f
 
 
-def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> mpf:
-    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over s in [0, 1].
+def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy):
+    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j, an mpf, as one integral over [0, 1].
 
     For sign +1 the integrand is 0/0 at s = 1.  mpmath's tanh-sinh nodes
     stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
@@ -321,6 +316,8 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> mpf:
     they resolve _RESOLVE_DIGITS beyond the first pass, where an exact zero
     ends.
     """
+    import mpmath
+
     entries, m = _table(pf)
     e = max((math.floor(_log2(abs(c))) for _, _, c in entries), default=0)
     entries = [(a, j, c / Fraction(2) ** e) for a, j, c in entries]
@@ -338,16 +335,12 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> mpf:
         dps = min(ceiling, dps + math.ceil(short))
 
 
-def quad_alternating(
-    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> mpf:
+def quad_alternating(pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY):
     """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j by quadrature of the whole table."""
     return _quad(pf, -1, policy)
 
 
-def quad_general(
-    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> mpf:
+def quad_general(pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY):
     """sum_n sum_ij A_ij/(n + a_i)^j by quadrature of the whole table.
 
     The j = 1 terms' 1/(1 - u) poles at u = 1 cancel only jointly, under

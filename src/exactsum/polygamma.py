@@ -37,10 +37,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_man_exp, to_str
-
+from .closedform import fraction_text
 from .errors import OrderTooLarge, PoleArgument, PrecisionExhausted
 
 MAX_ORDER = 30
@@ -125,13 +122,56 @@ def bernoulli(m: int) -> Fraction:
 # -- helpers ------------------------------------------------------------------
 
 
-def to_mpf(x) -> mpf:
-    """Convert an exact rational or float-like value at current precision."""
-    if isinstance(x, Fraction):
+def to_mpf(x):
+    """The rational x as an mpf, rounded once at the current precision or at
+    the bits of its numerator, whichever is more: exact for a dyadic x."""
+    import mpmath
+
+    x = Fraction(x)
+    with mpmath.workprec(max(mpmath.mp.prec, x.numerator.bit_length())):
         return mpmath.mpf(x.numerator) / x.denominator
-    if isinstance(x, int):
-        return mpmath.mpf(x)
-    return mpmath.mpf(x)
+
+
+def decimal_text(x, digits: int, direction: int = 0) -> str:
+    """The rational x to `digits` significant digits, in integer arithmetic
+    and in the layout of mpmath's printer with strip_zeros=False.
+
+    Direction 0 rounds to nearest, ties away from zero; +1 and -1 round
+    toward +inf and -inf.  The text is fixed point when the leading digit's
+    exponent e has min(-floor(digits/3), -5) < e < digits, else d.ddde+-N.
+    Refs: Steele and White, PLDI 1990; Brent and Zimmermann, op. cit., 1.7.
+    """
+    x = Fraction(x)
+    return _decimal_text(x.numerator, x.denominator, digits, direction)
+
+
+def _decimal_text(num: int, den: int, digits: int, direction: int = 0) -> str:
+    """decimal_text of num/den, den > 0, in any terms (no gcd, unlike a Fraction)."""
+    if not num:
+        return "0.0"
+    sign, num = "-" if num < 0 else "", abs(num)
+    # e = floor(log10 |x|), estimated from the bit lengths to within one
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    top = 10 ** digits
+    while True:
+        shift = digits - 1 - e
+        n, d = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
+        # q = floor(|x| 10^shift); a dyadic's power-of-two d divides by a shift
+        q, r = (n >> (d.bit_length() - 1), n & (d - 1)) if d & (d - 1) == 0 else divmod(n, d)
+        step = (q >= top) - (10 * q < top)
+        if not step:
+            break
+        e += step
+    if (2 * r >= d) if direction == 0 else (r and (direction > 0) == (not sign)):
+        q += 1
+        if q == top:
+            q, e = q // 10, e + 1
+    text = fraction_text(q)  # str(q) past the digit cap
+    if not min(-(digits // 3), -5) < e < digits:
+        return f"{sign}{text[0]}.{text[1:]}e{e:+d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{text}"
+    return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
 
 
 _LOG2_2PI = math.log2(2 * math.pi)
@@ -192,16 +232,20 @@ def _shift_div(x: int, w: int, den: int) -> int:
 
 @dataclass(frozen=True)
 class PsiSum:
-    """sum c psi^(n)(x) as an exact dyadic whose target-digit string is true.
+    """sum c psi^(n)(x) as an exact dyadic and its true target-digit text.
 
-    `working_digits` is the precision of the pass that was accepted;
-    `digits_lost` is floor(log10(sum_cls |T_cls| / |S|)), the cancellation
-    between residue classes (0 for an exact zero).
+    `text` is decimal_text(exact, target digits); `value` is `exact` as an
+    mpf, made on access for callers that work in mpmath; `working_digits`
+    is the precision of the pass that was accepted; `digits_lost` is
+    floor(log10(sum_cls |T_cls| / |S|)), the cancellation between residue
+    classes (0 for an exact zero).
     """
 
-    value: mpf
+    exact: Fraction
+    text: str
     working_digits: int
     digits_lost: int
+    value = property(lambda self: to_mpf(self.exact))
 
 
 def _log2_size(k: int, n: int, x: Fraction) -> float:
@@ -412,14 +456,14 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
     by the size of that sum; W < 0 when the k lie far above the target's
     bits.  (g/d) [A - err, A + err] 2^-W is then rounded outward onto the
     2^-(W+t) grid, t = bitlen(d) - bitlen(g) + 1, where one unit of A spans
-    at least one unit.  A pass is accepted when |S|
-    exceeds its counted error by 10^(target+3) and both ends of that
-    interval give the same target-digit string (mpmath.nstr), so that string
-    is the true one.  Otherwise the pass reruns at the digits it fell short
-    by, plus a guard (Ziv); when only the rounding is undecided, the value
-    lies near a decimal tie and the rerun doubles the digits beyond the
-    target.  Reruns stop at MAX_WORKING_BITS: a pass there that still falls
-    short raises PrecisionExhausted, as an exactly zero sum always does.
+    at least one unit.  A pass is accepted when |S| exceeds its counted
+    error by 10^(target+3) and both ends of that interval give the same
+    decimal_text at the target digits: that text is the true one, and the
+    one printed.  Otherwise the pass reruns at the digits it fell short by,
+    plus a guard (Ziv); when only the rounding is undecided, the value lies
+    near a decimal tie and the rerun doubles the digits beyond the target.
+    Reruns stop at MAX_WORKING_BITS: a pass there that still falls short
+    raises PrecisionExhausted, as an exactly zero sum always does.
     """
     checked = []
     for c, n, x in terms:
@@ -451,13 +495,11 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
         hi = -_shift_div(-g * (a + e), t, d)
         v, err = (lo + hi) // 2, (hi - lo + 1) // 2
         lower, need = abs(v) - err, err * 10 ** (target + 3)
-        if err == 0 or (
-            lower >= need
-            and to_str(from_man_exp(v - err, -w - t), target, strip_zeros=False)
-            == to_str(from_man_exp(v + err, -w - t), target, strip_zeros=False)
-        ):
+        scale, den = 1 << max(0, -w - t), 1 << max(0, w + t)  # S in [v -+ err] scale/den
+        text = _decimal_text((v - err) * scale, den, target)
+        if err == 0 or lower >= need and text == _decimal_text((v + err) * scale, den, target):
             lost = math.floor(math.log10(size) - math.log10(abs(a))) if v and size else 0
-            return PsiSum(mpmath.mp.make_mpf(from_man_exp(v, -w - t)), wd, max(0, lost))
+            return PsiSum(Fraction(v * scale, den), text, wd, max(0, lost))
         if wd >= wd_max:
             raise PrecisionExhausted(
                 f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
@@ -472,9 +514,8 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
             wd = min(wd_max, 2 * wd)
 
 
-def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """psi^(order)(x) for any x that Fraction() takes; order 0 is digamma.
-
-    A one-term psi_sum.
+def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY):
+    """psi^(order)(x) as an mpf, for any x that Fraction() takes; order 0 is
+    digamma.  A one-term psi_sum.
     """
     return psi_sum([(1, order, x)], policy).value

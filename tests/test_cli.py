@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,6 +20,7 @@ from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
 from exactsum.errors import InsufficientTerms
 from exactsum.partfrac import MAX_SHIFT
+from exactsum.polygamma import decimal_text
 from exactsum.polys import FactorList, factor_linear
 
 
@@ -374,6 +379,21 @@ class TestRationalValue:
         assert lines[1] in ("numeric: 0.1234567890", "numeric: 0.1234567891")
         assert lines[2].endswith("agree: true")
 
+    TIE = "1/((n-1/2000000001)*(n+2000000000/2000000001))"
+
+    def test_exact_tie_rounds_away_from_zero(self, capsys):
+        # the sum is 2000000001/2000000000 = 1.0000000005 exactly; rounding it
+        # to a binary mpf first once printed 1.000000000
+        code, out, err = _run(self.TIE, digits=10, verify=True)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[1] == "numeric: 1.000000001"
+        assert lines[2].endswith("agree: true")
+        assert main(["--digits", "10", "--verify", "--", "-" + self.TIE]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "numeric: -1.000000001"
+        assert lines[2].endswith("agree: true")
+
 
 class TestVerify:
     def test_verify_success(self):
@@ -464,9 +484,10 @@ class TestVerify:
 
         def skewed(spec, policy):
             result = evaluate(spec, policy)
-            with mpmath.workdps(policy.working_digits):
-                numeric = result.numeric + mpmath.mpf("3e-29")
-            return dataclasses.replace(result, numeric=numeric)
+            value = result.value + F(3, 10 ** 29)
+            return dataclasses.replace(
+                result, value=value, text=decimal_text(value, policy.target_digits)
+            )
 
         monkeypatch.setattr(cli_mod, "evaluate", skewed)
         code, out, err = _run("1/n^2", verify=True)
@@ -512,7 +533,7 @@ class TestVerify:
         import exactsum.cli as cli_mod
 
         monkeypatch.setattr(
-            cli_mod, "_quadrature_value", lambda spec, pf, policy: mpmath.mpf(999)
+            cli_mod, "_quadrature_value", lambda spec, pf, policy: F(999)
         )
         code, out, err = _run("1/n^2", verify=True)
         assert code == 3
@@ -564,6 +585,26 @@ class TestJson:
 
 
 class TestMainEntry:
+    def test_default_path_never_imports_mpmath(self):
+        # mpmath serves only the quadrature oracle and the library's mpf views
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from exactsum.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    codes = [main(['1/n^2', '--digits', d, '--format', 'json']) for d in ('30', '1000')]\n"
+            "assert codes == [0, 0] and 'mpmath' not in sys.modules, codes\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as verify_out:\n"
+            "    code = main(['1/n^2', '--format', 'json', '--verify'])\n"
+            "assert code == 0 and json.loads(verify_out.getvalue())['verify']['agree'] is True\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_main_success(self, capsys):
         assert main(["1/(n^2+n/2)", "--format", "exact"]) == 0
         assert capsys.readouterr().out == "4 - 4*ln(2)\n"

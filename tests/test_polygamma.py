@@ -1,12 +1,15 @@
+import decimal
 import importlib
 import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, to_str
 
 from exactsum.errors import OrderTooLarge, PoleArgument
-from exactsum.polygamma import PrecisionPolicy, bernoulli, polygamma, to_mpf
+from exactsum.polygamma import PrecisionPolicy, bernoulli, decimal_text, polygamma, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 
@@ -225,3 +228,75 @@ def test_higher_precision_self_consistency():
             a = polygamma(order, arg, lo)
             b = polygamma(order, arg, hi)
             assert abs(a - b) < mpmath.mpf(10) ** (-29) * max(1, abs(b))
+
+
+class TestDecimalText:
+    """decimal_text against mpmath's own printer, the reference it replaces."""
+
+    @staticmethod
+    def _reference(m, e, digits):
+        return to_str(from_man_exp(m, e), digits, strip_zeros=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(2 ** 3400), 2 ** 3400),
+        st.integers(-4000, 1000),
+        st.integers(10, 1000),
+    )
+    def test_matches_mpmath_to_str(self, m, e, digits):
+        assert decimal_text(m * F(2) ** e, digits) == self._reference(m, e, digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(2 ** 400), 2 ** 400),
+        st.integers(1, 2 ** 400),
+        st.integers(10, 120),
+    )
+    def test_directed_rounding_matches_decimal(self, num, den, digits):
+        x = F(num, den)
+        for direction, mode in ((-1, decimal.ROUND_FLOOR), (1, decimal.ROUND_CEILING)):
+            with decimal.localcontext() as ctx:
+                ctx.prec, ctx.rounding = digits, mode
+                rounded = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+            text = decimal_text(x, digits, direction)
+            assert F(text) == F(rounded)
+            # a value already on the digit grid prints as itself
+            assert text == decimal_text(F(rounded), digits)
+
+    @pytest.mark.parametrize(
+        "x, digits, text",
+        [
+            (0, 10, "0.0"),
+            (F(137681640625, 10 ** 9), 11, "137.68164063"),  # a dyadic tie
+            (F(-137681640625, 10 ** 9), 11, "-137.68164063"),
+            (1489985536, 10, "1489985536."),  # an integer that fills every digit
+            (F(99999999995, 10 ** 10), 10, "10.00000000"),  # carry to 10^1
+            (F(-99999999995, 10 ** 10), 10, "-10.00000000"),
+            (F(99999999995, 10), 10, "1.000000000e+10"),  # carry past the fixed range
+            (1234567890, 10, "1234567890."),  # e = 9 = d - 1: fixed
+            (12345678901, 10, "1.234567890e+10"),  # e = d: exponent
+            (F(123456789, 10 ** 12), 10, "0.0001234567890"),  # e = -4: fixed
+            (F(123456789, 10 ** 13), 10, "1.234567890e-5"),  # e = -5: exponent
+            (F(1, 10 ** 9), 30, "0.00000000100000000000000000000000000000"),  # e = -9
+            (F(1, 10 ** 10), 30, "1.00000000000000000000000000000e-10"),  # e = -10 = -30/3
+        ],
+    )
+    def test_explicit_cases(self, x, digits, text):
+        assert decimal_text(x, digits) == text
+        x = F(x)
+        if x.denominator & (x.denominator - 1) == 0:  # a dyadic: mpmath prints it exactly
+            assert text == self._reference(x.numerator, 1 - x.denominator.bit_length(), digits)
+
+    def test_zero_in_every_direction(self):
+        assert [decimal_text(0, 10, d) for d in (-1, 0, 1)] == ["0.0"] * 3
+
+    def test_directed_carry(self):
+        x = F(99999999991, 10 ** 10)
+        assert decimal_text(x, 10, 1) == "10.00000000"
+        assert decimal_text(x, 10, -1) == "9.999999999"
+        assert decimal_text(-x, 10, -1) == "-10.00000000"
+        assert decimal_text(-x, 10, 1) == "-9.999999999"
+
+    def test_more_digits_than_the_int_to_str_cap(self):
+        # a rational library value at 5000 digits; str() of an int stops at 4300
+        assert decimal_text(F(11, 18), 5000) == "0.6" + "1" * 4999
