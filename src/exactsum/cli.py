@@ -75,7 +75,10 @@ def _agrees(result, bracket, quad, digits: int) -> bool:
 def _quadrature_value(spec, pf, policy):
     """The exact value of the quadrature's mpf, or None when a shift is <= -1."""
     try:
-        quad = quad_general(pf, policy) if spec.sign == PLAIN else quad_alternating(pf, policy)
+        if spec.sign == PLAIN:
+            quad = quad_general(pf, policy)
+        else:
+            quad = quad_alternating(pf, policy)
     except NotApplicable:
         return None
     sign, man, exp, _ = quad._mpf_

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .closedform import ONE, SymbolicValue, assemble
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, decimal_text, psi_sum, to_mpf
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, _precision_bits, psi_sum
+from .polygamma import decimal_text, to_mpf
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,13 @@ class SumResult:
     pf_echo: PartialFractions
     working_digits: int  # precision of the accepted fixed-point pass
     digits_lost: int  # digits cancelled between residue classes
-    numeric = property(lambda self: to_mpf(self.value))  # an mpf, for callers in mpmath
+
+    @property
+    def numeric(self):
+        """`value` as an mpf for callers in mpmath, rounded at the working
+        precision plus its denominator's bits, whatever mpmath's context."""
+        bits = _precision_bits(self.working_digits) + self.value.denominator.bit_length()
+        return to_mpf(self.value, bits)
 
 
 def _psi_terms_plain(pf: PartialFractions):

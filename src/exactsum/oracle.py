@@ -64,10 +64,13 @@ class Bracket:
 
     lo = property(lambda self: to_mpf(self.lower))
     hi = property(lambda self: to_mpf(self.upper))
-    width = property(lambda self: to_mpf(self.upper - self.lower))
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
+
+    @property
+    def width(self):
+        return to_mpf(self.upper - self.lower)
 
 
 # -- fixed-point series ------------------------------------------------------------
@@ -263,11 +266,6 @@ def quad_digits(digits: int) -> int:
     return -(-digits // 2)
 
 
-def _quad_dps(policy: PrecisionPolicy) -> int:
-    # ten guard digits above what the check uses keep tanh-sinh inside it
-    return quad_digits(policy.target_digits) + 10
-
-
 def _table(pf: PartialFractions):
     """(nonzero entries, m) with m = ceil(1/(1 + min a_i)); needs every a_i > -1."""
     entries = [(Fraction(a), j, c) for a, j, c in pf.entries if c != 0]
@@ -322,7 +320,7 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy):
     e = max((math.floor(_log2(abs(c))) for _, _, c in entries), default=0)
     entries = [(a, j, c / Fraction(2) ** e) for a, j, c in entries]
     want = quad_digits(policy.target_digits)
-    dps = _quad_dps(policy)
+    dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
         with mpmath.workdps(dps):
@@ -335,12 +333,16 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy):
         dps = min(ceiling, dps + math.ceil(short))
 
 
-def quad_alternating(pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY):
+def quad_alternating(
+    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
+):
     """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j by quadrature of the whole table."""
     return _quad(pf, -1, policy)
 
 
-def quad_general(pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY):
+def quad_general(
+    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
+):
     """sum_n sum_ij A_ij/(n + a_i)^j by quadrature of the whole table.
 
     The j = 1 terms' 1/(1 - u) poles at u = 1 cancel only jointly, under

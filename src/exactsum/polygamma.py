@@ -122,47 +122,51 @@ def bernoulli(m: int) -> Fraction:
 # -- helpers ------------------------------------------------------------------
 
 
-def to_mpf(x):
-    """The rational x as an mpf, rounded once at the current precision or at
-    the bits of its numerator, whichever is more: exact for a dyadic x."""
+def to_mpf(x, bits: int = 0):
+    """The rational x as an mpf, rounded once at `bits` (at the current
+    precision if 0) or at the bits of its numerator, whichever is more:
+    exact for a dyadic x."""
     import mpmath
 
     x = Fraction(x)
-    with mpmath.workprec(max(mpmath.mp.prec, x.numerator.bit_length())):
+    with mpmath.workprec(max(bits or mpmath.mp.prec, x.numerator.bit_length())):
         return mpmath.mpf(x.numerator) / x.denominator
 
 
-def decimal_text(x, digits: int, direction: int = 0) -> str:
-    """The rational x to `digits` significant digits, in integer arithmetic
-    and in the layout of mpmath's printer with strip_zeros=False.
+def decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
+    """The rational x/den to `digits` significant digits, in integer arithmetic
+    and in the layout of mpmath's printer with strip_zeros=False.  x is an
+    int or a Fraction, den > 0 an int in any terms (no gcd is taken).
 
     Direction 0 rounds to nearest, ties away from zero; +1 and -1 round
     toward +inf and -inf.  The text is fixed point when the leading digit's
     exponent e has min(-floor(digits/3), -5) < e < digits, else d.ddde+-N.
     Refs: Steele and White, PLDI 1990; Brent and Zimmermann, op. cit., 1.7.
     """
-    x = Fraction(x)
-    return _decimal_text(x.numerator, x.denominator, digits, direction)
-
-
-def _decimal_text(num: int, den: int, digits: int, direction: int = 0) -> str:
-    """decimal_text of num/den, den > 0, in any terms (no gcd, unlike a Fraction)."""
+    num, den = x.numerator, x.denominator * den
     if not num:
         return "0.0"
-    sign, num = "-" if num < 0 else "", abs(num)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
     # e = floor(log10 |x|), estimated from the bit lengths to within one
     e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
     top = 10 ** digits
     while True:
         shift = digits - 1 - e
-        n, d = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
-        # q = floor(|x| 10^shift); a dyadic's power-of-two d divides by a shift
-        q, r = (n >> (d.bit_length() - 1), n & (d - 1)) if d & (d - 1) == 0 else divmod(n, d)
+        if shift >= 0:
+            n, d = num * 10 ** shift, den
+        else:
+            n, d = num, den * 10 ** -shift
+        q, r = divmod(n, d)  # q = floor(|x| 10^shift)
         step = (q >= top) - (10 * q < top)
         if not step:
             break
         e += step
-    if (2 * r >= d) if direction == 0 else (r and (direction > 0) == (not sign)):
+    if direction == 0:
+        up = 2 * r >= d
+    else:
+        up = r and (direction > 0) == (not sign)
+    if up:
         q += 1
         if q == top:
             q, e = q // 10, e + 1
@@ -495,11 +499,14 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
         hi = -_shift_div(-g * (a + e), t, d)
         v, err = (lo + hi) // 2, (hi - lo + 1) // 2
         lower, need = abs(v) - err, err * 10 ** (target + 3)
-        scale, den = 1 << max(0, -w - t), 1 << max(0, w + t)  # S in [v -+ err] scale/den
-        text = _decimal_text((v - err) * scale, den, target)
-        if err == 0 or lower >= need and text == _decimal_text((v + err) * scale, den, target):
-            lost = math.floor(math.log10(size) - math.log10(abs(a))) if v and size else 0
-            return PsiSum(Fraction(v * scale, den), text, wd, max(0, lost))
+        if err == 0 or lower >= need:
+            # S lies in [v - err, v + err] * scale / den
+            scale = 1 << max(0, -w - t)
+            den = 1 << max(0, w + t)
+            text = decimal_text((v - err) * scale, target, den=den)
+            if err == 0 or text == decimal_text((v + err) * scale, target, den=den):
+                lost = math.floor(math.log10(size) - math.log10(abs(a))) if v and size else 0
+                return PsiSum(Fraction(v * scale, den), text, wd, max(0, lost))
         if wd >= wd_max:
             raise PrecisionExhausted(
                 f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
@@ -516,6 +523,8 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
 
 def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY):
     """psi^(order)(x) as an mpf, for any x that Fraction() takes; order 0 is
-    digamma.  A one-term psi_sum.
+    digamma.
+
+    A one-term psi_sum.
     """
     return psi_sum([(1, order, x)], policy).value

@@ -364,6 +364,18 @@ class TestExactnessAndCeiling:
             code, out, _ = run(CliRequest(expression, "plain", 40, "numeric"))
             assert code == 0 and out == value.ljust(42, "0") + "\n"
 
+    def test_rational_numeric_view_ignores_the_mpmath_context(self):
+        # sum 1/(n(n+3)) = 11/18, not a dyadic: at mpmath's default 53 bits
+        # its mpf view still lies in the 30-digit bracket and prints 30 true digits
+        from exactsum.oracle import partial_sum_bracket
+
+        spec = ast_to_spec(parse_expression("1/(n*(n+3))"), "plain")
+        with mpmath.workprec(53):
+            r = evaluate(spec, POLICY)
+            assert r.value == F(11, 18)
+            assert partial_sum_bracket(spec, POLICY).contains(r.numeric)
+            assert mpmath.nstr(r.numeric, 30, strip_zeros=False) == r.text == "0.6" + "1" * 29
+
     @pytest.mark.parametrize("digits", [30, 100])
     def test_classes_far_apart(self, digits):
         # X = 60.5 and X = 201 differ by more than 4/3: ln(X/X_ref) takes the
