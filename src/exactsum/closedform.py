@@ -15,7 +15,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import PoleArgument
 
@@ -60,14 +60,6 @@ class SymbolicValue:
         rs = tuple([(c, o, a) for (o, a), c in sorted(merged.items()) if c != 0])
         return cls(cs, rs)
 
-    @classmethod
-    def zero(cls) -> "SymbolicValue":
-        return cls((), ())
-
-    @classmethod
-    def rational(cls, c) -> "SymbolicValue":
-        return cls.build({ONE: Fraction(c)})
-
     def coefficient(self, symbol) -> Fraction:
         for s, c in self.basis_coeffs:
             if s == symbol:
@@ -78,58 +70,30 @@ class SymbolicValue:
     def fully_reduced(self) -> bool:
         return not self.residuals
 
-    def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
-        coeffs: Dict = dict(self.basis_coeffs)
-        for s, c in other.basis_coeffs:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
-        return SymbolicValue.build(coeffs, self.residuals + other.residuals)
-
-    def __sub__(self, other: "SymbolicValue") -> "SymbolicValue":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "SymbolicValue":
-        k = Fraction(k)
-        if k == 0:
-            return SymbolicValue.zero()
-        return SymbolicValue.build(
-            {s: c * k for s, c in self.basis_coeffs},
-            [(c * k, o, a) for c, o, a in self.residuals],
-        )
-
-    def is_zero(self) -> bool:
-        return not self.basis_coeffs and not self.residuals
-
 
 # -- closed-form reduction -----------------------------------------------------
 
 
-def _base_value(order: int, arg: Fraction) -> SymbolicValue:
-    """Closed form of psi^(order)(arg) for arg in (0, 1], or a residual."""
-    if arg == 1:
-        if order == 0:
-            return SymbolicValue.build({GAMMA: Fraction(-1)})
-        # psi^(n)(1) = (-1)^(n+1) n! zeta(n+1)
-        c = Fraction((-1) ** (order + 1) * math.factorial(order))
-        if order == 1:
-            return SymbolicValue.build({PI_SQUARED: c / 6})
-        return SymbolicValue.build({ZETA(order + 1): c})
-    if arg == Fraction(1, 2):
-        if order == 0:
-            return SymbolicValue.build({GAMMA: Fraction(-1), LN2: Fraction(-2)})
-        # psi^(n)(1/2) = (-1)^(n+1) n! (2^(n+1)-1) zeta(n+1)
-        c = Fraction((-1) ** (order + 1) * math.factorial(order) * (2 ** (order + 1) - 1))
-        if order == 1:
-            return SymbolicValue.build({PI_SQUARED: c / 6})
-        return SymbolicValue.build({ZETA(order + 1): c})
-    if order == 0 and arg == Fraction(1, 4):
-        return SymbolicValue.build(
-            {GAMMA: Fraction(-1), LN2: Fraction(-3), PI: Fraction(-1, 2)}
-        )
-    if order == 0 and arg == Fraction(3, 4):
-        return SymbolicValue.build(
-            {GAMMA: Fraction(-1), LN2: Fraction(-3), PI: Fraction(1, 2)}
-        )
-    return SymbolicValue.build({}, [(Fraction(1), order, arg)])
+# Gauss's digamma values at the arguments in (0, 1] that the basis reduces.
+_DIGAMMA = {
+    Fraction(1): {GAMMA: Fraction(-1)},
+    Fraction(1, 2): {GAMMA: Fraction(-1), LN2: Fraction(-2)},
+    Fraction(1, 4): {GAMMA: Fraction(-1), LN2: Fraction(-3), PI: Fraction(-1, 2)},
+    Fraction(3, 4): {GAMMA: Fraction(-1), LN2: Fraction(-3), PI: Fraction(1, 2)},
+}
+
+
+def _base_value(order: int, arg: Fraction) -> Optional[Dict]:
+    """Basis coefficients of psi^(order)(arg) for arg in (0, 1], or None for a residual."""
+    if order == 0:
+        return _DIGAMMA.get(arg)
+    if arg.denominator > 2:
+        return None
+    # psi^(n)(1) = (-1)^(n+1) n! zeta(n+1), and psi^(n)(1/2) = (2^(n+1)-1) psi^(n)(1)
+    c = Fraction((-1) ** (order + 1) * math.factorial(order))
+    if arg != 1:
+        c *= 2 ** (order + 1) - 1
+    return {PI_SQUARED: c / 6} if order == 1 else {ZETA(order + 1): c}
 
 
 def _reciprocal_power_sum(start: Fraction, count: int, power: int) -> Fraction:
@@ -155,43 +119,44 @@ def _reciprocal_power_sum(start: Fraction, count: int, power: int) -> Fraction:
     return Fraction(num * q ** power, den)
 
 
-def psi_closed(order: int, argument) -> SymbolicValue:
-    """Exact SymbolicValue for psi^(order)(argument), argument rational.
-
-    Shifts the argument into (0, 1] with the recurrence
-    psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1), summing the exact
-    rational corrections, then applies the known base values.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    arg = Fraction(argument)
-    if arg.denominator == 1 and arg <= 0:
-        raise PoleArgument(f"psi^({order}) has a pole at {arg}")
-
-    base = arg - (math.ceil(arg) - 1)  # in (0, 1]
-    steps = abs(int(arg - base))
-    correction = (-1) ** order * math.factorial(order) * _reciprocal_power_sum(
-        min(arg, base), steps, order + 1
-    )
-    # Downward from arg > 1 adds the corrections; upward from arg <= 0 subtracts.
-    if arg <= 0:
-        correction = -correction
-
-    value = _base_value(order, base)
-    if correction:
-        value = value + SymbolicValue.rational(correction)
-    return value
-
-
 def assemble(terms: Iterable) -> SymbolicValue:
-    """Exact linear combination of psi terms: (coeff, order, argument) triples."""
-    total = SymbolicValue.zero()
+    """Exact linear combination of psi terms: (coeff, order, argument) triples.
+
+    Each argument is shifted into (0, 1] with the recurrence
+    psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1).  The exact rational
+    corrections and the base values' coefficients accumulate in one dict,
+    the bases with no closed form in one residual list, and the value is
+    built once.
+    """
+    coeffs: Dict = {ONE: Fraction(0)}
+    residuals = []
     for coeff, order, argument in terms:
         coeff = Fraction(coeff)
         if coeff == 0:
             continue
-        total = total + psi_closed(order, argument).scale(coeff)
-    return total
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        arg = Fraction(argument)
+        if arg.denominator == 1 and arg <= 0:
+            raise PoleArgument(f"psi^({order}) has a pole at {arg}")
+        base = arg - (math.ceil(arg) - 1)  # in (0, 1]
+        correction = (-1) ** order * math.factorial(order) * _reciprocal_power_sum(
+            min(arg, base), abs(int(arg - base)), order + 1
+        )
+        # Downward from arg > 1 adds the corrections; upward from arg <= 0 subtracts.
+        coeffs[ONE] += coeff * correction if arg > 0 else -coeff * correction
+        value = _base_value(order, base)
+        if value is None:
+            residuals.append((coeff, order, base))
+        else:
+            for s, c in value.items():
+                coeffs[s] = coeffs.get(s, 0) + coeff * c
+    return SymbolicValue.build(coeffs, residuals)
+
+
+def psi_closed(order: int, argument) -> SymbolicValue:
+    """Exact SymbolicValue for psi^(order)(argument), argument rational."""
+    return assemble([(1, order, argument)])
 
 
 # -- rendering ------------------------------------------------------------------

@@ -43,21 +43,17 @@ class SumResult:
         return to_mpf(self.value, bits)
 
 
-def _psi_terms_plain(pf: PartialFractions):
+def _psi_terms(pf: PartialFractions, sign: str):
+    """The master formula's (coeff, order, argument) psi terms of `pf`."""
     for a, j, coeff in pf.entries:
         if coeff == 0:
             continue
-        c = Fraction((-1) ** j, math.factorial(j - 1)) * coeff
-        yield (c, j - 1, a + 1)
-
-
-def _psi_terms_alternating(pf: PartialFractions):
-    for a, j, coeff in pf.entries:
-        if coeff == 0:
-            continue
-        c = Fraction((-1) ** j, math.factorial(j - 1) * 2 ** j) * coeff
-        yield (c, j - 1, Fraction(a + 1, 2))
-        yield (-c, j - 1, Fraction(a + 2, 2))
+        if sign == PLAIN:
+            yield (Fraction((-1) ** j, math.factorial(j - 1)) * coeff, j - 1, a + 1)
+        else:
+            c = Fraction((-1) ** j, math.factorial(j - 1) * 2 ** j) * coeff
+            yield (c, j - 1, Fraction(a + 1, 2))
+            yield (-c, j - 1, Fraction(a + 2, 2))
 
 
 def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:
@@ -66,10 +62,7 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
     An alternating spec sums (-1)^(n+1) Q(n)/P(n) instead.
     """
     pf = decompose(spec)
-    if spec.sign == PLAIN:
-        terms = list(_psi_terms_plain(pf))
-    else:
-        terms = list(_psi_terms_alternating(pf))
+    terms = list(_psi_terms(pf, spec.sign))
     exact = assemble(terms)
     if exact.fully_reduced and all(s == ONE for s, _ in exact.basis_coeffs):
         r = exact.coefficient(ONE)

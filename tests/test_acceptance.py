@@ -129,7 +129,7 @@ def test_criterion_08_telescoping_suite():
         assert r.exact.fully_reduced
         # collapses to (1/k) sum_{j=1..k} 1/(j + a - k)
         expected = sum(F(1) / (j + a - k) for j in range(1, k + 1)) / k
-        assert r.exact == SymbolicValue.rational(expected)
+        assert r.exact == SymbolicValue.build({ONE: expected})
         done += 1
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactsum.closedform import (
     GAMMA,
@@ -89,10 +90,10 @@ class TestAssemble:
         assert v.fully_reduced
 
     def test_empty(self):
-        assert assemble([]).is_zero()
+        assert assemble([]) == SymbolicValue.build({})
 
     def test_residual_cancellation(self):
-        assert assemble([(1, 0, F(1, 3)), (-1, 0, F(1, 3))]).is_zero()
+        assert assemble([(1, 0, F(1, 3)), (-1, 0, F(1, 3))]) == SymbolicValue.build({})
 
     def test_order_independent(self, rng):
         terms = [
@@ -104,6 +105,49 @@ class TestAssemble:
         rng.shuffle(shuffled)
         assert assemble(terms) == assemble(shuffled)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_build_is_canonical(self, data):
+        term = st.tuples(
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            st.integers(0, 3),
+            st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(
+                lambda a: not (a.denominator == 1 and a <= 0)
+            ),
+        )
+        terms = data.draw(st.lists(term, max_size=8))
+        shuffled = data.draw(st.permutations(terms))
+        assert assemble(terms) == assemble(shuffled)
+        assert render(assemble(terms)) == render(assemble(shuffled))
+
+    def test_shared_base_merges_or_cancels(self):
+        # psi(4/3) = 3 + psi(1/3): both terms land on the one residual psi(0, 1/3)
+        merged = assemble([(1, 0, F(4, 3)), (2, 0, F(1, 3))])
+        assert merged == SymbolicValue.build({ONE: F(3)}, [(F(3), 0, F(1, 3))])
+        assert render(merged) == "3 + 3*psi(0, 1/3)"
+        cancelled = assemble([(1, 0, F(4, 3)), (-1, 0, F(1, 3))])
+        assert cancelled == SymbolicValue.build({ONE: F(3)})
+
+    def test_zero_coefficient_at_a_pole_is_skipped(self):
+        v = assemble([(0, 2, 0), (F(0), 0, -3), (1, 0, 1)])
+        assert v == SymbolicValue.build({GAMMA: F(-1)})
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            assemble([(1, -1, 2)])
+
+    def test_builds_once(self, monkeypatch):
+        calls = []
+        build = SymbolicValue.build.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(SymbolicValue, "build", classmethod(counted))
+        assemble([(1, 0, F(7, 2)), (-1, 1, F(9, 4)), (2, 3, 5), (F(1, 3), 0, F(-2, 3))])
+        assert len(calls) == 1
+
 
 class TestRecurrenceExactness:
     def test_difference_is_exact_rational(self, rng):
@@ -113,9 +157,9 @@ class TestRecurrenceExactness:
         for _ in range(30):
             o = rng.randint(0, 3)
             a = F(rng.randint(1, 40), rng.randint(1, 6))
-            diff = psi_closed(o, a + 1) - psi_closed(o, a)
+            diff = assemble([(1, o, a + 1), (-1, o, a)])
             expected = F((-1) ** o * math.factorial(o)) / a ** (o + 1)
-            assert diff == SymbolicValue.rational(expected)
+            assert diff == SymbolicValue.build({ONE: expected})
 
 
 def test_numeric_consistency_randomized(rng):
@@ -181,7 +225,7 @@ class TestRender:
         assert render(v) == "psi(0, 1/3)"
 
     def test_zero(self):
-        assert render(SymbolicValue.zero()) == "0"
+        assert render(SymbolicValue.build({})) == "0"
 
     def test_canonical_order_with_zeta(self):
         v = SymbolicValue.build(
