@@ -20,7 +20,7 @@ from typing import Union
 
 from .errors import DegreeTooHigh, DivisionByZero, ExpressionSyntaxError
 from .partfrac import MAX_DEGREE, MAX_HEIGHT_BITS, SumSpec
-from .polys import Polynomial, factor_linear, reduced
+from .polys import FactorList, Polynomial, factor_linear, reduced
 
 
 # -- AST ------------------------------------------------------------------------
@@ -251,7 +251,8 @@ def _check_size(degree: int, bits: int = 0):
 def _fold(node: Node):
     """The AST as an unreduced integer pair (N, D) of value N/D.
 
-    The size of every power and product is checked before it is expanded.
+    The size of every power and product is checked before it is expanded; a
+    sum over one denominator expands nothing and stays within its terms' size.
     """
     if isinstance(node, Num):
         return Polynomial([node.value.numerator]), Polynomial([node.value.denominator])
@@ -271,6 +272,8 @@ def _fold(node: Node):
         if n2.is_zero():
             raise DivisionByZero("division by zero")
         n2, d2 = d2, n2
+    if node.op in "+-" and d1 == d2:
+        return (n1 + n2 if node.op == "+" else n1 - n2), d1
     _check_size(max(n1.degree, d1.degree) + max(n2.degree, d2.degree))
     if node.op in "*/":
         return n1 * n2, d1 * d2
@@ -282,17 +285,19 @@ def _fold(node: Node):
 def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
     """Fold the AST into Q/P, reduce it once, factor P, validate convergence.
 
-    Raises DivisionByZero, NonLinearFactor, NegativeIntegerShift (via
-    factoring), DegreeTooHigh (a fold above the size limits, a divergent
-    numerator degree, or no denominator at all), ExpressionSyntaxError (an
-    AST deeper than the recursion limit, such as a chain of ~1000 operands)
-    or a SumSpec limit error.
+    A zero Q/P gives Q = 0 over no poles.  Raises DivisionByZero,
+    NonLinearFactor, NegativeIntegerShift (via factoring), DegreeTooHigh (a
+    fold above the size limits, a divergent numerator degree, or a nonzero
+    Q with no denominator), ExpressionSyntaxError (an AST deeper than the
+    recursion limit, such as a chain of ~1000 operands) or a SumSpec limit error.
     """
     try:
         folded = _fold(ast)
     except RecursionError:
         raise ExpressionSyntaxError("expression nested too deeply to fold") from None
     numerator, denominator = reduced(*folded)
+    if numerator.is_zero():
+        return SumSpec(numerator, FactorList([]), sign)
     if denominator.degree < 1:
         raise DegreeTooHigh(
             "summand has no denominator in n; the series diverges "

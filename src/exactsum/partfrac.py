@@ -5,15 +5,19 @@ local expansion at each pole: with t = n + a_i,
 
     Q(t - a_i) / prod_{l != i} (t + a_l - a_i)^{m_l} = sum_k g_k t^k,
 
-and A_ij = g_{m_i - j}.  Only the first m_i terms of that series are
-needed, so the work is O(N^2) exact operations for total degree N.
+and A_ij = g_{m_i - j}.  On integers: for a_i = p/q and u = q t, the left
+side is a rational scale times W(u - p) / prod_{l != i} (q_l u + b_l)^{m_l},
+b_l = p_l q - p q_l, where W(x) = q^d W0(x/q) for Q = c W0, W0 primitive of
+degree d.  A Taylor shift of W and a fraction-free division (von zur Gathen
+& Gerhard, ISSAC 1997) give its first m_i coefficients as integers h_k over
+r^(k+1), r the divisor's constant term: O(N^2) integer multiply-adds for
+total degree N, and one Fraction per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Tuple
 
 from .errors import DegreeTooHigh, OrderTooLarge, ShiftTooLarge
@@ -64,7 +68,7 @@ class SumSpec:
             )
         n_total = self.factors.total_degree
         bound = n_total - 2 if self.sign == PLAIN else n_total - 1
-        if self.numerator.degree > bound:
+        if self.numerator.degree > bound and not self.numerator.is_zero():
             raise DegreeTooHigh(
                 f"deg Q = {self.numerator.degree} exceeds {bound} "
                 f"(deg Q must be <= deg P - {2 if self.sign == PLAIN else 1} "
@@ -92,26 +96,35 @@ class PartialFractions:
 
 def decompose(spec: SumSpec) -> PartialFractions:
     """Partial-fraction coefficients of Q(n)/P(n) over the factored denominator."""
-    q = spec.numerator.coeffs
+    content, prim = spec.numerator.primitive()
+    deg, total = max(prim.degree, 0), spec.factors.total_degree
     entries = []
-    for a_i, m_i in spec.factors:
-        # Taylor coefficients of Q at n = -a_i, in powers of t = n + a_i.
-        g = [
-            sum(
-                (q[k] * comb(k, r) * (-a_i) ** (k - r) for k in range(r, len(q))),
-                Fraction(0),
-            )
-            for r in range(m_i)
-        ]
+    for a, m in spec.factors:
+        p, q = a.numerator, a.denominator
+        w = [c * q ** (deg - k) for k, c in enumerate(prim.coeffs)] + [0] * m
+        for i in range(min(m, deg) if p else 0):
+            for k in range(deg - 1, i - 1, -1):
+                w[k] -= p * w[k + 1]
+        # the divisor to m terms, and the product of its q_l^{m_l}
+        den, lead = [1] + [0] * (m - 1), 1
         for a_l, m_l in spec.factors:
-            b = a_l - a_i
-            if b == 0:
-                continue
-            for _ in range(m_l):
-                # Divide the truncated series by (t + b).
-                for r in range(m_i):
-                    g[r] = (g[r] - (g[r - 1] if r else 0)) / b
-        entries.extend((a_i, j, g[m_i - j]) for j in range(1, m_i + 1))
+            b, q_l = a_l.numerator * q - p * a_l.denominator, a_l.denominator
+            if b:
+                lead *= q_l ** m_l
+                for _ in range(m_l):
+                    for k in range(m - 1, 0, -1):
+                        den[k] = den[k] * b + den[k - 1] * q_l
+                    den[0] *= b
+        r, h = den[0], []
+        for k in range(m):
+            acc = 0
+            for j in range(k, 0, -1):
+                acc = acc * r + den[j] * h[k - j]
+            h.append(w[k] * r ** k - acc)
+        # g_k = c q^(N - m - d) lead q^k h_k / r^(k+1), since u = q t
+        top, low = content.numerator * lead * q ** (total - m), content.denominator * q ** deg
+        for k in range(m - 1, -1, -1):
+            entries.append((a, m - k, Fraction(top * h[k] * q ** k, low * r ** (k + 1))))
     return PartialFractions(tuple(entries))
 
 

@@ -93,6 +93,8 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
+        if k and self.coeffs and not any(self.coeffs[:-1]):  # (c n^j)^k = c^k n^(jk)
+            return Polynomial([0] * (self.degree * k) + [self.coeffs[-1] ** k])
         result = Polynomial([1])
         base = self
         while k:

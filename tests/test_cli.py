@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from exactsum import engine, parser
 from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
-from exactsum.errors import InsufficientTerms
+from exactsum.errors import DegreeTooHigh, InsufficientTerms
 from exactsum.partfrac import MAX_SHIFT
 from exactsum.polygamma import decimal_text
 from exactsum.polys import FactorList, factor_linear
@@ -191,6 +191,43 @@ class TestExitCodes:
     def test_largest_closed_forms_accepted(self, expression, numeric):
         # both values agree with a direct partial sum whose tail is negligible
         assert _run(expression, format="numeric") == (0, numeric + "\n", "")
+
+
+class TestZeroSummand:
+    ZEROS = ["0/n^2", "1/n^2 - 1/n^2", "0"]
+
+    @pytest.mark.parametrize("expression", ZEROS)
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_sums_to_zero(self, expression, sign):
+        # the sum of 0 is 0, not a divergent series
+        code, out, err = _run(expression, sign=sign)
+        assert (code, out, err) == (0, "exact: 0\nnumeric: 0.0\n", "")
+
+    @pytest.mark.parametrize("expression", ZEROS)
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_verify_agrees(self, expression, sign):
+        code, out, err = _run(expression, sign=sign, format="json", verify=True)
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (doc["exact"], doc["numeric"], doc["partial_fractions"]) == ("0", "0.0", [])
+        assert doc["verify"] == {
+            "bracket_lo": "0.0",
+            "bracket_hi": "0.0",
+            "quadrature": "0.0",
+            "agree": True,
+        }
+
+    def test_spec_has_no_poles(self):
+        spec = parser.ast_to_spec(parser.parse_expression("1/n^2 - 1/n^2"))
+        assert spec.numerator.is_zero() and spec.factors == FactorList([])
+
+    @pytest.mark.parametrize("expression", ["1", "n+1", "1/n^0"])
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_nonzero_constant_still_diverges(self, expression, sign):
+        code, out, err = _run(expression, sign=sign)
+        assert code == 2 and out == "" and "diverges" in err
+        with pytest.raises(DegreeTooHigh):
+            parser.ast_to_spec(parser.parse_expression(expression), sign)
 
 
 class TestFactoring:

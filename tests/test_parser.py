@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exactsum.errors import (
     DegreeTooHigh,
@@ -15,11 +16,12 @@ from exactsum.parser import (
     Num,
     Pow,
     Var,
+    _fold,
     ast_to_spec,
     parse_expression,
     render_ast,
 )
-from exactsum.polys import Polynomial
+from exactsum.polys import Polynomial, reduced
 
 
 class TestGrammar:
@@ -128,6 +130,14 @@ class TestAstToSpec:
             ast_to_spec(parse_expression("1/(n^2+1)^129"), "plain")
         assert "degree 258 > 256" in str(exc.value)
 
+    def test_sum_over_one_denominator_expands_nothing(self):
+        # 1/P + 1/P folds to 2/P, not to a degree-260 product over P^2 that
+        # the fold's size limit would refuse
+        p = "*".join(f"(n+{k})" for k in range(1, 131))
+        spec = ast_to_spec(parse_expression(f"1/({p}) + 1/({p})"), "plain")
+        assert spec.numerator == Polynomial([2])
+        assert spec.factors.pairs == tuple((F(k), 1) for k in range(1, 131))
+
     def test_integer_fold_keeps_rational_numerator(self):
         # (2/3)/(2n^2 + n) is (1/3)/(n^2 + n/2) over the monic denominator
         spec = ast_to_spec(parse_expression("(2/3)/(2*n^2+n)"), "plain")
@@ -157,8 +167,6 @@ def _random_ast(rng, depth=0):
 
 
 def test_parser_roundtrip_randomized(rng):
-    from exactsum.parser import _fold
-
     done = 0
     while done < 60:
         ast = _random_ast(rng)
@@ -173,3 +181,60 @@ def test_parser_roundtrip_randomized(rng):
         rf2 = _fold(reparsed)
         assert rf1 == rf2
         done += 1
+
+
+def _fold_by_product_rule(node):
+    """(N, D) of the AST by the general rules alone: a sum over the product
+    of both denominators, and a power as repeated multiplication."""
+    if isinstance(node, Num):
+        return Polynomial([node.value.numerator]), Polynomial([node.value.denominator])
+    if isinstance(node, Var):
+        return Polynomial([0, 1]), Polynomial([1])
+    if isinstance(node, Neg):
+        num, den = _fold_by_product_rule(node.operand)
+        return -num, den
+    if isinstance(node, Pow):
+        num, den = _fold_by_product_rule(node.base)
+        out_num, out_den = Polynomial([1]), Polynomial([1])
+        for _ in range(node.exponent):
+            out_num, out_den = out_num * num, out_den * den
+        return out_num, out_den
+    (n1, d1), (n2, d2) = _fold_by_product_rule(node.left), _fold_by_product_rule(node.right)
+    if node.op == "/":
+        if n2.is_zero():
+            raise DivisionByZero("division by zero")
+        n2, d2 = d2, n2
+    if node.op in "*/":
+        return n1 * n2, d1 * d2
+    sign = -1 if node.op == "-" else 1
+    return n1 * d2 + n2 * d1 * sign, d1 * d2
+
+
+_small_asts = st.recursive(
+    st.one_of(
+        st.just(Var()),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).map(Num),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(Pow, inner, st.integers(0, 3)),
+        st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_asts)
+def test_fold_matches_the_product_rule(ast):
+    # the fold's shortcuts (a sum over one shared denominator, the power of
+    # a monomial) give the rational function the general rules give
+    try:
+        folded = _fold(ast)
+    except DegreeTooHigh:
+        assume(False)  # past the fold's size limits
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            _fold_by_product_rule(ast)
+        return
+    assert reduced(*folded) == reduced(*_fold_by_product_rule(ast))

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -16,10 +17,59 @@ from exactsum.polys import Polynomial, reduced
 
 from conftest import make_spec, random_plain_spec
 
+HARD_DENOMINATORS = [
+    [(F(1000003, 999983), 2), (F(1, 2), 1), (0, 1)],
+    [(F(1, 1000), 2), (F(1, 1001), 1), (F(1, 999), 1)],
+    [(F(1, 3), 7), (F(2, 3), 2)],
+    [(0, 3), (F(5, 7), 2), (2, 1)],
+]
+
 
 def rational_function(spec):
     """The spec's Q/P in lowest terms, as recombine returns it."""
     return reduced(spec.numerator, spec.factors.expand())
+
+
+def _decompose_reference(spec):
+    """The entries decompose returned when it ran on Fractions: a Taylor
+    shift of Q by binomial sums, then one series division per linear factor."""
+    q = spec.numerator.coeffs
+    entries = []
+    for a_i, m_i in spec.factors:
+        # Taylor coefficients of Q at n = -a_i, in powers of t = n + a_i.
+        g = [
+            sum(
+                (q[k] * comb(k, r) * (-a_i) ** (k - r) for k in range(r, len(q))),
+                F(0),
+            )
+            for r in range(m_i)
+        ]
+        for a_l, m_l in spec.factors:
+            b = a_l - a_i
+            if b == 0:
+                continue
+            for _ in range(m_l):
+                # Divide the truncated series by (t + b).
+                for r in range(m_i):
+                    g[r] = (g[r] - (g[r - 1] if r else 0)) / b
+        entries.extend((a_i, j, g[m_i - j]) for j in range(1, m_i + 1))
+    return tuple(entries)
+
+
+def _random_spec(rng, sign):
+    """A random convergent spec; alternating ones take deg Q up to N - 1."""
+    spec = random_plain_spec(rng)
+    if sign == "plain":
+        return spec
+    deg_q = rng.randint(0, spec.factors.total_degree - 1)
+    coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg_q)] + [F(1)]
+    return make_spec(spec.factors.pairs, sign, Polynomial(coeffs))
+
+
+def _assert_matches_reference(spec):
+    entries = decompose(spec).entries
+    assert entries == _decompose_reference(spec)
+    assert all(type(c) is F for _, _, c in entries)
 
 
 class TestDecomposeExamples:
@@ -104,20 +154,44 @@ def test_alternating_degree_n_minus_1_nonzero_pole_sum():
     assert recombine(pf) == rational_function(spec)
 
 
-@pytest.mark.parametrize(
-    "pairs",
-    [
-        [(F(1000003, 999983), 2), (F(1, 2), 1), (0, 1)],
-        [(F(1, 1000), 2), (F(1, 1001), 1), (F(1, 999), 1)],
-        [(F(1, 3), 7), (F(2, 3), 2)],
-        [(0, 3), (F(5, 7), 2), (2, 1)],
-    ],
-)
+@pytest.mark.parametrize("pairs", HARD_DENOMINATORS)
 def test_roundtrip_hard_denominators(pairs):
     spec = make_spec(pairs, numerator=Polynomial([3, -1, F(1, 2)]))
     pf = decompose(spec)
     assert recombine(pf) == rational_function(spec)
     assert pf.simple_pole_sum() == 0
+
+
+class TestMatchesReference:
+    """The integer decompose returns the Fraction algorithm's entries exactly."""
+
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_random_specs(self, rng, sign):
+        for _ in range(60):
+            _assert_matches_reference(_random_spec(rng, sign))
+
+    @pytest.mark.parametrize("pairs", HARD_DENOMINATORS)
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_hard_denominators(self, pairs, sign):
+        _assert_matches_reference(make_spec(pairs, sign, Polynomial([3, -1, F(1, 2)])))
+
+    def test_multiplicity_31_at_three_shifts(self):
+        pairs = [(0, MAX_MULTIPLICITY), (F(1, 2), MAX_MULTIPLICITY), (F(7, 3), MAX_MULTIPLICITY)]
+        _assert_matches_reference(make_spec(pairs, numerator=Polynomial([3, -1, F(1, 2)])))
+
+    def test_shifts_in_sevenths(self):
+        pairs = [(F(k, 7), 1) for k in range(128)]
+        _assert_matches_reference(make_spec(pairs, numerator=Polynomial([3, -1, F(1, 2)])))
+
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_shifts_near_the_limit(self, sign):
+        pairs = [
+            (F(MAX_SHIFT * 999983 - 1, 999983), 1),
+            (F(-MAX_SHIFT * 1000003 + 1, 1000003), 1),
+            (F(12345, 65537), 3),
+        ]
+        numerator = Polynomial([F(-5, 3), 7, 0, F(1, 11)])
+        _assert_matches_reference(make_spec(pairs, sign, numerator))
 
 
 def test_order_200_pole_rejected():

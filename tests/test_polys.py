@@ -51,6 +51,37 @@ class TestArithmetic:
         assert (content, prim) == (F(2, 9), P(-3, 0, 2))
         assert P(0, -6).primitive() == (F(-6), P(0, 1))
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            P(-3),
+            P(F(2, 5)),
+            P(0, 0, -2),
+            P(0, F(-3, 7)),
+            P(0, 0, 0, 1),
+            P(1, 1),
+            P(0, 1, -1),
+            Polynomial(),
+        ],
+        ids=[
+            "negative-constant",
+            "fraction-constant",
+            "negative-monomial",
+            "fraction-monomial",
+            "n^3",
+            "binomial",
+            "no-constant-term",
+            "zero",
+        ],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_power_is_repeated_multiplication(self, p, k):
+        expected = P(1)
+        for _ in range(k):
+            expected = expected * p
+        assert p ** k == expected
+        assert [type(c) for c in (p ** k).coeffs] == [type(c) for c in expected.coeffs]
+
 
 class TestGcd:
     def test_common_linear_factor(self):
