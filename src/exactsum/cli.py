@@ -15,7 +15,7 @@ and integrates the whole partial-fraction table once over [0, 1].
 
 Every number printed is an exact rational until `decimal_text` prints it:
 the value (a rational closed form, or the psi kernel's dyadic, whose text
-the kernel certified), the bracket ends and the quadrature's mpf.  The
+the kernel certified), the bracket ends and the quadrature's value.  The
 check compares those rationals exactly.
 """
 
@@ -73,16 +73,13 @@ def _agrees(result, bracket, quad, digits: int) -> bool:
 
 
 def _quadrature_value(spec, pf, policy):
-    """The exact value of the quadrature's mpf, or None when a shift is <= -1."""
+    """The quadrature's exact value, or None when a shift is <= -1."""
     try:
         if spec.sign == PLAIN:
-            quad = quad_general(pf, policy)
-        else:
-            quad = quad_alternating(pf, policy)
+            return quad_general(pf, policy)
+        return quad_alternating(pf, policy)
     except NotApplicable:
         return None
-    sign, man, exp, _ = quad._mpf_
-    return (-man if sign else man) * Fraction(2) ** exp
 
 
 def run(request: CliRequest):

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .closedform import ONE, SymbolicValue, assemble
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, _precision_bits, psi_sum
-from .polygamma import decimal_text, to_mpf
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, decimal_text, psi_sum
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,9 @@ class SumResult:
     value: Fraction  # the rational closed form, or psi_sum's dyadic
     text: str  # `value` to the target digits, every digit true
     fully_reduced: bool
-    spec_echo: SumSpec
     pf_echo: PartialFractions
     working_digits: int  # precision of the accepted fixed-point pass
     digits_lost: int  # digits cancelled between residue classes
-
-    @property
-    def numeric(self):
-        """`value` as an mpf for callers in mpmath, rounded at the working
-        precision plus its denominator's bits, whatever mpmath's context."""
-        bits = _precision_bits(self.working_digits) + self.value.denominator.bit_length()
-        return to_mpf(self.value, bits)
 
 
 def _psi_terms(pf: PartialFractions, sign: str):
@@ -74,7 +65,6 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
         value=numeric.exact,
         text=numeric.text,
         fully_reduced=exact.fully_reduced,
-        spec_echo=spec,
         pf_echo=pf,
         working_digits=numeric.working_digits,
         digits_lost=numeric.digits_lost,

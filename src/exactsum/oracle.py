@@ -9,7 +9,9 @@ verifier, not the product: the CLI checks it to quad_digits(d) = ceil(d/2)
 significant digits of the d printed ones, and it integrates the table
 divided by the power of 2 nearest below its largest coefficient at ten
 digits more than that, rerunning at more where its error estimate is not
-within that many digits of the integral.
+within that many digits of the integral.  Both routes return exact
+rationals; mpmath is imported nowhere else in the package, and here only
+inside the quadrature and `to_mpf`.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli, to_mpf
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli
 from .polys import Polynomial
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
@@ -55,22 +57,12 @@ _HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30
 
 @dataclass(frozen=True)
 class Bracket:
-    """Rigorous interval [lower, upper] guaranteed to contain the series limit;
-    `lo`, `hi`, `width` and `contains` work in mpf, for callers in mpmath."""
+    """Rigorous interval [lower, upper] of exact rationals guaranteed to
+    contain the series limit."""
 
     lower: Fraction
     upper: Fraction
     terms_used: int
-
-    lo = property(lambda self: to_mpf(self.lower))
-    hi = property(lambda self: to_mpf(self.upper))
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self):
-        return to_mpf(self.upper - self.lower)
 
 
 # -- fixed-point series ------------------------------------------------------------
@@ -274,6 +266,16 @@ def _table(pf: PartialFractions):
     return entries, math.ceil(1 / (1 + min((a for a, _, _ in entries), default=0)))
 
 
+def to_mpf(x):
+    """The rational x as an mpf, rounded once at the current precision or at
+    the bits of its numerator, whichever is more: exact for a dyadic x."""
+    import mpmath
+
+    x = Fraction(x)
+    with mpmath.workprec(max(mpmath.mp.prec, x.numerator.bit_length())):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+
 def _integrand(entries, m: int, sign: int):
     """s -> m sum_ij A_ij/(j-1)! s^(m(a_i+1)-1) (-m ln s)^(j-1) / (1 - sign s^m).
 
@@ -299,8 +301,9 @@ def _integrand(entries, m: int, sign: int):
     return f
 
 
-def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy):
-    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j, an mpf, as one integral over [0, 1].
+def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
+    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over [0, 1],
+    returned as the exact value of the accepted pass's mpf.
 
     For sign +1 the integrand is 0/0 at s = 1.  mpmath's tanh-sinh nodes
     stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
@@ -327,7 +330,9 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy):
             value, err = mpmath.quad(_integrand(entries, m, sign), [0, 1], error=True)
             goal = mpmath.mpf(10) ** -want * abs(value)
             if err <= goal or dps >= ceiling:
-                return mpmath.ldexp(value, e)
+                # _mpf_ carries the sign apart from the mantissa
+                negative, man, exp, _ = value._mpf_
+                return (-man if negative else man) * Fraction(2) ** (exp + e)
             # the pass resolved max(err, eps) absolutely
             short = mpmath.log10(max(err, mpmath.eps) / goal) if goal else ceiling - dps
         dps = min(ceiling, dps + math.ceil(short))
@@ -335,14 +340,14 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy):
 
 def quad_alternating(
     pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
-):
+) -> Fraction:
     """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j by quadrature of the whole table."""
     return _quad(pf, -1, policy)
 
 
 def quad_general(
     pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
-):
+) -> Fraction:
     """sum_n sum_ij A_ij/(n + a_i)^j by quadrature of the whole table.
 
     The j = 1 terms' 1/(1 - u) poles at u = 1 cancel only jointly, under

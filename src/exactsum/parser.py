@@ -181,44 +181,27 @@ class _Parser:
 
     def base(self) -> Node:
         tok = self.peek()
-        if tok[0] == "num":
-            self.advance()
-            nxt = self.peek()
-            if nxt[0] in ("var", "("):
-                raise ExpressionSyntaxError(
-                    "implicit multiplication is not supported",
-                    nxt[2],
-                    "write '*' explicitly",
-                )
-            return Num(tok[1])
-        if tok[0] == "var":
-            self.advance()
-            nxt = self.peek()
-            if nxt[0] in ("var", "(", "num"):
-                raise ExpressionSyntaxError(
-                    "implicit multiplication is not supported",
-                    nxt[2],
-                    "write '*' explicitly",
-                )
-            return Var()
+        if tok[0] not in ("num", "var", "(", "-"):
+            raise ExpressionSyntaxError(
+                _unexpected(tok), tok[2], "expected a number, 'n', '(' or '-'"
+            )
+        self.advance()
+        if tok[0] == "-":
+            return Neg(self.factor())
         if tok[0] == "(":
-            self.advance()
             node = self.expr()
             self.expect(")")
-            nxt = self.peek()
-            if nxt[0] in ("var", "(", "num"):
-                raise ExpressionSyntaxError(
-                    "implicit multiplication is not supported",
-                    nxt[2],
-                    "write '*' explicitly",
-                )
-            return node
-        if tok[0] == "-":
-            self.advance()
-            return Neg(self.factor())
-        raise ExpressionSyntaxError(
-            _unexpected(tok), tok[2], "expected a number, 'n', '(' or '-'"
-        )
+        else:
+            node = Num(tok[1]) if tok[0] == "num" else Var()
+        nxt = self.peek()
+        # a number after a number is left to parse()'s "unexpected token"
+        if nxt[0] in ("var", "(") or (nxt[0] == "num" and tok[0] != "num"):
+            raise ExpressionSyntaxError(
+                "implicit multiplication is not supported",
+                nxt[2],
+                "write '*' explicitly",
+            )
+        return node
 
 
 def parse_expression(text: str) -> Node:
@@ -285,10 +268,10 @@ def _fold(node: Node):
 def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
     """Fold the AST into Q/P, reduce it once, factor P, validate convergence.
 
-    A zero Q/P gives Q = 0 over no poles.  Raises DivisionByZero,
-    NonLinearFactor, NegativeIntegerShift (via factoring), DegreeTooHigh (a
-    fold above the size limits, a divergent numerator degree, or a nonzero
-    Q with no denominator), ExpressionSyntaxError (an AST deeper than the
+    A constant P gives no poles, which SumSpec accepts only for Q = 0.
+    Raises DivisionByZero, NonLinearFactor, NegativeIntegerShift (via
+    factoring), DegreeTooHigh (a fold above the size limits, or a divergent
+    numerator degree), ExpressionSyntaxError (an AST deeper than the
     recursion limit, such as a chain of ~1000 operands) or a SumSpec limit error.
     """
     try:
@@ -296,11 +279,5 @@ def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
     except RecursionError:
         raise ExpressionSyntaxError("expression nested too deeply to fold") from None
     numerator, denominator = reduced(*folded)
-    if numerator.is_zero():
-        return SumSpec(numerator, FactorList([]), sign)
-    if denominator.degree < 1:
-        raise DegreeTooHigh(
-            "summand has no denominator in n; the series diverges "
-            "(deg Q must be <= deg P - 2 for plain sums)"
-        )
-    return SumSpec(numerator, factor_linear(denominator), sign)
+    factors = factor_linear(denominator) if denominator.degree else FactorList([])
+    return SumSpec(numerator, factors, sign)

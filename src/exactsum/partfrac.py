@@ -70,7 +70,7 @@ class SumSpec:
         bound = n_total - 2 if self.sign == PLAIN else n_total - 1
         if self.numerator.degree > bound and not self.numerator.is_zero():
             raise DegreeTooHigh(
-                f"deg Q = {self.numerator.degree} exceeds {bound} "
+                f"the series diverges: deg Q = {self.numerator.degree} exceeds {bound} "
                 f"(deg Q must be <= deg P - {2 if self.sign == PLAIN else 1} "
                 f"for {self.sign} sums to converge)"
             )

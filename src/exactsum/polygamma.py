@@ -122,17 +122,6 @@ def bernoulli(m: int) -> Fraction:
 # -- helpers ------------------------------------------------------------------
 
 
-def to_mpf(x, bits: int = 0):
-    """The rational x as an mpf, rounded once at `bits` (at the current
-    precision if 0) or at the bits of its numerator, whichever is more:
-    exact for a dyadic x."""
-    import mpmath
-
-    x = Fraction(x)
-    with mpmath.workprec(max(bits or mpmath.mp.prec, x.numerator.bit_length())):
-        return mpmath.mpf(x.numerator) / x.denominator
-
-
 def decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
     """The rational x/den to `digits` significant digits, in integer arithmetic
     and in the layout of mpmath's printer with strip_zeros=False.  x is an
@@ -238,9 +227,8 @@ def _shift_div(x: int, w: int, den: int) -> int:
 class PsiSum:
     """sum c psi^(n)(x) as an exact dyadic and its true target-digit text.
 
-    `text` is decimal_text(exact, target digits); `value` is `exact` as an
-    mpf, made on access for callers that work in mpmath; `working_digits`
-    is the precision of the pass that was accepted; `digits_lost` is
+    `text` is decimal_text(exact, target digits); `working_digits` is the
+    precision of the pass that was accepted; `digits_lost` is
     floor(log10(sum_cls |T_cls| / |S|)), the cancellation between residue
     classes (0 for an exact zero).
     """
@@ -249,7 +237,6 @@ class PsiSum:
     text: str
     working_digits: int
     digits_lost: int
-    value = property(lambda self: to_mpf(self.exact))
 
 
 def _log2_size(k: int, n: int, x: Fraction) -> float:
@@ -521,10 +508,10 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
             wd = min(wd_max, 2 * wd)
 
 
-def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY):
-    """psi^(order)(x) as an mpf, for any x that Fraction() takes; order 0 is
-    digamma.
+def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
+    """psi^(order)(x) as psi_sum's exact dyadic, for any x that Fraction()
+    takes; order 0 is digamma.
 
     A one-term psi_sum.
     """
-    return psi_sum([(1, order, x)], policy).value
+    return psi_sum([(1, order, x)], policy).exact

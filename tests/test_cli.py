@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -228,6 +229,11 @@ class TestZeroSummand:
         assert code == 2 and out == "" and "diverges" in err
         with pytest.raises(DegreeTooHigh):
             parser.ast_to_spec(parser.parse_expression(expression), sign)
+
+    @pytest.mark.parametrize("sign, bound", [("plain", "deg P - 2"), ("alternating", "deg P - 1")])
+    def test_nonzero_constant_message_names_the_sign(self, sign, bound):
+        code, _, err = _run("n+1", sign=sign)
+        assert code == 2 and bound in err and f"for {sign} sums" in err
 
 
 class TestFactoring:
@@ -623,14 +629,25 @@ class TestJson:
 
 class TestMainEntry:
     def test_default_path_never_imports_mpmath(self):
-        # mpmath serves only the quadrature oracle and the library's mpf views
+        # mpmath serves only the quadrature oracle; the library calls below
+        # return exact rationals without it
         script = (
             "import contextlib, io, json, sys\n"
+            "from fractions import Fraction\n"
             "from exactsum.cli import main\n"
+            "from exactsum.engine import evaluate\n"
+            "from exactsum.oracle import partial_sum_bracket\n"
+            "from exactsum.parser import ast_to_spec, parse_expression\n"
+            "from exactsum.polygamma import polygamma, psi_sum\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             "    codes = [main(['1/n^2', '--digits', d, '--format', 'json']) for d in ('30', '1000')]\n"
             "assert codes == [0, 0] and 'mpmath' not in sys.modules, codes\n"
+            "spec = ast_to_spec(parse_expression('1/(n^2*(n+1/3))'), 'alternating')\n"
+            "values = [evaluate(spec).value, psi_sum([(1, 1, 1), (-2, 0, 2)]).exact,\n"
+            "          polygamma(2, Fraction(1, 3)), partial_sum_bracket(spec).lower]\n"
+            "assert all(isinstance(v, Fraction) for v in values), values\n"
+            "assert 'mpmath' not in sys.modules\n"
             "with contextlib.redirect_stdout(io.StringIO()) as verify_out:\n"
             "    code = main(['1/n^2', '--format', 'json', '--verify'])\n"
             "assert code == 0 and json.loads(verify_out.getvalue())['verify']['agree'] is True\n"
@@ -656,3 +673,19 @@ class TestMainEntry:
     def test_main_alternating_flag(self, capsys):
         assert main(["1/n", "--alternating", "--format", "exact"]) == 0
         assert capsys.readouterr().out == "ln(2)\n"
+
+
+def test_only_the_oracle_imports_mpmath():
+    package = Path(__file__).resolve().parent.parent / "src" / "exactsum"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "mpmath" for name in names):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}

@@ -18,6 +18,7 @@ from exactsum.closedform import (
 )
 from exactsum.engine import evaluate
 from exactsum.errors import PoleArgument
+from exactsum.oracle import to_mpf
 from exactsum.partfrac import decompose
 from exactsum.polygamma import PrecisionPolicy, polygamma
 from exactsum.polys import Polynomial
@@ -58,7 +59,7 @@ class TestPsiClosed:
             tol = mpmath.mpf(10) ** (-25)
             for arg in (F(1, 4), F(3, 4), F(5, 4), F(-1, 4)):
                 sym = symbolic_numeric(psi_closed(0, arg))
-                num = polygamma(0, arg, POLICY)
+                num = to_mpf(polygamma(0, arg, POLICY))
                 assert abs(sym - num) < tol
 
     def test_quarter_at_higher_order_stays_residual(self):
@@ -174,7 +175,7 @@ def test_numeric_consistency_randomized(rng):
             if arg.denominator == 1 and arg <= 0:
                 continue
             sym = symbolic_numeric(psi_closed(order, arg))
-            ref = polygamma(order, arg, POLICY)
+            ref = to_mpf(polygamma(order, arg, POLICY))
             assert abs(sym - ref) < tol * max(1, abs(ref))
             checked += 1
 

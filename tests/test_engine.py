@@ -12,7 +12,8 @@ from exactsum import engine
 from exactsum.engine import evaluate
 from exactsum.errors import NegativeIntegerShift
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.polygamma import PrecisionPolicy, polygamma, psi_sum, to_mpf
+from exactsum.oracle import partial_sum_bracket, to_mpf
+from exactsum.polygamma import PrecisionPolicy, decimal_text, polygamma, psi_sum
 
 from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric
 
@@ -24,13 +25,13 @@ class TestKnownClosedForms:
         r = evaluate(make_spec([(0, 1), (F(1, 2), 1)]), POLICY)
         assert render(r.exact) == "4 - 4*ln(2)"
         with mpmath.workdps(40):
-            assert abs(r.numeric - mpmath.mpf("1.22741127776021876233107151417")) < mpmath.mpf(10) ** (-28)
+            assert abs(r.value - F("1.22741127776021876233107151417")) < F(10) ** (-28)
 
     def test_basel(self):
         r = evaluate(make_spec([(0, 2)]), POLICY)
         assert render(r.exact) == "(1/6)*pi^2"
         with mpmath.workdps(40):
-            assert abs(r.numeric - mpmath.pi ** 2 / 6) < mpmath.mpf(10) ** (-28)
+            assert abs(to_mpf(r.value) - mpmath.pi ** 2 / 6) < mpmath.mpf(10) ** (-28)
 
     def test_half_shift_square(self):
         r = evaluate(make_spec([(F(1, 2), 2)]), POLICY)
@@ -48,7 +49,7 @@ class TestKnownClosedForms:
         assert r.exact.coefficient(LN2) == 8
         assert r.exact.coefficient(PI_SQUARED) == F(-1, 3)
         with mpmath.workdps(40):
-            assert abs(r.numeric - mpmath.mpf("0.2553093107831096")) < mpmath.mpf(10) ** (-15)
+            assert abs(r.value - F("0.2553093107831096")) < F(10) ** (-15)
 
     def test_alternating_harmonic(self):
         r = evaluate(make_spec([(0, 1)], sign="alternating"), POLICY)
@@ -71,7 +72,7 @@ class TestAnalyticIdentities:
                 r = evaluate(make_spec([(a, 1), (-a, 1)]), POLICY)
                 am = to_mpf(a)
                 ref = (1 / am - mpmath.pi * mpmath.cot(mpmath.pi * am)) / (2 * am)
-                assert abs(r.numeric - ref) < mpmath.mpf(10) ** (-20)
+                assert abs(to_mpf(r.value) - ref) < mpmath.mpf(10) ** (-20)
 
     def test_single_factor_matches_psi_closed(self):
         # sum 1/(n+a)^N = ((-1)^N/(N-1)!) psi^(N-1)(a+1), exactly
@@ -160,7 +161,7 @@ class TestAlternatingReductionGrid:
                         [1, mpmath.inf],
                         method="a",
                     )
-                    assert abs(r.numeric - ref) < tol, (a, j)
+                    assert abs(to_mpf(r.value) - ref) < tol, (a, j)
 
     def test_against_raw_partial_sums(self):
         # coarse but fully brute-force: first-omitted-term bound
@@ -175,7 +176,7 @@ class TestAlternatingReductionGrid:
                     for n in range(1, n_terms + 1):
                         s += (-1) ** (n + 1) / (n + am) ** j
                     bound = 1 / (n_terms + 1 + am) ** j
-                    assert abs(r.numeric - s) <= bound * mpmath.mpf("1.01")
+                    assert abs(to_mpf(r.value) - s) <= bound * mpmath.mpf("1.01")
 
 
 class TestEngineProperties:
@@ -202,9 +203,8 @@ class TestEngineProperties:
             for _ in range(15):
                 spec = random_plain_spec(rng, max_factors=3, max_mult=2)
                 r = evaluate(spec, POLICY)
-                assert abs(symbolic_numeric(r.exact) - r.numeric) < tol * max(
-                    1, abs(r.numeric)
-                )
+                value = to_mpf(r.value)
+                assert abs(symbolic_numeric(r.exact) - value) < tol * max(1, abs(value))
 
     def test_fully_reduced_flag(self):
         r = evaluate(make_spec([(F(1, 3), 1), (F(4, 3), 1)]), POLICY)
@@ -305,7 +305,7 @@ class TestCancellationFamily:
         policy = PrecisionPolicy(target_digits=50)
         value = polygamma(0, F(2 ** 70, 3), policy)
         with mpmath.workdps(60):
-            assert abs(value - reference) < mpmath.mpf(10) ** -49 * abs(reference)
+            assert abs(to_mpf(value) - reference) < mpmath.mpf(10) ** -49 * abs(reference)
 
     def test_cancellation_is_measured(self):
         spec = ast_to_spec(parse_expression(ALTERNATING_CANCELLING), "alternating")
@@ -329,7 +329,7 @@ class TestExactnessAndCeiling:
         monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
         spec = ast_to_spec(parse_expression(self.TELESCOPING), "plain")
         r = evaluate(spec, PrecisionPolicy(target_digits=digits))
-        assert r.numeric == 0 and r.digits_lost == 0
+        assert r.value == 0 and r.digits_lost == 0
         code, out, _ = run(CliRequest(self.TELESCOPING, "plain", digits, "numeric"))
         assert code == 0 and out == "0.0\n"
 
@@ -337,7 +337,7 @@ class TestExactnessAndCeiling:
         # psi(1/2) - psi(5/2) = -(2 + 2/3): a class with no series, its ladder
         # stopping at the last term
         s = psi_sum([(1, 0, F(1, 2)), (-1, 0, F(5, 2))], POLICY)
-        assert mpmath.nstr(s.value, 30) == "-2." + "6" * 28 + "7"
+        assert mpmath.nstr(to_mpf(s.exact), 30) == "-2." + "6" * 28 + "7"
 
     def test_precision_ceiling_is_a_typed_error(self, monkeypatch):
         pg = importlib.import_module("exactsum.polygamma")
@@ -364,15 +364,15 @@ class TestExactnessAndCeiling:
 
     def test_rational_numeric_view_ignores_the_mpmath_context(self):
         # sum 1/(n(n+3)) = 11/18, not a dyadic: at mpmath's default 53 bits
-        # its mpf view still lies in the 30-digit bracket and prints 30 true digits
-        from exactsum.oracle import partial_sum_bracket
-
+        # the value is still exact, lies in the 30-digit bracket and prints
+        # 30 true digits
         spec = ast_to_spec(parse_expression("1/(n*(n+3))"), "plain")
         with mpmath.workprec(53):
             r = evaluate(spec, POLICY)
             assert r.value == F(11, 18)
-            assert partial_sum_bracket(spec, POLICY).contains(r.numeric)
-            assert mpmath.nstr(r.numeric, 30, strip_zeros=False) == r.text == "0.6" + "1" * 29
+            bracket = partial_sum_bracket(spec, POLICY)
+            assert bracket.lower <= r.value <= bracket.upper
+            assert decimal_text(r.value, 30) == r.text == "0.6" + "1" * 29
 
     @pytest.mark.parametrize("digits", [30, 100])
     def test_classes_far_apart(self, digits):

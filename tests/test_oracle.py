@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from exactsum.engine import evaluate
 from exactsum.errors import ConstraintViolated, NotApplicable
 from exactsum import oracle
-from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_general
+from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general, to_mpf
+from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.partfrac import MAX_SHIFT, PartialFractions, decompose
-from exactsum.polygamma import PrecisionPolicy, to_mpf
+from exactsum.polygamma import PrecisionPolicy
 from exactsum.polys import Polynomial
 
 from conftest import make_spec, random_plain_spec
@@ -19,42 +20,47 @@ POLICY = PrecisionPolicy(target_digits=30)
 QUAD_TOL_EXP = -15  # error target 10^(-target/2)
 
 
+def _holds(bracket, x):
+    """Whether the bracket, its ends rounded at the current precision, holds the mpf x."""
+    return to_mpf(bracket.lower) <= x <= to_mpf(bracket.upper)
+
+
 class TestPartialSumBracket:
     def test_basel_bracket(self):
         with mpmath.workdps(40):
             b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
-            assert b.contains(mpmath.pi ** 2 / 6)
-            assert b.width < mpmath.mpf("2.1e-3")
+            assert _holds(b, mpmath.pi ** 2 / 6)
+            assert b.upper - b.lower < F("2.1e-3")
 
     def test_half_shift_pair_bracket(self):
         with mpmath.workdps(40):
             b = partial_sum_bracket(make_spec([(0, 1), (F(1, 2), 1)]), POLICY)
-            assert b.contains(4 * (1 - mpmath.ln(2)))  # 1.22741127776021876233107151417
+            assert _holds(b, 4 * (1 - mpmath.ln(2)))  # 1.22741127776021876233107151417
 
     def test_alternating_bracket(self):
         with mpmath.workdps(40):
             spec = make_spec([(F(1, 2), 1)], sign="alternating")
             b = partial_sum_bracket(spec, POLICY)
-            assert b.contains(2 - mpmath.pi / 2)
-            assert b.width <= to_mpf(F(1, 10 ** 4))
+            assert _holds(b, 2 - mpmath.pi / 2)
+            assert b.upper - b.lower <= F(1, 10 ** 4)
 
     def test_exact_small_path(self):
         with mpmath.workdps(40):
             b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
-            assert b.contains(mpmath.pi ** 2 / 6)
+            assert _holds(b, mpmath.pi ** 2 / 6)
 
     def test_numpy_large_path(self):
         with mpmath.workdps(40):
             b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
-            assert b.contains(mpmath.pi ** 2 / 6)
-            assert b.width < mpmath.mpf("5e-5")
+            assert _holds(b, mpmath.pi ** 2 / 6)
+            assert b.upper - b.lower < F("5e-5")
 
     def test_negative_summand_bracket(self):
         # Q = -1: negative terms put the tail below the partial sum
         with mpmath.workdps(40):
             spec = make_spec([(0, 2)], numerator=Polynomial([-1]))
             b = partial_sum_bracket(spec, POLICY)
-            assert b.contains(-mpmath.pi ** 2 / 6)
+            assert _holds(b, -mpmath.pi ** 2 / 6)
 
     def test_insufficient_terms(self):
         # the terms change sign at n = 50000; the head length depends on
@@ -62,7 +68,7 @@ class TestPartialSumBracket:
         with mpmath.workdps(60):
             spec = make_spec([(0, 3)], numerator=Polynomial([-50000, 1]))
             b = partial_sum_bracket(spec, POLICY)
-            assert b.contains(mpmath.zeta(2) - 50000 * mpmath.zeta(3))
+            assert _holds(b, mpmath.zeta(2) - 50000 * mpmath.zeta(3))
             assert b.terms_used < 1000
 
     @pytest.mark.parametrize("digits", [30, 300])
@@ -79,8 +85,8 @@ class TestPartialSumBracket:
             ]
             for spec, ref in cases:
                 b = partial_sum_bracket(spec, policy)
-                assert b.contains(ref)
-                assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -(digits + 3) * abs(ref)
+                assert _holds(b, ref)
+                assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -(digits + 3) * abs(ref)
 
     def test_alternating_double_pole(self):
         # sum (-1)^(n+1)/(n+1/4)^2 = (psi'(5/8) - psi'(9/8))/4
@@ -89,8 +95,8 @@ class TestPartialSumBracket:
             eighth = mpmath.mpf(1) / 8
             ref = (mpmath.psi(1, 5 * eighth) - mpmath.psi(1, 9 * eighth)) / 4
             b = partial_sum_bracket(spec, POLICY)
-            assert b.contains(ref)
-            assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
+            assert _holds(b, ref)
+            assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
 
     def test_high_order_pole_against_nsum(self):
         # M ~ 21^28 on |x| = 21: some 40 digits cancel in the tail
@@ -98,15 +104,15 @@ class TestPartialSumBracket:
             spec = make_spec([(20, 30)], numerator=Polynomial([0] * 28 + [1]))
             ref = mpmath.nsum(lambda n: n ** 28 / (n + 20) ** 30, [1, mpmath.inf])
             b = partial_sum_bracket(spec, PrecisionPolicy(target_digits=20))
-            assert b.contains(ref)
-            assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -23 * abs(ref)
+            assert _holds(b, ref)
+            assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -23 * abs(ref)
 
     def test_exact_zero_sum(self):
         # sum 1/((n+1/2)(n-3/2)) = 0: no relative width exists, the bracket
         # still holds 0 and ends
         b = partial_sum_bracket(make_spec([(F(1, 2), 1), (F(-3, 2), 1)]), POLICY)
-        assert b.lo <= 0 <= b.hi
-        assert b.width < mpmath.mpf(10) ** -60
+        assert b.lower <= 0 <= b.upper
+        assert b.upper - b.lower < F(10) ** -60
 
 
 def _psi_reference(spec):
@@ -152,12 +158,12 @@ def test_bracket_contains_psi_reference(pairs, coeffs, sign):
         ref = _psi_reference(spec)
         assume(abs(ref) > mpmath.mpf(10) ** -30)  # exact zeros: test_exact_zero_sum
         b = partial_sum_bracket(spec, POLICY)
-        assert b.contains(ref)
-        assert (b.hi - b.lo) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
+        assert _holds(b, ref)
+        assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
 
 
 def _quad(pairs):
-    return quad_general(decompose(make_spec(pairs)), POLICY)
+    return to_mpf(quad_general(decompose(make_spec(pairs)), POLICY))
 
 
 class TestQuadTwoParam:
@@ -218,7 +224,7 @@ class TestQuadSquare:
 
 
 def _quad_alt(pairs):
-    return quad_alternating(decompose(make_spec(pairs, sign="alternating")), POLICY)
+    return to_mpf(quad_alternating(decompose(make_spec(pairs, sign="alternating")), POLICY))
 
 
 class TestQuadAlternating:
@@ -262,7 +268,7 @@ class TestQuadAlternating:
                     [1, mpmath.inf],
                     method="a",
                 )
-                assert abs(quad_alternating(pf, POLICY) - ref) < mpmath.mpf(10) ** QUAD_TOL_EXP
+                assert abs(to_mpf(quad_alternating(pf, POLICY)) - ref) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
 
 class TestQuadGeneral:
@@ -283,39 +289,36 @@ class TestQuadGeneral:
         # S ~ 1.4e-41 and 2.9e-71: mpmath.quad stops on an absolute error,
         # which once left these two right to only 3 and 1 digits
         spec = make_spec([(shift, 31)])
-        engine = evaluate(spec, POLICY).numeric
+        engine = evaluate(spec, POLICY).value
         quad = quad_general(decompose(spec), POLICY)
-        with mpmath.workdps(40):
-            assert abs(quad - engine) <= mpmath.mpf(10) ** QUAD_TOL_EXP * abs(engine)
+        assert abs(quad - engine) <= F(10) ** QUAD_TOL_EXP * abs(engine)
 
     def test_basel(self):
         with mpmath.workdps(40):
             pf = decompose(make_spec([(0, 2)]))
-            assert abs(quad_general(pf, POLICY) - mpmath.pi ** 2 / 6) < mpmath.mpf(10) ** QUAD_TOL_EXP
+            assert abs(to_mpf(quad_general(pf, POLICY)) - mpmath.pi ** 2 / 6) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_half_shift_pair(self):
         with mpmath.workdps(40):
             pf = decompose(make_spec([(0, 1), (F(1, 2), 1)]))
             assert abs(
-                quad_general(pf, POLICY) - 4 * (1 - mpmath.ln(2))
+                to_mpf(quad_general(pf, POLICY)) - 4 * (1 - mpmath.ln(2))
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_double_pole_half_shift_matches_engine(self):
-        with mpmath.workdps(40):
-            spec = make_spec([(0, 2), (F(1, 2), 1)])
-            engine = evaluate(spec, POLICY).numeric
-            quad = quad_general(decompose(spec), POLICY)
-            assert abs(engine - quad) < mpmath.mpf(10) ** QUAD_TOL_EXP
+        spec = make_spec([(0, 2), (F(1, 2), 1)])
+        engine = evaluate(spec, POLICY).value
+        quad = quad_general(decompose(spec), POLICY)
+        assert abs(engine - quad) < F(10) ** QUAD_TOL_EXP
 
     def test_shift_between_minus_one_and_zero(self):
         # u^(-3/4) at the tail's u = 0 end held quadrature to ~4.5e-11
-        with mpmath.workdps(40):
-            spec = make_spec(
-                [(F(-3, 4), 1), (3, 2)], numerator=Polynomial([0, F(-9, 4)])
-            )
-            engine = evaluate(spec, POLICY).numeric
-            quad = quad_general(decompose(spec), POLICY)
-            assert abs(quad - engine) < mpmath.mpf(10) ** QUAD_TOL_EXP
+        spec = make_spec(
+            [(F(-3, 4), 1), (3, 2)], numerator=Polynomial([0, F(-9, 4)])
+        )
+        engine = evaluate(spec, POLICY).value
+        quad = quad_general(decompose(spec), POLICY)
+        assert abs(quad - engine) < F(10) ** QUAD_TOL_EXP
 
     def test_constraint_violated(self):
         pf = PartialFractions(((F(0), 1, F(1)),))
@@ -333,10 +336,29 @@ class TestQuadGeneral:
         with mpmath.workdps(40):
             for a, b in [(F(1, 2), F(0)), (F(3, 4), F(1, 3)), (F(2), F(1, 5))]:
                 pf = decompose(make_spec([(a, 1), (b, 1)]))
-                v1 = quad_general(pf, POLICY)
+                v1 = to_mpf(quad_general(pf, POLICY))
                 am, bm = to_mpf(a), to_mpf(b)
                 v2 = (mpmath.digamma(1 + am) - mpmath.digamma(1 + bm)) / (am - bm)
                 assert abs(v1 - v2) < 2 * mpmath.mpf(10) ** QUAD_TOL_EXP
+
+
+class TestQuadratureValue:
+    """Quadrature returns the exact value of its mpf, sign included."""
+
+    @pytest.mark.parametrize("digits", [10, 30])
+    @pytest.mark.parametrize(
+        "expression, sign",
+        [("-(9/4)*n/((n-3/4)*(n+3)^2)", "plain"), ("-1/(n^2*(n+1/3))", "alternating")],
+    )
+    def test_negative_sum_is_a_signed_fraction(self, expression, sign, digits):
+        policy = PrecisionPolicy(target_digits=digits)
+        spec = ast_to_spec(parse_expression(expression), sign)
+        value = evaluate(spec, policy).value
+        quad_oracle = quad_general if sign == "plain" else quad_alternating
+        quad = quad_oracle(decompose(spec), policy)
+        assert isinstance(quad, F)
+        assert value < 0 and quad < 0
+        assert abs(quad - value) <= F(1, 10 ** quad_digits(digits)) * abs(value)
 
 
 class TestCoherence:
@@ -351,8 +373,8 @@ class TestCoherence:
                 quad = quad_general(pf, POLICY)
                 bracket = partial_sum_bracket(spec, POLICY)
                 # the bracket (10^-33 relative) is far inside quadrature's target
-                tol = mpmath.mpf(10) ** QUAD_TOL_EXP
-                assert bracket.lo - tol <= quad <= bracket.hi + tol
+                tol = F(10) ** QUAD_TOL_EXP
+                assert bracket.lower - tol <= quad <= bracket.upper + tol
                 done += 1
 
     def test_closed_forms_inside_brackets(self, rng):
@@ -361,14 +383,14 @@ class TestCoherence:
                 spec = random_plain_spec(rng, max_factors=3, max_mult=2)
                 r = evaluate(spec, POLICY)
                 bracket = partial_sum_bracket(spec, POLICY)
-                assert bracket.contains(r.numeric)
+                assert bracket.lower <= r.value <= bracket.upper
 
     def test_alternating_coherence(self):
         with mpmath.workdps(40):
             spec = make_spec([(F(1, 4), 2)], sign="alternating")
             r = evaluate(spec, POLICY)
             bracket = partial_sum_bracket(spec, POLICY)
-            assert bracket.contains(r.numeric)
+            assert bracket.lower <= r.value <= bracket.upper
 
 
 def test_head_cap_serves_every_accepted_shift():
@@ -378,5 +400,6 @@ def test_head_cap_serves_every_accepted_shift():
     bracket = partial_sum_bracket(spec, POLICY)
     assert bracket.terms_used == oracle._HEAD_TERMS_MAX
     with mpmath.workdps(50):
-        assert bracket.contains(mpmath.psi(1, MAX_SHIFT + 1))
-        assert bracket.width < mpmath.mpf(10) ** -32 * mpmath.psi(1, MAX_SHIFT + 1)
+        assert _holds(bracket, mpmath.psi(1, MAX_SHIFT + 1))
+        width = to_mpf(bracket.upper - bracket.lower)
+        assert width < mpmath.mpf(10) ** -32 * mpmath.psi(1, MAX_SHIFT + 1)

@@ -38,10 +38,15 @@ class TestGrammar:
         assert isinstance(ast, BinOp) and ast.op == "/"
 
     def test_implicit_multiplication_rejected(self):
-        for text in ("n(n+1)", "2n", "(n+1)(n+2)", "2(n+1)"):
+        cases = [("n(n+1)", 1), ("2n", 1), ("(n+1)(n+2)", 5), ("2(n+1)", 1),
+                 ("n 2", 2), ("(n) 2", 4), ("2 (n)", 2), ("n n", 2), ("-2 n", 3)]
+        for text, offset in cases:
             with pytest.raises(ExpressionSyntaxError) as exc:
                 parse_expression(text)
-            assert "implicit multiplication" in str(exc.value)
+            assert str(exc.value) == (
+                f"syntax error at offset {offset}: "
+                "implicit multiplication is not supported (write '*' explicitly)"
+            )
 
     def test_precedence(self):
         # ^ binds tighter than unary minus; * tighter than +
@@ -81,6 +86,10 @@ class TestGrammar:
         with pytest.raises(ExpressionSyntaxError) as exc:
             parse_expression("1/n^2 3")
         assert "unexpected token '3'" in str(exc.value)
+        # a number after a number is not read as implicit multiplication
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression("2 3")
+        assert str(exc.value) == "syntax error at offset 2: unexpected token '3'"
 
     def test_whitespace_tolerated(self):
         assert parse_expression(" 1 / ( n + 1 ) ") == parse_expression("1/(n+1)")

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, to_str
 
 from exactsum.errors import OrderTooLarge, PoleArgument
-from exactsum.polygamma import PrecisionPolicy, bernoulli, decimal_text, polygamma, to_mpf
+from exactsum.oracle import to_mpf
+from exactsum.polygamma import PrecisionPolicy, bernoulli, decimal_text, polygamma
 
 POLICY = PrecisionPolicy(target_digits=30)
 
@@ -54,15 +55,15 @@ class TestBernoulli:
 class TestDigamma:
     def test_psi_one(self):
         with mpmath.workdps(40):
-            assert close(polygamma(0, 1, POLICY), -GAMMA_30)
+            assert close(to_mpf(polygamma(0, 1, POLICY)), -GAMMA_30)
 
     def test_psi_half(self):
         with mpmath.workdps(40):
-            assert close(polygamma(0, F(1, 2), POLICY), -GAMMA_30 - 2 * LN2_30)
+            assert close(to_mpf(polygamma(0, F(1, 2), POLICY)), -GAMMA_30 - 2 * LN2_30)
 
     def test_psi_two_recurrence(self):
         with mpmath.workdps(40):
-            assert close(polygamma(0, 2, POLICY), 1 - GAMMA_30)
+            assert close(to_mpf(polygamma(0, 2, POLICY)), 1 - GAMMA_30)
 
     def test_pole_rejected(self):
         for x in (0, -1, -7, F(-4, 2)):
@@ -72,29 +73,29 @@ class TestDigamma:
     def test_near_pole_numeric_rejected(self):
         # only the pole itself is rejected: 10^-35 from it is a valid argument
         x = -3 + F(1, 10 ** 35)
-        mine = polygamma(0, x, POLICY)
+        mine = to_mpf(polygamma(0, x, POLICY))
         with mpmath.workdps(80):
             assert close(mine, mpmath.psi(0, to_mpf(x)))
 
     def test_monotone_increasing_on_positive_axis(self):
         with mpmath.workdps(40):
             grid = [F(1, 10), F(1, 2), 1, F(13, 10), 2, F(29, 4), 20, 100]
-            values = [polygamma(0, x, POLICY) for x in grid]
+            values = [to_mpf(polygamma(0, x, POLICY)) for x in grid]
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestPolygamma:
     def test_psi1_at_one_is_zeta2(self):
         with mpmath.workdps(40):
-            assert close(polygamma(1, 1, POLICY), PI_30 ** 2 / 6)
+            assert close(to_mpf(polygamma(1, 1, POLICY)), PI_30 ** 2 / 6)
 
     def test_psi1_at_half(self):
         with mpmath.workdps(40):
-            assert close(polygamma(1, F(1, 2), POLICY), PI_30 ** 2 / 2)
+            assert close(to_mpf(polygamma(1, F(1, 2), POLICY)), PI_30 ** 2 / 2)
 
     def test_psi2_at_one(self):
         with mpmath.workdps(40):
-            assert close(polygamma(2, 1, POLICY), -2 * ZETA3_30)
+            assert close(to_mpf(polygamma(2, 1, POLICY)), -2 * ZETA3_30)
 
     def test_zeta_identities_up_to_order_5(self):
         # psi^(n)(1) = (-1)^(n+1) n! zeta(n+1)
@@ -103,9 +104,9 @@ class TestPolygamma:
             for n in range(1, 6):
                 zeta = mpmath.zeta(n + 1)
                 sign = (-1) ** (n + 1)
-                assert close(polygamma(n, 1, POLICY), sign * math.factorial(n) * zeta)
+                assert close(to_mpf(polygamma(n, 1, POLICY)), sign * math.factorial(n) * zeta)
                 assert close(
-                    polygamma(n, F(1, 2), POLICY),
+                    to_mpf(polygamma(n, F(1, 2), POLICY)),
                     sign * math.factorial(n) * (2 ** (n + 1) - 1) * zeta,
                 )
 
@@ -119,7 +120,7 @@ class TestPolygamma:
             tol = mpmath.mpf(10) ** (-POLICY.target_digits + 2)
             for z in (F(1, 10), F(1, 2), F(13, 10), F(29, 4)):
                 for n in range(4):
-                    lhs = polygamma(n, z + 1, POLICY) - polygamma(n, z, POLICY)
+                    lhs = to_mpf(polygamma(n, z + 1, POLICY)) - to_mpf(polygamma(n, z, POLICY))
                     rhs = to_mpf(F((-1) ** n * math.factorial(n)) / F(z) ** (n + 1))
                     assert abs(lhs - rhs) < tol
 
@@ -128,7 +129,7 @@ class TestPolygamma:
         with mpmath.workdps(60):
             tol = mpmath.mpf(10) ** (-POLICY.target_digits + 2)
             for z in (F(1, 3), F(1, 4), F(2, 5), F(7, 10)):
-                lhs = polygamma(0, 1 - z, POLICY) - polygamma(0, z, POLICY)
+                lhs = to_mpf(polygamma(0, 1 - z, POLICY)) - to_mpf(polygamma(0, z, POLICY))
                 zm = to_mpf(z)
                 rhs = mpmath.pi * mpmath.cot(mpmath.pi * zm)
                 assert abs(lhs - rhs) < tol
@@ -137,7 +138,7 @@ class TestPolygamma:
         # upward recurrence through the negative axis
         with mpmath.workdps(60):
             for z in (F(-1, 2), F(-9, 4), F(-7, 3)):
-                mine = polygamma(0, z, POLICY)
+                mine = to_mpf(polygamma(0, z, POLICY))
                 ref = mpmath.psi(0, to_mpf(z))
                 assert abs(mine - ref) < mpmath.mpf(10) ** (-28)
 
@@ -165,7 +166,7 @@ class TestKernelAccuracy:
                 ref_x = to_mpf(F(x))
                 for n in GRID_ORDERS:
                     ref = mpmath.psi(n, ref_x)
-                    assert abs(polygamma(n, x, policy) - ref) <= tol * abs(ref), (n, x)
+                    assert abs(to_mpf(polygamma(n, x, policy)) - ref) <= tol * abs(ref), (n, x)
 
     @pytest.mark.parametrize("digits", [30, 300])
     def test_mpf_arguments(self, digits):
@@ -176,7 +177,7 @@ class TestKernelAccuracy:
             for x in (F(10, 3), F(-73, 10), F(1, 10 ** 5)):
                 for n in GRID_ORDERS:
                     ref = mpmath.psi(n, to_mpf(x))
-                    assert abs(polygamma(n, x, policy) - ref) <= tol * abs(ref), (n, x)
+                    assert abs(to_mpf(polygamma(n, x, policy)) - ref) <= tol * abs(ref), (n, x)
 
 
 class TestZeta:
@@ -184,7 +185,7 @@ class TestZeta:
         # zeta(k) = (-1)^k psi^(k-1)(1) / (k-1)!
         with mpmath.workdps(40):
             for k in range(2, 9):
-                via_psi = (-1) ** k * polygamma(k - 1, 1, POLICY) / math.factorial(k - 1)
+                via_psi = (-1) ** k * to_mpf(polygamma(k - 1, 1, POLICY)) / math.factorial(k - 1)
                 assert close(mpmath.zeta(k), via_psi, digits=29)
 
 
@@ -195,13 +196,13 @@ class TestConstants:
         # psi(1) - psi(1/2) = 2 ln 2
         with mpmath.workdps(40):
             assert close(mpmath.ln2, LN2_30)
-            assert close((polygamma(0, 1, POLICY) - polygamma(0, F(1, 2), POLICY)) / 2, LN2_30)
+            assert close((to_mpf(polygamma(0, 1, POLICY)) - to_mpf(polygamma(0, F(1, 2), POLICY))) / 2, LN2_30)
 
     def test_pi(self):
         # psi(3/4) - psi(1/4) = pi
         with mpmath.workdps(40):
             assert close(mpmath.pi, PI_30)
-            assert close(polygamma(0, F(3, 4), POLICY) - polygamma(0, F(1, 4), POLICY), PI_30)
+            assert close(to_mpf(polygamma(0, F(3, 4), POLICY)) - to_mpf(polygamma(0, F(1, 4), POLICY)), PI_30)
 
     def test_gamma_against_partial_sum_definition(self):
         # gamma = lim (sum 1/n - ln N); Euler-Maclaurin corrected partial sum
@@ -214,8 +215,8 @@ class TestConstants:
             est += to_mpf(bernoulli(2)) / (2 * n_cut ** 2)
             est += to_mpf(bernoulli(4)) / (4 * mpmath.mpf(n_cut) ** 4)
             est += to_mpf(bernoulli(6)) / (6 * mpmath.mpf(n_cut) ** 6)
-            assert abs(-polygamma(0, 1, POLICY) - est) < mpmath.mpf(10) ** (-12)
-            assert close(-polygamma(0, 1, POLICY), GAMMA_30)
+            assert abs(-to_mpf(polygamma(0, 1, POLICY)) - est) < mpmath.mpf(10) ** (-12)
+            assert close(-to_mpf(polygamma(0, 1, POLICY)), GAMMA_30)
             assert close(mpmath.euler, GAMMA_30)
 
 
@@ -225,8 +226,8 @@ def test_higher_precision_self_consistency():
         lo = PrecisionPolicy(target_digits=30)
         hi = PrecisionPolicy(target_digits=60)
         for order, arg in [(0, F(1, 3)), (1, F(7, 5)), (3, F(-5, 4))]:
-            a = polygamma(order, arg, lo)
-            b = polygamma(order, arg, hi)
+            a = to_mpf(polygamma(order, arg, lo))
+            b = to_mpf(polygamma(order, arg, hi))
             assert abs(a - b) < mpmath.mpf(10) ** (-29) * max(1, abs(b))
 
 
