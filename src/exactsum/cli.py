@@ -49,6 +49,8 @@ class CliRequest:
             raise ValueError("digits must be in [10, 1000]")
         if self.format not in ("exact", "numeric", "both", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.sign not in (PLAIN, ALTERNATING):
+            raise ValueError(f"unknown sign {self.sign!r}")
 
 
 def _agrees(result, bracket, quad, digits: int) -> bool:
@@ -86,8 +88,8 @@ def run(request: CliRequest):
     """Evaluate a request; returns (exit_code, stdout_text, stderr_text)."""
     policy = PrecisionPolicy(target_digits=request.digits)
     try:
-        ast = parse_expression(request.expression)
-        spec = ast_to_spec(ast, request.sign)
+        pair = parse_expression(request.expression)
+        spec = ast_to_spec(pair, request.sign)
         result = evaluate(spec, policy)
     except ExactSumError as exc:
         return 2, "", f"error: {exc}\n"
@@ -115,7 +117,7 @@ def run(request: CliRequest):
             "expression": request.expression,
             "sign": request.sign,
             "exact": exact_text,
-            "fully_reduced": result.fully_reduced,
+            "fully_reduced": result.exact.fully_reduced,
             "numeric": result.text,
             "digits": request.digits,
             "residuals": [
@@ -131,7 +133,7 @@ def run(request: CliRequest):
         out = json.dumps(doc) + "\n"
     else:
         fmt = request.format
-        if not result.fully_reduced and fmt != "both":
+        if not result.exact.fully_reduced and fmt != "both":
             # A residual-bearing exact form is information, not failure:
             # always show it next to the numeric value.
             fmt = "both"

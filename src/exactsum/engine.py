@@ -28,7 +28,6 @@ class SumResult:
     exact: SymbolicValue
     value: Fraction  # the rational closed form, or psi_sum's dyadic
     text: str  # `value` to the target digits, every digit true
-    fully_reduced: bool
     pf_echo: PartialFractions
     working_digits: int  # precision of the accepted fixed-point pass
     digits_lost: int  # digits cancelled between residue classes
@@ -64,7 +63,6 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
         exact=exact,
         value=numeric.exact,
         text=numeric.text,
-        fully_reduced=exact.fully_reduced,
         pf_echo=pf,
         working_digits=numeric.working_digits,
         digits_lost=numeric.digits_lost,

@@ -66,14 +66,12 @@ class ConstraintViolated(ExactSumError):
 
 
 class ExpressionSyntaxError(ExactSumError):
-    """Parse failure, with byte offset (None when no offset applies) and an
-    expected-token hint."""
+    """Parse failure, with character offset and an expected-token hint."""
 
-    def __init__(self, message, offset=None, hint=None):
+    def __init__(self, message, offset, hint=None):
         self.offset = offset
         self.hint = hint
-        where = "" if offset is None else f" at offset {offset}"
-        text = f"syntax error{where}: {message}"
+        text = f"syntax error at offset {offset}: {message}"
         if hint:
             text += f" ({hint})"
         super().__init__(text)

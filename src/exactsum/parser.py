@@ -8,78 +8,47 @@ Grammar (standard precedence, left associative):
     base     := rational | 'n' | '(' expr ')' | '-' factor
     rational := uint ('/' uint)? | decimal literal
 
-Decimal literals convert exactly (0.5 -> 1/2).  Implicit multiplication
-is a parse error with a hint.
+The value is folded while it is parsed (a syntax-directed translation), so
+no syntax tree is built: each rule returns what it read as an unreduced
+pair (N, D) of integer polynomials, of value N/D, and combines its
+operands' pairs as it reads them.  Decimal literals convert exactly
+(0.5 -> 1/2).  Digits are ASCII only.  Implicit multiplication is a parse
+error with a hint.
+
+`parse_expression` (text to pair) and `ast_to_spec` (pair to spec) stay
+two calls, and `ast_to_spec` looks up `factor_linear` in this module,
+because the benchmark's span hooks (bench/spans.py) time each of the
+three by these names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import decimal
+import math
+import re
 from fractions import Fraction
-from typing import Union
 
+from .closedform import fraction_text
 from .errors import DegreeTooHigh, DivisionByZero, ExpressionSyntaxError
 from .partfrac import MAX_DEGREE, MAX_HEIGHT_BITS, SumSpec
 from .polys import FactorList, Polynomial, factor_linear, reduced
-
-
-# -- AST ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int  # literal non-negative integer
-
-
-Node = Union[Num, Var, Neg, BinOp, Pow]
-
-
-def render_ast(node: Node) -> str:
-    """Fully parenthesized text form; parse_expression(render_ast(x)) == x."""
-    if isinstance(node, Num):
-        v = node.value
-        return str(v) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
-    if isinstance(node, Var):
-        return "n"
-    if isinstance(node, Neg):
-        return f"(-{render_ast(node.operand)})"
-    if isinstance(node, Pow):
-        return f"({render_ast(node.base)})^{node.exponent}"
-    return f"({render_ast(node.left)} {node.op} {render_ast(node.right)})"
 
 
 # -- tokenizer --------------------------------------------------------------------
 
 
 _PUNCT = set("+-*/^()")
+_NUMBER = re.compile(r"[0-9]*\.?[0-9]*")  # ASCII digits only
+# a literal of at most this many digits, and its decimal denominator, are
+# below 10^k <= 2^MAX_HEIGHT_BITS
+_MAX_LITERAL_DIGITS = math.floor(MAX_HEIGHT_BITS * math.log10(2))
 
 
 def _unexpected(tok) -> str:
     kind, value, _ = tok
-    return "unexpected end of input" if kind == "end" else f"unexpected token {str(value)!r}"
+    if kind == "end":
+        return "unexpected end of input"
+    return f"unexpected token {fraction_text(value) if kind == 'num' else value!r}"
 
 
 def _tokenize(text: str):
@@ -94,19 +63,21 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
-            start = i
-            seen_dot = False
-            while i < len(text) and (text[i].isdigit() or text[i] == "."):
-                if text[i] == ".":
-                    if seen_dot:
-                        raise ExpressionSyntaxError("malformed number", i)
-                    seen_dot = True
-                i += 1
-            lit = text[start:i]
-            if lit == ".":
-                raise ExpressionSyntaxError("malformed number", start)
-            tokens.append(("num", Fraction(lit), start))
+        if ch in "0123456789.":
+            end = _NUMBER.match(text, i).end()
+            if text.startswith(".", end):
+                raise ExpressionSyntaxError("malformed number", end)
+            if end == i + 1 and ch == ".":
+                raise ExpressionSyntaxError("malformed number", i)
+            lit = text[i:end]
+            digits = len(lit) - ("." in lit)
+            if digits > _MAX_LITERAL_DIGITS:
+                raise DegreeTooHigh(
+                    f"the expression has a literal of {digits} digits > {_MAX_LITERAL_DIGITS}"
+                )
+            # Decimal converts without the interpreter's int-to-str digit cap
+            tokens.append(("num", Fraction(decimal.Decimal(lit)), i))
+            i = end
             continue
         if ch == "n":
             tokens.append(("var", "n", i))
@@ -119,12 +90,30 @@ def _tokenize(text: str):
     return tokens
 
 
-# -- recursive descent ---------------------------------------------------------------
+# -- recursive descent, folding as it goes -------------------------------------------
+
+_ONE, _N = Polynomial([1]), Polynomial([0, 1])
+
+
+def _check_size(degree: int, bits: int = 0):
+    if degree > MAX_DEGREE:
+        raise DegreeTooHigh(
+            f"the expression has degree {fraction_text(degree)} > {MAX_DEGREE}"
+        )
+    if bits > MAX_HEIGHT_BITS:
+        raise DegreeTooHigh(
+            f"the expression has coefficients of {fraction_text(bits)} bits > {MAX_HEIGHT_BITS}"
+        )
 
 
 class _Parser:
+    """Each rule returns the unreduced pair (N, D) of what it read.
+
+    The size of every power and product is checked before it is expanded; a
+    sum over one denominator expands nothing and stays within its terms' size.
+    """
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -142,44 +131,58 @@ class _Parser:
             raise ExpressionSyntaxError(_unexpected(tok), tok[2], f"expected {kind!r}")
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self):
+        pair = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             hint = None
             if tok[0] == "(":
                 hint = "implicit multiplication is not supported; write '*' explicitly"
             raise ExpressionSyntaxError(_unexpected(tok), tok[2], hint)
-        return node
+        return pair
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self):
+        num, den = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+            n2, d2 = self.term()
+            if op == "-":
+                n2 = -n2
+            if den == d2:
+                num = num + n2
+            else:
+                _check_size(max(num.degree, den.degree) + max(n2.degree, d2.degree))
+                num, den = num * d2 + n2 * den, den * d2
+        return num, den
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self):
+        num, den = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
-        return node
+            n2, d2 = self.factor()
+            if op == "/":
+                if n2.is_zero():
+                    raise DivisionByZero("division by zero")
+                n2, d2 = d2, n2
+            _check_size(max(num.degree, den.degree) + max(n2.degree, d2.degree))
+            num, den = num * n2, den * d2
+        return num, den
 
-    def factor(self) -> Node:
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.peek()
-            if tok[0] != "num" or tok[1].denominator != 1 or tok[1] < 0:
-                raise ExpressionSyntaxError(
-                    "exponent must be a literal non-negative integer", tok[2]
-                )
-            self.advance()
-            node = Pow(node, int(tok[1]))
-        return node
+    def factor(self):
+        num, den = self.base()
+        if self.peek()[0] != "^":
+            return num, den
+        self.advance()
+        tok = self.peek()
+        if tok[0] != "num" or tok[1].denominator != 1:
+            raise ExpressionSyntaxError("exponent must be a literal non-negative integer", tok[2])
+        self.advance()
+        k = int(tok[1])
+        height = max(abs(c).bit_length() for c in num.coeffs + den.coeffs)
+        _check_size(max(num.degree, den.degree) * k, height * k)
+        return num ** k, den ** k
 
-    def base(self) -> Node:
+    def base(self):
         tok = self.peek()
         if tok[0] not in ("num", "var", "(", "-"):
             raise ExpressionSyntaxError(
@@ -187,12 +190,15 @@ class _Parser:
             )
         self.advance()
         if tok[0] == "-":
-            return Neg(self.factor())
+            num, den = self.factor()
+            return -num, den
         if tok[0] == "(":
-            node = self.expr()
+            pair = self.expr()
             self.expect(")")
+        elif tok[0] == "num":
+            pair = Polynomial([tok[1].numerator]), Polynomial([tok[1].denominator])
         else:
-            node = Num(tok[1]) if tok[0] == "num" else Var()
+            pair = _N, _ONE
         nxt = self.peek()
         # a number after a number is left to parse()'s "unexpected token"
         if nxt[0] in ("var", "(") or (nxt[0] == "num" and tok[0] != "num"):
@@ -201,14 +207,17 @@ class _Parser:
                 nxt[2],
                 "write '*' explicitly",
             )
-        return node
+        return pair
 
 
-def parse_expression(text: str) -> Node:
-    """Parse an expression in n into its AST.
+def parse_expression(text: str):
+    """The expression's value as an unreduced integer pair (N, D), N/D.
 
+    Raises ExpressionSyntaxError, DivisionByZero, or DegreeTooHigh (a literal,
+    power or product above the size limits), whichever the parse meets first.
     Recursive descent takes a few frames per nesting level, so input nested
-    past the interpreter's recursion limit raises ExpressionSyntaxError.
+    past the interpreter's recursion limit raises ExpressionSyntaxError; a
+    chain of operands is folded in a loop and has no such limit.
     """
     parser = _Parser(text)
     try:
@@ -217,67 +226,13 @@ def parse_expression(text: str) -> Node:
         raise ExpressionSyntaxError("expression nested too deeply", parser.peek()[2]) from None
 
 
-# -- AST folding --------------------------------------------------------------------
-
-_ONE, _N = Polynomial([1]), Polynomial([0, 1])
-
-
-def _check_size(degree: int, bits: int = 0):
-    if degree > MAX_DEGREE:
-        raise DegreeTooHigh(f"the expression has degree {degree} > {MAX_DEGREE}")
-    if bits > MAX_HEIGHT_BITS:
-        raise DegreeTooHigh(
-            f"the expression has coefficients of {bits} bits > {MAX_HEIGHT_BITS}"
-        )
-
-
-def _fold(node: Node):
-    """The AST as an unreduced integer pair (N, D) of value N/D.
-
-    The size of every power and product is checked before it is expanded; a
-    sum over one denominator expands nothing and stays within its terms' size.
-    """
-    if isinstance(node, Num):
-        return Polynomial([node.value.numerator]), Polynomial([node.value.denominator])
-    if isinstance(node, Var):
-        return _N, _ONE
-    if isinstance(node, Neg):
-        num, den = _fold(node.operand)
-        return -num, den
-    if isinstance(node, Pow):
-        num, den = _fold(node.base)
-        k = node.exponent
-        height = max(abs(c).bit_length() for c in num.coeffs + den.coeffs)
-        _check_size(max(num.degree, den.degree) * k, height * k)
-        return num ** k, den ** k
-    (n1, d1), (n2, d2) = _fold(node.left), _fold(node.right)
-    if node.op == "/":
-        if n2.is_zero():
-            raise DivisionByZero("division by zero")
-        n2, d2 = d2, n2
-    if node.op in "+-" and d1 == d2:
-        return (n1 + n2 if node.op == "+" else n1 - n2), d1
-    _check_size(max(n1.degree, d1.degree) + max(n2.degree, d2.degree))
-    if node.op in "*/":
-        return n1 * n2, d1 * d2
-    if node.op == "-":
-        n2 = -n2
-    return n1 * d2 + n2 * d1, d1 * d2
-
-
-def ast_to_spec(ast: Node, sign: str = "plain") -> SumSpec:
-    """Fold the AST into Q/P, reduce it once, factor P, validate convergence.
+def ast_to_spec(pair, sign: str = "plain") -> SumSpec:
+    """Reduce the parsed pair (N, D) to Q/P once, factor P, validate convergence.
 
     A constant P gives no poles, which SumSpec accepts only for Q = 0.
-    Raises DivisionByZero, NonLinearFactor, NegativeIntegerShift (via
-    factoring), DegreeTooHigh (a fold above the size limits, or a divergent
-    numerator degree), ExpressionSyntaxError (an AST deeper than the
-    recursion limit, such as a chain of ~1000 operands) or a SumSpec limit error.
+    Raises NonLinearFactor, NegativeIntegerShift (via factoring),
+    DegreeTooHigh (a divergent numerator degree) or a SumSpec limit error.
     """
-    try:
-        folded = _fold(ast)
-    except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply to fold") from None
-    numerator, denominator = reduced(*folded)
+    numerator, denominator = reduced(*pair)
     factors = factor_linear(denominator) if denominator.degree else FactorList([])
     return SumSpec(numerator, factors, sign)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from .closedform import fraction_text
 from .errors import DegreeTooHigh, OrderTooLarge, ShiftTooLarge
 from .polygamma import MAX_ORDER
 from .polys import FactorList, Polynomial, reduced
@@ -55,7 +56,9 @@ class SumSpec:
             raise ValueError(f"unknown sign mode {self.sign!r}")
         for a, m in self.factors:
             if abs(a) > MAX_SHIFT:
-                raise ShiftTooLarge(f"shift {a} exceeds the limit |a| <= {MAX_SHIFT}")
+                raise ShiftTooLarge(
+                    f"shift {fraction_text(a)} exceeds the limit |a| <= {MAX_SHIFT}"
+                )
             if m > MAX_MULTIPLICITY:
                 raise OrderTooLarge(
                     f"pole of order {m} at shift {a} exceeds the limit {MAX_MULTIPLICITY}"

@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .closedform import fraction_text
 from .errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
 
 # Past this many residues per coefficient, splitting by gcds beats a search
@@ -173,7 +174,7 @@ class Polynomial:
             if c == 0:
                 continue
             mag = abs(c)
-            coeff = str(mag) if mag.denominator == 1 else f"({mag})"
+            coeff = fraction_text(mag) if mag.denominator == 1 else f"({fraction_text(mag)})"
             power = {0: "", 1: "n"}.get(k, f"n^{k}")
             if not power:
                 body = coeff
@@ -259,7 +260,8 @@ class FactorList:
                 raise ValueError(f"multiplicity must be >= 1, got {m}")
             if a.denominator == 1 and a < 0:
                 raise NegativeIntegerShift(
-                    f"shift {a} is a negative integer: pole at n = {-a}"
+                    f"shift {fraction_text(a)} is a negative integer: "
+                    f"pole at n = {fraction_text(-a)}"
                 )
             norm.append((a, m))
         norm.sort(key=lambda t: t[0])

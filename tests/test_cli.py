@@ -19,7 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from exactsum import engine, parser
 from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
-from exactsum.errors import DegreeTooHigh, InsufficientTerms
+from exactsum.errors import (
+    DegreeTooHigh,
+    InsufficientTerms,
+    NegativeIntegerShift,
+    NonLinearFactor,
+    ShiftTooLarge,
+)
 from exactsum.partfrac import MAX_SHIFT
 from exactsum.polygamma import decimal_text
 from exactsum.polys import FactorList, factor_linear
@@ -109,6 +115,9 @@ class TestExitCodes:
     def test_bad_digits_request(self):
         with pytest.raises(ValueError):
             CliRequest(expression="1/n^2", digits=5)
+        # refused before any parsing or factoring
+        with pytest.raises(ValueError, match="unknown sign 'alt'"):
+            CliRequest(expression="1/n^2", sign="alt")
 
     @pytest.mark.parametrize("expression", ["1/(n+100000)^2", "1/(n+200000)^2"])
     def test_shift_height_limit_fails_fast(self, monkeypatch, expression):
@@ -134,20 +143,37 @@ class TestExitCodes:
         assert code == 2 and "unexpected end of input" in err and "None" not in err
 
     @pytest.mark.parametrize(
-        "expression",
-        ["(" * 400 + "1/n^2" + ")" * 400, "1/(" + "+".join(["n"] * 2000) + ")^2"],
-        ids=["400-parentheses", "2000-operand-chain"],
+        "expression", ["(" * 400 + "1/n^2" + ")" * 400], ids=["400-parentheses"]
     )
     def test_deep_nesting_exits_2(self, expression):
-        # deeper than the parser's or the fold's recursion can go
+        # deeper than the parser's recursion can go
         code, out, err = _run(expression)
         assert code == 2 and out == "" and err.startswith("error:") and "nested" in err
 
-    def test_fold_too_deep_names_no_offset(self):
-        # the AST has no source offsets, so the error claims none
+    def test_operand_chain_has_no_depth_limit(self):
+        # a chain is folded in a loop: 1/(2000 n)^2 sums to pi^2/(6*2000^2)
         code, out, err = _run("1/(" + "+".join(["n"] * 2000) + ")^2")
-        assert (code, out) == (2, "") and "offset" not in err
-        assert err == "error: syntax error: expression nested too deeply to fold\n"
+        assert (code, err) == (0, "")
+        exact, numeric = out.splitlines()
+        assert exact == "exact: (1/24000000)*pi^2"
+        with mpmath.workdps(40):
+            value = mpmath.mpf(numeric.removeprefix("numeric: "))
+            expected = mpmath.pi ** 2 / 24_000_000
+            assert abs(value - expected) < 1e-29 * expected
+
+    @pytest.mark.parametrize(
+        "expression, offset",
+        [("1/n\u00b2", 3), ("1/n^\u00b2", 4), ("1/n^\u0663", 4), ("1/(n+\uff11)^2", 5)],
+        ids=["superscript-two", "superscript-exponent", "arabic-indic-three", "fullwidth-one"],
+    )
+    def test_non_ascii_digit_rejected(self, expression, offset):
+        # digits are ASCII 0-9 only; str.isdigit would accept these
+        code, out, err = _run(expression)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: syntax error at offset {offset}: unexpected character "
+            f"{expression[offset]!r} (expected a number, 'n' or an operator)\n"
+        )
 
     @pytest.mark.parametrize(
         "expression",
@@ -192,6 +218,45 @@ class TestExitCodes:
     def test_largest_closed_forms_accepted(self, expression, numeric):
         # both values agree with a direct partial sum whose tail is negligible
         assert _run(expression, format="numeric") == (0, numeric + "\n", "")
+
+
+class TestLongLiterals:
+    @pytest.mark.parametrize(
+        "expression, error",
+        [
+            ("1/(n+" + "1" * 5000 + ")^2", ShiftTooLarge),
+            ("1/n^" + "1" * 5000, DegreeTooHigh),
+            ("1/(n-" + "1" * 5000 + ")^2", NegativeIntegerShift),
+            ("1/(n^2+" + "1" * 5000 + ")", NonLinearFactor),
+        ],
+        ids=["shift", "exponent", "negative-integer-shift", "nonlinear-factor"],
+    )
+    def test_past_the_int_str_cap(self, expression, error):
+        # 5000 digits, past the interpreter's 4300-digit int-to-str cap: the
+        # literal converts, and the error prints it whole
+        with pytest.raises(error) as exc:
+            parser.ast_to_spec(parser.parse_expression(expression))
+        assert "1" * 5000 in str(exc.value)
+        assert _run(expression) == (2, "", f"error: {exc.value}\n")
+
+    def test_decimal_past_the_int_str_cap_accepted(self):
+        # 0.55...5 with 4400 fives is 5/9 to 4400 digits
+        code, out, err = _run("1/(n+0." + "5" * 4400 + ")^2")
+        assert (code, err) == (0, "")
+        numeric = out.splitlines()[1].removeprefix("numeric: ")
+        with mpmath.workdps(40):
+            value = mpmath.mpf(numeric)
+            expected = mpmath.psi(1, mpmath.mpf(14) / 9)
+            assert abs(value - expected) < 1e-29 * expected
+
+    def test_literal_past_the_height_limit_fails_fast(self):
+        # refused by its length before converting: Decimal takes tens of
+        # seconds over 10^6 digits
+        start = time.perf_counter()
+        code, out, err = _run("1/(n+" + "1" * 10**6 + ")^2")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: the expression has a literal of 1000000 digits > 19728\n"
 
 
 class TestZeroSummand:

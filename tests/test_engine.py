@@ -209,9 +209,9 @@ class TestEngineProperties:
     def test_fully_reduced_flag(self):
         r = evaluate(make_spec([(F(1, 3), 1), (F(4, 3), 1)]), POLICY)
         # arguments 4/3 and 7/3 shift to the same base 1/3: residuals cancel
-        assert r.fully_reduced
+        assert r.exact.fully_reduced
         r2 = evaluate(make_spec([(F(1, 3), 2)]), POLICY)
-        assert not r2.fully_reduced
+        assert not r2.exact.fully_reduced
         assert r2.exact.residuals
 
     def test_dispatch(self):

@@ -10,32 +10,28 @@ from exactsum.errors import (
     NegativeIntegerShift,
     NonLinearFactor,
 )
-from exactsum.parser import (
-    BinOp,
-    Neg,
-    Num,
-    Pow,
-    Var,
-    _fold,
-    ast_to_spec,
-    parse_expression,
-    render_ast,
-)
+from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.polys import Polynomial, reduced
+
+
+def _value(text):
+    """The parsed expression in lowest terms."""
+    return reduced(*parse_expression(text))
+
+
+def _rational(num, den):
+    """num/den, given as coefficient lists, in lowest terms."""
+    return reduced(Polynomial(num), Polynomial(den))
 
 
 class TestGrammar:
     def test_half_shift_pair_expression(self):
-        ast = parse_expression("1/(n^2+n/2)")
-        assert ast == BinOp(
-            "/",
-            Num(F(1)),
-            BinOp("+", Pow(Var(), 2), BinOp("/", Var(), Num(F(2)))),
-        )
+        # 1/(n^2 + n/2) = 2/(2n^2 + n)
+        assert _value("1/(n^2+n/2)") == _rational([2], [0, 1, 2])
 
     def test_double_pole_half_shift_expression(self):
-        ast = parse_expression("1/(n^2*(n+1/2))")
-        assert isinstance(ast, BinOp) and ast.op == "/"
+        # 1/(n^2 (n + 1/2)) = 2/(2n^3 + n^2)
+        assert _value("1/(n^2*(n+1/2))") == _rational([2], [0, 0, 1, 2])
 
     def test_implicit_multiplication_rejected(self):
         cases = [("n(n+1)", 1), ("2n", 1), ("(n+1)(n+2)", 5), ("2(n+1)", 1),
@@ -50,19 +46,16 @@ class TestGrammar:
 
     def test_precedence(self):
         # ^ binds tighter than unary minus; * tighter than +
-        assert parse_expression("-n^2") == Neg(Pow(Var(), 2))
-        assert parse_expression("1+2*n") == BinOp(
-            "+", Num(F(1)), BinOp("*", Num(F(2)), Var())
-        )
+        assert _value("-n^2") == _rational([0, 0, -1], [1])
+        assert _value("1+2*n") == _rational([1, 2], [1])
 
     def test_left_association(self):
-        assert parse_expression("1-2-3") == BinOp(
-            "-", BinOp("-", Num(F(1)), Num(F(2))), Num(F(3))
-        )
+        assert _value("1-2-3") == _rational([-4], [1])
 
     def test_decimal_literal_exact(self):
-        assert parse_expression("0.5") == Num(F(1, 2))
-        assert parse_expression("0.1") == Num(F(1, 10))
+        # a literal p/q in lowest terms enters as the pair (p, q)
+        assert parse_expression("0.5") == (Polynomial([1]), Polynomial([2]))
+        assert parse_expression("0.1") == (Polynomial([1]), Polynomial([10]))
 
     def test_syntax_error_offset_and_hint(self):
         with pytest.raises(ExpressionSyntaxError) as exc:
@@ -159,91 +152,90 @@ class TestAstToSpec:
         assert spec.factors.pairs == ((F(0), 1), (F(1, 2), 1))
 
 
-def _random_ast(rng, depth=0):
-    choice = rng.random()
-    if depth > 3 or choice < 0.3:
-        # integer literals only: a fractional Num renders as "p/q", which
-        # reparses as a division node rather than a single literal
-        if rng.random() < 0.5:
-            return Num(F(rng.randint(0, 9)))
-        return Var()
-    if choice < 0.45:
-        return Neg(_random_ast(rng, depth + 1))
-    if choice < 0.6:
-        return Pow(_random_ast(rng, depth + 1), rng.randint(0, 3))
-    op = rng.choice(["+", "-", "*", "/"])
-    return BinOp(op, _random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
-
-
-def test_parser_roundtrip_randomized(rng):
-    done = 0
-    while done < 60:
-        ast = _random_ast(rng)
-        text = render_ast(ast)
-        reparsed = parse_expression(text)
-        assert reparsed == ast
-        # the folded rational function (hence any SumSpec) is identical
-        try:
-            rf1 = _fold(ast)
-        except ZeroDivisionError:
-            continue
-        rf2 = _fold(reparsed)
-        assert rf1 == rf2
-        done += 1
-
-
-def _fold_by_product_rule(node):
-    """(N, D) of the AST by the general rules alone: a sum over the product
-    of both denominators, and a power as repeated multiplication."""
-    if isinstance(node, Num):
-        return Polynomial([node.value.numerator]), Polynomial([node.value.denominator])
-    if isinstance(node, Var):
-        return Polynomial([0, 1]), Polynomial([1])
-    if isinstance(node, Neg):
-        num, den = _fold_by_product_rule(node.operand)
-        return -num, den
-    if isinstance(node, Pow):
-        num, den = _fold_by_product_rule(node.base)
-        out_num, out_den = Polynomial([1]), Polynomial([1])
-        for _ in range(node.exponent):
-            out_num, out_den = out_num * num, out_den * den
-        return out_num, out_den
-    (n1, d1), (n2, d2) = _fold_by_product_rule(node.left), _fold_by_product_rule(node.right)
-    if node.op == "/":
+def _fold_by_product_rule(op, left, right=None):
+    """(N, D) of `left op right` by the general rules alone: a sum over the
+    product of both denominators, and a power (right the exponent) as
+    repeated multiplication; op "neg" negates left."""
+    n1, d1 = left
+    if op == "neg":
+        return -n1, d1
+    if op == "^":
+        num, den = Polynomial([1]), Polynomial([1])
+        for _ in range(right):
+            num, den = num * n1, den * d1
+        return num, den
+    n2, d2 = right
+    if op == "/":
         if n2.is_zero():
             raise DivisionByZero("division by zero")
         n2, d2 = d2, n2
-    if node.op in "*/":
+    if op in "*/":
         return n1 * n2, d1 * d2
-    sign = -1 if node.op == "-" else 1
+    sign = -1 if op == "-" else 1
     return n1 * d2 + n2 * d1 * sign, d1 * d2
 
 
-_small_asts = st.recursive(
-    st.one_of(
-        st.just(Var()),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4).map(Num),
-    ),
+# An expression is (text, level, reference): the text with the fewest
+# parentheses, its precedence level (1 a sum, 2 a product, 3 a power or a
+# negation, 4 an atom), and a call that folds it by the product rule.  An
+# operand is parenthesized only where the grammar needs it: the right
+# operand of a left-associative operator one level above the operator's, a
+# power's base an atom.
+
+
+def _operand(expression, level):
+    text, own, _ = expression
+    return text if own >= level else f"({text})"
+
+
+def _negation(a):
+    return "-" + _operand(a, 3), 3, lambda: _fold_by_product_rule("neg", a[2]())
+
+
+def _power(a, k):
+    return f"{_operand(a, 4)}^{k}", 3, lambda: _fold_by_product_rule("^", a[2](), k)
+
+
+def _binary(op, a, b):
+    level = 1 if op in "+-" else 2
+    text = f"{_operand(a, level)} {op} {_operand(b, level + 1)}"
+    return text, level, lambda: _fold_by_product_rule(op, a[2](), b[2]())
+
+
+def _literal(text):
+    x = F(text)
+    return text, 4, lambda: (Polynomial([x.numerator]), Polynomial([x.denominator]))
+
+
+_leaves = st.one_of(
+    st.just(("n", 4, lambda: (Polynomial([0, 1]), Polynomial([1])))),
+    st.integers(0, 9).map(str).map(_literal),
+    st.builds("{}.{}".format, st.integers(0, 9), st.integers(0, 99)).map(_literal),
+)
+_expressions = st.recursive(
+    _leaves,
     lambda inner: st.one_of(
-        inner.map(Neg),
-        st.builds(Pow, inner, st.integers(0, 3)),
-        st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+        inner.map(_negation),
+        st.builds(_power, inner, st.integers(0, 3)),
+        st.builds(_binary, st.sampled_from("+-*/"), inner, inner),
     ),
     max_leaves=8,
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(_small_asts)
-def test_fold_matches_the_product_rule(ast):
-    # the fold's shortcuts (a sum over one shared denominator, the power of
-    # a monomial) give the rational function the general rules give
+@given(_expressions)
+def test_fold_matches_the_product_rule(expression):
+    # the fold made while parsing, with its shortcuts (a sum over one shared
+    # denominator, the power of a monomial), gives the rational function the
+    # general rules give, reading precedence and association from the text
+    text, _, reference = expression
     try:
-        folded = _fold(ast)
+        folded = parse_expression(text)
     except DegreeTooHigh:
         assume(False)  # past the fold's size limits
     except DivisionByZero:
         with pytest.raises(DivisionByZero):
-            _fold_by_product_rule(ast)
+            reference()
         return
-    assert reduced(*folded) == reduced(*_fold_by_product_rule(ast))
+    assert reduced(*folded) == reduced(*reference())
