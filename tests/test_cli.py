@@ -143,12 +143,25 @@ class TestExitCodes:
         assert code == 2 and "unexpected end of input" in err and "None" not in err
 
     @pytest.mark.parametrize(
-        "expression", ["(" * 400 + "1/n^2" + ")" * 400], ids=["400-parentheses"]
+        "expression",
+        [
+            "(" * 400 + "1/n^2" + ")" * 400,
+            "1/(" + "+(".join(["n"] * 2000) + ")" * 1999 + ")^2",
+        ],
+        ids=["400-parentheses", "2000-operand-chain"],
     )
     def test_deep_nesting_exits_2(self, expression):
-        # deeper than the parser's recursion can go
+        # deeper than the parser's recursion can go: parentheses, or a chain
+        # nested to the right, n+(n+(n+...)), where each operand opens a level
         code, out, err = _run(expression)
         assert code == 2 and out == "" and err.startswith("error:") and "nested" in err
+
+    def test_fold_too_deep_names_no_offset(self):
+        # a product chain folds in a loop until its degree passes the limit;
+        # the fold's size errors are about the value, so they claim no offset
+        code, out, err = _run("1/(" + "*".join(["n"] * 2000) + ")")
+        assert (code, out) == (2, "") and "offset" not in err
+        assert err == "error: the expression has degree 257 > 256\n"
 
     def test_operand_chain_has_no_depth_limit(self):
         # a chain is folded in a loop: 1/(2000 n)^2 sums to pi^2/(6*2000^2)

@@ -239,3 +239,31 @@ def test_fold_matches_the_product_rule(expression):
             reference()
         return
     assert reduced(*folded) == reduced(*reference())
+
+
+def _random_text(rng, depth=0):
+    """A random expression, every compound operand in parentheses."""
+    choice = rng.random()
+    if depth > 3 or choice < 0.3:
+        return str(rng.randint(0, 9)) if rng.random() < 0.5 else "n"
+    if choice < 0.45:
+        return f"-({_random_text(rng, depth + 1)})"
+    if choice < 0.6:
+        return f"({_random_text(rng, depth + 1)})^{rng.randint(0, 3)}"
+    op = rng.choice("+-*/")
+    return f"({_random_text(rng, depth + 1)}) {op} ({_random_text(rng, depth + 1)})"
+
+
+def test_parser_roundtrip_randomized(rng):
+    # the parsed pair (N, D), printed in the input grammar as (N)/(D), parses
+    # back to the same pair, so the spec made from either text is identical
+    done = 0
+    while done < 60:
+        text = _random_text(rng)
+        try:
+            num, den = parse_expression(text)
+        except (DivisionByZero, DegreeTooHigh):
+            continue
+        reparsed = parse_expression(f"({num})/({den})")
+        assert reparsed == (num, den)
+        done += 1
