@@ -8,8 +8,9 @@ result is rounded outward onto a dyadic grid.  Terms are grouped by residue
 class (q, p mod q) of x = p/q.  Each class climbs one upward ladder from its
 smallest argument to X = P/q past the shift threshold, and further while
 the series there cannot reach its coefficients' precision; a rung adds the
-accumulated integer coefficients C_n over one power of its argument, with
-one division, so cancellation inside a class costs no precision, and a
+accumulated integer coefficients C_n over one power of its argument, and a
+block of rungs, B of them with B taken from the grid, is summed exactly and
+floored once, so cancellation inside a class costs no precision, and a
 class whose C_n all cancel stops at its last term with no series.  At X
 one asymptotic series with exact Bernoulli numbers serves every order of
 the class.  The order-0 totals of a convergent sum add up to zero, so
@@ -216,8 +217,12 @@ def _precision_bits(working_digits: int) -> int:
 
 
 def _shift_div(x: int, w: int, den: int) -> int:
-    """floor(x 2^w / den) for either sign of w."""
-    return (x << w) // den if w >= 0 else x // (den << -w)
+    """floor(x 2^w / den) for either sign of w and den > 0.
+
+    For w < 0 it is floor(floor(x / 2^-w) / den), the same integer, so the
+    division is by den alone, not by den 2^-w.
+    """
+    return (x << w) // den if w >= 0 else (x >> -w) // den
 
 
 # -- the combiner -------------------------------------------------------------
@@ -275,13 +280,18 @@ def _classes(terms):
 
 
 def _ladder(q: int, p0: int, events, steps: int, w: int):
-    """The rungs y = p0/q + j, 0 <= j < steps, as (value, error) on a 2^-w grid.
+    """The rungs y = p0/q + j, 0 <= j < steps, as (value, error) on a 2^-w grid;
+    no event lies past `steps`.
 
     Rung j adds sum_n (-1)^(n+1) n! C_n q^(n+1) / Y^(n+1), Y = p0 + j q, where
     C_n sums the coefficients of the terms at offsets <= j; the numerator is
-    one integer over Y^(M+1), M the highest live order, so one division per
-    rung.  A negative w runs the rungs on the 2^0 grid and rounds their sum
-    onto 2^-w once.
+    one integer over Y^(M+1), M the highest live order.  Between two events
+    a block of B rungs is summed exactly as one small-integer fraction and
+    pays one shift and one floor; B = grid / (10 (M+1) bitlen(Y_max)) keeps
+    its denominator a tenth of the grid, and is 12 to 30 at 1000 digits.
+    Where B <= 2, as on 30-digit grids and for w <= 0, a block saves less
+    than its products cost and each rung takes its own floor.  A negative w
+    runs the rungs on the 2^0 grid and rounds their sum onto 2^-w once.
     """
     grid = max(w, 0)
     by_offset = {}
@@ -300,6 +310,20 @@ def _ladder(q: int, p0: int, events, steps: int, w: int):
         a = [(-1) ** (n + 1) * math.factorial(n) * q ** (n + 1) * cumulative.get(n, 0)
              for n in range(m + 1)]
         ys = range(p0 + start * q, p0 + end * q, q)
+        y_bits = max(abs(ys[0]), abs(ys[-1])).bit_length()
+        block = min(len(ys), grid // (10 * (m + 1) * y_bits))
+        if block > 2:
+            for i in range(0, len(ys), block):
+                num_b, den_b = 0, 1
+                for y in ys[i:i + block]:
+                    num = 0
+                    for an in a:
+                        num = num * y + an
+                    power = y ** (m + 1)
+                    num_b, den_b = num_b * power + num * den_b, den_b * power
+                value += (num_b << grid) // den_b
+            err += -(-len(ys) // block)
+            continue
         if live == [m]:
             numer, power = a[m] << grid, m + 1
             for y in ys:
@@ -347,8 +371,7 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
             m = m * (2 * k + n) + weights[n]
         b = table[k]
         num, den, grid = b.numerator * m, b.denominator * 2 * k, w + g - (k - 1) * drop
-        beta = (num << grid) // den if grid >= 0 else num // (den << -grid)
-        acc = (acc << drop) * q2 // p2 + beta
+        acc = (acc << drop) * q2 // p2 + _shift_div(num, grid, den)
     series = acc * q2 // p2 // (big_p ** top << g)
     # head, final floors and the 2K damped ones, and one truncation unit per order
     return value + series, 3 + len(totals)

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, to_str
 
-from exactsum.errors import OrderTooLarge, PoleArgument
+import exactsum.polygamma as polygamma_module
+from exactsum.errors import OrderTooLarge, PoleArgument, PrecisionExhausted
 from exactsum.oracle import to_mpf
-from exactsum.polygamma import PrecisionPolicy, bernoulli, decimal_text, polygamma
+from exactsum.polygamma import (
+    PrecisionPolicy, _ladder, _shift_div, bernoulli, decimal_text, polygamma, psi_sum,
+)
 
 POLICY = PrecisionPolicy(target_digits=30)
 
@@ -229,6 +232,110 @@ def test_higher_precision_self_consistency():
             a = to_mpf(polygamma(order, arg, lo))
             b = to_mpf(polygamma(order, arg, hi))
             assert abs(a - b) < mpmath.mpf(10) ** (-29) * max(1, abs(b))
+
+
+def _exact_ladder(q, p0, events, steps):
+    """The rungs _ladder sums, in Fractions: rung j has the terms at offsets <= j."""
+    total = F(0)
+    for j in range(steps):
+        y = p0 + j * q
+        for o, n, k in events:
+            if o <= j:
+                total += F((-1) ** (n + 1) * math.factorial(n) * k * q ** (n + 1), y ** (n + 1))
+    return total
+
+
+def _assert_ladder_within_error(q, p0, events, steps, w):
+    value, err = _ladder(q, p0, sorted(events), steps, w)
+    assert abs(value - _exact_ladder(q, p0, events, steps) * F(2) ** w) <= err
+    return err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(-(2 ** 4000), 2 ** 4000), w=st.integers(-4000, 200), den=st.integers(1, 2 ** 300)
+)
+def test_shift_div_is_the_floor(x, w, den):
+    assert _shift_div(x, w, den) == math.floor(F(x) * F(2) ** w / den)
+
+
+class TestLadderError:
+    """_ladder's counted error against the exact sum of its rungs times 2^w."""
+
+    @pytest.mark.parametrize("q, p0, events, steps, w", [
+        # one order, blocks of one size and a partial last block
+        (3, 1, [(0, 1, 1)], 301, 3400),
+        (1, 1, [(0, 0, 1)], 157, 3400),
+        # events in mid-ladder split it into segments of mixed orders
+        (4, 3, [(0, 0, 5), (0, 2, -3), (37, 1, 7), (120, 0, -5), (121, 3, 2)], 260, 3400),
+        # a finite class: its coefficients cancel at the last event
+        (5, 2, [(0, 1, 3), (0, 0, 2), (90, 1, -3), (131, 0, -2)], 131, 3400),
+        # a negative argument, whose rungs pass near zero
+        (3, -7, [(0, 1, 2), (0, 0, -1), (40, 0, 1)], 150, 3400),
+    ], ids=["one-order", "digamma", "mid-ladder-events", "finite-class", "negative-argument"])
+    def test_blocked_ladder(self, q, p0, events, steps, w):
+        err = _assert_ladder_within_error(q, p0, events, steps, w)
+        assert err < steps / 3  # floored in blocks, not once per rung
+
+    @pytest.mark.parametrize("q, p0, events, steps, w", [
+        (3, 1, [(0, 0, 1), (0, 1, -2), (10, 2, 1)], 70, 150),
+        (6, 5, [(0, 1, 3 * 2 ** 70), (0, 2, -(2 ** 65)), (15, 0, 4 * 2 ** 60)], 80, -40),
+        (2, 1, [(0, 3, -(10 ** 30)), (5, 0, 7)], 40, 0),
+    ], ids=["30-digit-grid", "negative-w", "zero-w"])
+    def test_per_rung_ladder(self, q, p0, events, steps, w):
+        _assert_ladder_within_error(q, p0, events, steps, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(1, 8),
+        p0=st.integers(-20, 40),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 120), st.integers(0, 4), st.integers(-10 ** 6, 10 ** 6).filter(bool)
+            ),
+            min_size=1, max_size=5,
+        ),
+        steps=st.integers(1, 160),
+        w=st.integers(-80, 4000),
+    )
+    def test_random_ladders(self, q, p0, events, steps, w):
+        # no rung may sit on the pole at 0, and no event lies past the ladder
+        if p0 <= 0 and p0 % q == 0:
+            p0 += q * (1 - p0 // q)
+        events = [(min(o, steps), n, k) for o, n, k in events]
+        _assert_ladder_within_error(q, p0, events, steps, w)
+
+
+class TestHighPrecisionSums:
+    """psi_sum at 1000 digits, whose ladders are floored in blocks."""
+
+    @pytest.mark.parametrize("terms", [
+        [(1, 0, F(1, 3)), (-2, 1, F(4, 3)), (1, 2, F(7, 3))],
+        [(F(5, 7), 0, F(1, 4)), (-3, 3, F(9, 4)), (F(-1, 2), 0, F(21, 4)), (4, 1, F(5, 4))],
+        [(2, 1, F(2, 5)), (-7, 4, F(12, 5)),
+         (3, 0, F(1, 6)), (-3, 0, F(7, 6)), (F(1, 9), 2, F(-13, 6))],
+    ], ids=["psi-orders-0-1-2", "mixed-signs", "three-classes"])
+    def test_matches_mpmath(self, monkeypatch, terms):
+        ladders = []
+
+        def spy(q, p0, events, steps, w):
+            value, err = _ladder(q, p0, events, steps, w)
+            ladders.append((steps, err))
+            return value, err
+
+        monkeypatch.setattr(polygamma_module, "_ladder", spy)
+        text = psi_sum(terms, PrecisionPolicy(target_digits=1000)).text
+        with mpmath.workdps(1030):
+            reference = mpmath.fsum(to_mpf(F(c)) * mpmath.psi(n, to_mpf(x)) for c, n, x in terms)
+            assert text == mpmath.nstr(reference, 1000, strip_zeros=False)
+        assert any(steps > 1000 for steps, _ in ladders)
+        assert all(err < steps / 3 for steps, err in ladders if steps > 1000)
+
+
+def test_exact_zero_reaches_the_precision_ceiling():
+    # psi'(1/3) + psi'(2/3) = 4 pi^2/3 = 8 psi'(1): no pass can bound the sum away from 0
+    with pytest.raises(PrecisionExhausted):
+        psi_sum([(1, 1, F(1, 3)), (1, 1, F(2, 3)), (-8, 1, 1)])
 
 
 class TestDecimalText:
