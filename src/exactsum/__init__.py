@@ -6,7 +6,7 @@ closed-form symbolic value and an arbitrary-precision numeric value, each
 independently verifiable by quadrature and tail-bracketed partial sums.
 """
 
-from .closedform import SymbolicValue, assemble, psi_closed, render
+from .closedform import SymbolicValue, assemble, render
 from .engine import SumResult, evaluate
 from .errors import (
     ConstraintViolated,
@@ -27,7 +27,7 @@ from .errors import (
 from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import PartialFractions, SumSpec, decompose, recombine
-from .polygamma import PrecisionPolicy, PsiSum, decimal_text, psi_sum
+from .polygamma import PrecisionPolicy, decimal_text, psi_sum
 from .polys import FactorList, Polynomial, factor_linear
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "Polynomial",
     "PrecisionExhausted",
     "PrecisionPolicy",
-    "PsiSum",
     "SumResult",
     "SumSpec",
     "ShiftTooLarge",
@@ -62,7 +61,6 @@ __all__ = [
     "factor_linear",
     "parse_expression",
     "partial_sum_bracket",
-    "psi_closed",
     "psi_sum",
     "quad_alternating",
     "quad_general",

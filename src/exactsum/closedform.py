@@ -154,11 +154,6 @@ def assemble(terms: Iterable) -> SymbolicValue:
     return SymbolicValue.build(coeffs, residuals)
 
 
-def psi_closed(order: int, argument) -> SymbolicValue:
-    """Exact SymbolicValue for psi^(order)(argument), argument rational."""
-    return assemble([(1, order, argument)])
-
-
 # -- rendering ------------------------------------------------------------------
 
 

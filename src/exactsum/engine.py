@@ -9,7 +9,8 @@ The exact symbolic path and the numeric path are evaluated independently
 from the same psi terms: `assemble` reduces them to the constant basis, and
 `polygamma.psi_sum` sums them in fixed point to a dyadic whose every printed
 digit is true.  A rational closed form, which may be 0 or lie on a decimal
-tie, is the value itself, with no pass.  Both stay exact rationals.
+tie, is the value itself, with no pass.  Either value is an exact rational,
+formatted once to the target digits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .closedform import ONE, SymbolicValue, assemble
 from .partfrac import PLAIN, PartialFractions, SumSpec, decompose
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, PsiSum, decimal_text, psi_sum
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, decimal_text, psi_sum
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,6 @@ class SumResult:
     value: Fraction  # the rational closed form, or psi_sum's dyadic
     text: str  # `value` to the target digits, every digit true
     pf_echo: PartialFractions
-    working_digits: int  # precision of the accepted fixed-point pass
-    digits_lost: int  # digits cancelled between residue classes
 
 
 def _psi_terms(pf: PartialFractions, sign: str):
@@ -55,15 +54,7 @@ def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResu
     terms = list(_psi_terms(pf, spec.sign))
     exact = assemble(terms)
     if exact.fully_reduced and all(s == ONE for s, _ in exact.basis_coeffs):
-        r = exact.coefficient(ONE)
-        numeric = PsiSum(r, decimal_text(r, policy.target_digits), policy.working_digits, 0)
+        value = exact.coefficient(ONE)
     else:
-        numeric = psi_sum(terms, policy)
-    return SumResult(
-        exact=exact,
-        value=numeric.exact,
-        text=numeric.text,
-        pf_echo=pf,
-        working_digits=numeric.working_digits,
-        digits_lost=numeric.digits_lost,
-    )
+        value = psi_sum(terms, policy)
+    return SumResult(exact, value, decimal_text(value, policy.target_digits), pf)

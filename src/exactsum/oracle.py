@@ -62,7 +62,6 @@ class Bracket:
 
     lower: Fraction
     upper: Fraction
-    terms_used: int
 
 
 # -- fixed-point series ------------------------------------------------------------
@@ -138,7 +137,7 @@ def _plan(log2_m: float, rho: int, n: int, log2_tol: float):
 
 
 def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
-    """(lo, hi, W, N): the sum lies in [lo, hi] * 2^-W, half-width <= tol."""
+    """(lo, hi, W): the sum lies in [lo, hi] * 2^-W, half-width <= tol."""
     log2_m, log2_tol = _log2(m_bound), _log2(tol / 3)
     n = max(4 * rho, math.ceil(_HEAD_PER_DIGIT * (log2_m - log2_tol) * math.log10(2)))
     while n <= _HEAD_TERMS_MAX and (plan := _plan(log2_m, rho, n, log2_tol)) is None:
@@ -196,7 +195,7 @@ def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
     truncation = m_bound * rho ** (k_max + 1) / (k_max * n ** (k_max - 1) * (n - rho))
     remainder = m_bound * abs(bernoulli(2 * p)) * rho / (p * (n - rho) ** (2 * p))
     err = math.ceil((truncation + remainder) * (1 << w)) + floors
-    return total - err, total + err, w, n
+    return total - err, total + err, w
 
 
 def partial_sum_bracket(
@@ -214,7 +213,7 @@ def partial_sum_bracket(
     """
     num, den, poles = _summand(spec)
     if num.is_zero():
-        return Bracket(Fraction(0), Fraction(0), 0)
+        return Bracket(Fraction(0), Fraction(0))
     rho = int(max(abs(p) for p, _ in poles)) + 1
     m_bound = Fraction(
         sum(abs(c) * rho ** i for i, c in enumerate(num.coeffs)), abs(den.leading)
@@ -225,7 +224,7 @@ def partial_sum_bracket(
     tol = rel * m_bound / 2
     floor = None
     while True:
-        lo, hi, w, n = _bracket(num, den, poles, rho, m_bound, tol)
+        lo, hi, w = _bracket(num, den, poles, rho, m_bound, tol)
         s_min = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         goal = s_min * rel.numerator // rel.denominator
         if hi - lo <= 2 * goal:
@@ -247,7 +246,7 @@ def partial_sum_bracket(
             break
         # |S| <= hi - lo while the bracket straddles zero
         tol = max(rel * Fraction(hi - lo, 1 << w) / 2, floor)
-    return Bracket(Fraction(lo, 1 << w), Fraction(hi, 1 << w), n)
+    return Bracket(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 # -- quadrature oracles ---------------------------------------------------------

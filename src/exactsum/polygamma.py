@@ -16,11 +16,11 @@ one asymptotic series with exact Bernoulli numbers serves every order of
 the class.  The order-0 totals of a convergent sum add up to zero, so
 sum C ln X becomes logarithms of ratios near 1; those, and the ln X of a
 lone digamma, are integer atanh series, so no mpmath ln is called.  Every
-floor is counted,
-and a Ziv loop reruns a pass whose error does not pin the target digits
-(A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann, "Modern
-Computer Arithmetic", ch. 3-4).  `polygamma` is a one-term call into
-`psi_sum`.
+floor is counted, and a Ziv loop reruns a pass whose error does not pin
+the target digits (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P.
+Zimmermann, "Modern Computer Arithmetic", ch. 3-4).  The result is one
+exact dyadic whose target-digit decimal_text is true; `polygamma` is a
+one-term call into `psi_sum`.
 
 Bernoulli numbers come from tangent numbers in integer arithmetic; a pass
 asks `bernoulli` for the last one its series uses, and the table grows by
@@ -228,22 +228,6 @@ def _shift_div(x: int, w: int, den: int) -> int:
 # -- the combiner -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PsiSum:
-    """sum c psi^(n)(x) as an exact dyadic and its true target-digit text.
-
-    `text` is decimal_text(exact, target digits); `working_digits` is the
-    precision of the pass that was accepted; `digits_lost` is
-    floor(log10(sum_cls |T_cls| / |S|)), the cancellation between residue
-    classes (0 for an exact zero).
-    """
-
-    exact: Fraction
-    text: str
-    working_digits: int
-    digits_lost: int
-
-
 def _log2_size(k: int, n: int, x: Fraction) -> float:
     """A rough log2 |k psi^(n)(x)|, used only to place the first pass's grid."""
     log2_c = math.log2(abs(k))
@@ -280,8 +264,7 @@ def _classes(terms):
 
 
 def _ladder(q: int, p0: int, events, steps: int, w: int):
-    """The rungs y = p0/q + j, 0 <= j < steps, as (value, error) on a 2^-w grid;
-    no event lies past `steps`.
+    """The rungs y = p0/q + j, 0 <= j < steps, as (value, error) on a 2^-w grid.
 
     Rung j adds sum_n (-1)^(n+1) n! C_n q^(n+1) / Y^(n+1), Y = p0 + j q, where
     C_n sums the coefficients of the terms at offsets <= j; the numerator is
@@ -301,6 +284,7 @@ def _ladder(q: int, p0: int, events, steps: int, w: int):
     cumulative = {}
     value = err = 0
     for start, end in zip(offsets, offsets[1:] + [steps]):
+        end = min(end, steps)
         for n, c in by_offset[start]:
             cumulative[n] = cumulative.get(n, 0) + c
         live = [n for n, c in cumulative.items() if c]
@@ -416,12 +400,11 @@ def _scaled_ln(c: int, a: int, b: int, w: int):
 
 
 def _psi_pass(classes, w: int, wd: int):
-    """One fixed-point pass: (A, err, size) with |S 2^w - A| <= err.
+    """One fixed-point pass: (A, err) with |S 2^w - A| <= err.
 
-    S = sum k psi^(n)(x) over the classes' integer coefficients; `size` is
-    sum_cls |T_cls| on the same scale.  Order-0 totals C_cls enter as
-    sum C_cls ln(X_cls / X_ref) + (sum C_cls) ln X_ref; the last term is
-    zero for every convergent sum.  A class whose totals all cancel is a
+    S = sum k psi^(n)(x) over the classes' integer coefficients.  Order-0
+    totals C_cls enter as sum C_cls ln(X_cls / X_ref) + (sum C_cls) ln X_ref;
+    the last term is zero for every convergent sum.  A class whose totals all cancel is a
     finite sum: its ladder stops at its last term and it has no series.
     """
     parts, errs, logs = [], [], []
@@ -460,10 +443,10 @@ def _psi_pass(classes, w: int, wd: int):
             value, err = _scaled_ln(c_sum, ref_p, ref_q, w)
             parts[ref] += value
             errs[ref] += err
-    return sum(parts), sum(errs), sum(abs(v) for v in parts)
+    return sum(parts), sum(errs)
 
 
-def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
+def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
     """S = sum c psi^(n)(x) over terms (c, n, x) with exact rational c and x.
 
     With c = s k, s = g/d, the pass sums k psi^(n)(x) on a 2^-W grid, W set
@@ -472,10 +455,12 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
     2^-(W+t) grid, t = bitlen(d) - bitlen(g) + 1, where one unit of A spans
     at least one unit.  A pass is accepted when |S| exceeds its counted
     error by 10^(target+3) and both ends of that interval give the same
-    decimal_text at the target digits: that text is the true one, and the
-    one printed.  Otherwise the pass reruns at the digits it fell short by,
-    plus a guard (Ziv); when only the rounding is undecided, the value lies
-    near a decimal tie and the rerun doubles the digits beyond the target.
+    decimal_text at the target digits: that text is the true one.  The
+    interval's midpoint is returned, an exact dyadic; rounding to nearest
+    is monotone, so its decimal_text is that same text.  Otherwise the pass
+    reruns at the digits it fell short by, plus a guard (Ziv); when only
+    the rounding is undecided, the value lies near a decimal tie and the
+    rerun doubles the digits beyond the target.
     Reruns stop at MAX_WORKING_BITS: a pass there that still falls short
     raises PrecisionExhausted, as an exactly zero sum always does.
     """
@@ -504,7 +489,7 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
     wd_max = math.floor((MAX_WORKING_BITS - _GUARD_BITS) / math.log2(10))
     while True:
         w = _precision_bits(wd) - math.ceil(est)
-        a, e, size = _psi_pass(classes, w, wd)
+        a, e = _psi_pass(classes, w, wd)
         lo = _shift_div(g * (a - e), t, d)
         hi = -_shift_div(-g * (a + e), t, d)
         v, err = (lo + hi) // 2, (hi - lo + 1) // 2
@@ -513,10 +498,9 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
             # S lies in [v - err, v + err] * scale / den
             scale = 1 << max(0, -w - t)
             den = 1 << max(0, w + t)
-            text = decimal_text((v - err) * scale, target, den=den)
-            if err == 0 or text == decimal_text((v + err) * scale, target, den=den):
-                lost = math.floor(math.log10(size) - math.log10(abs(a))) if v and size else 0
-                return PsiSum(Fraction(v * scale, den), text, wd, max(0, lost))
+            if err == 0 or (decimal_text((v - err) * scale, target, den=den)
+                            == decimal_text((v + err) * scale, target, den=den)):
+                return Fraction(v * scale, den)
         if wd >= wd_max:
             raise PrecisionExhausted(
                 f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
@@ -532,9 +516,6 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> PsiSum:
 
 
 def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
-    """psi^(order)(x) as psi_sum's exact dyadic, for any x that Fraction()
-    takes; order 0 is digamma.
-
-    A one-term psi_sum.
-    """
-    return psi_sum([(1, order, x)], policy).exact
+    """psi^(order)(x) as a one-term psi_sum, for any x that Fraction()
+    takes; order 0 is digamma."""
+    return psi_sum([(1, order, x)], policy)

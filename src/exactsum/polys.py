@@ -283,10 +283,6 @@ class FactorList:
     def total_degree(self) -> int:
         return sum(m for _, m in self.pairs)
 
-    @property
-    def shifts(self):
-        return tuple(a for a, _ in self.pairs)
-
     def expand(self) -> Polynomial:
         """The monic product of the factors (n + a_i)^m_i."""
         p = Polynomial([1])

@@ -13,7 +13,6 @@ from exactsum.closedform import (
     ZETA,
     SymbolicValue,
     assemble,
-    psi_closed,
     render,
 )
 from exactsum.engine import evaluate
@@ -29,9 +28,11 @@ POLICY = PrecisionPolicy(target_digits=30)
 
 
 class TestPsiClosed:
+    """A single psi^(n)(x) through assemble."""
+
     def test_three_halves(self):
         # psi(3/2) = psi(1/2) + 2 = 2 - gamma - 2 ln2
-        v = psi_closed(0, F(3, 2))
+        v = assemble([(1, 0, F(3, 2))])
         assert v.coefficient(ONE) == 2
         assert v.coefficient(GAMMA) == -1
         assert v.coefficient(LN2) == -2
@@ -39,18 +40,18 @@ class TestPsiClosed:
 
     def test_trigamma_at_two(self):
         # psi^(1)(2) = psi^(1)(1) - 1 = pi^2/6 - 1
-        v = psi_closed(1, 2)
+        v = assemble([(1, 1, 2)])
         assert v.coefficient(ONE) == -1
         assert v.coefficient(PI_SQUARED) == F(1, 6)
 
     def test_quarter(self):
-        v = psi_closed(0, F(1, 4))
+        v = assemble([(1, 0, F(1, 4))])
         assert v.coefficient(GAMMA) == -1
         assert v.coefficient(LN2) == -3
         assert v.coefficient(PI) == F(-1, 2)
 
     def test_three_quarters(self):
-        v = psi_closed(0, F(3, 4))
+        v = assemble([(1, 0, F(3, 4))])
         assert v.coefficient(PI) == F(1, 2)
 
     def test_quarter_values_verified_numerically(self):
@@ -58,26 +59,26 @@ class TestPsiClosed:
         with mpmath.workdps(40):
             tol = mpmath.mpf(10) ** (-25)
             for arg in (F(1, 4), F(3, 4), F(5, 4), F(-1, 4)):
-                sym = symbolic_numeric(psi_closed(0, arg))
+                sym = symbolic_numeric(assemble([(1, 0, arg)]))
                 num = to_mpf(polygamma(0, arg, POLICY))
                 assert abs(sym - num) < tol
 
     def test_quarter_at_higher_order_stays_residual(self):
-        v = psi_closed(1, F(1, 4))
+        v = assemble([(1, 1, F(1, 4))])
         assert v.residuals == ((F(1), 1, F(1, 4)),)
 
     def test_residual_for_thirds(self):
-        v = psi_closed(0, F(4, 3))
+        v = assemble([(1, 0, F(4, 3))])
         assert v.coefficient(ONE) == 3
         assert v.residuals == ((F(1), 0, F(1, 3)),)
 
     def test_pole(self):
         for arg in (0, -3):
             with pytest.raises(PoleArgument):
-                psi_closed(2, arg)
+                assemble([(1, 2, arg)])
 
     def test_zeta_basis_for_higher_orders(self):
-        v = psi_closed(3, 1)  # psi^(3)(1) = 6 zeta(4)
+        v = assemble([(1, 3, 1)])  # psi^(3)(1) = 6 zeta(4)
         assert v.coefficient(ZETA(4)) == 6
 
 
@@ -174,7 +175,7 @@ def test_numeric_consistency_randomized(rng):
             arg = F(num, den)
             if arg.denominator == 1 and arg <= 0:
                 continue
-            sym = symbolic_numeric(psi_closed(order, arg))
+            sym = symbolic_numeric(assemble([(1, order, arg)]))
             ref = to_mpf(polygamma(order, arg, POLICY))
             assert abs(sym - ref) < tol * max(1, abs(ref))
             checked += 1

@@ -307,12 +307,20 @@ class TestCancellationFamily:
         with mpmath.workdps(60):
             assert abs(to_mpf(value) - reference) < mpmath.mpf(10) ** -49 * abs(reference)
 
-    def test_cancellation_is_measured(self):
-        spec = ast_to_spec(parse_expression(ALTERNATING_CANCELLING), "alternating")
-        r = evaluate(spec, PrecisionPolicy(target_digits=100))
-        assert r.digits_lost >= 10
+    def test_cancellation_is_measured(self, monkeypatch):
+        pg = importlib.import_module("exactsum.polygamma")
+        psi_pass, passes = pg._psi_pass, []
+
+        def spy(classes, w, wd):
+            passes.append(wd)
+            return psi_pass(classes, w, wd)
+
+        monkeypatch.setattr(pg, "_psi_pass", spy)
+        code, out, _ = run(CliRequest(ALTERNATING_CANCELLING, "alternating", 100, "json"))
+        doc = json.loads(out)
         # the first pass at 110 digits could not pin 103: the loop reran
-        assert r.working_digits >= 100 + 3 + r.digits_lost
+        assert code == 0 and len(passes) >= 2
+        assert doc["numeric"] == _psi_reference(doc, 100)
 
 
 def _refuse_psi_sum(*args):
@@ -329,7 +337,7 @@ class TestExactnessAndCeiling:
         monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
         spec = ast_to_spec(parse_expression(self.TELESCOPING), "plain")
         r = evaluate(spec, PrecisionPolicy(target_digits=digits))
-        assert r.value == 0 and r.digits_lost == 0
+        assert r.value == 0
         code, out, _ = run(CliRequest(self.TELESCOPING, "plain", digits, "numeric"))
         assert code == 0 and out == "0.0\n"
 
@@ -337,7 +345,7 @@ class TestExactnessAndCeiling:
         # psi(1/2) - psi(5/2) = -(2 + 2/3): a class with no series, its ladder
         # stopping at the last term
         s = psi_sum([(1, 0, F(1, 2)), (-1, 0, F(5, 2))], POLICY)
-        assert mpmath.nstr(to_mpf(s.exact), 30) == "-2." + "6" * 28 + "7"
+        assert mpmath.nstr(to_mpf(s), 30) == "-2." + "6" * 28 + "7"
 
     def test_precision_ceiling_is_a_typed_error(self, monkeypatch):
         pg = importlib.import_module("exactsum.polygamma")

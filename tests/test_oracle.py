@@ -20,6 +20,19 @@ POLICY = PrecisionPolicy(target_digits=30)
 QUAD_TOL_EXP = -15  # error target 10^(-target/2)
 
 
+def _spy_head_lengths(monkeypatch):
+    """The head lengths n that _bracket asks _plan about, in call order."""
+    lengths = []
+    plan = oracle._plan
+
+    def spy(log2_m, rho, n, log2_tol):
+        lengths.append(n)
+        return plan(log2_m, rho, n, log2_tol)
+
+    monkeypatch.setattr(oracle, "_plan", spy)
+    return lengths
+
+
 def _holds(bracket, x):
     """Whether the bracket, its ends rounded at the current precision, holds the mpf x."""
     return to_mpf(bracket.lower) <= x <= to_mpf(bracket.upper)
@@ -62,14 +75,15 @@ class TestPartialSumBracket:
             b = partial_sum_bracket(spec, POLICY)
             assert _holds(b, -mpmath.pi ** 2 / 6)
 
-    def test_insufficient_terms(self):
+    def test_insufficient_terms(self, monkeypatch):
         # the terms change sign at n = 50000; the head length depends on
         # the poles alone, so a far-out numerator root costs nothing
+        lengths = _spy_head_lengths(monkeypatch)
         with mpmath.workdps(60):
             spec = make_spec([(0, 3)], numerator=Polynomial([-50000, 1]))
             b = partial_sum_bracket(spec, POLICY)
             assert _holds(b, mpmath.zeta(2) - 50000 * mpmath.zeta(3))
-            assert b.terms_used < 1000
+        assert lengths and all(n < 1000 for n in lengths)
 
     @pytest.mark.parametrize("digits", [30, 300])
     def test_width_bound_at_target(self, digits):
@@ -367,7 +381,7 @@ class TestCoherence:
             done = 0
             while done < 8:
                 spec = random_plain_spec(rng, max_factors=2, max_mult=2)
-                if any(a <= -1 for a in spec.factors.shifts):
+                if any(a <= -1 for a, _ in spec.factors):
                     continue
                 pf = decompose(spec)
                 quad = quad_general(pf, POLICY)
@@ -393,12 +407,13 @@ class TestCoherence:
             assert bracket.lower <= r.value <= bracket.upper
 
 
-def test_head_cap_serves_every_accepted_shift():
+def test_head_cap_serves_every_accepted_shift(monkeypatch):
     # the largest accepted shift puts rho at MAX_SHIFT + 1, so the head
     # starts at N = 4 rho: exactly the cap
+    lengths = _spy_head_lengths(monkeypatch)
     spec = make_spec([(MAX_SHIFT, 2)])
     bracket = partial_sum_bracket(spec, POLICY)
-    assert bracket.terms_used == oracle._HEAD_TERMS_MAX
+    assert max(lengths) == oracle._HEAD_TERMS_MAX
     with mpmath.workdps(50):
         assert _holds(bracket, mpmath.psi(1, MAX_SHIFT + 1))
         width = to_mpf(bracket.upper - bracket.lower)

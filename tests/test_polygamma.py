@@ -285,6 +285,10 @@ class TestLadderError:
     def test_per_rung_ladder(self, q, p0, events, steps, w):
         _assert_ladder_within_error(q, p0, events, steps, w)
 
+    def test_events_past_the_ladder_add_no_rungs(self):
+        # one rung of C_0 = 4 at y = 1; the event at offset 3 lies past it
+        assert _ladder(1, 1, [(0, 0, 4), (3, 0, 1)], 1, 0) == (-4, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(
         q=st.integers(1, 8),
@@ -299,10 +303,9 @@ class TestLadderError:
         w=st.integers(-80, 4000),
     )
     def test_random_ladders(self, q, p0, events, steps, w):
-        # no rung may sit on the pole at 0, and no event lies past the ladder
+        # no rung may sit on the pole at 0; events may lie past the ladder
         if p0 <= 0 and p0 % q == 0:
             p0 += q * (1 - p0 // q)
-        events = [(min(o, steps), n, k) for o, n, k in events]
         _assert_ladder_within_error(q, p0, events, steps, w)
 
 
@@ -324,12 +327,36 @@ class TestHighPrecisionSums:
             return value, err
 
         monkeypatch.setattr(polygamma_module, "_ladder", spy)
-        text = psi_sum(terms, PrecisionPolicy(target_digits=1000)).text
+        text = decimal_text(psi_sum(terms, PrecisionPolicy(target_digits=1000)), 1000)
         with mpmath.workdps(1030):
             reference = mpmath.fsum(to_mpf(F(c)) * mpmath.psi(n, to_mpf(x)) for c, n, x in terms)
             assert text == mpmath.nstr(reference, 1000, strip_zeros=False)
         assert any(steps > 1000 for steps, _ in ladders)
         assert all(err < steps / 3 for steps, err in ladders if steps > 1000)
+
+
+def test_near_tie_reruns_until_the_rounding_is_decided(monkeypatch):
+    # pi^2/6 + r (psi(2) - psi(1)) = 1.0000000005 + (pi^2/6 - floor(10^40 pi^2/6)/10^40):
+    # ~5e-41 above a decimal tie at 10 digits
+    psi_pass, passes = polygamma_module._psi_pass, []
+
+    def spy(classes, w, wd):
+        passes.append(wd)
+        return psi_pass(classes, w, wd)
+
+    monkeypatch.setattr(polygamma_module, "_psi_pass", spy)
+    tie = F("1.0000000005")
+    with mpmath.workdps(80):
+        scaled = mpmath.pi ** 2 / 6 * mpmath.mpf(10) ** 40
+        above = scaled - mpmath.floor(scaled)  # (S - tie) 10^40, far from 0 and 1
+        assert mpmath.mpf(10) ** -30 < above < 1 - mpmath.mpf(10) ** -30
+        r = tie - F(int(mpmath.floor(scaled)), 10 ** 40)
+    # S lies just above the tie, so to nearest it is the tie rounded up
+    # (mpmath.nstr at 80 digits prints 1.000000000)
+    reference = decimal_text(tie, 10, direction=1)
+    value = psi_sum([(1, 1, 1), (-r, 0, 1), (r, 0, 2)], PrecisionPolicy(10))
+    assert decimal_text(value, 10) == reference == "1.000000001"
+    assert len(passes) >= 3
 
 
 def test_exact_zero_reaches_the_precision_ceiling():
