@@ -5,26 +5,37 @@ and works on integers scaled by 2^W.  The coefficients' content s comes out
 first, c = s k with coprime integers k; the kernel sums k psi^(n)(x) on a
 grid set by that sum's size alone, and s enters once per pass, when the
 result is rounded outward onto a dyadic grid.  Terms are grouped by residue
-class (q, p mod q) of x = p/q.  Each class climbs one upward ladder from its
-smallest argument to X = P/q past the shift threshold, and further while
-the series there cannot reach its coefficients' precision; a rung adds the
-accumulated integer coefficients C_n over one power of its argument, and a
-block of rungs, B of them with B taken from the grid, is summed exactly and
-floored once, so cancellation inside a class costs no precision, and a
-class whose C_n all cancel stops at its last term with no series.  At X
-one asymptotic series with exact Bernoulli numbers serves every order of
-the class.  The order-0 totals of a convergent sum add up to zero, so
-sum C ln X becomes logarithms of ratios near 1; those, and the ln X of a
-lone digamma, are integer atanh series, so no mpmath ln is called.  Every
-floor is counted, and a Ziv loop reruns a pass whose error does not pin
-the target digits (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P.
-Zimmermann, "Modern Computer Arithmetic", ch. 3-4).  The result is one
-exact dyadic whose target-digit decimal_text is true; `polygamma` is a
-one-term call into `psi_sum`.
+class (q, p mod q) of x = p/q, and a ladder of rungs p/q + j carries each
+term to an anchor by psi^(n)(y+1) = psi^(n)(y) + (-1)^n n!/y^(n+1) (DLMF
+5.15.5).  A rung adds the accumulated integer coefficients C_n over one
+power of its argument, and a block of rungs, B of them with B taken from
+the grid, is summed exactly and floored once, so cancellation inside a
+class costs no precision.
 
-Bernoulli numbers come from tangent numbers in integer arithmetic; a pass
-asks `bernoulli` for the last one its series uses, and the table grows by
-that function's doubling rule alone.
+A class whose last argument lies below the shift threshold X (about 1.5
+times the working digits) is anchored at its base b/q in (0, 1]: its
+ladder runs from the base or its smallest argument, if lower, to its last
+argument, a few rungs, and sum T_n psi^(n)(b/q) over its order totals T_n
+is added.  Those values come from a process-wide cache keyed (n, b, q, W),
+W the grid rounded up to a multiple of _PSI_GRID_STEP bits, of at most
+_PSI_CACHE_SIZE entries.  A value depends on its key alone, so a hit
+returns the integers a miss would compute, and no result depends on what
+the cache held before.  A miss, and a class with an argument above X, is
+anchored at X: its ladder climbs from its smallest argument to X = P/q,
+and further while the series there cannot reach its coefficients'
+precision, and one asymptotic series with exact Bernoulli numbers serves
+every order of the class there.  Its C_0 ln X is an integer atanh series,
+so no mpmath ln is called.  A class whose totals all cancel is a finite
+sum: its ladder stops at its last term.  Every floor is counted, and a
+Ziv loop reruns a pass whose error does not pin the target digits (A. Ziv,
+ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann, "Modern Computer
+Arithmetic", ch. 3-4).  The result is one exact dyadic whose target-digit
+decimal_text is true; `polygamma` is a one-term call into `psi_sum`.
+
+Bernoulli numbers come from tangent numbers in integer arithmetic, cached
+as Fractions for `bernoulli` and as integer pairs for the series; a series
+asks for the last one it uses, and both tables grow together by one
+doubling rule.
 
 Refs: R. P. Brent and D. Harvey, "Fast computation of Bernoulli, Tangent
 and Secant numbers" (2011); B. Haible and T. Papanikolaou, "Fast
@@ -68,6 +79,9 @@ DEFAULT_POLICY = PrecisionPolicy()
 # -- Bernoulli numbers -------------------------------------------------------
 
 _even_bernoulli = [Fraction(1)]  # B_0, B_2, B_4, ...
+# (numerator of B_2k, 2k times its denominator), the integers the series reads;
+# index 0 is unused
+_bernoulli_pairs = [(1, 1)]
 _bernoulli_lock = threading.Lock()
 
 
@@ -87,27 +101,31 @@ def _tangent_numbers(n: int) -> list:
     return t
 
 
-def _fill_bernoulli(m: int) -> list:
-    """The cached B_0, B_2, ..., at least up to B_m, filled in one pass if short."""
+def _fill_bernoulli(m: int):
+    """Both cached tables, through at least B_m.
+
+    Tables too short for m are refilled together, in one pass, to at least
+    twice their length, so ascending calls cost O(m^2) in all.
+    """
     with _bernoulli_lock:
-        global _even_bernoulli
-        half = m // 2
-        if len(_even_bernoulli) <= half:
+        global _even_bernoulli, _bernoulli_pairs
+        if len(_even_bernoulli) <= m // 2:
+            half = max(m // 2, 2 * len(_even_bernoulli))
             t = _tangent_numbers(half)
             # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
-            _even_bernoulli = [Fraction(1)] + [
+            even = [Fraction(1)] + [
                 Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
                 for k in range(1, half + 1)
             ]
-        return _even_bernoulli
+            _bernoulli_pairs = [(1, 1)] + [
+                (even[k].numerator, 2 * k * even[k].denominator) for k in range(1, half + 1)
+            ]
+            _even_bernoulli = even
+        return _even_bernoulli, _bernoulli_pairs
 
 
 def bernoulli(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2), from the tangent numbers (cached).
-
-    A table too short for m is refilled to at least twice its length, so
-    ascending calls cost O(m^2) in all.
-    """
+    """Exact Bernoulli number B_m (B_1 = -1/2), from the tangent numbers (cached)."""
     if m < 0:
         raise ValueError("negative Bernoulli index")
     if m == 1:
@@ -116,7 +134,7 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(0)
     table = _even_bernoulli
     if len(table) <= m // 2:
-        table = _fill_bernoulli(max(m, 4 * len(table)))
+        table = _fill_bernoulli(m)[0]
     return table[m // 2]
 
 
@@ -326,7 +344,7 @@ def _ladder(q: int, p0: int, events, steps: int, w: int):
 
 
 def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
-    """sum_n C_n psi^(n)(X) at X = P/q without C_0 ln X, as (value, error) on 2^-w.
+    """sum_n C_n psi^(n)(X) at X = P/q, as (value, error) on 2^-w.
 
     Term k is B_2k/(2k) z^k / P^N times the small integer
     m_k = sum_n (-1)^(n+1) C_n rho_n(k) q^n P^(N-n), with z = q^2/P^2 and
@@ -335,7 +353,11 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
     multiplied by z^(k-1), so it is carried on a grid L (k-1) bits coarser,
     L = floor(log2(1/z)): every floor then costs at most 2^-(w+g) in the
     result, and the numbers stay near the size of their share of the sum.
+    C_0 ln X comes from the integer atanh series of `_scaled_ln`.
     """
+    pairs = _bernoulli_pairs
+    if len(pairs) <= terms:
+        pairs = _fill_bernoulli(2 * terms)[1]
     top = max(totals)
     weights = [(-1) ** (n + 1) * totals.get(n, 0) * q ** n * big_p ** (top - n)
                for n in range(top + 1)]
@@ -345,7 +367,6 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
         for n in totals
     )
     value = _shift_div(head, w, 2 * big_p ** (top + 1))
-    table = _even_bernoulli
     q2, p2 = q * q, big_p * big_p
     g, drop = terms.bit_length() + 1, (p2 // q2).bit_length() - 1
     acc = 0
@@ -353,12 +374,15 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
         m = 0
         for n in range(top, -1, -1):
             m = m * (2 * k + n) + weights[n]
-        b = table[k]
-        num, den, grid = b.numerator * m, b.denominator * 2 * k, w + g - (k - 1) * drop
-        acc = (acc << drop) * q2 // p2 + _shift_div(num, grid, den)
-    series = acc * q2 // p2 // (big_p ** top << g)
+        num, den = pairs[k]
+        acc = (acc << drop) * q2 // p2 + _shift_div(num * m, w + g - (k - 1) * drop, den)
+    value += acc * q2 // p2 // (big_p ** top << g)
     # head, final floors and the 2K damped ones, and one truncation unit per order
-    return value + series, 3 + len(totals)
+    err = 3 + len(totals)
+    if totals.get(0):
+        ln, ln_err = _scaled_ln(totals[0], big_p, q, w)
+        value, err = value + ln, err + ln_err
+    return value, err
 
 
 def _atanh(u: int, v: int, w: int):
@@ -399,51 +423,97 @@ def _scaled_ln(c: int, a: int, b: int, w: int):
     return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
 
 
+def _x_anchored(q: int, p0: int, events, totals: dict, w: int, wd: int):
+    """A class's sum on 2^-w, as (value, error), anchored at X past its terms.
+
+    The ladder climbs from p0/q past the last argument to X = P/q past the
+    shift threshold, and further while the series there cannot reach its
+    coefficients' precision; one series at X serves every order.
+    """
+    steps = max(events[-1][0], -((p0 - _shift_threshold(wd, max(totals)) * q) // q))
+    while True:
+        big_p = p0 + steps * q
+        log2_x = math.log2(big_p) - math.log2(q)
+        plans = [_series_plan(n, log2_x, w + math.log2(abs(c))) for n, c in totals.items()]
+        if None not in plans:
+            break
+        # coefficients far above the threshold's precision: climb to 2X
+        steps += -(-big_p // q)
+    value, err = _ladder(q, p0, events, steps, w)
+    series, series_err = _series(q, big_p, totals, max(plans), w)
+    return value + series, err + series_err
+
+
+# psi^(n)(b/q) at the bases b/q in (0, 1], shared by every request in the process
+_PSI_CACHE_SIZE = 256  # entries; one is ~0.5 KB at 1000 digits
+_PSI_GRID_STEP = 64  # bits: a value is kept on the asked-for grid rounded up to a multiple
+_PSI_CACHE_GUARD = 16  # bits finer than its grid that a value is computed on
+_psi_cache = {}  # (n, b, q, W) -> (V, e) with |2^W psi^(n)(b/q) - V| <= e
+_psi_cache_lock = threading.Lock()
+
+
+def _base_psi(n: int, b: int, q: int, grid: int):
+    """(W, (V, e)) with |2^W psi^(n)(b/q) - V| <= e, W the first multiple of
+    _PSI_GRID_STEP >= grid.
+
+    A miss computes the value _PSI_CACHE_GUARD bits finer, anchored at X
+    with the threshold of the digits that W carries, and floors it once, so
+    e is 2 while the miss counts fewer than 2^_PSI_CACHE_GUARD units.  V
+    depends on the key (n, b, q, W) alone: a hit returns the integers a
+    miss would, and no result depends on what the cache held before.  Past
+    _PSI_CACHE_SIZE entries the oldest is dropped.
+    """
+    big_w = -(-grid // _PSI_GRID_STEP) * _PSI_GRID_STEP
+    key = (n, b, q, big_w)
+    hit = _psi_cache.get(key)
+    if hit is None:
+        digits = math.ceil(max(big_w, 0) / math.log2(10))
+        value, err = _x_anchored(q, b, [(0, n, 1)], {n: 1}, big_w + _PSI_CACHE_GUARD, digits)
+        hit = value >> _PSI_CACHE_GUARD, -(-err >> _PSI_CACHE_GUARD) + 1
+        with _psi_cache_lock:
+            if len(_psi_cache) >= _PSI_CACHE_SIZE:
+                del _psi_cache[next(iter(_psi_cache))]
+            _psi_cache[key] = hit
+    return big_w, hit
+
+
+def _base_anchored(q: int, p0: int, events, totals: dict, w: int):
+    """A class's sum on 2^-w, as (value, error), anchored at its base b/q in (0, 1].
+
+    With the events (base offset, n, -T_n) added for its order totals T_n,
+    the class is finite: its ladder runs from min(p0, b)/q to its last
+    argument.  sum T_n psi^(n)(b/q) is added from `_base_psi`, each value
+    taken bitlen(T_n) + 1 bits finer than 2^-w and floored once, so a huge
+    T_n costs 2 units, not |T_n| units.
+    """
+    b = (p0 - 1) % q + 1
+    start = min(p0, b)
+    rungs = [(o + (p0 - start) // q, n, k) for o, n, k in events]
+    rungs += [((b - start) // q, n, -c) for n, c in totals.items()]
+    value, err = _ladder(q, start, rungs, max(o for o, _, _ in rungs), w)
+    for n, c in totals.items():
+        big_w, (v, e) = _base_psi(n, b, q, w + abs(c).bit_length() + 1)
+        value += (c * v) >> (big_w - w)
+        err += -((-abs(c) * e) >> (big_w - w)) + 1
+    return value, err
+
+
 def _psi_pass(classes, w: int, wd: int):
     """One fixed-point pass: (A, err) with |S 2^w - A| <= err.
 
-    S = sum k psi^(n)(x) over the classes' integer coefficients.  Order-0
-    totals C_cls enter as sum C_cls ln(X_cls / X_ref) + (sum C_cls) ln X_ref;
-    the last term is zero for every convergent sum.  A class whose totals all cancel is a
-    finite sum: its ladder stops at its last term and it has no series.
+    S = sum k psi^(n)(x) over the classes' integer coefficients.  A class
+    whose last argument lies below the shift threshold of wd digits is
+    anchored at its base, the rest at X; a class whose totals all cancel is
+    a finite sum, whose ladder stops at its last term.
     """
-    parts, errs, logs = [], [], []
+    total = err = 0
     for q, p0, events, totals in classes:
-        last = events[-1][0]
-        if not totals:
-            value, err = _ladder(q, p0, events, last, w)
-            parts.append(value)
-            errs.append(err)
-            continue
-        steps = max(last, -((p0 - _shift_threshold(wd, max(totals)) * q) // q))
-        while True:
-            big_p = p0 + steps * q
-            log2_x = math.log2(big_p) - math.log2(q)
-            plans = [_series_plan(n, log2_x, w + math.log2(abs(c))) for n, c in totals.items()]
-            if None not in plans:
-                break
-            # coefficients far above the threshold's precision: climb to 2X
-            steps += -(-big_p // q)
-        terms = max(plans)
-        bernoulli(2 * terms)  # B_2K and all below it in the table
-        value, err = _ladder(q, p0, events, steps, w)
-        series, series_err = _series(q, big_p, totals, terms, w)
-        parts.append(value + series)
-        errs.append(err + series_err)
-        if totals.get(0):
-            logs.append((len(parts) - 1, totals[0], big_p, q))
-    if logs:
-        ref, _, ref_p, ref_q = logs[0]
-        for i, c, big_p, q in logs[1:]:
-            value, err = _scaled_ln(c, big_p * ref_q, q * ref_p, w)
-            parts[i] += value
-            errs[i] += err
-        c_sum = sum(c for _, c, _, _ in logs)
-        if c_sum:
-            value, err = _scaled_ln(c_sum, ref_p, ref_q, w)
-            parts[ref] += value
-            errs[ref] += err
-    return sum(parts), sum(errs)
+        if totals and p0 + events[-1][0] * q >= _shift_threshold(wd, max(totals)) * q:
+            value, e = _x_anchored(q, p0, events, totals, w, wd)
+        else:
+            value, e = _base_anchored(q, p0, events, totals, w)
+        total, err = total + value, err + e
+    return total, err
 
 
 def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:

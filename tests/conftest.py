@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from exactsum import polygamma
 from exactsum.polys import FactorList, Polynomial
 from exactsum.partfrac import SumSpec
 
@@ -64,6 +65,13 @@ def random_plain_spec(rng: random.Random, max_factors=4, max_mult=3) -> SumSpec:
     if coeffs[-1] == 0:
         coeffs[-1] = Fraction(1)
     return make_spec(pairs, "plain", Polynomial(coeffs))
+
+
+@pytest.fixture(autouse=True)
+def cold_psi_cache():
+    """Every test starts with an empty psi^(n)(b/q) cache, so a spy on the
+    kernel sees the ladders and series that a miss runs."""
+    polygamma._psi_cache.clear()
 
 
 @pytest.fixture

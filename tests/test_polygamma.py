@@ -1,6 +1,8 @@
 import decimal
 import importlib
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import mpmath
@@ -333,6 +335,87 @@ class TestHighPrecisionSums:
             assert text == mpmath.nstr(reference, 1000, strip_zeros=False)
         assert any(steps > 1000 for steps, _ in ladders)
         assert all(err < steps / 3 for steps, err in ladders if steps > 1000)
+
+
+_CACHE_TERMS = st.lists(
+    st.tuples(
+        st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 9)),
+        st.integers(0, 4),
+        st.builds(F, st.integers(-36, 72), st.integers(1, 12)).filter(
+            lambda x: not (x.denominator == 1 and x <= 0)
+        ),
+    ),
+    min_size=1, max_size=4, unique_by=lambda term: term[1:],
+)
+
+
+def _psi_sum_outcome(terms, digits):
+    try:
+        return psi_sum(terms, PrecisionPolicy(digits))
+    except PrecisionExhausted:  # an exactly zero sum, in every cache state alike
+        return PrecisionExhausted
+
+
+class TestBaseCache:
+    """The process-wide cache of psi^(n)(b/q) at the classes' bases."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(terms=_CACHE_TERMS, digits=st.integers(10, 300),
+           other=_CACHE_TERMS, other_digits=st.integers(10, 300))
+    def test_value_does_not_depend_on_the_cache(self, terms, digits, other, other_digits):
+        polygamma_module._psi_cache.clear()
+        cold = _psi_sum_outcome(terms, digits)
+        # the same bases and grids under other coefficients, then other terms and digits
+        warm_up = [([(-3 * c, n, x) for c, n, x in terms], digits),
+                   (other, other_digits), (other, digits), (terms, other_digits)]
+        for warm_terms, warm_digits in warm_up:
+            _psi_sum_outcome(warm_terms, warm_digits)
+        assert _psi_sum_outcome(terms, digits) == cold
+
+    def test_cache_stays_within_its_bound(self):
+        size = polygamma_module._PSI_CACHE_SIZE
+        for q in range(2, size + 20):
+            psi_sum([(1, 1, F(1, q))], PrecisionPolicy(10))
+            assert len(polygamma_module._psi_cache) <= size
+        assert len(polygamma_module._psi_cache) == size
+
+    def test_threads_get_identical_results(self, monkeypatch):
+        # a bound below the calls' working set keeps every thread evicting
+        monkeypatch.setattr(polygamma_module, "_PSI_CACHE_SIZE", 4)
+        calls = [([(1, n, F(p, q)), (-2, n + 1, F(p + 2 * q, q)), (3, 0, F(p - q, q))], digits)
+                 for n in range(3) for p, q in ((1, 3), (5, 7), (2, 5)) for digits in (20, 60)]
+        serial = [psi_sum(terms, PrecisionPolicy(digits)) for terms, digits in calls]
+        results = [None] * 4
+
+        def work(i):
+            results[i] = [psi_sum(terms, PrecisionPolicy(digits)) for terms, digits in calls]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 4
+        assert len(polygamma_module._psi_cache) <= 4
+
+    def test_second_request_on_the_same_bases_climbs_no_long_ladder(self, monkeypatch):
+        policy = PrecisionPolicy(target_digits=1000)
+        psi_sum([(1, 0, F(1, 3)), (-2, 1, F(4, 3)), (3, 0, F(-5, 4)), (1, 1, F(3, 4))], policy)
+        ladders = []
+
+        def spy(q, p0, events, steps, w):
+            ladders.append(steps)
+            return _ladder(q, p0, events, steps, w)
+
+        monkeypatch.setattr(polygamma_module, "_ladder", spy)
+        psi_sum([(5, 0, F(7, 3)), (1, 1, F(1, 3)), (-4, 0, F(3, 4)), (2, 1, F(11, 4))], policy)
+        assert ladders and max(ladders) <= 10
 
 
 def test_near_tie_reruns_until_the_rounding_is_decided(monkeypatch):
