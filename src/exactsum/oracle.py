@@ -9,9 +9,14 @@ verifier, not the product: the CLI checks it to quad_digits(d) = ceil(d/2)
 significant digits of the d printed ones, and it integrates the table
 divided by the power of 2 nearest below its largest coefficient at ten
 digits more than that, rerunning at more where its error estimate is not
-within that many digits of the integral.  Both routes return exact
-rationals; mpmath is imported nowhere else in the package, and here only
-inside the quadrature and `to_mpf`.
+within that many digits of the integral.  Its integrand groups the table
+by shift class, so a node costs one ln, and the values that depend on the
+node alone (ln s, powers of s, m/(1 - sign s^m)) are memoized across
+quadratures in a bounded process-wide memo keyed (precision, m, node); a
+memoized value is the one a miss computes, so no quadrature depends on the
+memo's history.  Both routes return exact rationals; mpmath is imported
+nowhere else in the package, and here only inside the quadrature and
+`to_mpf`.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -41,6 +46,7 @@ a wrong bracket.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -275,27 +281,145 @@ def to_mpf(x):
         return mpmath.mpf(x.numerator) / x.denominator
 
 
+# L = -ln s, u = s^m, u^k, s^r and m/(1 - sign u) at a tanh-sinh node s,
+# shared by every quadrature in the process
+_NODE_MEMO_SIZE = 256  # nodes, ~4 KB each at 30 digits; one precision and m meet ~120
+_node_memo = {}  # (mpmath.mp.prec, m, s._mpf_) -> _Node
+_node_memo_lock = threading.Lock()
+
+
+class _Node:
+    """The integrand's values at one node s that depend on (prec, m, s) alone,
+    as raw mpf tuples.
+
+    L = -ln s and u = s^m are computed at once; u^k for a power k >= 1,
+    s^r for a class r = num/den in (0, m) and m/(1 - sign u) for a sign
+    are added as they are met, each in its own dict.  u^k is one binary
+    powering, as mpmath raises to an integer power.  L carries bitlen(m prec)
+    guard bits, so that s^r = exp(-r L) is as exact as a power mpmath
+    computes itself.
+    """
+
+    __slots__ = ("m", "prec", "neglog", "u", "upowers", "rpowers", "scales")
+
+    def __init__(self, s, m: int, prec: int):
+        import mpmath
+
+        self.m, self.prec = m, prec
+        with mpmath.workprec(prec + (m * prec).bit_length()):
+            self.neglog = (-mpmath.log(s))._mpf_
+        with mpmath.workprec(prec):
+            self.u = (s ** m)._mpf_
+        self.upowers = {}  # k -> u^k
+        self.rpowers = {}  # (num, den) -> s^(num/den)
+        self.scales = {}  # sign -> m/(1 - sign u)
+
+    def upower(self, k: int):
+        """Store and return u^k."""
+        from mpmath.libmp import mpf_pow_int, round_nearest
+
+        value = self.upowers[k] = mpf_pow_int(self.u, k, self.prec, round_nearest)
+        return value
+
+    def rpower(self, r):
+        """Store and return s^r = exp(-r L)."""
+        import mpmath
+
+        num, den = r
+        with mpmath.workprec(self.prec + (self.m * self.prec).bit_length()):
+            x = -mpmath.mp.make_mpf(self.neglog) * num / den
+        with mpmath.workprec(self.prec):
+            value = self.rpowers[r] = mpmath.exp(x)._mpf_
+        return value
+
+    def scale(self, sign: int):
+        """Store and return m/(1 - sign u)."""
+        import mpmath
+
+        with mpmath.workprec(self.prec):
+            u = mpmath.mp.make_mpf(self.u)
+            value = self.scales[sign] = (self.m / (1 - sign * u))._mpf_
+        return value
+
+
+def _node(s, m: int, prec: int) -> _Node:
+    """The memo's node for (prec, m, s); past _NODE_MEMO_SIZE the oldest goes."""
+    key = (prec, m, s._mpf_)
+    node = _node_memo.get(key)
+    if node is None:
+        node = _Node(s, m, prec)
+        with _node_memo_lock:
+            if len(_node_memo) >= _NODE_MEMO_SIZE:
+                del _node_memo[next(iter(_node_memo))]
+            _node_memo[key] = node
+    return node
+
+
+def _shift_classes(entries, m: int):
+    """The table as [(r, [(k, coeffs)])], grouped by power and then by class.
+
+    Entry (a, j, A) adds A m^(j-1)/(j-1)! to the coefficient of L^(j-1) at
+    the power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its class
+    r = p mod m in [0, m), kept as (num, den), and an integer k >= 0; the
+    coefficients are raw mpf tuples, highest order first, for Horner's rule
+    in L.
+    """
+    powers = {}
+    for a, j, c in entries:
+        orders = powers.setdefault(m * (a + 1) - 1, {})
+        orders[j - 1] = orders.get(j - 1, 0) + c * m ** (j - 1) / math.factorial(j - 1)
+    classes = {}
+    for p, orders in powers.items():
+        r = p % m
+        coeffs = [to_mpf(orders.get(k, 0))._mpf_ for k in range(max(orders), -1, -1)]
+        classes.setdefault((r.numerator, r.denominator), []).append(((p - r) // m, coeffs))
+    return list(classes.items())
+
+
 def _integrand(entries, m: int, sign: int):
     """s -> m sum_ij A_ij/(j-1)! s^(m(a_i+1)-1) (-m ln s)^(j-1) / (1 - sign s^m).
 
     sum_n sign^(n-1)/(n + a)^j = 1/(j-1)! int_0^1 (-ln u)^(j-1) u^a/(1 - sign u) du
     (u = e^-x in DLMF 25.11.25), and u = s^m keeps u^a bounded at s = 0.
+
+    With L = -ln s and the powers grouped into classes r = p mod m
+    (`_shift_classes`), the integrand is
+
+        m/(1 - sign u) sum_r s^r sum_k u^k sum_l c_kl L^l,
+
+    one ln per node, one exp per class r != 0 and integer powers of u.
+    Those depend on the node alone and come from the memo of `_node`, so a
+    quadrature at a precision and m met before pays no ln or exp.  The sum
+    runs on raw mpf tuples, each operation rounded to the context's
+    precision as mpf arithmetic rounds it.
     """
     import mpmath
+    from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
-    terms = [
-        (to_mpf(m * (a + 1) - 1), j - 1, to_mpf(c / math.factorial(j - 1)))
-        for a, j, c in entries
-    ]
-    logs = any(k for _, k, _ in terms)
+    context = mpmath.mp
+    classes = _shift_classes(entries, m)
 
     def f(s):
-        neglog = -m * mpmath.log(s) if logs else None
-        acc = mpmath.mpf(0)
-        for power, k, c in terms:
-            t = c * s ** power
-            acc += t * neglog ** k if k else t
-        return m * acc / (1 - sign * s ** m)
+        prec = context.prec
+        node = _node(s, m, prec)
+        neglog, upowers, rpowers = node.neglog, node.upowers, node.rpowers
+        total = fzero
+        for r, shifts in classes:
+            part = fzero
+            for k, coeffs in shifts:
+                h = coeffs[0]
+                for c in coeffs[1:]:
+                    h = mpf_add(mpf_mul(h, neglog, prec, round_nearest), c, prec, round_nearest)
+                if k:
+                    power = upowers.get(k) or node.upower(k)
+                    h = mpf_mul(h, power, prec, round_nearest)
+                part = mpf_add(part, h, prec, round_nearest)
+            if r[0]:
+                power = rpowers.get(r) or node.rpower(r)
+                part = mpf_mul(part, power, prec, round_nearest)
+            total = mpf_add(total, part, prec, round_nearest)
+        scale = node.scales.get(sign) or node.scale(sign)
+        return context.make_mpf(mpf_mul(total, scale, prec, round_nearest))
 
     return f
 
@@ -306,7 +430,10 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
 
     For sign +1 the integrand is 0/0 at s = 1.  mpmath's tanh-sinh nodes
     stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
-    so that costs bits only at nodes whose weights are ~2^-prec.
+    so that costs bits only at nodes whose weights are ~2^-prec.  mpmath
+    computes the nodes once per precision, so every pass at a precision met
+    before evaluates the integrand on nodes whose ln and powers the memo of
+    `_integrand` holds.
 
     The table is divided by 2^e, e = floor(log2 max |A_ij|), and the
     integral multiplied back, so the working digits do not depend on the

@@ -396,11 +396,31 @@ def _atanh(u: int, v: int, w: int):
     return total, 2 * j + 4
 
 
+# atanh(1/3) = ln(2)/2 per grid w, shared by every request in the process
+_LN2_CACHE_SIZE = 8  # grids; one entry is ~0.5 KB at 1000 digits
+_ln2_cache = {}  # w -> _atanh(1, 3, w)
+_ln2_cache_lock = threading.Lock()
+
+
+def _half_ln2(w: int):
+    """`_atanh(1, 3, w)`, computed once per grid w; past _LN2_CACHE_SIZE
+    grids the oldest is dropped.  A hit returns the integers a miss would."""
+    hit = _ln2_cache.get(w)
+    if hit is None:
+        hit = _atanh(1, 3, w)
+        with _ln2_cache_lock:
+            if len(_ln2_cache) >= _LN2_CACHE_SIZE:
+                del _ln2_cache[next(iter(_ln2_cache))]
+            _ln2_cache[w] = hit
+    return hit
+
+
 def _ln_ratio(a: int, b: int, w: int):
     """(L, e) with |L - 2^w ln(a/b)| <= e for integers a, b > 0.
 
     a/b = 2^m r with r in [2/3, 4/3], and ln r = 2 atanh((r-1)/(r+1)); the
-    ln 2 = 2 atanh(1/3) series runs only when m != 0.
+    ln 2 = 2 atanh(1/3) term, needed only when m != 0, comes from
+    `_half_ln2`.
     """
     m = a.bit_length() - b.bit_length()
     a, b = (a, b << m) if m >= 0 else (a << -m, b)
@@ -411,7 +431,7 @@ def _ln_ratio(a: int, b: int, w: int):
     t, e = _atanh(abs(a - b), a + b, w)
     total, err = (2 * t if a >= b else -2 * t), 2 * e
     if m:
-        t, e = _atanh(1, 3, w)
+        t, e = _half_ln2(w)
         total, err = total + 2 * m * t, err + 2 * abs(m) * e
     return total, err
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from exactsum import polygamma
+from exactsum import oracle, polygamma
 from exactsum.polys import FactorList, Polynomial
 from exactsum.partfrac import SumSpec
 
@@ -69,9 +69,17 @@ def random_plain_spec(rng: random.Random, max_factors=4, max_mult=3) -> SumSpec:
 
 @pytest.fixture(autouse=True)
 def cold_psi_cache():
-    """Every test starts with an empty psi^(n)(b/q) cache, so a spy on the
-    kernel sees the ladders and series that a miss runs."""
+    """Every test starts with empty psi^(n)(b/q) and ln 2 caches, so a spy
+    on the kernel sees the ladders and series that a miss runs."""
     polygamma._psi_cache.clear()
+    polygamma._ln2_cache.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_node_memo():
+    """Every test starts with an empty memo of the quadrature integrand's
+    values at the tanh-sinh nodes, so each quadrature pays its ln and exp."""
+    oracle._node_memo.clear()
 
 
 @pytest.fixture

@@ -375,6 +375,145 @@ class TestQuadratureValue:
         assert abs(quad - value) <= F(1, 10 ** quad_digits(digits)) * abs(value)
 
 
+def _per_entry_integrand(entries, m, sign):
+    """The integrand term by term, one log and one s**power per entry: s ->
+    (value, sum of the terms' moduli)."""
+    terms = [
+        (to_mpf(m * (a + 1) - 1), j - 1, to_mpf(c / math.factorial(j - 1)))
+        for a, j, c in entries
+    ]
+
+    def f(s):
+        neglog = -m * mpmath.log(s)
+        scale = m / (1 - sign * s ** m)
+        parts = [c * s ** power * neglog ** k * scale for power, k, c in terms]
+        return mpmath.fsum(parts), mpmath.fsum(abs(t) for t in parts)
+
+    return f
+
+
+@st.composite
+def _integrand_tables(draw):
+    """(entries, m): shifts a in [1/m - 1, 6], so every power m(a + 1) - 1 is
+    >= 0, several of them sharing a fractional part, orders 1-4."""
+    m = draw(st.sampled_from([1, 2, 3, 10]))
+    den = draw(st.integers(1, 12))
+    low = F(1, m) - 1
+    base = low + F(draw(st.integers(0, den - 1)), den)
+    offsets = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+    shifts = [base + k for k in offsets]
+    others = draw(st.lists(st.builds(F, st.integers(0, 84), st.integers(1, 12)), max_size=2))
+    shifts += [low + x for x in others if low + x <= 6 and low + x not in shifts]
+    coefficient = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    entries = [
+        (a, j, draw(coefficient))
+        for a in shifts
+        for j in range(1, draw(st.integers(1, 4)) + 1)
+    ]
+    return entries, m
+
+
+class TestIntegrand:
+    """The grouped, memoized integrand against the per-entry formula."""
+
+    @staticmethod
+    def _agree(entries, m, sign, s, prec):
+        with mpmath.workprec(prec + 20):
+            reference = _per_entry_integrand(entries, m, sign)
+        with mpmath.workprec(prec):
+            s = mpmath.mpf(s)
+            value, size = reference(s)
+            grouped = oracle._integrand(entries, m, sign)(s)
+            assert abs(grouped - value) <= mpmath.mpf(2) ** -(prec - 10) * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_integrand_tables(), sign=st.sampled_from([1, -1]),
+           nodes=st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                          min_size=1, max_size=4),
+           digits=st.sampled_from([30, 300]))
+    def test_matches_the_per_entry_formula(self, table, sign, nodes, digits):
+        entries, m = table
+        prec = mpmath.libmp.dps_to_prec(digits)
+        for s in nodes:
+            self._agree(entries, m, sign, s, prec)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_class_one_at_m_two(self, sign):
+        # 1/(n^2 (n - 1/2)): m = 2, and the shift 0 has power 1, class r = 1
+        entries, m = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
+        assert m == 2
+        assert sorted(r for r, _ in oracle._shift_classes(entries, m)) == [(0, 1), (1, 1)]
+        for s in (F(1, 7), F(1, 2), F(999, 1000)):
+            for prec in (106, 1000):
+                self._agree(entries, m, sign, s.numerator / s.denominator, prec)
+
+    @pytest.mark.parametrize("shift, m", [(25000, 1), (F(49999, 2), 2), (F(299, 3), 3)])
+    def test_high_powers_of_u(self, shift, m):
+        # 1/(n + 25000)^2 has the power k = 25000 of u = s^m
+        entries = [(F(shift), 1, F(3)), (F(shift), 2, F(-1, 2)), (F(1, 2), 1, F(1))]
+        for s in (F(1, 7), F(99, 100), F(999999, 1000000)):
+            for prec in (106, 300):
+                self._agree(entries, m, 1, s.numerator / s.denominator, prec)
+
+
+_MEMO_SPECS = st.lists(
+    st.tuples(st.builds(F, st.integers(-5, 36), st.integers(1, 6)).filter(lambda a: a > -1),
+              st.integers(1, 2)),
+    min_size=1, max_size=3, unique_by=lambda pair: pair[0],
+)
+
+
+def _quad_both(pairs, digits):
+    """(plain, alternating) quadrature of 1/prod (n + a)^mult."""
+    policy = PrecisionPolicy(target_digits=digits)
+    pairs = pairs if sum(mult for _, mult in pairs) >= 2 else [(pairs[0][0], 2)]
+    return (quad_general(decompose(make_spec(pairs)), policy),
+            quad_alternating(decompose(make_spec(pairs, "alternating")), policy))
+
+
+class TestNodeMemo:
+    """The process-wide memo of the integrand's values at the nodes."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(pairs=_MEMO_SPECS, digits=st.integers(10, 40),
+           other=_MEMO_SPECS, other_digits=st.integers(10, 40))
+    def test_value_does_not_depend_on_the_memo(self, pairs, digits, other, other_digits):
+        oracle._node_memo.clear()
+        cold = _quad_both(pairs, digits)
+        for warm_pairs, warm_digits in ((other, digits), (other, other_digits),
+                                        (pairs, other_digits)):
+            _quad_both(warm_pairs, warm_digits)
+        assert _quad_both(pairs, digits) == cold
+
+    def test_entries_are_functions_of_their_keys(self):
+        # m = 1, 6 and 2 at two precisions; the memo keeps the latest 256 nodes
+        for pairs, digits in (([(F(2, 7), 3), (4, 1)], 20), ([(F(1, 3), 2), (F(-5, 6), 2)], 20),
+                              ([(F(1, 3), 2), (F(-1, 2), 1)], 30)):
+            _quad_both(pairs, digits)
+        assert {m for _, m, _ in oracle._node_memo} >= {2, 6}
+        for (prec, m, s), node in oracle._node_memo.items():
+            fresh = oracle._Node(mpmath.mp.make_mpf(s), m, prec)
+            for k in node.upowers:
+                fresh.upower(k)
+            for r in node.rpowers:
+                fresh.rpower(r)
+            for sign in node.scales:
+                fresh.scale(sign)
+            assert (fresh.neglog, fresh.u, fresh.upowers, fresh.rpowers, fresh.scales) == (
+                node.neglog, node.u, node.upowers, node.rpowers, node.scales)
+
+    def test_memo_stays_within_its_bound(self):
+        pairs = [(F(1, 3), 2), (F(2, 7), 1)]
+        cold = _quad_both(pairs, 30)
+        size = oracle._NODE_MEMO_SIZE
+        for digits in (20, 40, 10, 30):
+            value = _quad_both(pairs, digits)
+            assert len(oracle._node_memo) <= size
+        assert len(oracle._node_memo) == size
+        # the 30-digit nodes were evicted in part by the other precisions
+        assert value == cold
+
+
 class TestCoherence:
     def test_quadrature_inside_bracket(self, rng):
         with mpmath.workdps(40):

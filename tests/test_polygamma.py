@@ -225,6 +225,35 @@ class TestConstants:
             assert close(mpmath.euler, GAMMA_30)
 
 
+class TestLn2Cache:
+    """atanh(1/3) = ln(2)/2 per grid, computed once."""
+
+    def test_same_integers_as_the_series(self, monkeypatch):
+        atanh, calls = polygamma_module._atanh, []
+
+        def spy(u, v, w):
+            calls.append((u, v, w))
+            return atanh(u, v, w)
+
+        monkeypatch.setattr(polygamma_module, "_atanh", spy)
+        for w in (64, 3411, 64, 3411, 0):
+            assert polygamma_module._half_ln2(w) == atanh(1, 3, w)
+        assert calls == [(1, 3, 64), (1, 3, 3411), (1, 3, 0)]
+        # a ln of a ratio far from 1 takes ln 2 from the cache
+        calls.clear()
+        t, e = polygamma_module._ln_ratio(1560, 1, 3411)
+        assert all((u, v) != (1, 3) for u, v, _ in calls)
+        with mpmath.workprec(3500):
+            assert abs(mpmath.mpf(t) - mpmath.ln(1560) * mpmath.mpf(2) ** 3411) <= e
+
+    def test_cache_stays_within_its_bound(self):
+        size = polygamma_module._LN2_CACHE_SIZE
+        for w in range(size + 5):
+            polygamma_module._half_ln2(w)
+            assert len(polygamma_module._ln2_cache) <= size
+        assert list(polygamma_module._ln2_cache) == list(range(5, size + 5))
+
+
 def test_higher_precision_self_consistency():
     # value at 30 digits must match the 60-digit evaluation to ~30 digits
     with mpmath.workdps(80):
