@@ -26,7 +26,7 @@ from .errors import (
 )
 from .oracle import Bracket, partial_sum_bracket, quad_alternating, quad_general
 from .parser import ast_to_spec, parse_expression
-from .partfrac import PartialFractions, SumSpec, decompose, recombine
+from .partfrac import PartialFractions, SumSpec, decompose
 from .polygamma import PrecisionPolicy, decimal_text, psi_sum
 from .polys import FactorList, Polynomial, factor_linear
 
@@ -64,7 +64,6 @@ __all__ = [
     "psi_sum",
     "quad_alternating",
     "quad_general",
-    "recombine",
     "render",
 ]
 

@@ -12,11 +12,13 @@ digits more than that, rerunning at more where its error estimate is not
 within that many digits of the integral.  Its integrand groups the table
 by shift class, so a node costs one ln, and the values that depend on the
 node alone (ln s, powers of s, m/(1 - sign s^m)) are memoized across
-quadratures in a bounded process-wide memo keyed (precision, m, node); a
-memoized value is the one a miss computes, so no quadrature depends on the
-memo's history.  Both routes return exact rationals; mpmath is imported
-nowhere else in the package, and here only inside the quadrature and
-`to_mpf`.
+quadratures in a process-wide memo keyed (precision, m, node) of at most
+256 nodes, the least recently used dropped; a memoized value is the one a
+miss computes, so no quadrature depends on the memo's history.  Each
+thread integrates on its own mpmath context, so no thread changes the
+precision of another's quadrature.  Both routes return exact rationals;
+mpmath is imported nowhere else in the package, and here only inside the
+quadrature.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -45,6 +47,7 @@ a wrong bracket.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -52,11 +55,10 @@ from fractions import Fraction
 
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
-from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli
+from .polygamma import _LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, bernoulli
 from .polys import Polynomial
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
-_LOG2_2PI = math.log2(2 * math.pi)
 _RESOLVE_DIGITS = 60  # digits of cancellation below the sum's scale resolved beyond the target
 _HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30-1000
 
@@ -271,26 +273,9 @@ def _table(pf: PartialFractions):
     return entries, math.ceil(1 / (1 + min((a for a, _, _ in entries), default=0)))
 
 
-def to_mpf(x):
-    """The rational x as an mpf, rounded once at the current precision or at
-    the bits of its numerator, whichever is more: exact for a dyadic x."""
-    import mpmath
-
-    x = Fraction(x)
-    with mpmath.workprec(max(mpmath.mp.prec, x.numerator.bit_length())):
-        return mpmath.mpf(x.numerator) / x.denominator
-
-
-# L = -ln s, u = s^m, u^k, s^r and m/(1 - sign u) at a tanh-sinh node s,
-# shared by every quadrature in the process
-_NODE_MEMO_SIZE = 256  # nodes, ~4 KB each at 30 digits; one precision and m meet ~120
-_node_memo = {}  # (mpmath.mp.prec, m, s._mpf_) -> _Node
-_node_memo_lock = threading.Lock()
-
-
 class _Node:
     """The integrand's values at one node s that depend on (prec, m, s) alone,
-    as raw mpf tuples.
+    as raw mpf tuples computed with mpmath.libmp at the precision prec.
 
     L = -ln s and u = s^m are computed at once; u^k for a power k >= 1,
     s^r for a class r = num/den in (0, m) and m/(1 - sign u) for a sign
@@ -300,16 +285,15 @@ class _Node:
     computes itself.
     """
 
-    __slots__ = ("m", "prec", "neglog", "u", "upowers", "rpowers", "scales")
+    __slots__ = ("prec", "m", "guarded", "neglog", "u", "upowers", "rpowers", "scales")
 
-    def __init__(self, s, m: int, prec: int):
-        import mpmath
+    def __init__(self, prec: int, m: int, s):
+        from mpmath.libmp import mpf_log, mpf_neg, mpf_pow_int, round_nearest
 
-        self.m, self.prec = m, prec
-        with mpmath.workprec(prec + (m * prec).bit_length()):
-            self.neglog = (-mpmath.log(s))._mpf_
-        with mpmath.workprec(prec):
-            self.u = (s ** m)._mpf_
+        self.prec, self.m = prec, m
+        self.guarded = prec + (m * prec).bit_length()
+        self.neglog = mpf_neg(mpf_log(s, self.guarded, round_nearest))
+        self.u = mpf_pow_int(s, m, prec, round_nearest)
         self.upowers = {}  # k -> u^k
         self.rpowers = {}  # (num, den) -> s^(num/den)
         self.scales = {}  # sign -> m/(1 - sign u)
@@ -323,47 +307,41 @@ class _Node:
 
     def rpower(self, r):
         """Store and return s^r = exp(-r L)."""
-        import mpmath
+        from mpmath.libmp import from_int, mpf_div, mpf_exp, mpf_mul_int, round_nearest
 
         num, den = r
-        with mpmath.workprec(self.prec + (self.m * self.prec).bit_length()):
-            x = -mpmath.mp.make_mpf(self.neglog) * num / den
-        with mpmath.workprec(self.prec):
-            value = self.rpowers[r] = mpmath.exp(x)._mpf_
+        x = mpf_mul_int(self.neglog, -num, self.guarded, round_nearest)
+        x = mpf_div(x, from_int(den), self.guarded, round_nearest)
+        value = self.rpowers[r] = mpf_exp(x, self.prec, round_nearest)
         return value
 
     def scale(self, sign: int):
         """Store and return m/(1 - sign u)."""
-        import mpmath
+        from mpmath.libmp import fone, mpf_mul_int, mpf_rdiv_int, mpf_sub, round_nearest
 
-        with mpmath.workprec(self.prec):
-            u = mpmath.mp.make_mpf(self.u)
-            value = self.scales[sign] = (self.m / (1 - sign * u))._mpf_
+        prec = self.prec
+        x = mpf_sub(fone, mpf_mul_int(self.u, sign, prec, round_nearest), prec, round_nearest)
+        value = self.scales[sign] = mpf_rdiv_int(self.m, x, prec, round_nearest)
         return value
 
 
-def _node(s, m: int, prec: int) -> _Node:
-    """The memo's node for (prec, m, s); past _NODE_MEMO_SIZE the oldest goes."""
-    key = (prec, m, s._mpf_)
-    node = _node_memo.get(key)
-    if node is None:
-        node = _Node(s, m, prec)
-        with _node_memo_lock:
-            if len(_node_memo) >= _NODE_MEMO_SIZE:
-                del _node_memo[next(iter(_node_memo))]
-            _node_memo[key] = node
-    return node
+# _node(prec, m, s._mpf_): the node values shared by every quadrature in the
+# process; one precision and m meet ~120 nodes, ~4 KB each at 30 digits
+_node = functools.lru_cache(maxsize=256)(_Node)
 
 
-def _shift_classes(entries, m: int):
+def _shift_classes(entries, m: int, prec: int):
     """The table as [(r, [(k, coeffs)])], grouped by power and then by class.
 
     Entry (a, j, A) adds A m^(j-1)/(j-1)! to the coefficient of L^(j-1) at
     the power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its class
     r = p mod m in [0, m), kept as (num, den), and an integer k >= 0; the
     coefficients are raw mpf tuples, highest order first, for Horner's rule
-    in L.
+    in L, each rounded once at prec or at the bits of its numerator,
+    whichever is more: exact for a dyadic coefficient.
     """
+    from mpmath.libmp import from_rational, round_nearest
+
     powers = {}
     for a, j, c in entries:
         orders = powers.setdefault(m * (a + 1) - 1, {})
@@ -371,12 +349,15 @@ def _shift_classes(entries, m: int):
     classes = {}
     for p, orders in powers.items():
         r = p % m
-        coeffs = [to_mpf(orders.get(k, 0))._mpf_ for k in range(max(orders), -1, -1)]
+        coeffs = [orders.get(k, 0) for k in range(max(orders), -1, -1)]
+        coeffs = [from_rational(c.numerator, c.denominator,
+                                max(prec, c.numerator.bit_length()), round_nearest)
+                  for c in coeffs]
         classes.setdefault((r.numerator, r.denominator), []).append(((p - r) // m, coeffs))
     return list(classes.items())
 
 
-def _integrand(entries, m: int, sign: int):
+def _integrand(entries, m: int, sign: int, context):
     """s -> m sum_ij A_ij/(j-1)! s^(m(a_i+1)-1) (-m ln s)^(j-1) / (1 - sign s^m).
 
     sum_n sign^(n-1)/(n + a)^j = 1/(j-1)! int_0^1 (-ln u)^(j-1) u^a/(1 - sign u) du
@@ -388,20 +369,19 @@ def _integrand(entries, m: int, sign: int):
         m/(1 - sign u) sum_r s^r sum_k u^k sum_l c_kl L^l,
 
     one ln per node, one exp per class r != 0 and integer powers of u.
-    Those depend on the node alone and come from the memo of `_node`, so a
-    quadrature at a precision and m met before pays no ln or exp.  The sum
-    runs on raw mpf tuples, each operation rounded to the context's
-    precision as mpf arithmetic rounds it.
+    Those depend on the node alone and come from the memo `_node`, so a
+    quadrature at a precision and m met before pays no ln or exp.  The
+    coefficients are rounded at the mpmath context's precision when the
+    integrand is built, and each evaluation runs at its precision then, on
+    raw mpf tuples, each operation rounded as mpf arithmetic rounds it.
     """
-    import mpmath
     from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
-    context = mpmath.mp
-    classes = _shift_classes(entries, m)
+    classes = _shift_classes(entries, m, context.prec)
 
     def f(s):
         prec = context.prec
-        node = _node(s, m, prec)
+        node = _node(prec, m, s._mpf_)
         neglog, upowers, rpowers = node.neglog, node.upowers, node.rpowers
         total = fzero
         for r, shifts in classes:
@@ -424,16 +404,30 @@ def _integrand(entries, m: int, sign: int):
     return f
 
 
+_thread = threading.local()  # .context, made by _context
+
+
+def _context():
+    """This thread's own mpmath context, made on its first quadrature; each
+    pass sets its precision, which no other thread reads or changes."""
+    context = getattr(_thread, "context", None)
+    if context is None:
+        import mpmath
+
+        context = _thread.context = mpmath.MPContext()
+    return context
+
+
 def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
     """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over [0, 1],
     returned as the exact value of the accepted pass's mpf.
 
     For sign +1 the integrand is 0/0 at s = 1.  mpmath's tanh-sinh nodes
     stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
-    so that costs bits only at nodes whose weights are ~2^-prec.  mpmath
-    computes the nodes once per precision, so every pass at a precision met
-    before evaluates the integrand on nodes whose ln and powers the memo of
-    `_integrand` holds.
+    so that costs bits only at nodes whose weights are ~2^-prec.  The
+    thread's context computes the nodes once per precision, so every pass
+    at a precision met before evaluates the integrand on nodes whose ln
+    and powers the memo `_node` may hold.
 
     The table is divided by 2^e, e = floor(log2 max |A_ij|), and the
     integral multiplied back, so the working digits do not depend on the
@@ -443,8 +437,7 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
     they resolve _RESOLVE_DIGITS beyond the first pass, where an exact zero
     ends.
     """
-    import mpmath
-
+    context = _context()
     entries, m = _table(pf)
     e = max((math.floor(_log2(abs(c))) for _, _, c in entries), default=0)
     entries = [(a, j, c / Fraction(2) ** e) for a, j, c in entries]
@@ -452,15 +445,15 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
     dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
-        with mpmath.workdps(dps):
-            value, err = mpmath.quad(_integrand(entries, m, sign), [0, 1], error=True)
-            goal = mpmath.mpf(10) ** -want * abs(value)
-            if err <= goal or dps >= ceiling:
-                # _mpf_ carries the sign apart from the mantissa
-                negative, man, exp, _ = value._mpf_
-                return (-man if negative else man) * Fraction(2) ** (exp + e)
-            # the pass resolved max(err, eps) absolutely
-            short = mpmath.log10(max(err, mpmath.eps) / goal) if goal else ceiling - dps
+        context.dps = dps
+        value, err = context.quad(_integrand(entries, m, sign, context), [0, 1], error=True)
+        goal = context.mpf(10) ** -want * abs(value)
+        if err <= goal or dps >= ceiling:
+            # _mpf_ carries the sign apart from the mantissa
+            negative, man, exp, _ = value._mpf_
+            return (-man if negative else man) * Fraction(2) ** (exp + e)
+        # the pass resolved max(err, eps) absolutely
+        short = context.log10(max(err, context.eps) / goal) if goal else ceiling - dps
         dps = min(ceiling, dps + math.ceil(short))
 
 

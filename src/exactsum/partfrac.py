@@ -23,7 +23,7 @@ from typing import Tuple
 from .closedform import fraction_text
 from .errors import DegreeTooHigh, OrderTooLarge, ShiftTooLarge
 from .polygamma import MAX_ORDER
-from .polys import FactorList, Polynomial, reduced
+from .polys import FactorList, Polynomial
 
 PLAIN = "plain"
 ALTERNATING = "alternating"
@@ -89,13 +89,6 @@ class PartialFractions:
         """Sum of all order-1 coefficients; zero whenever deg Q <= N - 2."""
         return sum((c for _, j, c in self.entries if j == 1), Fraction(0))
 
-    def coefficient(self, shift, order: int) -> Fraction:
-        shift = Fraction(shift)
-        for a, j, c in self.entries:
-            if a == shift and j == order:
-                return c
-        raise KeyError((shift, order))
-
 
 def decompose(spec: SumSpec) -> PartialFractions:
     """Partial-fraction coefficients of Q(n)/P(n) over the factored denominator."""
@@ -129,19 +122,3 @@ def decompose(spec: SumSpec) -> PartialFractions:
         for k in range(m - 1, -1, -1):
             entries.append((a, m - k, Fraction(top * h[k] * q ** k, low * r ** (k + 1))))
     return PartialFractions(tuple(entries))
-
-
-def recombine(pf: PartialFractions):
-    """Common-denominator recombination; inverse of decompose.
-
-    Returns the sum in lowest terms as `polys.reduced` gives it.
-    """
-    num, den = Polynomial(), Polynomial([1])
-    for a, j, c in pf.entries:
-        if c == 0:
-            continue
-        # c / (n + a)^j = c.num a.den^j / (c.den (a.den n + a.num)^j)
-        term_num = Polynomial([c.numerator * a.denominator ** j])
-        term_den = Polynomial([a.numerator, a.denominator]) ** j * c.denominator
-        num, den = num * term_den + term_num * den, den * term_den
-    return reduced(num, den)

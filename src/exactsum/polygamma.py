@@ -17,20 +17,21 @@ times the working digits) is anchored at its base b/q in (0, 1]: its
 ladder runs from the base or its smallest argument, if lower, to its last
 argument, a few rungs, and sum T_n psi^(n)(b/q) over its order totals T_n
 is added.  Those values come from a process-wide cache keyed (n, b, q, W),
-W the grid rounded up to a multiple of _PSI_GRID_STEP bits, of at most
-_PSI_CACHE_SIZE entries.  A value depends on its key alone, so a hit
-returns the integers a miss would compute, and no result depends on what
-the cache held before.  A miss, and a class with an argument above X, is
-anchored at X: its ladder climbs from its smallest argument to X = P/q,
-and further while the series there cannot reach its coefficients'
-precision, and one asymptotic series with exact Bernoulli numbers serves
-every order of the class there.  Its C_0 ln X is an integer atanh series,
-so no mpmath ln is called.  A class whose totals all cancel is a finite
-sum: its ladder stops at its last term.  Every floor is counted, and a
-Ziv loop reruns a pass whose error does not pin the target digits (A. Ziv,
-ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann, "Modern Computer
-Arithmetic", ch. 3-4).  The result is one exact dyadic whose target-digit
-decimal_text is true; `polygamma` is a one-term call into `psi_sum`.
+W the grid rounded up to a multiple of _PSI_GRID_STEP bits, of at most 256
+entries, the least recently used dropped.  A value depends on its key
+alone, so a hit returns the integers a miss would compute, and no result
+depends on what the cache held before.  A miss, and a class with an
+argument above X, is anchored at X: its ladder climbs from its smallest
+argument to X = P/q, and further while the series there cannot reach its
+coefficients' precision, and one asymptotic series with exact Bernoulli
+numbers serves every order of the class there.  Its C_0 ln X is an integer
+atanh series, so no mpmath ln is called.  A class whose totals all cancel
+is a finite sum: its ladder stops at its last term.  Every floor is
+counted, and a Ziv loop reruns a pass whose error does not pin the target
+digits (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann,
+"Modern Computer Arithmetic", ch. 3-4).  The result is one exact dyadic
+whose target-digit decimal_text is true; `polygamma` is a one-term call
+into `psi_sum`.
 
 Bernoulli numbers come from tangent numbers in integer arithmetic, cached
 as Fractions for `bernoulli` and as integer pairs for the series; a series
@@ -44,6 +45,7 @@ multiprecision evaluation of series of rational numbers" (1998).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -396,23 +398,10 @@ def _atanh(u: int, v: int, w: int):
     return total, 2 * j + 4
 
 
-# atanh(1/3) = ln(2)/2 per grid w, shared by every request in the process
-_LN2_CACHE_SIZE = 8  # grids; one entry is ~0.5 KB at 1000 digits
-_ln2_cache = {}  # w -> _atanh(1, 3, w)
-_ln2_cache_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=8)  # grids; one entry is ~0.5 KB at 1000 digits
 def _half_ln2(w: int):
-    """`_atanh(1, 3, w)`, computed once per grid w; past _LN2_CACHE_SIZE
-    grids the oldest is dropped.  A hit returns the integers a miss would."""
-    hit = _ln2_cache.get(w)
-    if hit is None:
-        hit = _atanh(1, 3, w)
-        with _ln2_cache_lock:
-            if len(_ln2_cache) >= _LN2_CACHE_SIZE:
-                del _ln2_cache[next(iter(_ln2_cache))]
-            _ln2_cache[w] = hit
-    return hit
+    """`_atanh(1, 3, w)` = 2^w ln(2)/2, shared by every request in the process."""
+    return _atanh(1, 3, w)
 
 
 def _ln_ratio(a: int, b: int, w: int):
@@ -464,37 +453,29 @@ def _x_anchored(q: int, p0: int, events, totals: dict, w: int, wd: int):
     return value + series, err + series_err
 
 
-# psi^(n)(b/q) at the bases b/q in (0, 1], shared by every request in the process
-_PSI_CACHE_SIZE = 256  # entries; one is ~0.5 KB at 1000 digits
 _PSI_GRID_STEP = 64  # bits: a value is kept on the asked-for grid rounded up to a multiple
 _PSI_CACHE_GUARD = 16  # bits finer than its grid that a value is computed on
-_psi_cache = {}  # (n, b, q, W) -> (V, e) with |2^W psi^(n)(b/q) - V| <= e
-_psi_cache_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=256)  # entries; one is ~0.5 KB at 1000 digits
+def _psi_at_base(n: int, b: int, q: int, big_w: int):
+    """(V, e) with |2^W psi^(n)(b/q) - V| <= e, shared by every request in
+    the process.
+
+    The value is computed _PSI_CACHE_GUARD bits finer, anchored at X with
+    the threshold of the digits that W carries, and floored once, so e is
+    2 while the computation counts fewer than 2^_PSI_CACHE_GUARD units.
+    """
+    digits = math.ceil(max(big_w, 0) / math.log2(10))
+    value, err = _x_anchored(q, b, [(0, n, 1)], {n: 1}, big_w + _PSI_CACHE_GUARD, digits)
+    return value >> _PSI_CACHE_GUARD, -(-err >> _PSI_CACHE_GUARD) + 1
 
 
 def _base_psi(n: int, b: int, q: int, grid: int):
-    """(W, (V, e)) with |2^W psi^(n)(b/q) - V| <= e, W the first multiple of
-    _PSI_GRID_STEP >= grid.
-
-    A miss computes the value _PSI_CACHE_GUARD bits finer, anchored at X
-    with the threshold of the digits that W carries, and floors it once, so
-    e is 2 while the miss counts fewer than 2^_PSI_CACHE_GUARD units.  V
-    depends on the key (n, b, q, W) alone: a hit returns the integers a
-    miss would, and no result depends on what the cache held before.  Past
-    _PSI_CACHE_SIZE entries the oldest is dropped.
-    """
+    """(W, `_psi_at_base(n, b, q, W)`), W the first multiple of
+    _PSI_GRID_STEP >= grid."""
     big_w = -(-grid // _PSI_GRID_STEP) * _PSI_GRID_STEP
-    key = (n, b, q, big_w)
-    hit = _psi_cache.get(key)
-    if hit is None:
-        digits = math.ceil(max(big_w, 0) / math.log2(10))
-        value, err = _x_anchored(q, b, [(0, n, 1)], {n: 1}, big_w + _PSI_CACHE_GUARD, digits)
-        hit = value >> _PSI_CACHE_GUARD, -(-err >> _PSI_CACHE_GUARD) + 1
-        with _psi_cache_lock:
-            if len(_psi_cache) >= _PSI_CACHE_SIZE:
-                del _psi_cache[next(iter(_psi_cache))]
-            _psi_cache[key] = hit
-    return big_w, hit
+    return big_w, _psi_at_base(n, b, q, big_w)
 
 
 def _base_anchored(q: int, p0: int, events, totals: dict, w: int):

@@ -270,25 +270,9 @@ class FactorList:
                 raise DuplicateShift(f"shift {a1} appears more than once")
         object.__setattr__(self, "pairs", tuple(norm))
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence) -> "FactorList":
-        """Build a canonical FactorList, merging duplicate shifts."""
-        merged: dict = {}
-        for a, m in pairs:
-            a = Fraction(a)
-            merged[a] = merged.get(a, 0) + int(m)
-        return cls(sorted(merged.items()))
-
     @property
     def total_degree(self) -> int:
         return sum(m for _, m in self.pairs)
-
-    def expand(self) -> Polynomial:
-        """The monic product of the factors (n + a_i)^m_i."""
-        p = Polynomial([1])
-        for a, m in self.pairs:
-            p = p * Polynomial([a, 1]) ** m
-        return p
 
     def __iter__(self):
         return iter(self.pairs)
@@ -394,7 +378,8 @@ def _rational_roots(f: Polynomial):
     Cauchy's bound.  For the least prime p that leaves f square-free and of
     full degree (only the primes dividing lead * disc(f) do not, so the
     search ends), z mod p is a simple root of f mod p.  Newton's iteration
-    lifts it to z mod p^e (Loos, SIAM J. Comput. 12, 1983), and once p^e
+    lifts it to z mod p^e (Loos, SIAM J. Comput. 12, 1983) on f divided by
+    the roots found before it, a simple root there too, and once p^e
     exceeds twice the bound, N is the symmetric residue of lead * z.  A
     candidate N / lead is kept only if f divides exactly over Z by q n - p',
     for p'/q its lowest terms.
@@ -420,6 +405,7 @@ def _rational_roots(f: Polynomial):
         if quot is not None:
             roots.append(root)
             f = quot
+            ints, dints = f.coeffs, f.derivative().coeffs
     return roots, f
 
 

@@ -5,16 +5,66 @@ import mpmath
 import pytest
 
 from exactsum import oracle, polygamma
-from exactsum.polys import FactorList, Polynomial
+from exactsum.polys import FactorList, Polynomial, reduced
 from exactsum.partfrac import SumSpec
+
+
+def from_pairs(pairs) -> FactorList:
+    """A canonical FactorList, merging duplicate shifts."""
+    merged = {}
+    for a, m in pairs:
+        a = Fraction(a)
+        merged[a] = merged.get(a, 0) + int(m)
+    return FactorList(sorted(merged.items()))
+
+
+def expand(factors: FactorList) -> Polynomial:
+    """The monic product of the factors (n + a_i)^m_i."""
+    p = Polynomial([1])
+    for a, m in factors:
+        p = p * Polynomial([a, 1]) ** m
+    return p
 
 
 def make_spec(pairs, sign="plain", numerator=None):
     return SumSpec(
         numerator if numerator is not None else Polynomial([1]),
-        FactorList.from_pairs(pairs),
+        from_pairs(pairs),
         sign,
     )
+
+
+def coefficient(pf, shift, order: int) -> Fraction:
+    """The table's coefficient A of 1/(n + shift)^order."""
+    shift = Fraction(shift)
+    for a, j, c in pf.entries:
+        if a == shift and j == order:
+            return c
+    raise KeyError((shift, order))
+
+
+def recombine(pf):
+    """Common-denominator recombination of a table; inverse of decompose.
+
+    Returns the sum in lowest terms as `polys.reduced` gives it.
+    """
+    num, den = Polynomial(), Polynomial([1])
+    for a, j, c in pf.entries:
+        if c == 0:
+            continue
+        # c / (n + a)^j = c.num a.den^j / (c.den (a.den n + a.num)^j)
+        term_num = Polynomial([c.numerator * a.denominator ** j])
+        term_den = Polynomial([a.numerator, a.denominator]) ** j * c.denominator
+        num, den = num * term_den + term_num * den, den * term_den
+    return reduced(num, den)
+
+
+def to_mpf(x):
+    """The rational x as an mpf, rounded once at the current precision or at
+    the bits of its numerator, whichever is more: exact for a dyadic x."""
+    x = Fraction(x)
+    with mpmath.workprec(max(mpmath.mp.prec, x.numerator.bit_length())):
+        return mpmath.mpf(x.numerator) / x.denominator
 
 
 def symbolic_numeric(value):
@@ -71,15 +121,15 @@ def random_plain_spec(rng: random.Random, max_factors=4, max_mult=3) -> SumSpec:
 def cold_psi_cache():
     """Every test starts with empty psi^(n)(b/q) and ln 2 caches, so a spy
     on the kernel sees the ladders and series that a miss runs."""
-    polygamma._psi_cache.clear()
-    polygamma._ln2_cache.clear()
+    polygamma._psi_at_base.cache_clear()
+    polygamma._half_ln2.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_node_memo():
     """Every test starts with an empty memo of the quadrature integrand's
     values at the tanh-sinh nodes, so each quadrature pays its ln and exp."""
-    oracle._node_memo.clear()
+    oracle._node.cache_clear()
 
 
 @pytest.fixture

@@ -16,12 +16,12 @@ import mpmath
 from exactsum.cli import CliRequest, run
 from exactsum.closedform import GAMMA, LN2, ONE, PI, PI_SQUARED, SymbolicValue, render
 from exactsum.engine import evaluate
-from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_general, to_mpf
+from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_general
 from exactsum.partfrac import decompose
 from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.polygamma import PrecisionPolicy, polygamma
 
-from conftest import make_spec, random_plain_spec, random_shift
+from conftest import make_spec, random_plain_spec, random_shift, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 ABS_TOL_EXP = -12

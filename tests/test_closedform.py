@@ -17,12 +17,11 @@ from exactsum.closedform import (
 )
 from exactsum.engine import evaluate
 from exactsum.errors import PoleArgument
-from exactsum.oracle import to_mpf
 from exactsum.partfrac import decompose
 from exactsum.polygamma import PrecisionPolicy, polygamma
 from exactsum.polys import Polynomial
 
-from conftest import make_spec, symbolic_numeric
+from conftest import make_spec, symbolic_numeric, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 

@@ -12,10 +12,10 @@ from exactsum import engine
 from exactsum.engine import evaluate
 from exactsum.errors import NegativeIntegerShift
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.oracle import partial_sum_bracket, to_mpf
+from exactsum.oracle import partial_sum_bracket
 from exactsum.polygamma import PrecisionPolicy, decimal_text, polygamma, psi_sum
 
-from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric
+from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 

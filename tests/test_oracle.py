@@ -1,4 +1,7 @@
+import functools
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import mpmath
@@ -8,13 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from exactsum.engine import evaluate
 from exactsum.errors import ConstraintViolated, NotApplicable
 from exactsum import oracle
-from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general, to_mpf
+from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general
 from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.partfrac import MAX_SHIFT, PartialFractions, decompose
 from exactsum.polygamma import PrecisionPolicy
 from exactsum.polys import Polynomial
 
-from conftest import make_spec, random_plain_spec
+from conftest import make_spec, random_plain_spec, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 QUAD_TOL_EXP = -15  # error target 10^(-target/2)
@@ -288,13 +291,14 @@ class TestQuadAlternating:
 class TestQuadGeneral:
     def test_one_integral_over_the_unit_interval(self, monkeypatch):
         calls = []
-        quad = mpmath.quad
+        context = oracle._context()
+        quad = context.quad
 
         def counted(f, *points, **kwargs):
             calls.append(points)
             return quad(f, *points, **kwargs)
 
-        monkeypatch.setattr(mpmath, "quad", counted)
+        monkeypatch.setattr(context, "quad", counted)
         quad_general(decompose(make_spec([(0, 2), (F(1, 2), 1)])), POLICY)
         assert calls == [([0, 1],)]
 
@@ -420,10 +424,11 @@ class TestIntegrand:
     def _agree(entries, m, sign, s, prec):
         with mpmath.workprec(prec + 20):
             reference = _per_entry_integrand(entries, m, sign)
-        with mpmath.workprec(prec):
+        context = oracle._context()
+        with mpmath.workprec(prec), context.workprec(prec):
             s = mpmath.mpf(s)
             value, size = reference(s)
-            grouped = oracle._integrand(entries, m, sign)(s)
+            grouped = oracle._integrand(entries, m, sign, context)(s)
             assert abs(grouped - value) <= mpmath.mpf(2) ** -(prec - 10) * size
 
     @settings(max_examples=60, deadline=None)
@@ -442,7 +447,7 @@ class TestIntegrand:
         # 1/(n^2 (n - 1/2)): m = 2, and the shift 0 has power 1, class r = 1
         entries, m = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
         assert m == 2
-        assert sorted(r for r, _ in oracle._shift_classes(entries, m)) == [(0, 1), (1, 1)]
+        assert sorted(r for r, _ in oracle._shift_classes(entries, m, 106)) == [(0, 1), (1, 1)]
         for s in (F(1, 7), F(1, 2), F(999, 1000)):
             for prec in (106, 1000):
                 self._agree(entries, m, sign, s.numerator / s.denominator, prec)
@@ -478,21 +483,28 @@ class TestNodeMemo:
     @given(pairs=_MEMO_SPECS, digits=st.integers(10, 40),
            other=_MEMO_SPECS, other_digits=st.integers(10, 40))
     def test_value_does_not_depend_on_the_memo(self, pairs, digits, other, other_digits):
-        oracle._node_memo.clear()
+        oracle._node.cache_clear()
         cold = _quad_both(pairs, digits)
         for warm_pairs, warm_digits in ((other, digits), (other, other_digits),
                                         (pairs, other_digits)):
             _quad_both(warm_pairs, warm_digits)
         assert _quad_both(pairs, digits) == cold
 
-    def test_entries_are_functions_of_their_keys(self):
-        # m = 1, 6 and 2 at two precisions; the memo keeps the latest 256 nodes
+    def test_entries_are_functions_of_their_keys(self, monkeypatch):
+        # m = 1, 6 and 2 at two precisions; the memo keeps 256 nodes
+        make, nodes = oracle._node.__wrapped__, {}
+
+        def recorded(prec, m, s):
+            node = nodes[prec, m, s] = make(prec, m, s)
+            return node
+
+        monkeypatch.setattr(oracle, "_node", functools.lru_cache(256)(recorded))
         for pairs, digits in (([(F(2, 7), 3), (4, 1)], 20), ([(F(1, 3), 2), (F(-5, 6), 2)], 20),
                               ([(F(1, 3), 2), (F(-1, 2), 1)], 30)):
             _quad_both(pairs, digits)
-        assert {m for _, m, _ in oracle._node_memo} >= {2, 6}
-        for (prec, m, s), node in oracle._node_memo.items():
-            fresh = oracle._Node(mpmath.mp.make_mpf(s), m, prec)
+        assert {m for _, m, _ in nodes} >= {2, 6}
+        for (prec, m, s), node in nodes.items():
+            fresh = oracle._Node(prec, m, s)
             for k in node.upowers:
                 fresh.upower(k)
             for r in node.rpowers:
@@ -505,13 +517,42 @@ class TestNodeMemo:
     def test_memo_stays_within_its_bound(self):
         pairs = [(F(1, 3), 2), (F(2, 7), 1)]
         cold = _quad_both(pairs, 30)
-        size = oracle._NODE_MEMO_SIZE
+        size = oracle._node.cache_info().maxsize
         for digits in (20, 40, 10, 30):
             value = _quad_both(pairs, digits)
-            assert len(oracle._node_memo) <= size
-        assert len(oracle._node_memo) == size
+            assert oracle._node.cache_info().currsize <= size
+        assert oracle._node.cache_info().currsize == size
         # the 30-digit nodes were evicted in part by the other precisions
         assert value == cold
+
+    def test_threads_get_the_serial_quadratures(self):
+        # each thread integrates on its own context, so another thread's
+        # precision never reaches its integrand
+        calls = [(pairs, digits) for pairs in ([(F(1, 3), 2), (F(2, 7), 1)], [(0, 2), (F(-1, 2), 1)],
+                                               [(F(5, 6), 3)])
+                 for digits in (20, 30)]
+        serial = [_quad_both(pairs, digits) for pairs, digits in calls]
+        results, errors = [None] * 4, []
+
+        def work(i):
+            try:
+                results[i] = [_quad_both(pairs, digits) for pairs, digits in calls]
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [serial] * 4
 
 
 class TestCoherence:

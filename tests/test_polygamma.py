@@ -1,4 +1,5 @@
 import decimal
+import functools
 import importlib
 import math
 import sys
@@ -12,10 +13,11 @@ from mpmath.libmp import from_man_exp, to_str
 
 import exactsum.polygamma as polygamma_module
 from exactsum.errors import OrderTooLarge, PoleArgument, PrecisionExhausted
-from exactsum.oracle import to_mpf
 from exactsum.polygamma import (
     PrecisionPolicy, _ladder, _shift_div, bernoulli, decimal_text, polygamma, psi_sum,
 )
+
+from conftest import to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 
@@ -247,11 +249,18 @@ class TestLn2Cache:
             assert abs(mpmath.mpf(t) - mpmath.ln(1560) * mpmath.mpf(2) ** 3411) <= e
 
     def test_cache_stays_within_its_bound(self):
-        size = polygamma_module._LN2_CACHE_SIZE
+        half_ln2 = polygamma_module._half_ln2
+        size = half_ln2.cache_info().maxsize
         for w in range(size + 5):
-            polygamma_module._half_ln2(w)
-            assert len(polygamma_module._ln2_cache) <= size
-        assert list(polygamma_module._ln2_cache) == list(range(5, size + 5))
+            half_ln2(w)
+            assert half_ln2.cache_info().currsize <= size
+        # the latest grids are kept and the first ones dropped
+        misses = half_ln2.cache_info().misses
+        for w in range(5, size + 5):
+            half_ln2(w)
+        assert half_ln2.cache_info().misses == misses
+        half_ln2(0)
+        assert half_ln2.cache_info().misses == misses + 1
 
 
 def test_higher_precision_self_consistency():
@@ -392,7 +401,7 @@ class TestBaseCache:
     @given(terms=_CACHE_TERMS, digits=st.integers(10, 300),
            other=_CACHE_TERMS, other_digits=st.integers(10, 300))
     def test_value_does_not_depend_on_the_cache(self, terms, digits, other, other_digits):
-        polygamma_module._psi_cache.clear()
+        polygamma_module._psi_at_base.cache_clear()
         cold = _psi_sum_outcome(terms, digits)
         # the same bases and grids under other coefficients, then other terms and digits
         warm_up = [([(-3 * c, n, x) for c, n, x in terms], digits),
@@ -402,15 +411,17 @@ class TestBaseCache:
         assert _psi_sum_outcome(terms, digits) == cold
 
     def test_cache_stays_within_its_bound(self):
-        size = polygamma_module._PSI_CACHE_SIZE
+        cache = polygamma_module._psi_at_base
+        size = cache.cache_info().maxsize
         for q in range(2, size + 20):
             psi_sum([(1, 1, F(1, q))], PrecisionPolicy(10))
-            assert len(polygamma_module._psi_cache) <= size
-        assert len(polygamma_module._psi_cache) == size
+            assert cache.cache_info().currsize <= size
+        assert cache.cache_info().currsize == size
 
     def test_threads_get_identical_results(self, monkeypatch):
         # a bound below the calls' working set keeps every thread evicting
-        monkeypatch.setattr(polygamma_module, "_PSI_CACHE_SIZE", 4)
+        monkeypatch.setattr(polygamma_module, "_psi_at_base",
+                            functools.lru_cache(4)(polygamma_module._psi_at_base.__wrapped__))
         calls = [([(1, n, F(p, q)), (-2, n + 1, F(p + 2 * q, q)), (3, 0, F(p - q, q))], digits)
                  for n in range(3) for p, q in ((1, 3), (5, 7), (2, 5)) for digits in (20, 60)]
         serial = [psi_sum(terms, PrecisionPolicy(digits)) for terms, digits in calls]
@@ -431,7 +442,7 @@ class TestBaseCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * 4
-        assert len(polygamma_module._psi_cache) <= 4
+        assert polygamma_module._psi_at_base.cache_info().currsize <= 4
 
     def test_second_request_on_the_same_bases_climbs_no_long_ladder(self, monkeypatch):
         policy = PrecisionPolicy(target_digits=1000)

@@ -8,6 +8,8 @@ from exactsum import polys
 from exactsum.errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
 from exactsum.polys import FactorList, Polynomial, factor_linear, primitive_gcd, reduced
 
+from conftest import expand, from_pairs
+
 
 def P(*coeffs):
     return Polynomial(coeffs)
@@ -118,7 +120,7 @@ class TestFactorLinear:
 
     def test_large_smooth_constant(self):
         fl = FactorList([(F(19, 17), 2), (F(13, 11), 1), (5, 3)])
-        p = fl.expand() * F(7, 3)
+        p = expand(fl) * F(7, 3)
         assert factor_linear(p) == fl
 
     @pytest.mark.parametrize(
@@ -136,7 +138,7 @@ class TestFactorLinear:
     )
     def test_hard_denominators(self, pairs):
         fl = FactorList(pairs)
-        p = fl.expand() * F(-11, 6)
+        p = expand(fl) * F(-11, 6)
         assert factor_linear(p) == fl
 
     def test_rational_roots_beside_a_root_cluster(self):
@@ -154,7 +156,7 @@ class TestFactorLinear:
         # 41*43*47 rules out the next three, so the first good prime is 53
         lead = 41 * 43 * 47
         fl = FactorList([(F(k, lead), 1) for k in range(41)])
-        assert factor_linear(fl.expand() * lead) == fl
+        assert factor_linear(expand(fl) * lead) == fl
 
     def test_good_prime_past_the_residue_search(self):
         # every prime a residue search would take divides the lead, so the
@@ -162,7 +164,13 @@ class TestFactorLinear:
         last = polys._SEARCH_FACTOR * 3
         lead = math.prod(q for q in range(2, last + 1) if all(q % d for d in range(2, q)))
         fl = FactorList([(F(1, lead), 1), (F(2, lead), 1)])
-        assert factor_linear(fl.expand() * lead) == fl
+        assert factor_linear(expand(fl) * lead) == fl
+
+    def test_degree_256_shifts_over_a_prime(self):
+        # 256 roots k/257 share one lead, the largest a request may fold;
+        # each is lifted on what the roots before it leave
+        fl = FactorList([(F(k, 257), 1) for k in range(1, 257)])
+        assert factor_linear(expand(fl)) == fl
 
     def test_roots_mod_a_large_prime(self):
         p = 10007  # p = 3 mod 4, so n^2 + 1 has no root mod p
@@ -171,7 +179,7 @@ class TestFactorLinear:
         assert sorted(polys._roots_mod(Polynomial([c % p for c in f.coeffs]), p)) == roots
 
     def test_remainder_is_monic_leftover(self):
-        p = P(1, 0, 1) * FactorList([(F(1, 2), 2)]).expand() * 3
+        p = P(1, 0, 1) * expand(FactorList([(F(1, 2), 2)])) * 3
         with pytest.raises(NonLinearFactor) as exc:
             factor_linear(p)
         assert exc.value.remainder == P(1, 0, 1)
@@ -189,7 +197,7 @@ class TestFactorList:
             FactorList([(F(1, 2), 1), (F(1, 2), 2)])
 
     def test_from_pairs_merges(self):
-        fl = FactorList.from_pairs([(F(1, 2), 1), (F(1, 2), 2), (0, 1)])
+        fl = from_pairs([(F(1, 2), 1), (F(1, 2), 2), (0, 1)])
         assert fl.pairs == ((F(0), 1), (F(1, 2), 3))
 
     def test_total_degree(self):
@@ -234,10 +242,10 @@ shifts = st.fractions(min_value=-20, max_value=20, max_denominator=50).filter(
 )
 def test_factor_roundtrip(roots, mults, lead):
     fl = FactorList([(a, m) for a, m in zip(roots, mults)])
-    p = fl.expand() * lead
+    p = expand(fl) * lead
     out = factor_linear(p)
     assert out == fl
-    assert out.expand() * p.leading == p
+    assert expand(out) * p.leading == p
 
 
 def _brute_rational_roots(f):
