@@ -2,23 +2,24 @@
 
 Two routes that never touch the master formula: a partial-sum bracket with
 a rigorously bounded tail, and tanh-sinh quadrature of one integral
-representation of the whole partial-fraction table over s in [0, 1], one
-mpmath.quad call for either sign.  The bracket reads only the `SumSpec`,
-never the partial-fraction table or the polygamma kernel.  Quadrature is a
-verifier, not the product: the CLI checks it to quad_digits(d) = ceil(d/2)
-significant digits of the d printed ones, and it integrates the table
-divided by the power of 2 nearest below its largest coefficient at ten
-digits more than that, rerunning at more where its error estimate is not
-within that many digits of the integral.  Its integrand groups the table
-by shift class, so a node costs one ln, and the values that depend on the
-node alone (ln s, powers of s, m/(1 - sign s^m)) are memoized across
-quadratures in a process-wide memo keyed (precision, m, node) of at most
-256 nodes, the least recently used dropped; a memoized value is the one a
-miss computes, so no quadrature depends on the memo's history.  Each
-thread integrates on its own mpmath context, so no thread changes the
-precision of another's quadrature.  Both routes return exact rationals;
-mpmath is imported nowhere else in the package, and here only inside the
-quadrature.
+representation of the whole partial-fraction table over s in [0, 1], for
+either sign.  The bracket reads only the `SumSpec`, never the
+partial-fraction table or the polygamma kernel.  Both run on integers
+scaled by 2^W and return exact rationals; no module imports mpmath.
+
+Quadrature is a verifier, not the product: the CLI checks it to
+quad_digits(d) = ceil(d/2) significant digits of the d printed ones.  It
+divides the table by 2^e, e the size of its largest term's sum, and runs
+mpmath's tanh-sinh rule (its levels, truncation and level-error estimate)
+at ten digits more than that, rerunning at more where the estimate plus
+the counted floors is not within that many digits of the integral.  The
+integrand is Horner's rule in L = -ln s per shift class, with one floored
+product per power of s, and W leaves room for the coefficients' size and
+L^(J-1).  A level's nodes and their values (L, powers of s, the weight
+over 1 - sign s^m) are shared by every quadrature in a process-wide cache
+keyed (W, m, degree), W rounded up to 64 bits, of at most 64 levels, the
+least recently used dropped; every value is a function of its key, so no
+quadrature depends on the cache's history or on another thread.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -47,6 +48,7 @@ a wrong bracket.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
@@ -55,7 +57,9 @@ from fractions import Fraction
 
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
-from .polygamma import _LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, bernoulli
+from .polygamma import (
+    _LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, _exp, _ln1p, bernoulli,
+)
 from .polys import Polynomial
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
@@ -273,187 +277,288 @@ def _table(pf: PartialFractions):
     return entries, math.ceil(1 / (1 + min((a for a, _, _ in entries), default=0)))
 
 
-class _Node:
-    """The integrand's values at one node s that depend on (prec, m, s) alone,
-    as raw mpf tuples computed with mpmath.libmp at the precision prec.
-
-    L = -ln s and u = s^m are computed at once; u^k for a power k >= 1,
-    s^r for a class r = num/den in (0, m) and m/(1 - sign u) for a sign
-    are added as they are met, each in its own dict.  u^k is one binary
-    powering, as mpmath raises to an integer power.  L carries bitlen(m prec)
-    guard bits, so that s^r = exp(-r L) is as exact as a power mpmath
-    computes itself.
-    """
-
-    __slots__ = ("prec", "m", "guarded", "neglog", "u", "upowers", "rpowers", "scales")
-
-    def __init__(self, prec: int, m: int, s):
-        from mpmath.libmp import mpf_log, mpf_neg, mpf_pow_int, round_nearest
-
-        self.prec, self.m = prec, m
-        self.guarded = prec + (m * prec).bit_length()
-        self.neglog = mpf_neg(mpf_log(s, self.guarded, round_nearest))
-        self.u = mpf_pow_int(s, m, prec, round_nearest)
-        self.upowers = {}  # k -> u^k
-        self.rpowers = {}  # (num, den) -> s^(num/den)
-        self.scales = {}  # sign -> m/(1 - sign u)
-
-    def upower(self, k: int):
-        """Store and return u^k."""
-        from mpmath.libmp import mpf_pow_int, round_nearest
-
-        value = self.upowers[k] = mpf_pow_int(self.u, k, self.prec, round_nearest)
-        return value
-
-    def rpower(self, r):
-        """Store and return s^r = exp(-r L)."""
-        from mpmath.libmp import from_int, mpf_div, mpf_exp, mpf_mul_int, round_nearest
-
-        num, den = r
-        x = mpf_mul_int(self.neglog, -num, self.guarded, round_nearest)
-        x = mpf_div(x, from_int(den), self.guarded, round_nearest)
-        value = self.rpowers[r] = mpf_exp(x, self.prec, round_nearest)
-        return value
-
-    def scale(self, sign: int):
-        """Store and return m/(1 - sign u)."""
-        from mpmath.libmp import fone, mpf_mul_int, mpf_rdiv_int, mpf_sub, round_nearest
-
-        prec = self.prec
-        x = mpf_sub(fone, mpf_mul_int(self.u, sign, prec, round_nearest), prec, round_nearest)
-        value = self.scales[sign] = mpf_rdiv_int(self.m, x, prec, round_nearest)
-        return value
+def _scale(entries) -> int:
+    """floor(log2 max |A_ij| zeta(j, a_i + 1)), with zeta(j, x) estimated as
+    x^-j + x^(1-j)/(j - 1), and |A_i1| for j = 1."""
+    sizes = [_log2(abs(c)) for _, _, c in entries]
+    for i, (a, j, _) in enumerate(entries):
+        if j > 1:
+            sizes[i] += -j * _log2(a + 1) + math.log2(1 + float(a + 1) / (j - 1))
+    return math.floor(max(sizes, default=0))
 
 
-# _node(prec, m, s._mpf_): the node values shared by every quadrature in the
-# process; one precision and m meet ~120 nodes, ~4 KB each at 30 digits
-_node = functools.lru_cache(maxsize=256)(_Node)
-
-
-def _shift_classes(entries, m: int, prec: int):
+def _shift_classes(entries, m: int):
     """The table as [(r, [(k, coeffs)])], grouped by power and then by class.
 
-    Entry (a, j, A) adds A m^(j-1)/(j-1)! to the coefficient of L^(j-1) at
-    the power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its class
+    Entry (a, j, A) adds A m^j/(j-1)! to the coefficient of L^(j-1) at the
+    power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its class
     r = p mod m in [0, m), kept as (num, den), and an integer k >= 0; the
-    coefficients are raw mpf tuples, highest order first, for Horner's rule
-    in L, each rounded once at prec or at the bits of its numerator,
-    whichever is more: exact for a dyadic coefficient.
+    exact coefficients run highest order first, for Horner's rule in L.
     """
-    from mpmath.libmp import from_rational, round_nearest
-
     powers = {}
     for a, j, c in entries:
         orders = powers.setdefault(m * (a + 1) - 1, {})
-        orders[j - 1] = orders.get(j - 1, 0) + c * m ** (j - 1) / math.factorial(j - 1)
+        orders[j - 1] = orders.get(j - 1, 0) + c * m ** j / math.factorial(j - 1)
     classes = {}
     for p, orders in powers.items():
         r = p % m
         coeffs = [orders.get(k, 0) for k in range(max(orders), -1, -1)]
-        coeffs = [from_rational(c.numerator, c.denominator,
-                                max(prec, c.numerator.bit_length()), round_nearest)
-                  for c in coeffs]
         classes.setdefault((r.numerator, r.denominator), []).append(((p - r) // m, coeffs))
     return list(classes.items())
 
 
-def _integrand(entries, m: int, sign: int, context):
-    """s -> m sum_ij A_ij/(j-1)! s^(m(a_i+1)-1) (-m ln s)^(j-1) / (1 - sign s^m).
+_C_NUM, _C_SHIFT = 25, 4  # c = 25/16 of E = exp(-2c sinh t): dyadic, near mpmath's pi/2
+_GRID_STEP = 64  # bits: W is rounded up to a multiple, so requests share node tables
+_NODE_GUARD = 40  # bits finer than L's grid that a level's nodes are computed on
 
-    sum_n sign^(n-1)/(n + a)^j = 1/(j-1)! int_0^1 (-ln u)^(j-1) u^a/(1 - sign u) du
-    (u = e^-x in DLMF 25.11.25), and u = s^m keeps u^a bounded at s = 0.
 
-    With L = -ln s and the powers grouped into classes r = p mod m
-    (`_shift_classes`), the integrand is
+def _log_guard(m: int) -> int:
+    """Bits below 2^-W that L is kept to: the node-position term of
+    `_floor_counts` grows with m and with the powers p <= m (MAX_SHIFT + 1)."""
+    return 24 + 3 * m.bit_length() + 2 * (MAX_SHIFT + 33).bit_length()
 
-        m/(1 - sign u) sum_r s^r sum_k u^k sum_l c_kl L^l,
 
-    one ln per node, one exp per class r != 0 and integer powers of u.
-    Those depend on the node alone and come from the memo `_node`, so a
-    quadrature at a precision and m met before pays no ln or exp.  The
-    coefficients are rounded at the mpmath context's precision when the
-    integrand is built, and each evaluation runs at its precision then, on
-    raw mpf tuples, each operation rounded as mpf arithmetic rounds it.
+def _power(s: int, n: int, w: int) -> int:
+    """(s/2^w)^n on 2^-w by binary powering, for an integer n >= 1."""
+    result = None
+    while True:
+        if n & 1:
+            result = s if result is None else result * s >> w
+        n >>= 1
+        if not n:
+            return result
+        s = s * s >> w
+
+
+def _geometric(s: int, n: int, w: int):
+    """(sum_{i<n} s^i, s^n) on 2^-w for an integer n >= 0, by
+    G(2j) = G(j) (1 + s^j) and G(j + 1) = 1 + s G(j) over n's bits."""
+    one = 1 << w
+    total, power = 0, one
+    for bit in bin(n)[2:]:
+        total, power = total * (one + power) >> w, power * power >> w
+        if bit == "1":
+            total, power = one + (s * total >> w), power * s >> w
+    return total, power
+
+
+class _Level:
+    """The nodes tanh-sinh adds at one level, on the grid W for the power m.
+
+    Level 1 has t = 0 and t = k/2, level d > 1 the odd multiples of 2^-d.
+    Each t > 0 gives two points, s = 1/(1 + E) and E/(1 + E) with
+    E = exp(-2c sinh t), and e^t steps by one product per t.  A point is a
+    tuple (L, s, 1 - s, h 2c cosh t, values): L = -ln s on 2^-(W+lg), that
+    is ln(1 + E), plus 2c sinh t at the second point; the next three on the
+    finer grid wg, where h = 2^-d and h ds/dt = h 2c cosh t s (1 - s); and
+    `values`, filled as met on 2^-W: s^(num/den) under (num, den) and the
+    weight h ds/dt/(1 - sign s^m) under the sign.  lg grows with m, so s^m
+    keeps its precision.  Points are made in t order, as deep as any caller
+    asks (`nodes`), under a lock, and every value is a function of
+    (W, m, degree), the point's index and the value's key.
     """
-    from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
-    classes = _shift_classes(entries, m, context.prec)
+    def __init__(self, big_w: int, m: int, degree: int):
+        self.big_w, self.m, self.degree = big_w, m, degree
+        self.lg = _log_guard(m)
+        self.wg = big_w + self.lg + _NODE_GUARD
+        self._et = _exp(1, degree, self.wg)  # e^t at the first t, 1/2^d
+        self._step = _exp(1 if degree == 1 else 2, degree, self.wg)
+        self._lock = threading.Lock()
+        self.points, self._ends, self._tails = [], [], []  # tails: -(1 - s) ascending
+        self._left = 20 * 2 ** degree + 1  # mpmath's cap on a level's t values
+        if degree == 1:
+            self._add(1 << self.wg, center=True)
 
-    def f(s):
-        prec = context.prec
-        node = _node(prec, m, s._mpf_)
-        neglog, upowers, rpowers = node.neglog, node.upowers, node.rpowers
-        total = fzero
+    def _add(self, et: int, center: bool = False):
+        wg, one = self.wg, 1 << self.wg
+        emt = (one << wg) // et
+        x = _C_NUM * (et - emt) >> _C_SHIFT  # 2c sinh t
+        hcosh = _C_NUM * (et + emt) >> (_C_SHIFT + self.degree)  # h 2c cosh t
+        big_e = _exp(-x, wg, wg)
+        near_one, near_zero = (one << wg) // (one + big_e), (big_e << wg) // (one + big_e)
+        neglog = _ln1p(big_e, wg)
+        self.points.append((neglog >> _NODE_GUARD, near_one, near_zero, hcosh, {}))
+        if not center:
+            self.points.append(((neglog + x) >> _NODE_GUARD, near_zero, near_one, hcosh, {}))
+        self._ends.append(len(self.points))
+        self._tails.append(-near_zero)
+
+    def nodes(self, depth: int):
+        """The points of every t whose first point has 1 - s > 2^-depth:
+        mpmath stops a level at the first t past that."""
+        threshold = -(1 << (self.wg - depth))
+        count = bisect.bisect_left(self._tails, threshold)
+        if count == len(self._tails) and self._left:
+            with self._lock:
+                while self._left and (not self._tails or self._tails[-1] < threshold):
+                    self._left -= 1
+                    self._add(self._et)
+                    self._et = self._et * self._step >> self.wg
+            count = bisect.bisect_left(self._tails, threshold)
+        return self.points[:self._ends[count - 1]] if count else []
+
+    def power(self, point, r) -> int:
+        """Store and return s^(num/den) on 2^-W: a binary power for an
+        integer, else exp(-num L/den)."""
+        num, den = r
+        if den == 1:
+            value = _power(point[1], num, self.wg) >> (self.wg - self.big_w)
+        else:
+            value = _exp(-(num * point[0]) // den, self.big_w + self.lg, self.big_w)
+        point[4][r] = value
+        return value
+
+    def scale(self, point, sign: int) -> int:
+        """Store and return h ds/dt/(1 - sign s^m) on 2^-W.  At sign +1 it
+        is h 2c cosh t s/sum_{i<m} s^i, with 1 - s cancelled: no small
+        quotient near s = 1."""
+        _, s, other, hcosh, values = point
+        wg, big_w = self.wg, self.big_w
+        geometric, u = _geometric(s, self.m, wg)
+        scaled = hcosh * s >> wg
+        if sign > 0:
+            value = (scaled << big_w) // geometric
+        else:
+            value = ((scaled * other >> wg) << big_w) // ((1 << wg) + u)
+        values[sign] = value
+        return value
+
+
+# _level(W, m, degree): the levels shared by every quadrature in the process;
+# a verify-30d round meets four (W = 128, m = 1), ~0.2 MB in all
+_level = functools.lru_cache(maxsize=64)(_Level)
+
+
+def _weighted(level: _Level, points, classes, sign: int):
+    """(sum q f(s), sum q) over the points on 2^-W, q = weight/(1 - sign u)
+    and f(s) = sum_r s^r sum_k u^k sum_l c_kl L^l with the coefficients on
+    2^-W: Horner in L, then one floored product per power and per q."""
+    big_w, m = level.big_w, level.m
+    shift = big_w + level.lg
+    total = weights = 0
+    for point in points:
+        neglog, values = point[0], point[4]
+        f = 0
         for r, shifts in classes:
-            part = fzero
+            part = 0
             for k, coeffs in shifts:
                 h = coeffs[0]
                 for c in coeffs[1:]:
-                    h = mpf_add(mpf_mul(h, neglog, prec, round_nearest), c, prec, round_nearest)
+                    h = (h * neglog >> shift) + c
                 if k:
-                    power = upowers.get(k) or node.upower(k)
-                    h = mpf_mul(h, power, prec, round_nearest)
-                part = mpf_add(part, h, prec, round_nearest)
+                    key = (m * k, 1)
+                    u = values.get(key)
+                    h = h * (level.power(point, key) if u is None else u) >> big_w
+                part += h
             if r[0]:
-                power = rpowers.get(r) or node.rpower(r)
-                part = mpf_mul(part, power, prec, round_nearest)
-            total = mpf_add(total, part, prec, round_nearest)
-        scale = node.scales.get(sign) or node.scale(sign)
-        return context.make_mpf(mpf_mul(total, scale, prec, round_nearest))
+                v = values.get(r)
+                part = part * (level.power(point, r) if v is None else v) >> big_w
+            f += part
+        q = values.get(sign)
+        if q is None:
+            q = level.scale(point, sign)
+        total += f * q >> big_w
+        weights += q
+    return total, weights
 
-    return f
+
+def _floor_counts(groups, m: int, neglog_max: int):
+    """(B, C): `_weighted` puts a point of scale q within q B + C units of
+    2^-W of its exact q f(s), given node values within 2 units and
+    L <= neglog_max.  A Horner step floors twice and later steps grow that
+    by L; a product with a node value adds twice the other factor's bound,
+    plus 1; the node's place, within 2^-(W+lg) in L, adds the slope bound
+    4 D 2^-lg, D = (m + 8) sum |c| (p + l + 1)^2 L^l.
+    """
+    top = max(1, neglog_max)
+    bound = size = slope = 0
+    for r, shifts in groups:
+        inner = 0
+        for k, coeffs in shifts:
+            n = len(coeffs) - 1
+            h = sum(math.ceil(abs(c)) * top ** (n - i) for i, c in enumerate(coeffs))
+            bound += 2 * (n + 1) * top ** n + (2 * h + 1 if k else 0)
+            slope += h * -(-(r[0] + (m * k + n + 1) * r[1]) ** 2 // r[1] ** 2)
+            inner += h
+        bound += 2 * inner + 1 if r[0] else 0
+        size += inner
+    return bound + (4 * (m + 8) * slope >> _log_guard(m)) + 1, 2 * size + 2
 
 
-_thread = threading.local()  # .context, made by _context
+def _level_error(results, prec: int, big_w: int) -> Fraction:
+    """Borwein, Bailey and Girgensohn's estimate of the last level's error,
+    as mpmath makes it: |I_2 - I_1| at level 2, else 10^int(D4) with
+    D4 = min(0, max(D1^2/D2, 2 D1, -prec)), D_i = log10 |I_k - I_(k-i)|."""
+    if len(results) == 2:
+        return Fraction(abs(results[1] - results[0]), 1 << big_w)
+    third, second, last = results[-3:]
+    if third == second == last:
+        return Fraction(0)
+    d1, d2 = (math.log10(d) - big_w * math.log10(2) if d else -math.inf
+              for d in (abs(last - second), abs(last - third)))
+    return Fraction(10) ** int(min(0, max(d1 * d1 / d2 if d2 else -math.inf, 2 * d1, -prec)))
 
 
-def _context():
-    """This thread's own mpmath context, made on its first quadrature; each
-    pass sets its precision, which no other thread reads or changes."""
-    context = getattr(_thread, "context", None)
-    if context is None:
-        import mpmath
+def _tanh_sinh(groups, m: int, sign: int, prec: int):
+    """(W, I, err): the integral lies within err of I/2^W.
 
-        context = _thread.context = mpmath.MPContext()
-    return context
+    mpmath's rule at precision prec: levels 1 to its guess_degree(prec),
+    each truncated at 1 - s <= 2^-(prec+11), stopping once err is at most
+    2^-(prec+2).  err is the level estimate plus the floors, counted per
+    point by `_floor_counts` and once per level.  W, on the _GRID_STEP
+    grid, has room for the coefficients' size and L^(J-1), so that the
+    floors stay below 2^-(prec+6).
+    """
+    max_degree = int(4 + max(0, math.log2(prec / 30))) + 2
+    neglog_max = math.ceil((prec + 12) * math.log(2))
+    bound, size = _floor_counts(groups, m, neglog_max)
+    t_max = math.asinh((prec + 11) * math.log(2) * (1 << _C_SHIFT) / (2 * _C_NUM)) + 1
+    count = 2 * ((neglog_max + 2) * bound + math.ceil(2 * t_max * 2 ** max_degree + 2) * size)
+    big_w = -(-(prec + 6 + count.bit_length()) // _GRID_STEP) * _GRID_STEP
+    classes = [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
+                    for k, coeffs in shifts]) for r, shifts in groups]
+    results, total, floors = [], 0, 0
+    for degree in range(1, max_degree + 1):
+        level = _level(big_w, m, degree)
+        points = level.nodes(prec + 11)
+        part, weights = _weighted(level, points, classes, sign)
+        total = (total >> 1) + part
+        floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(points) * size
+        results.append(total)
+        if degree > 1:
+            err = _level_error(results, prec, big_w) + Fraction(floors, 1 << big_w)
+            if err <= Fraction(1, 1 << (prec + 2)):
+                break
+    return big_w, total, err
 
 
 def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
-    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over [0, 1],
-    returned as the exact value of the accepted pass's mpf.
+    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over [0, 1].
 
-    For sign +1 the integrand is 0/0 at s = 1.  mpmath's tanh-sinh nodes
-    stop 2^-(prec+10) short of it and the integrand runs at prec + 20 bits,
-    so that costs bits only at nodes whose weights are ~2^-prec.  The
-    thread's context computes the nodes once per precision, so every pass
-    at a precision met before evaluates the integrand on nodes whose ln
-    and powers the memo `_node` may hold.
-
-    The table is divided by 2^e, e = floor(log2 max |A_ij|), and the
-    integral multiplied back, so the working digits do not depend on the
-    coefficients' scale.  mpmath stops on an absolute error, so a pass is
-    accepted only when its error estimate is within 10^-quad_digits(d) |I|;
+    The table is divided by 2^`_scale`, so its terms' sums are near 1 and
+    the integral is too unless they cancel, and the result multiplied back.
+    A pass at dps digits runs `_tanh_sinh` at mpmath's precision for dps
+    and is accepted only when its error is within 10^-quad_digits(d) |I|;
     otherwise it reruns at the digits it fell short by.  Reruns stop once
-    they resolve _RESOLVE_DIGITS beyond the first pass, where an exact zero
-    ends.
+    they resolve _RESOLVE_DIGITS beyond the first pass, where an exact
+    zero ends.
     """
-    context = _context()
     entries, m = _table(pf)
-    e = max((math.floor(_log2(abs(c))) for _, _, c in entries), default=0)
-    entries = [(a, j, c / Fraction(2) ** e) for a, j, c in entries]
+    e = _scale(entries)
+    groups = _shift_classes([(a, j, c / Fraction(2) ** e) for a, j, c in entries], m)
     want = quad_digits(policy.target_digits)
     dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
-        context.dps = dps
-        value, err = context.quad(_integrand(entries, m, sign, context), [0, 1], error=True)
-        goal = context.mpf(10) ** -want * abs(value)
+        prec = max(1, round((dps + 1) * math.log2(10)))  # mpmath's dps_to_prec
+        big_w, value, err = _tanh_sinh(groups, m, sign, prec)
+        goal = Fraction(abs(value), 10 ** want << big_w)
         if err <= goal or dps >= ceiling:
-            # _mpf_ carries the sign apart from the mantissa
-            negative, man, exp, _ = value._mpf_
-            return (-man if negative else man) * Fraction(2) ** (exp + e)
+            return Fraction(value, 1 << big_w) * Fraction(2) ** e
         # the pass resolved max(err, eps) absolutely
-        short = context.log10(max(err, context.eps) / goal) if goal else ceiling - dps
+        short = (_log2(max(err, Fraction(2) ** (1 - prec)) / goal) * math.log10(2)
+                 if goal else ceiling - dps)
         dps = min(ceiling, dps + math.ceil(short))
 
 

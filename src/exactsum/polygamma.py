@@ -432,6 +432,63 @@ def _scaled_ln(c: int, a: int, b: int, w: int):
     return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
 
 
+def _exp(y: int, wy: int, w: int) -> int:
+    """2^w exp(y/2^wy) within one unit, for y/2^wy <= 2^8.
+
+    y = n ln 2 + r with 0 <= r < ln 2, and exp(r) is a Taylor series in
+    r/2^k squared k times, on a grid g bits finer than the w + n bits the
+    result keeps, so a small result costs few bits.
+    """
+    k = math.isqrt(w) // 2 + 1
+    g = k + 2 * w.bit_length() + 16
+    wg = w + g
+    y = y << (wg - wy) if wg >= wy else y >> (wy - wg)
+    n, r = divmod(y, 2 * _half_ln2(wg)[0])
+    if n < -w - 1:
+        return 0
+    p = wg + min(n, 0)
+    x = r >> (wg - p + k)
+    a = x2 = x * x >> p
+    even = odd = 1 << p
+    j = 2
+    while a:  # even = cosh-like terms x^2i/(2i)!, odd = x^2i/(2i+1)!
+        a //= j
+        even += a
+        a //= j + 1
+        odd += a
+        a = a * x2 >> p
+        j += 2
+    s = even + (odd * x >> p)
+    for _ in range(k):
+        s = s * s >> p
+    shift = p - w - n
+    return s >> shift if shift >= 0 else s << -shift
+
+
+@functools.lru_cache(maxsize=256)  # 64 steps per grid
+def _ln_step(i: int, w: int) -> int:
+    """2^w ln(1 + i/64), by which `_ln1p` reduces its argument."""
+    return _ln_ratio(64 + i, 64, w)[0]
+
+
+def _ln1p(e: int, w: int) -> int:
+    """2^w ln(1 + E) for E = e/2^w in [0, 1]: ln(1 + i/64), i = floor(64 E),
+    plus 2 atanh(z) with z = (1 + E - b)/(1 + E + b) <= 2^-7, b = 1 + i/64.
+    The series runs on shifts, where `_ln_ratio` of w-bit integers would
+    divide by one at every term."""
+    i = e >> (w - 6)
+    base = i << (w - 6)
+    z = ((e - base) << w) // ((2 << w) + base + e)
+    z2 = z * z >> w
+    total = a = z
+    j = 3
+    while a:
+        a = a * z2 >> w
+        total += a // j
+        j += 2
+    return 2 * total + (_ln_step(i, w) if i else 0)
+
+
 def _x_anchored(q: int, p0: int, events, totals: dict, w: int, wd: int):
     """A class's sum on 2^-w, as (value, error), anchored at X past its terms.
 

@@ -126,10 +126,10 @@ def cold_psi_cache():
 
 
 @pytest.fixture(autouse=True)
-def cold_node_memo():
-    """Every test starts with an empty memo of the quadrature integrand's
-    values at the tanh-sinh nodes, so each quadrature pays its ln and exp."""
-    oracle._node.cache_clear()
+def cold_node_cache():
+    """Every test starts with an empty cache of tanh-sinh levels, so each
+    quadrature makes its nodes and their values."""
+    oracle._level.cache_clear()
 
 
 @pytest.fixture

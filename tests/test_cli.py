@@ -664,6 +664,29 @@ class TestVerify:
         assert "agree: false" in out
 
 
+class TestQuadratureScale:
+    """Correct values that once exited 3 with --verify: the quadrature
+    scaled its table by the largest coefficient, not by the terms' sums, and
+    worked at too few bits for the coefficients' size and L^(j-1)."""
+
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_high_order_at_a_large_shift(self, sign):
+        # S ~ 3.1e-101: scaled by its coefficient 1, the integral fell
+        # 60 digits below the rerun ceiling
+        code, out, err = _run("1/(n+2000)^31", sign=sign, format="json", verify=True)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verify"]["agree"] is True
+
+    @pytest.mark.parametrize("digits", [30, 300])
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_coefficients_that_cancel(self, sign, digits):
+        # coefficients up to 1.4e38 against S ~ 1e-4: ~40 digits cancel
+        expression = "1/((n+1/3)^10*(n+2/7)^10*(n+5/11)^10)"
+        code, out, err = _run(expression, sign=sign, digits=digits, format="json", verify=True)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verify"]["agree"] is True
+
+
 class TestJson:
     def test_schema_stability(self):
         code, out, _ = _run("1/(n^2+n/2)", format="json")
@@ -709,8 +732,8 @@ class TestJson:
 
 class TestMainEntry:
     def test_default_path_never_imports_mpmath(self):
-        # mpmath serves only the quadrature oracle; the library calls below
-        # return exact rationals without it
+        # no module of the package imports mpmath: the library calls below
+        # return exact rationals, and --verify's quadrature runs on integers
         script = (
             "import contextlib, io, json, sys\n"
             "from fractions import Fraction\n"
@@ -731,6 +754,7 @@ class TestMainEntry:
             "with contextlib.redirect_stdout(io.StringIO()) as verify_out:\n"
             "    code = main(['1/n^2', '--format', 'json', '--verify'])\n"
             "assert code == 0 and json.loads(verify_out.getvalue())['verify']['agree'] is True\n"
+            "assert 'mpmath' not in sys.modules\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -756,6 +780,7 @@ class TestMainEntry:
 
 
 def test_only_the_oracle_imports_mpmath():
+    # the oracle's quadrature was the last importer; now none is left
     package = Path(__file__).resolve().parent.parent / "src" / "exactsum"
     importers = set()
     for path in package.glob("*.py"):
@@ -768,4 +793,4 @@ def test_only_the_oracle_imports_mpmath():
                 continue
             if any(name.partition(".")[0] == "mpmath" for name in names):
                 importers.add(path.name)
-    assert importers == {"oracle.py"}
+    assert importers == set()

@@ -290,17 +290,17 @@ class TestQuadAlternating:
 
 class TestQuadGeneral:
     def test_one_integral_over_the_unit_interval(self, monkeypatch):
+        # both shift classes of the table go to one tanh-sinh pass over [0, 1]
         calls = []
-        context = oracle._context()
-        quad = context.quad
+        tanh_sinh = oracle._tanh_sinh
 
-        def counted(f, *points, **kwargs):
-            calls.append(points)
-            return quad(f, *points, **kwargs)
+        def counted(groups, m, sign, prec):
+            calls.append(sorted(r for r, _ in groups))
+            return tanh_sinh(groups, m, sign, prec)
 
-        monkeypatch.setattr(context, "quad", counted)
+        monkeypatch.setattr(oracle, "_tanh_sinh", counted)
         quad_general(decompose(make_spec([(0, 2), (F(1, 2), 1)])), POLICY)
-        assert calls == [([0, 1],)]
+        assert calls == [[(0, 1), (1, 2)]]
 
     @pytest.mark.parametrize("shift", [20, 200])
     def test_relative_accuracy_far_below_one(self, shift):
@@ -418,47 +418,61 @@ def _integrand_tables(draw):
 
 
 class TestIntegrand:
-    """The grouped, memoized integrand against the per-entry formula."""
+    """The grouped integer integrand at the tanh-sinh nodes against the
+    per-entry formula, to the floors that the quadrature counts."""
 
     @staticmethod
-    def _agree(entries, m, sign, s, prec):
-        with mpmath.workprec(prec + 20):
+    def _agree(entries, m, sign, big_w, degree, picks=None):
+        groups = oracle._shift_classes(entries, m)
+        classes = [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
+                        for k, coeffs in shifts]) for r, shifts in groups]
+        level = oracle._level(big_w, m, degree)
+        points = level.nodes(big_w - 20)
+        if picks is not None:
+            points = [points[i % len(points)] for i in picks]
+        grid = big_w + level.lg
+        neglog_max = max(-(-point[0] >> grid) for point in points)
+        bound, size = oracle._floor_counts(groups, m, neglog_max)
+        with mpmath.workprec(level.wg + 64):
             reference = _per_entry_integrand(entries, m, sign)
-        context = oracle._context()
-        with mpmath.workprec(prec), context.workprec(prec):
-            s = mpmath.mpf(s)
-            value, size = reference(s)
-            grouped = oracle._integrand(entries, m, sign, context)(s)
-            assert abs(grouped - value) <= mpmath.mpf(2) ** -(prec - 10) * size
+            for point in points:
+                (value, q) = oracle._weighted(level, [point], classes, sign)
+                s = mpmath.exp(-mpmath.mpf(point[0]) / 2 ** grid)
+                weight = mpmath.mpf(point[1] * point[2] * point[3]) / 2 ** (3 * level.wg)
+                exact = weight * reference(s)[0]
+                floors = (q * bound >> big_w) + size
+                assert abs(value - exact * 2 ** big_w) <= floors
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(table=_integrand_tables(), sign=st.sampled_from([1, -1]),
-           nodes=st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
-                          min_size=1, max_size=4),
-           digits=st.sampled_from([30, 300]))
-    def test_matches_the_per_entry_formula(self, table, sign, nodes, digits):
+           picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
+           degree=st.integers(1, 4), big_w=st.sampled_from([128, 1088]))
+    def test_matches_the_per_entry_formula(self, table, sign, picks, degree, big_w):
         entries, m = table
-        prec = mpmath.libmp.dps_to_prec(digits)
-        for s in nodes:
-            self._agree(entries, m, sign, s, prec)
+        if sign == 1:
+            # quad_general's sum A_i1 = 0, without which the integrand has a
+            # 1/L pole at s = 1
+            rest = sum((c for _, j, c in entries[1:] if j == 1), F(0))
+            entries = [(entries[0][0], 1, -rest)] + entries[1:]
+        self._agree(entries, m, sign, big_w, degree, picks)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_class_one_at_m_two(self, sign):
         # 1/(n^2 (n - 1/2)): m = 2, and the shift 0 has power 1, class r = 1
         entries, m = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
         assert m == 2
-        assert sorted(r for r, _ in oracle._shift_classes(entries, m, 106)) == [(0, 1), (1, 1)]
-        for s in (F(1, 7), F(1, 2), F(999, 1000)):
-            for prec in (106, 1000):
-                self._agree(entries, m, sign, s.numerator / s.denominator, prec)
+        assert sorted(r for r, _ in oracle._shift_classes(entries, m)) == [(0, 1), (1, 1)]
+        for big_w in (128, 1024):
+            for degree in (1, 2):
+                self._agree(entries, m, sign, big_w, degree)
 
     @pytest.mark.parametrize("shift, m", [(25000, 1), (F(49999, 2), 2), (F(299, 3), 3)])
     def test_high_powers_of_u(self, shift, m):
-        # 1/(n + 25000)^2 has the power k = 25000 of u = s^m
-        entries = [(F(shift), 1, F(3)), (F(shift), 2, F(-1, 2)), (F(1, 2), 1, F(1))]
-        for s in (F(1, 7), F(99, 100), F(999999, 1000000)):
-            for prec in (106, 300):
-                self._agree(entries, m, 1, s.numerator / s.denominator, prec)
+        # 1/(n + 25000)^2 has the power k = 25000 of u = s^m; sum A_i1 = 0
+        entries = [(F(shift), 1, F(3)), (F(shift), 2, F(-1, 2)), (F(1, 2), 1, F(-3))]
+        for big_w in (128, 320):
+            for degree in (1, 2, 3):
+                self._agree(entries, m, 1, big_w, degree)
 
 
 _MEMO_SPECS = st.lists(
@@ -477,13 +491,13 @@ def _quad_both(pairs, digits):
 
 
 class TestNodeMemo:
-    """The process-wide memo of the integrand's values at the nodes."""
+    """The process-wide cache of tanh-sinh levels, keyed (W, m, degree)."""
 
     @settings(max_examples=15, deadline=None)
     @given(pairs=_MEMO_SPECS, digits=st.integers(10, 40),
            other=_MEMO_SPECS, other_digits=st.integers(10, 40))
     def test_value_does_not_depend_on_the_memo(self, pairs, digits, other, other_digits):
-        oracle._node.cache_clear()
+        oracle._level.cache_clear()
         cold = _quad_both(pairs, digits)
         for warm_pairs, warm_digits in ((other, digits), (other, other_digits),
                                         (pairs, other_digits)):
@@ -491,47 +505,58 @@ class TestNodeMemo:
         assert _quad_both(pairs, digits) == cold
 
     def test_entries_are_functions_of_their_keys(self, monkeypatch):
-        # m = 1, 6 and 2 at two precisions; the memo keeps 256 nodes
-        make, nodes = oracle._node.__wrapped__, {}
+        # m = 1, 6 and 2 at two precisions, each level made as far as asked
+        make, levels, depths = oracle._level.__wrapped__, {}, {}
+        nodes = oracle._Level.nodes
 
-        def recorded(prec, m, s):
-            node = nodes[prec, m, s] = make(prec, m, s)
-            return node
+        def recorded(big_w, m, degree):
+            level = levels[big_w, m, degree] = make(big_w, m, degree)
+            return level
 
-        monkeypatch.setattr(oracle, "_node", functools.lru_cache(256)(recorded))
+        def deepest(level, depth):
+            key = level.big_w, level.m, level.degree
+            depths[key] = max(depths.get(key, 0), depth)
+            return nodes(level, depth)
+
+        monkeypatch.setattr(oracle, "_level", functools.lru_cache(64)(recorded))
+        monkeypatch.setattr(oracle._Level, "nodes", deepest)
         for pairs, digits in (([(F(2, 7), 3), (4, 1)], 20), ([(F(1, 3), 2), (F(-5, 6), 2)], 20),
                               ([(F(1, 3), 2), (F(-1, 2), 1)], 30)):
             _quad_both(pairs, digits)
-        assert {m for _, m, _ in nodes} >= {2, 6}
-        for (prec, m, s), node in nodes.items():
-            fresh = oracle._Node(prec, m, s)
-            for k in node.upowers:
-                fresh.upower(k)
-            for r in node.rpowers:
-                fresh.rpower(r)
-            for sign in node.scales:
-                fresh.scale(sign)
-            assert (fresh.neglog, fresh.u, fresh.upowers, fresh.rpowers, fresh.scales) == (
-                node.neglog, node.u, node.upowers, node.rpowers, node.scales)
+        assert {m for _, m, _ in levels} >= {2, 6}
+        for key, level in levels.items():
+            fresh = oracle._Level(*key)
+            fresh.nodes(depths[key])
+            assert len(fresh.points) == len(level.points)
+            for point, made in zip(fresh.points, level.points):
+                for value_key in made[4]:
+                    if isinstance(value_key, tuple):
+                        fresh.power(point, value_key)
+                    else:
+                        fresh.scale(point, value_key)
+                assert point == made
 
     def test_memo_stays_within_its_bound(self):
+        # m = 1, 2, 3, 6 and 12 at four grids make more levels than the cache holds
         pairs = [(F(1, 3), 2), (F(2, 7), 1)]
         cold = _quad_both(pairs, 30)
-        size = oracle._node.cache_info().maxsize
-        for digits in (20, 40, 10, 30):
-            value = _quad_both(pairs, digits)
-            assert oracle._node.cache_info().currsize <= size
-        assert oracle._node.cache_info().currsize == size
-        # the 30-digit nodes were evicted in part by the other precisions
-        assert value == cold
+        size = oracle._level.cache_info().maxsize
+        for shift in (F(-1, 2), F(-2, 3), F(-5, 6), F(-11, 12), F(1, 3)):
+            for digits in (20, 80, 160, 10):
+                _quad_both([(shift, 2), (F(2, 7), 1)], digits)
+                assert oracle._level.cache_info().currsize <= size
+        assert oracle._level.cache_info().currsize == size
+        # the first levels were evicted in part by the other grids and m
+        assert _quad_both(pairs, 30) == cold
 
     def test_threads_get_the_serial_quadratures(self):
-        # each thread integrates on its own context, so another thread's
-        # precision never reaches its integrand
+        # levels are made under a lock and every value is a function of its
+        # key, so no thread sees another's half-made level
         calls = [(pairs, digits) for pairs in ([(F(1, 3), 2), (F(2, 7), 1)], [(0, 2), (F(-1, 2), 1)],
                                                [(F(5, 6), 3)])
                  for digits in (20, 30)]
         serial = [_quad_both(pairs, digits) for pairs, digits in calls]
+        oracle._level.cache_clear()
         results, errors = [None] * 4, []
 
         def work(i):
