@@ -17,9 +17,10 @@ integrand is Horner's rule in L = -ln s per shift class, with one floored
 product per power of s, and W leaves room for the coefficients' size and
 L^(J-1).  A level's nodes and their values (L, powers of s, the weight
 over 1 - sign s^m) are shared by every quadrature in a process-wide cache
-keyed (W, m, degree), W rounded up to 64 bits, of at most 64 levels, the
-least recently used dropped; every value is a function of its key, so no
-quadrature depends on the cache's history or on another thread.
+keyed (W, m, degree, depth), W rounded up to 64 bits and depth the
+truncation, of at most 64 levels, the least recently used dropped; every
+value is a function of its key, so no quadrature depends on the cache's
+history or on another thread.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -48,10 +49,8 @@ a wrong bracket.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -318,18 +317,6 @@ def _log_guard(m: int) -> int:
     return 24 + 3 * m.bit_length() + 2 * (MAX_SHIFT + 33).bit_length()
 
 
-def _power(s: int, n: int, w: int) -> int:
-    """(s/2^w)^n on 2^-w by binary powering, for an integer n >= 1."""
-    result = None
-    while True:
-        if n & 1:
-            result = s if result is None else result * s >> w
-        n >>= 1
-        if not n:
-            return result
-        s = s * s >> w
-
-
 def _geometric(s: int, n: int, w: int):
     """(sum_{i<n} s^i, s^n) on 2^-w for an integer n >= 0, by
     G(2j) = G(j) (1 + s^j) and G(j + 1) = 1 + s G(j) over n's bits."""
@@ -343,67 +330,60 @@ def _geometric(s: int, n: int, w: int):
 
 
 class _Level:
-    """The nodes tanh-sinh adds at one level, on the grid W for the power m.
+    """The nodes tanh-sinh adds at one level, on the grid W for the power m,
+    down to 1 - s > 2^-depth.
 
-    Level 1 has t = 0 and t = k/2, level d > 1 the odd multiples of 2^-d.
-    Each t > 0 gives two points, s = 1/(1 + E) and E/(1 + E) with
-    E = exp(-2c sinh t), and e^t steps by one product per t.  A point is a
-    tuple (L, s, 1 - s, h 2c cosh t, values): L = -ln s on 2^-(W+lg), that
-    is ln(1 + E), plus 2c sinh t at the second point; the next three on the
-    finer grid wg, where h = 2^-d and h ds/dt = h 2c cosh t s (1 - s); and
-    `values`, filled as met on 2^-W: s^(num/den) under (num, den) and the
-    weight h ds/dt/(1 - sign s^m) under the sign.  lg grows with m, so s^m
-    keeps its precision.  Points are made in t order, as deep as any caller
-    asks (`nodes`), under a lock, and every value is a function of
-    (W, m, degree), the point's index and the value's key.
+    Level 1 has t = 0 and t = k/2, level d > 1 the odd multiples of 2^-d,
+    and like mpmath the level stops at the first t past the depth, or after
+    20 2^d + 1 values of t.  Each t > 0 gives two points, s = 1/(1 + E) and
+    E/(1 + E) with E = exp(-2c sinh t), and e^t steps by one product per t.
+    A point is a tuple (L, s, 1 - s, h 2c cosh t, values): L = -ln s on
+    2^-(W+lg), that is ln(1 + E), plus 2c sinh t at the second point; the
+    next three on the finer grid wg, where h = 2^-d and
+    h ds/dt = h 2c cosh t s (1 - s); and `values`, filled as met on 2^-W:
+    s^(num/den) under (num, den) and the weight h ds/dt/(1 - sign s^m)
+    under the sign.  lg grows with m, so s^m keeps its precision.  Every
+    value is a function of (W, m, degree, depth), the point's index and the
+    value's key.
     """
 
-    def __init__(self, big_w: int, m: int, degree: int):
+    def __init__(self, big_w: int, m: int, degree: int, depth: int):
         self.big_w, self.m, self.degree = big_w, m, degree
         self.lg = _log_guard(m)
-        self.wg = big_w + self.lg + _NODE_GUARD
-        self._et = _exp(1, degree, self.wg)  # e^t at the first t, 1/2^d
-        self._step = _exp(1 if degree == 1 else 2, degree, self.wg)
-        self._lock = threading.Lock()
-        self.points, self._ends, self._tails = [], [], []  # tails: -(1 - s) ascending
-        self._left = 20 * 2 ** degree + 1  # mpmath's cap on a level's t values
+        wg = self.wg = big_w + self.lg + _NODE_GUARD
+        one = 1 << wg
+        self.points = []
         if degree == 1:
-            self._add(1 << self.wg, center=True)
+            self._add(one, one, depth)
+        et = _exp(1, degree, wg)  # e^t at the first t, 1/2^d
+        step = _exp(1 if degree == 1 else 2, degree, wg)
+        for _ in range(20 * 2 ** degree + 1):
+            if not self._add(et, (one << wg) // et, depth):
+                break
+            et = et * step >> wg
 
-    def _add(self, et: int, center: bool = False):
+    def _add(self, et: int, emt: int, depth: int) -> bool:
+        """Add the points of the t with e^t = et, e^-t = emt, unless the
+        first has 1 - s <= 2^-depth; the center t = 0 adds one point."""
         wg, one = self.wg, 1 << self.wg
-        emt = (one << wg) // et
         x = _C_NUM * (et - emt) >> _C_SHIFT  # 2c sinh t
         hcosh = _C_NUM * (et + emt) >> (_C_SHIFT + self.degree)  # h 2c cosh t
         big_e = _exp(-x, wg, wg)
         near_one, near_zero = (one << wg) // (one + big_e), (big_e << wg) // (one + big_e)
+        if near_zero <= one >> depth:
+            return False
         neglog = _ln1p(big_e, wg)
         self.points.append((neglog >> _NODE_GUARD, near_one, near_zero, hcosh, {}))
-        if not center:
+        if x:
             self.points.append(((neglog + x) >> _NODE_GUARD, near_zero, near_one, hcosh, {}))
-        self._ends.append(len(self.points))
-        self._tails.append(-near_zero)
-
-    def nodes(self, depth: int):
-        """The points of every t whose first point has 1 - s > 2^-depth:
-        mpmath stops a level at the first t past that."""
-        threshold = -(1 << (self.wg - depth))
-        count = bisect.bisect_left(self._tails, threshold)
-        if count == len(self._tails) and self._left:
-            with self._lock:
-                while self._left and (not self._tails or self._tails[-1] < threshold):
-                    self._left -= 1
-                    self._add(self._et)
-                    self._et = self._et * self._step >> self.wg
-            count = bisect.bisect_left(self._tails, threshold)
-        return self.points[:self._ends[count - 1]] if count else []
+        return True
 
     def power(self, point, r) -> int:
         """Store and return s^(num/den) on 2^-W: a binary power for an
         integer, else exp(-num L/den)."""
         num, den = r
         if den == 1:
-            value = _power(point[1], num, self.wg) >> (self.wg - self.big_w)
+            value = _geometric(point[1], num, self.wg)[1] >> (self.wg - self.big_w)
         else:
             value = _exp(-(num * point[0]) // den, self.big_w + self.lg, self.big_w)
         point[4][r] = value
@@ -425,8 +405,8 @@ class _Level:
         return value
 
 
-# _level(W, m, degree): the levels shared by every quadrature in the process;
-# a verify-30d round meets four (W = 128, m = 1), ~0.2 MB in all
+# _level(W, m, degree, depth): the levels shared by every quadrature in the
+# process; a verify-30d round meets four (W = 128, m = 1, depth 97), ~0.2 MB
 _level = functools.lru_cache(maxsize=64)(_Level)
 
 
@@ -488,8 +468,10 @@ def _floor_counts(groups, m: int, neglog_max: int):
 
 def _level_error(results, prec: int, big_w: int) -> Fraction:
     """Borwein, Bailey and Girgensohn's estimate of the last level's error,
-    as mpmath makes it: |I_2 - I_1| at level 2, else 10^int(D4) with
-    D4 = min(0, max(D1^2/D2, 2 D1, -prec)), D_i = log10 |I_k - I_(k-i)|."""
+    as mpmath makes it: |I_2 - I_1| at level 2, 0 when the last three
+    agree, else 10^int(D4) with D4 = min(0, max(D1^2/D2, 2 D1, -prec)),
+    D_i = log10 |I_k - I_(k-i)| and log10 0 = -inf, so a repeated last
+    result gives 10^-prec and a return to the one before gives 1."""
     if len(results) == 2:
         return Fraction(abs(results[1] - results[0]), 1 << big_w)
     third, second, last = results[-3:]
@@ -520,11 +502,10 @@ def _tanh_sinh(groups, m: int, sign: int, prec: int):
                     for k, coeffs in shifts]) for r, shifts in groups]
     results, total, floors = [], 0, 0
     for degree in range(1, max_degree + 1):
-        level = _level(big_w, m, degree)
-        points = level.nodes(prec + 11)
-        part, weights = _weighted(level, points, classes, sign)
+        level = _level(big_w, m, degree, prec + 11)
+        part, weights = _weighted(level, level.points, classes, sign)
         total = (total >> 1) + part
-        floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(points) * size
+        floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(level.points) * size
         results.append(total)
         if degree > 1:
             err = _level_error(results, prec, big_w) + Fraction(floors, 1 << big_w)

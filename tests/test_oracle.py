@@ -426,8 +426,8 @@ class TestIntegrand:
         groups = oracle._shift_classes(entries, m)
         classes = [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
                         for k, coeffs in shifts]) for r, shifts in groups]
-        level = oracle._level(big_w, m, degree)
-        points = level.nodes(big_w - 20)
+        level = oracle._level(big_w, m, degree, big_w - 20)
+        points = level.points
         if picks is not None:
             points = [points[i % len(points)] for i in picks]
         grid = big_w + level.lg
@@ -443,7 +443,7 @@ class TestIntegrand:
                 floors = (q * bound >> big_w) + size
                 assert abs(value - exact * 2 ** big_w) <= floors
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(table=_integrand_tables(), sign=st.sampled_from([1, -1]),
            picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
            degree=st.integers(1, 4), big_w=st.sampled_from([128, 1088]))
@@ -475,6 +475,28 @@ class TestIntegrand:
                 self._agree(entries, m, 1, big_w, degree)
 
 
+class TestLevelError:
+    """`_level_error` on exact level sums against mpmath's own estimate."""
+
+    @pytest.mark.parametrize("results", [
+        [3 << 100, (3 << 100) + 5],  # level 2: |I_2 - I_1|
+        [1 << 120, (1 << 120) + 12345, (1 << 120) + 17],  # the general case
+        [7 << 90, 7 << 90, 7 << 90],  # all three agree: 0
+        [1 << 120, (1 << 120) + 99, (1 << 120) + 99],  # a repeated last result
+        [(1 << 120) + 99, 1 << 120, (1 << 120) + 99],  # a return to the one before
+        [1 << 120, 1 << 120, (1 << 120) + 99],
+        [0, 5 << 128, 3 << 128],  # differences above 1
+    ])
+    def test_matches_mpmath(self, results):
+        big_w, prec = 128, 100
+        ours = oracle._level_error(results, prec, big_w)
+        with mpmath.workprec(big_w + 200):
+            rule = mpmath.calculus.quadrature.TanhSinh(mpmath.mp)
+            theirs = rule.estimate_error([mpmath.ldexp(r, -big_w) for r in results], prec,
+                                         mpmath.ldexp(1, -prec - 2))
+            assert abs(mpmath.mpf(ours.numerator) / ours.denominator - theirs) <= theirs * 2 ** -150
+
+
 _MEMO_SPECS = st.lists(
     st.tuples(st.builds(F, st.integers(-5, 36), st.integers(1, 6)).filter(lambda a: a > -1),
               st.integers(1, 2)),
@@ -491,7 +513,7 @@ def _quad_both(pairs, digits):
 
 
 class TestNodeMemo:
-    """The process-wide cache of tanh-sinh levels, keyed (W, m, degree)."""
+    """The process-wide cache of tanh-sinh levels, keyed (W, m, degree, depth)."""
 
     @settings(max_examples=15, deadline=None)
     @given(pairs=_MEMO_SPECS, digits=st.integers(10, 40),
@@ -505,28 +527,20 @@ class TestNodeMemo:
         assert _quad_both(pairs, digits) == cold
 
     def test_entries_are_functions_of_their_keys(self, monkeypatch):
-        # m = 1, 6 and 2 at two precisions, each level made as far as asked
-        make, levels, depths = oracle._level.__wrapped__, {}, {}
-        nodes = oracle._Level.nodes
+        # m = 1, 6 and 2 at two precisions
+        make, levels = oracle._level.__wrapped__, {}
 
-        def recorded(big_w, m, degree):
-            level = levels[big_w, m, degree] = make(big_w, m, degree)
+        def recorded(*key):
+            level = levels[key] = make(*key)
             return level
 
-        def deepest(level, depth):
-            key = level.big_w, level.m, level.degree
-            depths[key] = max(depths.get(key, 0), depth)
-            return nodes(level, depth)
-
         monkeypatch.setattr(oracle, "_level", functools.lru_cache(64)(recorded))
-        monkeypatch.setattr(oracle._Level, "nodes", deepest)
         for pairs, digits in (([(F(2, 7), 3), (4, 1)], 20), ([(F(1, 3), 2), (F(-5, 6), 2)], 20),
                               ([(F(1, 3), 2), (F(-1, 2), 1)], 30)):
             _quad_both(pairs, digits)
-        assert {m for _, m, _ in levels} >= {2, 6}
+        assert {m for _, m, _, _ in levels} >= {2, 6}
         for key, level in levels.items():
             fresh = oracle._Level(*key)
-            fresh.nodes(depths[key])
             assert len(fresh.points) == len(level.points)
             for point, made in zip(fresh.points, level.points):
                 for value_key in made[4]:
@@ -550,8 +564,8 @@ class TestNodeMemo:
         assert _quad_both(pairs, 30) == cold
 
     def test_threads_get_the_serial_quadratures(self):
-        # levels are made under a lock and every value is a function of its
-        # key, so no thread sees another's half-made level
+        # a level is whole before the cache hands it out, and every value is
+        # a function of its key, so threads that race to make one agree
         calls = [(pairs, digits) for pairs in ([(F(1, 3), 2), (F(2, 7), 1)], [(0, 2), (F(-1, 2), 1)],
                                                [(F(5, 6), 3)])
                  for digits in (20, 30)]
