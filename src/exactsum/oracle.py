@@ -39,12 +39,12 @@ modulus, z = rho/N and M >= max_{|x|=rho} |h| (so |c_k| <= M rho^k):
 All arithmetic is on integers scaled by 2^W.  Both series are quotients by
 the poles' linear factors, scaled so that each division is by some
 (1 - phi v) with |phi| < 1; every rounding, and its growth through those
-divisions, is counted into the half-width.  N, K, p and W are chosen so
-that the half-width is at most 10^-(target+3) |S|, and the bracket is
-widened to that: the engine's numeric value may be off by up to
-10^-(target+3) |S|, which a tighter bracket would exclude.  The oracle
-fails loudly (InsufficientTerms / NotApplicable) rather than ever produce
-a wrong bracket.
+divisions, is counted into the half-width.  N, K, p and W are chosen for a
+tolerance aimed from the terms' scale, which takes one pass unless the sum
+cancels far below its terms (see `partial_sum_bracket`); the bracket is
+then widened to 10^-(target+3) |S|, since the engine's numeric value may be
+off by that much.  The oracle fails loudly (InsufficientTerms /
+NotApplicable) rather than ever produce a wrong bracket.
 """
 
 from __future__ import annotations
@@ -78,77 +78,84 @@ class Bracket:
 # -- fixed-point series ------------------------------------------------------------
 
 
-def _series(first: list, phis: list, count: int):
-    """first(v) / prod_phi (1 - phi v) to `count` terms, all |phi| < 1.
+def _series(first: list, phis: list, count: int) -> list:
+    """first(v) / prod_phi (1 - phi v) to `count` terms, each phi a/b as (a, b), |a/b| < 1.
 
     `first` holds floor(2^W * coefficient) integers; each division rounds
-    phi * r down once per term.  Returns the coefficients on the same grid
-    and, per coefficient, a bound on its error in units of 2^-W: the input
-    floors give 1 each and a division adds e_i + e'_(i-1) + 1.
+    phi * r down once per term.  Returns the coefficients on the same grid.
     """
     vals = first[:count] + [0] * (count - len(first))
-    errs = [1] * min(count, len(first)) + [0] * (count - len(first))
-    for phi in phis:
-        a, b = phi.numerator, phi.denominator
-        r = e = 0
+    for a, b in phis:
+        r = 0
         for i in range(count):
-            r = vals[i] + a * r // b
-            e = errs[i] + e + 1
-            vals[i], errs[i] = r, e
-    return vals, errs
+            r = vals[i] = vals[i] + a * r // b
+    return vals
+
+
+@functools.lru_cache(maxsize=256)
+def _series_errors(length: int, poles: int, count: int) -> tuple:
+    """Bounds on `_series`'s coefficient errors on 2^-W after P = `poles` divisions
+    of a `length`-term `first`: 1 per floor, and e_i + e'_(i-1) + 1 per division,
+    come to C(i+P, P) + C(i+P+1, P) - 1, less C(i-length+P, P) for i >= length."""
+    return tuple(math.comb(i + poles, poles) + math.comb(i + poles + 1, poles) - 1
+                 - (math.comb(i - length + poles, poles) if i >= length else 0)
+                 for i in range(count))
 
 
 # -- partial-sum bracket -----------------------------------------------------------
 
 
+def _den(c: int, poles) -> Polynomial:
+    """c prod (v n - u) over the poles u/v, as pairs (u, v)."""
+    coeffs = [c]
+    for u, v in poles:
+        coeffs = [v * y - u * x for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return Polynomial(coeffs)
+
+
 def _summand(spec: SumSpec):
-    """(num, den, poles): h = num/den in integer polynomials, poles as (p, multiplicity)."""
+    """(num, den, poles): h = num/den in integer polynomials, each pole u/v
+    as the pair (u, v), once per multiplicity."""
     content, num = spec.numerator.primitive()
-    num = num * content.numerator
-    den = Polynomial([content.denominator])
-    poles = []
-    for a, m in spec.factors:
-        # (n + a)^m = (q n + p)^m / q^m for a = p/q
-        num = num * a.denominator ** m
-        den = den * Polynomial([a.numerator, a.denominator]) ** m
-        poles.append((-a, m))
+    # (n + a)^m = (q n + p)^m / q^m for a = p/q
+    num = num * (content.numerator * math.prod(a.denominator ** m for a, m in spec.factors))
+    poles = [(-a.numerator, a.denominator) for a, m in spec.factors for _ in range(m)]
     if spec.sign == PLAIN:
-        return num, den, poles
-    odd_num, odd_den = num.compose(2, -1), den.compose(2, -1)
-    even_num, even_den = num.compose(2, 0), den.compose(2, 0)
-    poles = [((1 + p) / 2, m) for p, m in poles] + [(p / 2, m) for p, m in poles]
-    return odd_num * even_den - even_num * odd_den, odd_den * even_den, poles
+        return num, _den(content.denominator, poles), poles
+    # h(x) = f(2x - 1) - f(2x): f's pole u/v moves to (u + v)/2v and u/2v
+    odd, even = [(u + v, 2 * v) for u, v in poles], [(u, 2 * v) for u, v in poles]
+    odd_den, even_den = _den(content.denominator, odd), _den(content.denominator, even)
+    return (num.compose(2, -1) * even_den - num.compose(2, 0) * odd_den,
+            odd_den * even_den, odd + even)
 
 
 def _log2(x: Fraction) -> float:
-    return math.log2(x.numerator) - math.log2(x.denominator)
+    return math.log2(abs(x.numerator)) - math.log2(x.denominator)  # of |x|
 
 
 def _plan(log2_m: float, rho: int, n: int, log2_tol: float):
     """(K, p) meeting tol/3 each at head length n, or None if p cannot."""
     log2_rho, log2_n, log2_gap = math.log2(rho), math.log2(n), math.log2(n - rho)
-    k = 1
-    while (
-        log2_m + (k + 1) * log2_rho - math.log2(k) - (k - 1) * log2_n - log2_gap
-        > log2_tol
-    ):
+    # less its log2(k), the truncation bound falls by `slope` per k and
+    # meets tol at k_lin, so no k below k_lin - log2(k_lin)/slope meets it
+    slope = log2_n - log2_rho
+    k_lin = (log2_m + log2_rho + log2_n - log2_gap - log2_tol) / slope
+    k = max(1, math.floor(k_lin - math.log2(max(k_lin, 1)) / slope))
+    while log2_m + (k + 1) * log2_rho - math.log2(k) - (k - 1) * log2_n - log2_gap > log2_tol:
         k += 1
-
-    def log2_em(p):
-        # |B_2p| <= 2 zeta(2) (2p)! / (2 pi)^(2p)
-        log2_b = 1.72 + math.lgamma(2 * p + 1) / math.log(2) - 2 * p * _LOG2_2PI
-        return log2_m + log2_b + log2_rho - math.log2(p) - 2 * p * log2_gap
-
-    p = 1
-    while log2_em(p) > log2_tol:
-        if log2_em(p + 1) >= log2_em(p):
+    # |B_2p| <= 2 zeta(2) (2p)! / (2 pi)^(2p); (2p)! grows by (2p + 1)(2p + 2)
+    p, em = 1, log2_m + 2.72 - 2 * _LOG2_2PI + log2_rho - 2 * log2_gap
+    while em > log2_tol:
+        step = math.log2((2 * p + 1) * (2 * p + 2) * p / (p + 1)) - 2 * (_LOG2_2PI + log2_gap)
+        if step >= 0:
             return None
-        p += 1
+        p, em = p + 1, em + step
     return k, p
 
 
-def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
-    """(lo, hi, W): the sum lies in [lo, hi] * 2^-W, half-width <= tol."""
+def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction, terms: list):
+    """(lo, hi, W): the sum lies in [lo, hi] * 2^-W, half-width <= tol.
+    `terms` holds (num(k), den(k)) from k = 1 on, and grows to the head's."""
     log2_m, log2_tol = _log2(m_bound), _log2(tol / 3)
     n = max(4 * rho, math.ceil(_HEAD_PER_DIGIT * (log2_m - log2_tol) * math.log10(2)))
     while n <= _HEAD_TERMS_MAX and (plan := _plan(log2_m, rho, n, log2_tol)) is None:
@@ -161,24 +168,25 @@ def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
     gap = den.degree - num.degree  # >= 2
     laurent = range(gap, k_max + 1)
     lead, den_n = den.leading, den.value(n)
-    phis = [p_j / rho for p_j, m in poles for _ in range(m)]
+    phis = [(u, v * rho) for u, v in poles]
     # c_k rho^-k: (sum_i num_(dn-i) (v/rho)^i) / (lead rho^gap prod (1 - (p_j/rho) v))
     first = [(c, lead * rho ** (gap + i)) for i, c in enumerate(reversed(num.coeffs))]
     # tau_j (N - rho)^j: num(N + (N - rho) v) / (den(N) prod (1 - phi_j v)),
     # phi_j = (N - rho)/(p_j - N)
     taylor_first = [(c, den_n) for c in num.compose(n - rho, n).coeffs]
-    taylor_phis = [Fraction(n - rho) / (p_j - n) for p_j, m in poles for _ in range(m)]
+    taylor_phis = [((n - rho) * v, u - n * v) for u, v in poles]
 
     # Error bounds depend on the operations only, so W can follow from them.
-    c_errs = _series([0] * len(first), phis, len(laurent))[1]
-    t_errs = _series([0] * len(taylor_first), taylor_phis, max(1, 2 * p - 2))[1]
+    c_errs = _series_errors(len(first), len(phis), len(laurent))
+    t_errs = _series_errors(len(taylor_first), len(phis), max(1, 2 * p - 2))
     log2_z, log2_gap = math.log2(rho) - math.log2(n), math.log2(n - rho)
+    bern = [bernoulli(2 * s) for s in range(p + 1)]
     carried = t_errs[0] / 2 + sum(
         2 ** (math.log2(e) + math.log2(n) + k * log2_z - math.log2(k - 1))
         for k, e in zip(laurent, c_errs)
     ) + sum(
-        2 ** (math.log2(t_errs[2 * s - 1]) + _log2(abs(bernoulli(2 * s)))
-              - math.log2(2 * s) - (2 * s - 1) * log2_gap)
+        2 ** (math.log2(t_errs[2 * s - 1])
+              + _log2(bern[s]) - math.log2(2 * s) - (2 * s - 1) * log2_gap)
         for s in range(1, p)
     )
     # head and h(N)/2, one floor per Laurent and Euler-Maclaurin term, and the
@@ -186,26 +194,28 @@ def _bracket(num, den, poles, rho: int, m_bound: Fraction, tol: Fraction):
     floors = n + len(laurent) + p + math.ceil(2 * carried)
     w = max(0, math.ceil(math.log2(floors) - log2_tol) + 1)
 
-    total = sum((num.value(k) << w) // den.value(k) for k in range(1, n))
+    terms += [(num.value(k), den.value(k)) for k in range(len(terms) + 1, n)]
+    total = sum((x << w) // y for x, y in terms[:n - 1])
 
     # int_N^oo h = N sum_k (c_k rho^-k) z^k / (k - 1)
-    c = _series([(x << w) // y for x, y in first], phis, len(laurent))[0]
+    c = _series([(x << w) // y for x, y in first], phis, len(laurent))
+    rho_k, n_k = rho ** gap, n ** (gap - 1)
     for k, ck in zip(laurent, c):
-        total += ck * rho ** k // (n ** (k - 1) * (k - 1))
+        total += ck * rho_k // (n_k * (k - 1))
+        rho_k, n_k = rho_k * rho, n_k * n
 
     # h(N)/2 - sum_{s<p} B_2s/(2s) tau_(2s-1)
-    t_first = [(x << w) // y for x, y in taylor_first]
-    t = _series(t_first, taylor_phis, max(1, 2 * p - 2))[0]
+    t = _series([(x << w) // y for x, y in taylor_first], taylor_phis, max(1, 2 * p - 2))
     total += t[0] // 2
+    g = g_s = n - rho  # g_s = (N - rho)^(2s-1)
     for s in range(1, p):
-        b2s = bernoulli(2 * s)
-        total -= b2s.numerator * t[2 * s - 1] // (
-            b2s.denominator * 2 * s * (n - rho) ** (2 * s - 1)
-        )
+        total -= bern[s].numerator * t[2 * s - 1] // (bern[s].denominator * 2 * s * g_s)
+        g_s *= g * g
 
-    truncation = m_bound * rho ** (k_max + 1) / (k_max * n ** (k_max - 1) * (n - rho))
-    remainder = m_bound * abs(bernoulli(2 * p)) * rho / (p * (n - rho) ** (2 * p))
-    err = math.ceil((truncation + remainder) * (1 << w)) + floors
+    # the truncation and remainder bounds of the module docstring, rounded up
+    t_den, r_den = k_max * n ** (k_max - 1) * g, p * g_s * g * bern[p].denominator
+    tail = (rho ** (k_max + 1) * r_den + abs(bern[p].numerator) * rho * t_den) * m_bound.numerator
+    err = -((-tail << w) // (t_den * r_den * m_bound.denominator)) + floors
     return total - err, total + err, w
 
 
@@ -214,49 +224,44 @@ def partial_sum_bracket(
 ) -> Bracket:
     """Interval containing the sum, of half-width 10^-(target+3) |S|.
 
-    The first pass aims at 10^-(target+3) M; a pass that does not reach
-    the goal is repeated at a tolerance set from what it resolved.  Once a
-    pass excludes zero, one more pass reaches the goal; a bracket that
-    still straddles zero _RESOLVE_DIGITS below 10^-(target+3) max |h(k)|
-    over 1 <= k <= 4 rho, such as an exact zero's, is the last pass's
-    bracket instead.  The head length N >= 4 rho grows with the poles'
-    moduli; a head above _HEAD_TERMS_MAX terms raises InsufficientTerms.
+    The first pass aims at 10^-(target+3) min(M, T)/4, T the terms' scale
+    max |h(k)| over 1 <= k <= 4 rho to a factor of 2; a pass that does not
+    reach the goal is repeated at a tolerance set from what it resolved.
+    Once a pass excludes zero, one more pass reaches the goal; a bracket
+    that still straddles zero _RESOLVE_DIGITS below 10^-(target+3) T, such
+    as an exact zero's, is the last pass's bracket instead.  The head
+    length N >= 4 rho grows with the poles' moduli; a head above
+    _HEAD_TERMS_MAX terms raises InsufficientTerms.
     """
     num, den, poles = _summand(spec)
     if num.is_zero():
         return Bracket(Fraction(0), Fraction(0))
-    rho = int(max(abs(p) for p, _ in poles)) + 1
+    rho = max(abs(u) // v for u, v in poles) + 1
     m_bound = Fraction(
-        sum(abs(c) * rho ** i for i, c in enumerate(num.coeffs)), abs(den.leading)
+        sum(abs(c) * rho ** i for i, c in enumerate(num.coeffs)) * math.prod(v for _, v in poles),
+        abs(den.leading) * math.prod(rho * v - abs(u) for u, v in poles),
     )
-    for p, m in poles:
-        m_bound /= (rho - abs(p)) ** m
     rel = Fraction(1, 10 ** (policy.target_digits + 3))
-    tol = rel * m_bound / 2
-    floor = None
+    terms = [(num.value(k), den.value(k)) for k in range(1, 4 * rho + 1)]
+    bits = max(abs(x).bit_length() - abs(y).bit_length() for x, y in terms)
+    scale = Fraction(2) ** bits
+    floor = rel * scale / 10 ** _RESOLVE_DIGITS
+    # M bounds h near the poles, far above the terms when they lie close to
+    # the circle; T is within a factor of 4 of |S| unless the sum cancels
+    tol = rel * min(m_bound, scale) / 8
     while True:
-        lo, hi, w = _bracket(num, den, poles, rho, m_bound, tol)
+        lo, hi, w = _bracket(num, den, poles, rho, m_bound, tol, terms)
         s_min = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         goal = s_min * rel.numerator // rel.denominator
         if hi - lo <= 2 * goal:
             mid = (lo + hi) // 2
             lo, hi = mid - goal, mid + goal
             break
-        if s_min:
-            # |S| >= s_min, so a pass at this tolerance is the last one
-            tol = rel * Fraction(s_min, 1 << w) / 2
-            continue
-        if floor is None:
-            # M bounds h near the poles, far above the terms when they lie
-            # close to the circle; the floor takes the terms' scale, to a
-            # factor of 2, instead
-            bits = max(abs(num.value(k)).bit_length() - abs(den.value(k)).bit_length()
-                       for k in range(1, 4 * rho + 1))
-            floor = rel * Fraction(2) ** bits / 10 ** _RESOLVE_DIGITS
-        if tol <= floor:
+        if not s_min and tol <= floor:
             break
-        # |S| <= hi - lo while the bracket straddles zero
-        tol = max(rel * Fraction(hi - lo, 1 << w) / 2, floor)
+        # |S| >= s_min makes the next pass the last; while the bracket
+        # straddles zero, |S| <= hi - lo
+        tol = max(rel * Fraction(s_min or hi - lo, 1 << w) / 2, 0 if s_min else floor)
     return Bracket(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
@@ -270,39 +275,44 @@ def quad_digits(digits: int) -> int:
 
 def _table(pf: PartialFractions):
     """(nonzero entries, m) with m = ceil(1/(1 + min a_i)); needs every a_i > -1."""
-    entries = [(Fraction(a), j, c) for a, j, c in pf.entries if c != 0]
+    entries = [(a, j, c) for a, j, c in pf.entries if c != 0]
     if any(a <= -1 for a, _, _ in entries):
         raise NotApplicable("integral representation needs all a_i > -1")
-    return entries, math.ceil(1 / (1 + min((a for a, _, _ in entries), default=0)))
+    low = min((a for a, _, _ in entries), default=0)
+    return entries, -(-low.denominator // (low.numerator + low.denominator))
 
 
 def _scale(entries) -> int:
     """floor(log2 max |A_ij| zeta(j, a_i + 1)), with zeta(j, x) estimated as
     x^-j + x^(1-j)/(j - 1), and |A_i1| for j = 1."""
-    sizes = [_log2(abs(c)) for _, _, c in entries]
+    sizes = [_log2(c) for _, _, c in entries]
     for i, (a, j, _) in enumerate(entries):
         if j > 1:
-            sizes[i] += -j * _log2(a + 1) + math.log2(1 + float(a + 1) / (j - 1))
+            u, v = a.numerator + a.denominator, a.denominator  # a + 1 = u/v
+            sizes[i] += -j * (math.log2(u) - math.log2(v)) + math.log2(1 + u / v / (j - 1))
     return math.floor(max(sizes, default=0))
 
 
-def _shift_classes(entries, m: int):
-    """The table as [(r, [(k, coeffs)])], grouped by power and then by class.
+def _shift_classes(entries, m: int, e: int = 0):
+    """The table over 2^e as [(r, [(k, coeffs)])], grouped by power and then by class.
 
-    Entry (a, j, A) adds A m^j/(j-1)! to the coefficient of L^(j-1) at the
-    power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its class
-    r = p mod m in [0, m), kept as (num, den), and an integer k >= 0; the
-    exact coefficients run highest order first, for Horner's rule in L.
+    Entry (a, j, A) adds A m^j/((j-1)! 2^e) to the coefficient of L^(j-1)
+    at the power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its
+    class r = p mod m in [0, m), kept as (num, den), and an integer k >= 0;
+    the exact coefficients run highest order first, for Horner's rule in L.
     """
     powers = {}
     for a, j, c in entries:
-        orders = powers.setdefault(m * (a + 1) - 1, {})
-        orders[j - 1] = orders.get(j - 1, 0) + c * m ** j / math.factorial(j - 1)
+        x, v = m * (a.numerator + a.denominator) - a.denominator, a.denominator  # p = x/v
+        orders = powers.setdefault((x, v), {})
+        orders[j - 1] = orders.get(j - 1, 0) + Fraction(
+            c.numerator * m ** j << max(0, -e), c.denominator * math.factorial(j - 1) << max(0, e))
     classes = {}
-    for p, orders in powers.items():
-        r = p % m
-        coeffs = [orders.get(k, 0) for k in range(max(orders), -1, -1)]
-        classes.setdefault((r.numerator, r.denominator), []).append(((p - r) // m, coeffs))
+    for (x, v), orders in powers.items():
+        k, r = divmod(x, m * v)
+        g = math.gcd(r, v)
+        coeffs = [orders.get(i, 0) for i in range(max(orders), -1, -1)]
+        classes.setdefault((r // g, v // g), []).append((k, coeffs))
     return list(classes.items())
 
 
@@ -466,24 +476,24 @@ def _floor_counts(groups, m: int, neglog_max: int):
     return bound + (4 * (m + 8) * slope >> _log_guard(m)) + 1, 2 * size + 2
 
 
-def _level_error(results, prec: int, big_w: int) -> Fraction:
-    """Borwein, Bailey and Girgensohn's estimate of the last level's error,
-    as mpmath makes it: |I_2 - I_1| at level 2, 0 when the last three
-    agree, else 10^int(D4) with D4 = min(0, max(D1^2/D2, 2 D1, -prec)),
-    D_i = log10 |I_k - I_(k-i)| and log10 0 = -inf, so a repeated last
-    result gives 10^-prec and a return to the one before gives 1."""
+def _level_error(results, prec: int, big_w: int):
+    """(a, b): Borwein, Bailey and Girgensohn's estimate a/b of the last
+    level's error, as mpmath makes it: |I_2 - I_1| at level 2, 0 when the
+    last three agree, else 10^int(D4) with D4 = min(0, max(D1^2/D2, 2 D1,
+    -prec)), D_i = log10 |I_k - I_(k-i)| and log10 0 = -inf, so a repeated
+    last result gives 10^-prec and a return to the one before gives 1."""
     if len(results) == 2:
-        return Fraction(abs(results[1] - results[0]), 1 << big_w)
+        return abs(results[1] - results[0]), 1 << big_w
     third, second, last = results[-3:]
     if third == second == last:
-        return Fraction(0)
+        return 0, 1
     d1, d2 = (math.log10(d) - big_w * math.log10(2) if d else -math.inf
               for d in (abs(last - second), abs(last - third)))
-    return Fraction(10) ** int(min(0, max(d1 * d1 / d2 if d2 else -math.inf, 2 * d1, -prec)))
+    return 1, 10 ** -int(min(0, max(d1 * d1 / d2 if d2 else -math.inf, 2 * d1, -prec)))
 
 
 def _tanh_sinh(groups, m: int, sign: int, prec: int):
-    """(W, I, err): the integral lies within err of I/2^W.
+    """(W, I, (a, b)): the integral lies within err = a/b of I/2^W.
 
     mpmath's rule at precision prec: levels 1 to its guess_degree(prec),
     each truncated at 1 - s <= 2^-(prec+11), stopping once err is at most
@@ -508,10 +518,10 @@ def _tanh_sinh(groups, m: int, sign: int, prec: int):
         floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(level.points) * size
         results.append(total)
         if degree > 1:
-            err = _level_error(results, prec, big_w) + Fraction(floors, 1 << big_w)
-            if err <= Fraction(1, 1 << (prec + 2)):
+            a, b = _level_error(results, prec, big_w)
+            if ((a << big_w) + floors * b) << (prec + 2) <= b << big_w:  # err <= 2^-(prec+2)
                 break
-    return big_w, total, err
+    return big_w, total, ((a << big_w) + floors * b, b << big_w)
 
 
 def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
@@ -527,18 +537,18 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
     """
     entries, m = _table(pf)
     e = _scale(entries)
-    groups = _shift_classes([(a, j, c / Fraction(2) ** e) for a, j, c in entries], m)
+    groups = _shift_classes(entries, m, e)
     want = quad_digits(policy.target_digits)
     dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
         prec = max(1, round((dps + 1) * math.log2(10)))  # mpmath's dps_to_prec
-        big_w, value, err = _tanh_sinh(groups, m, sign, prec)
-        goal = Fraction(abs(value), 10 ** want << big_w)
-        if err <= goal or dps >= ceiling:
-            return Fraction(value, 1 << big_w) * Fraction(2) ** e
+        big_w, value, (a, b) = _tanh_sinh(groups, m, sign, prec)
+        if a * (10 ** want << big_w) <= abs(value) * b or dps >= ceiling:  # err <= 10^-want |I|
+            return Fraction(value << max(0, e - big_w), 1 << max(0, big_w - e))
         # the pass resolved max(err, eps) absolutely
-        short = (_log2(max(err, Fraction(2) ** (1 - prec)) / goal) * math.log10(2)
+        goal = Fraction(abs(value), 10 ** want << big_w)
+        short = (_log2(max(Fraction(a, b), Fraction(2) ** (1 - prec)) / goal) * math.log10(2)
                  if goal else ceiling - dps)
         dps = min(ceiling, dps + math.ceil(short))
 
