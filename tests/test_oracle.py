@@ -36,6 +36,19 @@ def _spy_head_lengths(monkeypatch):
     return lengths
 
 
+def _spy_passes(monkeypatch):
+    """A list that counts the _bracket passes that partial_sum_bracket makes."""
+    passes = []
+    bracket = oracle._bracket
+
+    def spy(*args):
+        passes.append(1)
+        return bracket(*args)
+
+    monkeypatch.setattr(oracle, "_bracket", spy)
+    return passes
+
+
 def _holds(bracket, x):
     """Whether the bracket, its ends rounded at the current precision, holds the mpf x."""
     return to_mpf(bracket.lower) <= x <= to_mpf(bracket.upper)
@@ -46,7 +59,7 @@ class TestPartialSumBracket:
         with mpmath.workdps(40):
             b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
             assert _holds(b, mpmath.pi ** 2 / 6)
-            assert b.upper - b.lower < F("2.1e-3")
+            assert b.upper - b.lower < F("5e-5")
 
     def test_half_shift_pair_bracket(self):
         with mpmath.workdps(40):
@@ -124,12 +137,65 @@ class TestPartialSumBracket:
             assert _holds(b, ref)
             assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -23 * abs(ref)
 
+    @pytest.mark.parametrize("digits", [30, 300])
+    @pytest.mark.parametrize("spec", [
+        make_spec([(0, 2)]),
+        make_spec([(0, 1), (F(1, 2), 1)]),
+        make_spec([(F(1, 4), 2)], sign="alternating"),
+        make_spec([(0, 2), (F(1, 2), 1)]),  # 1/(n^2 (n + 1/2))
+        make_spec([(F(11, 2), 2)]),
+    ], ids=["basel", "half-shift-pair", "alternating-double-pole", "n2-half", "near-circle"])
+    def test_one_pass(self, monkeypatch, spec, digits):
+        # the first pass aims at the terms' scale, near |S| for these sums;
+        # 1/(n + 11/2)^2 has its pole 1/2 inside |x| = rho = 6, where M = 4
+        # is ~170 times its largest term
+        passes = _spy_passes(monkeypatch)
+        partial_sum_bracket(spec, PrecisionPolicy(target_digits=digits))
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("digits", [30, 300])
+    def test_cancelling_sum_falls_back(self, monkeypatch, digits):
+        # |S| ~ 1.6e-20 against terms ~ 9: the aimed pass excludes zero, and
+        # one more pass at what it resolved reaches the goal
+        expression = "1/(n-2/3)^2 + 1/(n-1/3)^2 - 8/n^2 + 1/(10^20*n^2)"
+        spec = ast_to_spec(parse_expression(expression), "plain")
+        passes = _spy_passes(monkeypatch)
+        b = partial_sum_bracket(spec, PrecisionPolicy(target_digits=digits))
+        assert len(passes) == 2
+        with mpmath.workdps(digits + 60):
+            third = mpmath.mpf(1) / 3
+            ref = (mpmath.psi(1, third) + mpmath.psi(1, 2 * third)
+                   + (mpmath.mpf(10) ** -20 - 8) * mpmath.zeta(2))
+            assert _holds(b, ref)
+            assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -(digits + 3) * abs(ref)
+
     def test_exact_zero_sum(self):
         # sum 1/((n+1/2)(n-3/2)) = 0: no relative width exists, the bracket
         # still holds 0 and ends
         b = partial_sum_bracket(make_spec([(F(1, 2), 1), (F(-3, 2), 1)]), POLICY)
         assert b.lower <= 0 <= b.upper
         assert b.upper - b.lower < F(10) ** -60
+
+
+def _series_error_reference(length, poles, count):
+    """The error counts that `_series` documents, by its own recurrence: 1
+    per input floor, and e_i + e'_(i-1) + 1 per coefficient and division."""
+    errs = [1] * min(count, length) + [0] * (count - length)
+    for _ in range(poles):
+        e = 0
+        for i in range(count):
+            e = errs[i] = errs[i] + e + 1
+    return errs
+
+
+def test_series_error_counts_match_the_recurrence():
+    # W follows from these counts, so the closed form must equal the
+    # recurrence everywhere (lengths x poles x term counts)
+    for length in range(1, 9):
+        for poles in range(13):
+            for count in range(1, 61):
+                assert (list(oracle._series_errors(length, poles, count))
+                        == _series_error_reference(length, poles, count))
 
 
 def _psi_reference(spec):
@@ -489,12 +555,12 @@ class TestLevelError:
     ])
     def test_matches_mpmath(self, results):
         big_w, prec = 128, 100
-        ours = oracle._level_error(results, prec, big_w)
+        num, den = oracle._level_error(results, prec, big_w)
         with mpmath.workprec(big_w + 200):
             rule = mpmath.calculus.quadrature.TanhSinh(mpmath.mp)
             theirs = rule.estimate_error([mpmath.ldexp(r, -big_w) for r in results], prec,
                                          mpmath.ldexp(1, -prec - 2))
-            assert abs(mpmath.mpf(ours.numerator) / ours.denominator - theirs) <= theirs * 2 ** -150
+            assert abs(mpmath.mpf(num) / den - theirs) <= theirs * 2 ** -150
 
 
 _MEMO_SPECS = st.lists(
