@@ -96,14 +96,12 @@ def _base_value(order: int, arg: Fraction) -> Optional[Dict]:
     return {PI_SQUARED: c / 6} if order == 1 else {ZETA(order + 1): c}
 
 
-def _reciprocal_power_sum(start: Fraction, count: int, power: int) -> Fraction:
-    """sum_{i<count} 1/(start + i)^power, exactly, by binary splitting.
+def _reciprocal_power_sum(p: int, q: int, count: int, power: int):
+    """sum_{i<count} 1/(p/q + i)^power, count >= 1, as an unreduced integer pair.
 
-    With start = p/q each term is q^power / (p + i q)^power; the integer
-    fractions are combined pairwise up a product tree, so one gcd at the
-    end reduces the sum instead of one per term.
+    Each term is q^power / (p + i q)^power; the integer fractions are
+    combined pairwise up a product tree, with no gcd at all.
     """
-    p, q = start.numerator, start.denominator
 
     def split(lo: int, hi: int):
         if hi - lo == 1:
@@ -113,10 +111,8 @@ def _reciprocal_power_sum(start: Fraction, count: int, power: int) -> Fraction:
         n2, d2 = split(mid, hi)
         return n1 * d2 + n2 * d1, d1 * d2
 
-    if count == 0:
-        return Fraction(0)
     num, den = split(0, count)
-    return Fraction(num * q ** power, den)
+    return num * q ** power, den
 
 
 def assemble(terms: Iterable) -> SymbolicValue:
@@ -124,12 +120,13 @@ def assemble(terms: Iterable) -> SymbolicValue:
 
     Each argument is shifted into (0, 1] with the recurrence
     psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1).  The exact rational
-    corrections and the base values' coefficients accumulate in one dict,
-    the bases with no closed form in one residual list, and the value is
-    built once.
+    corrections add up in one integer pair, reduced once per term; the base
+    values' coefficients accumulate in one dict, the bases with no closed
+    form in one residual list, and the value is built once.
     """
-    coeffs: Dict = {ONE: Fraction(0)}
+    coeffs: Dict = {}
     residuals = []
+    num, den = 0, 1  # the rational part
     for coeff, order, argument in terms:
         coeff = Fraction(coeff)
         if coeff == 0:
@@ -137,20 +134,26 @@ def assemble(terms: Iterable) -> SymbolicValue:
         if order < 0:
             raise ValueError("order must be >= 0")
         arg = Fraction(argument)
-        if arg.denominator == 1 and arg <= 0:
+        p, q = arg.numerator, arg.denominator
+        if q == 1 and p <= 0:
             raise PoleArgument(f"psi^({order}) has a pole at {arg}")
-        base = arg - (math.ceil(arg) - 1)  # in (0, 1]
-        correction = (-1) ** order * math.factorial(order) * _reciprocal_power_sum(
-            min(arg, base), abs(int(arg - base)), order + 1
-        )
-        # Downward from arg > 1 adds the corrections; upward from arg <= 0 subtracts.
-        coeffs[ONE] += coeff * correction if arg > 0 else -coeff * correction
+        shift = (p - 1) // q  # arg - base, for base in (0, 1]
+        base = Fraction(p - shift * q, q)
+        if shift:
+            # Downward from arg > 1 adds the corrections; upward from arg <= 0 subtracts.
+            n, d = _reciprocal_power_sum(p - max(shift, 0) * q, q, abs(shift), order + 1)
+            n *= (-1) ** order * math.factorial(order) * coeff.numerator * (1 if shift > 0 else -1)
+            d *= coeff.denominator
+            num, den = num * d + n * den, den * d
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
         value = _base_value(order, base)
         if value is None:
             residuals.append((coeff, order, base))
         else:
             for s, c in value.items():
                 coeffs[s] = coeffs.get(s, 0) + coeff * c
+    coeffs[ONE] = Fraction(num, den)
     return SymbolicValue.build(coeffs, residuals)
 
 

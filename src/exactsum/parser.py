@@ -31,7 +31,7 @@ from fractions import Fraction
 from .closedform import fraction_text
 from .errors import DegreeTooHigh, DivisionByZero, ExpressionSyntaxError
 from .partfrac import MAX_DEGREE, MAX_HEIGHT_BITS, SumSpec
-from .polys import FactorList, Polynomial, factor_linear, reduced
+from .polys import FactorList, Polynomial, factor_linear
 
 
 # -- tokenizer --------------------------------------------------------------------
@@ -227,12 +227,14 @@ def parse_expression(text: str):
 
 
 def ast_to_spec(pair, sign: str = "plain") -> SumSpec:
-    """Reduce the parsed pair (N, D) to Q/P once, factor P, validate convergence.
+    """Factor the parsed pair's denominator, cancel N/D to Q/P, validate convergence.
 
-    A constant P gives no poles, which SumSpec accepts only for Q = 0.
+    A factor of D that N shares is cancelled before any pole is checked.  A
+    zero N or a constant D gives no poles, which SumSpec accepts only for Q = 0.
     Raises NonLinearFactor, NegativeIntegerShift (via factoring),
     DegreeTooHigh (a divergent numerator degree) or a SumSpec limit error.
     """
-    numerator, denominator = reduced(*pair)
-    factors = factor_linear(denominator) if denominator.degree else FactorList([])
-    return SumSpec(numerator, factors, sign)
+    numerator, denominator = pair
+    if numerator.is_zero() or denominator.degree < 1:
+        return SumSpec(numerator, FactorList([]), sign)
+    return SumSpec(*factor_linear(denominator, numerator), sign)

@@ -350,11 +350,13 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
 
     Term k is B_2k/(2k) z^k / P^N times the small integer
     m_k = sum_n (-1)^(n+1) C_n rho_n(k) q^n P^(N-n), with z = q^2/P^2 and
-    rho_n(k) = 2k (2k+1) ... (2k+n-1).  Horner's rule in z runs from k = K
-    down, so no product is big by big.  Its k-th partial sum is later
-    multiplied by z^(k-1), so it is carried on a grid L (k-1) bits coarser,
-    L = floor(log2(1/z)): every floor then costs at most 2^-(w+g) in the
-    result, and the numbers stay near the size of their share of the sum.
+    rho_n(k) = 2k (2k+1) ... (2k+n-1): Horner's rule in n down to the lowest
+    order lo, times rho_lo(k), stepped from k + 1 by one exact division.
+    Horner's rule in z runs from k = K down, so no product is big by big.
+    Its k-th partial sum is later multiplied by z^(k-1), so it is carried
+    on a grid L (k-1) bits coarser, L = floor(log2(1/z)): every floor then
+    costs at most 2^-(w+g) in the result, and the numbers stay near the
+    size of their share of the sum.
     C_0 ln X comes from the integer atanh series of `_scaled_ln`.
     """
     pairs = _bernoulli_pairs
@@ -371,11 +373,14 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
     value = _shift_div(head, w, 2 * big_p ** (top + 1))
     q2, p2 = q * q, big_p * big_p
     g, drop = terms.bit_length() + 1, (p2 // q2).bit_length() - 1
-    acc = 0
+    lo, acc = min(totals), 0
+    rho = math.prod(range(2 * terms + 2, 2 * terms + 2 + lo))  # rho_lo(K + 1)
     for k in range(terms, 0, -1):
+        rho = rho * (2 * k) * (2 * k + 1) // ((2 * k + lo) * (2 * k + lo + 1))
         m = 0
-        for n in range(top, -1, -1):
+        for n in range(top, lo - 1, -1):
             m = m * (2 * k + n) + weights[n]
+        m *= rho
         num, den = pairs[k]
         acc = (acc << drop) * q2 // p2 + _shift_div(num * m, w + g - (k - 1) * drop, den)
     value += acc * q2 // p2 // (big_p ** top << g)

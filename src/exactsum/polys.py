@@ -5,11 +5,11 @@ are small, so simplicity wins over sparse representations.  Values are
 immutable and operations are pure functions.
 
 The arithmetic is generic over exact numbers, but every algorithm here
-runs on integer coefficients: reducing a quotient to lowest terms, Yun's
-square-free split and taking out rational roots all divide exactly by
-primitive divisors.  By Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1), a
-primitive integer polynomial that divides an integer one over Q divides it
-over Z, so none of these steps ever needs a Fraction.  Rational
+runs on integer coefficients: splitting off the repeated factors with one
+gcd, taking out rational roots and cancelling a numerator all divide
+exactly by primitive divisors.  By Gauss's lemma (Knuth, TAOCP vol. 2,
+4.6.1), a primitive integer polynomial that divides an integer one over Q
+divides it over Z, so none of these steps ever needs a Fraction.  Rational
 coefficients appear only where a result has them, such as a numerator
 over a monic denominator.
 """
@@ -225,23 +225,6 @@ def primitive_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return a
 
 
-def reduced(num: Polynomial, den: Polynomial):
-    """num/den in lowest terms, as (Q, D) with num/den = Q / (D / lead D).
-
-    D is primitive and integer with a positive leading coefficient; Q is
-    the numerator over the monic form of D, with exact rational
-    coefficients.  A zero num gives (0, 1).
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return Polynomial(), Polynomial([1])
-    (cn, num), (cd, den) = num.primitive(), den.primitive()
-    g = primitive_gcd(num, den)
-    num, den = num.exact_div(g), den.exact_div(g)
-    return num * (cn / (cd * den.leading)), den
-
-
 class FactorList:
     """Factored denominator: ordered (shift a_i, multiplicity m_i) pairs.
 
@@ -252,10 +235,10 @@ class FactorList:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: Sequence):
-        norm = []
-        for a, m in pairs:
-            a = Fraction(a)
-            m = int(m)
+        # checked in ascending order, so that of several negative integer
+        # shifts the same one is named whatever order they come in
+        norm = sorted(((Fraction(a), int(m)) for a, m in pairs), key=lambda t: t[0])
+        for a, m in norm:
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m}")
             if a.denominator == 1 and a < 0:
@@ -263,8 +246,6 @@ class FactorList:
                     f"shift {fraction_text(a)} is a negative integer: "
                     f"pole at n = {fraction_text(-a)}"
                 )
-            norm.append((a, m))
-        norm.sort(key=lambda t: t[0])
         for (a1, _), (a2, _) in zip(norm, norm[1:]):
             if a1 == a2:
                 raise DuplicateShift(f"shift {a1} appears more than once")
@@ -292,25 +273,6 @@ class FactorList:
 
 
 # -- linear factorization ---------------------------------------------------
-
-
-def _square_free_parts(f: Polynomial):
-    """Yun's square-free split of a primitive integer f: f = prod_k parts[k-1] ** k.
-
-    The parts are primitive, square-free and pairwise coprime; a part of
-    degree 0 means no factor of that multiplicity.  Every division is by a
-    primitive gcd, hence exact over Z, and b and c keep a common scale.
-    """
-    df = f.derivative()
-    a = primitive_gcd(f, df)
-    b, c = f.exact_div(a), df.exact_div(a)
-    parts = []
-    while b.degree > 0:
-        d = c - b.derivative()
-        a = primitive_gcd(b, d)
-        parts.append(a)
-        b, c = b.exact_div(a), d.exact_div(a)
-    return parts
 
 
 def _divmod_p(a: Polynomial, b: Polynomial, p: int):
@@ -409,23 +371,75 @@ def _rational_roots(f: Polynomial):
     return roots, f
 
 
-def factor_linear(p: Polynomial) -> FactorList:
+def _linear_product(roots) -> Polynomial:
+    """The product of the linear factors q n - p of the roots (p, q)."""
+    out = [1]
+    for p, q in roots:
+        out = [q * a - p * b for a, b in zip([0] + out, out + [0])]
+    return Polynomial(out)
+
+
+def _vanishes(f: Polynomial, p: int, q: int) -> bool:
+    """Whether integer f has the root p/q: q^d f(p/q) = 0, on integers."""
+    acc, scale = 0, 1
+    for c in reversed(f.coeffs):
+        acc, scale = acc * p + c * scale, scale * q
+    return acc == 0
+
+
+def _linear_part(f: Polynomial):
+    """(roots (p, q), multiplicities, rest) of a primitive integer f, deg f >= 1.
+
+    One gcd g = gcd(f, f') leaves the square-free part f/g, with f's
+    rational roots.  A root of multiplicity m divides g m - 1 times, so g is
+    divided once per level by the product of the roots still live; when
+    that fails, the roots where g no longer vanishes drop out.  The rest, f
+    over its linear factors, has no rational root.
+    """
+    g = primitive_gcd(f, f.derivative())
+    roots = [(r.numerator, r.denominator) for r in _rational_roots(f.exact_div(g))[0]]
+    mult, live = [1] * len(roots), range(len(roots))
+    while live and g.degree > 0:
+        quot = g.exact_div(_linear_product(roots[i] for i in live))
+        if quot is None:
+            live = [i for i in live if _vanishes(g, *roots[i])]
+            continue
+        g = quot
+        for i in live:
+            mult[i] += 1
+    linear = [r for r, m in zip(roots, mult) for _ in range(m)]
+    rest = f.exact_div(_linear_product(linear)) if len(linear) < f.degree else Polynomial([1])
+    return roots, mult, rest
+
+
+def factor_linear(p: Polynomial, numerator: Polynomial = None):
     """Factor p into rational linear factors (n + a_i)^{m_i}.
 
     Raises NonLinearFactor when some factor has no rational root; its
     remainder is the primitive integer product of the factors left over,
     each raised to its multiplicity.
+
+    Given a numerator N, returns (Q, factors) for N/p in lowest terms, Q
+    over the monic product of the factors.  N is divided by each root's
+    linear factor while it vanishes there, and by its gcd with a nonlinear
+    rest, before the rest is reported or the shifts are checked.
     """
     if p.degree < 1:
         raise ValueError("factor_linear requires a nonzero polynomial of degree >= 1")
-    pairs = []
-    leftover = Polynomial([1])
-    for mult, part in enumerate(_square_free_parts(p.primitive()[1]), 1):
-        if part.degree < 1:
-            continue
-        roots, rest = _rational_roots(part)
-        pairs.extend((-root, mult) for root in roots)
-        leftover = leftover * rest ** mult
-    if leftover.degree > 0:
-        raise NonLinearFactor(leftover)
-    return FactorList(pairs)
+    content, f = p.primitive()
+    roots, mult, rest = _linear_part(f)
+    if numerator is not None:
+        scale, numerator = numerator.primitive()
+        lead = 1
+        for i, (a, b) in enumerate(roots):
+            while mult[i] and _vanishes(numerator, a, b):
+                numerator = numerator.exact_div(Polynomial([-a, b]))
+                mult[i] -= 1
+            lead *= b ** mult[i]
+        if rest.degree > 0:
+            g = primitive_gcd(numerator, rest)
+            numerator, rest = numerator.exact_div(g), rest.exact_div(g)
+    if rest.degree > 0:
+        raise NonLinearFactor(rest)
+    factors = FactorList([(Fraction(-a, b), m) for (a, b), m in zip(roots, mult) if m])
+    return factors if numerator is None else (numerator * (scale / (content * lead)), factors)

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from exactsum import oracle, polygamma
-from exactsum.polys import FactorList, Polynomial, reduced
+from exactsum.polys import FactorList, Polynomial, primitive_gcd
 from exactsum.partfrac import SumSpec
 
 
@@ -43,10 +43,27 @@ def coefficient(pf, shift, order: int) -> Fraction:
     raise KeyError((shift, order))
 
 
+def reduced(num: Polynomial, den: Polynomial):
+    """num/den in lowest terms, as (Q, D) with num/den = Q / (D / lead D).
+
+    D is primitive and integer with a positive leading coefficient; Q is
+    the numerator over the monic form of D, with exact rational
+    coefficients.  A zero num gives (0, 1).
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero():
+        return Polynomial(), Polynomial([1])
+    (cn, num), (cd, den) = num.primitive(), den.primitive()
+    g = primitive_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * (cn / (cd * den.leading)), den
+
+
 def recombine(pf):
     """Common-denominator recombination of a table; inverse of decompose.
 
-    Returns the sum in lowest terms as `polys.reduced` gives it.
+    Returns the sum in lowest terms as `reduced` gives it.
     """
     num, den = Polynomial(), Polynomial([1])
     for a, j, c in pf.entries:

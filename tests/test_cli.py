@@ -195,11 +195,11 @@ class TestExitCodes:
         ["1/(n+1)^2000", "1/(n+1)^999999999", "1/(n^2*((2^256)^256)^256)"],
     )
     def test_fold_size_limit_fails_fast(self, monkeypatch, expression):
-        # refused while folding, before the power is expanded or reduced
+        # refused while folding, before the power is expanded or factored
         def refuse(*args):
             raise AssertionError("reduction reached")
 
-        monkeypatch.setattr(parser, "reduced", refuse)
+        monkeypatch.setattr(parser, "factor_linear", refuse)
         code, out, err = _run(expression)
         assert code == 2 and out == "" and "the expression has" in err
 

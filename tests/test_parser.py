@@ -1,17 +1,24 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exactsum import polys
+from exactsum.cli import CliRequest, run
 from exactsum.errors import (
     DegreeTooHigh,
     DivisionByZero,
+    ExactSumError,
     ExpressionSyntaxError,
     NegativeIntegerShift,
     NonLinearFactor,
 )
 from exactsum.parser import ast_to_spec, parse_expression
-from exactsum.polys import Polynomial, reduced
+from exactsum.partfrac import SumSpec
+from exactsum.polys import Polynomial
+
+from conftest import from_pairs, reduced
 
 
 def _value(text):
@@ -150,6 +157,104 @@ class TestAstToSpec:
         spec = ast_to_spec(parse_expression("(n+1)/(n^2+n/2)"), "alternating")
         assert spec.numerator == Polynomial([1, 1])
         assert spec.factors.pairs == ((F(0), 1), (F(1, 2), 1))
+
+
+class TestCancellation:
+    """N/D is cancelled at the factors of D that N shares, before any check."""
+
+    @pytest.mark.parametrize("expression, numerator, pairs, exact", [
+        # the negative-integer root n = 2 cancels before the poles are checked
+        ("(n-2)/((n-2)*(n+1)^2)", [1], ((F(1), 2),), "-1 + (1/6)*pi^2"),
+        ("(n^2+1)/((n^2+1)*n^2)", [1], ((F(0), 2),), "(1/6)*pi^2"),
+        ("(n+1)^3/((n+1)^2*n^4)", [1, 1], ((F(0), 4),), "zeta(3) + zeta(4)"),
+    ], ids=["negative-integer-root", "quadratic", "numerator-keeps-a-root"])
+    def test_cancelled_factor(self, expression, numerator, pairs, exact):
+        spec = ast_to_spec(parse_expression(expression), "plain")
+        assert spec.numerator == Polynomial(numerator)
+        assert spec.factors.pairs == pairs
+        code, out, err = run(CliRequest(expression, format="exact"))
+        assert (code, out, err) == (0, exact + "\n", "")
+
+    def test_nonlinear_rest_left_after_its_gcd(self):
+        expression = "(n^2+1)/((n^2+1)^2*n^2)"
+        with pytest.raises(NonLinearFactor) as exc:
+            ast_to_spec(parse_expression(expression), "plain")
+        assert exc.value.remainder == Polynomial([1, 0, 1])
+        assert run(CliRequest(expression)) == (
+            2, "", "error: denominator has a factor with no rational root: n^2 + 1\n")
+
+    def test_one_gcd_when_every_root_is_rational(self, monkeypatch):
+        gcd, calls = polys.primitive_gcd, []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return gcd(p, q)
+
+        monkeypatch.setattr(polys, "primitive_gcd", counted)
+        spec = ast_to_spec(parse_expression(
+            "(n-1)*(n+1/2)/((n-1)*(n+1/2)^2*(n+1/3)^3*n^2*(n+5)^31)"), "plain")
+        assert spec.factors.pairs == (
+            (F(0), 2), (F(1, 3), 3), (F(1, 2), 1), (F(5), 31))
+        assert len(calls) == 1
+
+
+def _product(pairs):
+    """The product of (q n + p)^m over the pairs (p/q, m), on integers."""
+    return math.prod((Polynomial([a.numerator, a.denominator]) ** m for a, m in pairs),
+                     start=Polynomial([1]))
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ExactSumError as exc:
+        return type(exc), str(exc)
+
+
+_small_shifts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_quadratic = st.one_of(st.none(), st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kept=st.lists(st.tuples(_small_shifts, st.integers(1, 3)), min_size=1, max_size=3,
+                  unique_by=lambda t: t[0]),
+    core=st.lists(st.tuples(_small_shifts, st.integers(1, 3)), max_size=2,
+                  unique_by=lambda t: t[0]),
+    shared=st.lists(st.tuples(st.fractions(min_value=-40, max_value=40, max_denominator=6),
+                              st.integers(1, 31)), max_size=2, unique_by=lambda t: t[0]),
+    kept_quadratic=_quadratic,
+    shared_quadratic=_quadratic,
+    scales=st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 6)),
+    sign=st.sampled_from(["plain", "alternating"]),
+)
+def test_cancellation_matches_a_reduced_quotient(
+    kept, core, shared, kept_quadratic, shared_quadratic, scales, sign
+):
+    """N = core C and D = F C: ast_to_spec gives what `reduced` and
+    `from_pairs` give for N/D, or the same error with the same remainder.
+
+    C shares linear factors (negative integer shifts included) and maybe
+    n^2 + k; a root of F that the core shares is cancelled to
+    max(0, m_F - m_core)."""
+    common = _product(shared)
+    if shared_quadratic:
+        common = common * Polynomial([shared_quadratic, 0, 1])
+    den = _product(kept) * common * scales[1]
+    if kept_quadratic:
+        den = den * Polynomial([kept_quadratic, 0, 1])
+    num = _product(core) * common * scales[0]
+    in_core = dict(core)
+    left = [(a, m - in_core.get(a, 0)) for a, m in kept if m > in_core.get(a, 0)]
+
+    def reference():
+        q, d = reduced(num, den)
+        rest = d.exact_div(_product(left))
+        if rest.degree > 0:
+            raise NonLinearFactor(rest)
+        return SumSpec(q, from_pairs(left), sign)
+
+    assert _outcome(lambda: ast_to_spec((num, den), sign)) == _outcome(reference)
 
 
 def _fold_by_product_rule(op, left, right=None):

@@ -12,9 +12,9 @@ from exactsum.partfrac import (
     PartialFractions,
     decompose,
 )
-from exactsum.polys import Polynomial, reduced
+from exactsum.polys import Polynomial
 
-from conftest import coefficient, expand, make_spec, random_plain_spec, recombine
+from conftest import coefficient, expand, make_spec, random_plain_spec, recombine, reduced
 
 HARD_DENOMINATORS = [
     [(F(1000003, 999983), 2), (F(1, 2), 1), (0, 1)],

@@ -458,6 +458,25 @@ class TestBaseCache:
         assert ladders and max(ladders) <= 10
 
 
+def test_series_skips_dead_orders_bit_identically(monkeypatch):
+    # psi^(n)(1/3), n <= 30, at 1000 digits: each series runs its Horner sum
+    # from order n down to n only and scales it by rho_n(k); a zero weight
+    # at order 0 makes the same call run the sum over every order 0..n,
+    # which must give the same integers
+    series, lows = polygamma_module._series, []
+
+    def both(q, big_p, totals, terms, w):
+        value, err = series(q, big_p, totals, terms, w)
+        assert series(q, big_p, {0: 0, **totals}, terms, w)[0] == value
+        lows.append(min(totals))
+        return value, err
+
+    monkeypatch.setattr(polygamma_module, "_series", both)
+    for n in range(31):
+        polygamma(n, F(1, 3), PrecisionPolicy(target_digits=1000))
+    assert sorted(lows) == list(range(31))
+
+
 def test_near_tie_reruns_until_the_rounding_is_decided(monkeypatch):
     # pi^2/6 + r (psi(2) - psi(1)) = 1.0000000005 + (pi^2/6 - floor(10^40 pi^2/6)/10^40):
     # ~5e-41 above a decimal tie at 10 digits

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from exactsum import polys
 from exactsum.errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
-from exactsum.polys import FactorList, Polynomial, factor_linear, primitive_gcd, reduced
+from exactsum.polys import FactorList, Polynomial, factor_linear, primitive_gcd
 
-from conftest import expand, from_pairs
+from conftest import expand, from_pairs, reduced
 
 
 def P(*coeffs):
@@ -205,7 +205,7 @@ class TestFactorList:
 
 
 class TestRfNormalize:
-    """Reduction of a quotient by `reduced`."""
+    """Reduction of a quotient by the test helper `reduced`."""
 
     def test_cancel_common_factor(self):
         # (n-1)/(n^2-1) -> 1/(n+1)
