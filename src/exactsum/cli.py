@@ -22,6 +22,7 @@ check compares those rationals exactly.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from dataclasses import dataclass
@@ -61,10 +62,9 @@ def _agrees(result, bracket, quad, digits: int) -> bool:
     quadrature, where it applies, must be within 10^-quad_digits(d) |value|,
     or within 10^-quad_digits(d) of a printed 0.
     """
-    printed = Fraction(result.text)
-    mantissa, _, exponent = result.text.partition("e")
-    last = int(exponent or 0) - len(mantissa.partition(".")[2])  # the last digit's place
-    ulp = Fraction(10) ** last if printed else 0
+    text = decimal.Decimal(result.text)  # read past the int-to-str cap
+    printed = Fraction(text)
+    ulp = Fraction(10) ** text.as_tuple().exponent if printed else 0  # the last digit's unit
     lo, hi = bracket.lower, bracket.upper
     narrow = hi - lo <= ulp or not printed
     certified = narrow and lo <= printed + ulp / 2 and hi >= printed - ulp / 2

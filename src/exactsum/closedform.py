@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
@@ -49,15 +50,12 @@ class SymbolicValue:
 
     @classmethod
     def build(cls, coeffs: Dict, residuals: Iterable = ()) -> "SymbolicValue":
+        """The value of the nonzero terms; each residual's (order, argument) is distinct."""
         cs = tuple(
             sorted(((s, c) for s, c in coeffs.items() if c != 0), key=lambda t: _symbol_key(t[0]))
         )
-        merged: Dict = {}
-        for coeff, order, arg in residuals:
-            key = (order, arg)
-            merged[key] = merged.get(key, Fraction(0)) + coeff
         # a list, not a generator: see polys.Polynomial.primitive
-        rs = tuple([(c, o, a) for (o, a), c in sorted(merged.items()) if c != 0])
+        rs = tuple(sorted([(c, o, a) for c, o, a in residuals if c != 0], key=lambda t: t[1:]))
         return cls(cs, rs)
 
     def coefficient(self, symbol) -> Fraction:
@@ -74,26 +72,35 @@ class SymbolicValue:
 # -- closed-form reduction -----------------------------------------------------
 
 
-# Gauss's digamma values at the arguments in (0, 1] that the basis reduces.
+# Gauss's digamma values, as integer pairs, at the b/q in (0, 1] that the basis reduces.
 _DIGAMMA = {
-    Fraction(1): {GAMMA: Fraction(-1)},
-    Fraction(1, 2): {GAMMA: Fraction(-1), LN2: Fraction(-2)},
-    Fraction(1, 4): {GAMMA: Fraction(-1), LN2: Fraction(-3), PI: Fraction(-1, 2)},
-    Fraction(3, 4): {GAMMA: Fraction(-1), LN2: Fraction(-3), PI: Fraction(1, 2)},
+    (1, 1): {GAMMA: (-1, 1)},
+    (1, 2): {GAMMA: (-1, 1), LN2: (-2, 1)},
+    (1, 4): {GAMMA: (-1, 1), LN2: (-3, 1), PI: (-1, 2)},
+    (3, 4): {GAMMA: (-1, 1), LN2: (-3, 1), PI: (1, 2)},
 }
 
 
-def _base_value(order: int, arg: Fraction) -> Optional[Dict]:
-    """Basis coefficients of psi^(order)(arg) for arg in (0, 1], or None for a residual."""
+def _base_value(order: int, b: int, q: int) -> Optional[Dict]:
+    """Basis coefficients of psi^(order)(b/q), b/q in (0, 1], as integer pairs,
+    or None for a residual."""
     if order == 0:
-        return _DIGAMMA.get(arg)
-    if arg.denominator > 2:
+        return _DIGAMMA.get((b, q))
+    if q > 2:
         return None
     # psi^(n)(1) = (-1)^(n+1) n! zeta(n+1), and psi^(n)(1/2) = (2^(n+1)-1) psi^(n)(1)
-    c = Fraction((-1) ** (order + 1) * math.factorial(order))
-    if arg != 1:
-        c *= 2 ** (order + 1) - 1
-    return {PI_SQUARED: c / 6} if order == 1 else {ZETA(order + 1): c}
+    c = (-1) ** (order + 1) * math.factorial(order) * (2 ** (order + 1) - 1 if q == 2 else 1)
+    return {ZETA(order + 1): (c, 1)} if order > 1 else {PI_SQUARED: (c, 6)}
+
+
+def _add(acc: Dict, key, n: int, d: int):
+    """acc[key] += n/d on integer pairs, d > 0, reduced after each sum."""
+    if key in acc:
+        n0, d0 = acc[key]
+        n, d = n0 * d + n * d0, d0 * d
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    acc[key] = n, d
 
 
 def _reciprocal_power_sum(p: int, q: int, count: int, power: int):
@@ -116,59 +123,62 @@ def _reciprocal_power_sum(p: int, q: int, count: int, power: int):
 
 
 def assemble(terms: Iterable) -> SymbolicValue:
-    """Exact linear combination of psi terms: (coeff, order, argument) triples.
+    """Exact linear combination of psi terms: (coeff, order, argument) triples,
+    coeff and argument ints or Fractions.
 
     Each argument is shifted into (0, 1] with the recurrence
-    psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1).  The exact rational
-    corrections add up in one integer pair, reduced once per term; the base
-    values' coefficients accumulate in one dict, the bases with no closed
-    form in one residual list, and the value is built once.
+    psi^(o)(z+1) = psi^(o)(z) + (-1)^o o!/z^(o+1).  The exact rational part,
+    each basis coefficient and each residual base, keyed (order, b, q), add
+    up in integer pairs; the value's Fractions are made once, at the end.
     """
     coeffs: Dict = {}
-    residuals = []
-    num, den = 0, 1  # the rational part
+    residuals: Dict = {}
     for coeff, order, argument in terms:
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        cn, cd = coeff.numerator, coeff.denominator
+        if not cn:
             continue
         if order < 0:
             raise ValueError("order must be >= 0")
-        arg = Fraction(argument)
-        p, q = arg.numerator, arg.denominator
+        p, q = argument.numerator, argument.denominator
         if q == 1 and p <= 0:
-            raise PoleArgument(f"psi^({order}) has a pole at {arg}")
-        shift = (p - 1) // q  # arg - base, for base in (0, 1]
-        base = Fraction(p - shift * q, q)
+            raise PoleArgument(f"psi^({order}) has a pole at {fraction_text(argument)}")
+        shift = (p - 1) // q  # arg - base, for base b/q in (0, 1]
+        b = p - shift * q
         if shift:
             # Downward from arg > 1 adds the corrections; upward from arg <= 0 subtracts.
             n, d = _reciprocal_power_sum(p - max(shift, 0) * q, q, abs(shift), order + 1)
-            n *= (-1) ** order * math.factorial(order) * coeff.numerator * (1 if shift > 0 else -1)
-            d *= coeff.denominator
-            num, den = num * d + n * den, den * d
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-        value = _base_value(order, base)
+            n *= (-1) ** order * math.factorial(order) * cn * (1 if shift > 0 else -1)
+            _add(coeffs, ONE, n, d * cd)
+        value = _base_value(order, b, q)
         if value is None:
-            residuals.append((coeff, order, base))
+            _add(residuals, (order, b, q), cn, cd)
         else:
-            for s, c in value.items():
-                coeffs[s] = coeffs.get(s, 0) + coeff * c
-    coeffs[ONE] = Fraction(num, den)
-    return SymbolicValue.build(coeffs, residuals)
+            for s, (n, d) in value.items():
+                _add(coeffs, s, cn * n, cd * d)
+    return SymbolicValue.build(
+        {s: Fraction(n, d) for s, (n, d) in coeffs.items()},
+        [(Fraction(n, d), o, Fraction(b, q)) for (o, b, q), (n, d) in residuals.items()],
+    )
 
 
 # -- rendering ------------------------------------------------------------------
 
 
-def fraction_text(c: Fraction) -> str:
-    """str(c) for any size: Decimal converts ints without the int-to-str digit cap."""
-    if c.denominator == 1:
-        return str(decimal.Decimal(c.numerator))
-    return f"{decimal.Decimal(c.numerator)}/{decimal.Decimal(c.denominator)}"
+def fits_str(digits: int) -> bool:
+    """Whether str() and int() convert an integer of this many digits under
+    the interpreter's int-to-str digit cap; Decimal converts past it."""
+    # a cap is 0, for none, or at least 640 digits; before Python 3.10.7
+    # there is none, and getattr falls back to int(), 0
+    cap = 0 if digits < 640 else getattr(sys, "get_int_max_str_digits", int)()
+    return not cap or digits < cap
 
 
-def _coeff_text(c: Fraction) -> str:
-    return fraction_text(c) if c.denominator == 1 else f"({fraction_text(c)})"
+def fraction_text(c) -> str:
+    """str(c) for an int or Fraction of any size."""
+    if c.denominator != 1:
+        return f"{fraction_text(c.numerator)}/{fraction_text(c.denominator)}"
+    n = c.numerator  # of fewer than bitlen/3 + 1 digits
+    return str(n) if fits_str(n.bit_length() // 3 + 1) else str(decimal.Decimal(n))
 
 
 def _symbol_text(sym) -> str:
@@ -181,29 +191,25 @@ def _symbol_text(sym) -> str:
     }.get(kind, f"zeta({k})")
 
 
+def terms_text(terms) -> str:
+    """The sum of (coefficient, name) terms as text, a constant's name None:
+    `-1 + gamma + (1/7)*pi`, or `0` for no terms."""
+    out = ""
+    for c, name in terms:
+        mag = abs(c)
+        coeff = fraction_text(mag) if mag.denominator == 1 else f"({fraction_text(mag)})"
+        if name is None:
+            body = coeff
+        elif mag == 1:
+            body = name
+        else:
+            body = f"{coeff}*{name}"
+        out += f" {'-' if c < 0 else '+'} {body}" if out else ("-" if c < 0 else "") + body
+    return out or "0"
+
+
 def render(value: SymbolicValue) -> str:
     """Deterministic human-readable exact form in canonical symbol order."""
-    pieces = []  # (sign, body)
-    for sym, c in value.basis_coeffs:
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if sym == ONE:
-            body = _coeff_text(mag)
-        elif mag == 1:
-            body = _symbol_text(sym)
-        else:
-            body = f"{_coeff_text(mag)}*{_symbol_text(sym)}"
-        pieces.append((sign, body))
-    for c, order, arg in value.residuals:
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        psi = f"psi({order}, {fraction_text(arg)})"
-        body = psi if mag == 1 else f"{_coeff_text(mag)}*{psi}"
-        pieces.append((sign, body))
-    if not pieces:
-        return "0"
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    terms = [(c, None if s == ONE else _symbol_text(s)) for s, c in value.basis_coeffs]
+    terms += [(c, f"psi({o}, {fraction_text(a)})") for c, o, a in value.residuals]
+    return terms_text(terms)

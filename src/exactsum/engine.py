@@ -33,16 +33,17 @@ class SumResult:
 
 
 def _psi_terms(pf: PartialFractions, sign: str):
-    """The master formula's (coeff, order, argument) psi terms of `pf`."""
+    """The master formula's (coeff, order, argument) psi terms of `pf`, built from integers."""
     for a, j, coeff in pf.entries:
-        if coeff == 0:
-            continue
-        if sign == PLAIN:
-            yield (Fraction((-1) ** j, math.factorial(j - 1)) * coeff, j - 1, a + 1)
-        else:
-            c = Fraction((-1) ** j, math.factorial(j - 1) * 2 ** j) * coeff
-            yield (c, j - 1, Fraction(a + 1, 2))
-            yield (-c, j - 1, Fraction(a + 2, 2))
+        if coeff:
+            p, q = a.numerator, a.denominator
+            c, d = (-1) ** j * coeff.numerator, math.factorial(j - 1) * coeff.denominator
+            if sign == PLAIN:
+                yield Fraction(c, d), j - 1, Fraction(p + q, q)
+            else:
+                c = Fraction(c, d << j)
+                yield c, j - 1, Fraction(p + q, 2 * q)
+                yield -c, j - 1, Fraction(p + 2 * q, 2 * q)
 
 
 def evaluate(spec: SumSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> SumResult:

@@ -57,7 +57,7 @@ from fractions import Fraction
 from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
 from .polygamma import (
-    _LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, _exp, _ln1p, bernoulli,
+    _LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, _half_ln2, _ln_ratio, bernoulli,
 )
 from .polys import Polynomial
 
@@ -314,6 +314,63 @@ def _shift_classes(entries, m: int, e: int = 0):
         coeffs = [orders.get(i, 0) for i in range(max(orders), -1, -1)]
         classes.setdefault((r // g, v // g), []).append((k, coeffs))
     return list(classes.items())
+
+
+def _exp(y: int, wy: int, w: int) -> int:
+    """2^w exp(y/2^wy) within one unit, for y/2^wy <= 2^8.
+
+    y = n ln 2 + r with 0 <= r < ln 2, and exp(r) is a Taylor series in
+    r/2^k squared k times, on a grid g bits finer than the w + n bits the
+    result keeps, so a small result costs few bits.
+    """
+    k = math.isqrt(w) // 2 + 1
+    g = k + 2 * w.bit_length() + 16
+    wg = w + g
+    y = y << (wg - wy) if wg >= wy else y >> (wy - wg)
+    n, r = divmod(y, 2 * _half_ln2(wg)[0])
+    if n < -w - 1:
+        return 0
+    p = wg + min(n, 0)
+    x = r >> (wg - p + k)
+    a = x2 = x * x >> p
+    even = odd = 1 << p
+    j = 2
+    while a:  # even = cosh-like terms x^2i/(2i)!, odd = x^2i/(2i+1)!
+        a //= j
+        even += a
+        a //= j + 1
+        odd += a
+        a = a * x2 >> p
+        j += 2
+    s = even + (odd * x >> p)
+    for _ in range(k):
+        s = s * s >> p
+    shift = p - w - n
+    return s >> shift if shift >= 0 else s << -shift
+
+
+@functools.lru_cache(maxsize=256)  # 64 steps per grid
+def _ln_step(i: int, w: int) -> int:
+    """2^w ln(1 + i/64), by which `_ln1p` reduces its argument."""
+    return _ln_ratio(64 + i, 64, w)[0]
+
+
+def _ln1p(e: int, w: int) -> int:
+    """2^w ln(1 + E) for E = e/2^w in [0, 1]: ln(1 + i/64), i = floor(64 E),
+    plus 2 atanh(z) with z = (1 + E - b)/(1 + E + b) <= 2^-7, b = 1 + i/64.
+    The series runs on shifts, where `_ln_ratio` of w-bit integers would
+    divide by one at every term."""
+    i = e >> (w - 6)
+    base = i << (w - 6)
+    z = ((e - base) << w) // ((2 << w) + base + e)
+    z2 = z * z >> w
+    total = a = z
+    j = 3
+    while a:
+        a = a * z2 >> w
+        total += a // j
+        j += 2
+    return 2 * total + (_ln_step(i, w) if i else 0)
 
 
 _C_NUM, _C_SHIFT = 25, 4  # c = 25/16 of E = exp(-2c sinh t): dyadic, near mpmath's pi/2

@@ -11,9 +11,10 @@ Grammar (standard precedence, left associative):
 The value is folded while it is parsed (a syntax-directed translation), so
 no syntax tree is built: each rule returns what it read as an unreduced
 pair (N, D) of integer polynomials, of value N/D, and combines its
-operands' pairs as it reads them.  Decimal literals convert exactly
-(0.5 -> 1/2).  Digits are ASCII only.  Implicit multiplication is a parse
-error with a hint.
+operands' pairs as it reads them.  A literal enters as its lowest-terms
+integer pair (0.5 -> (1, 2)), so no Fraction is built before
+`factor_linear` writes Q over the monic denominator.  Digits are ASCII
+only.  Implicit multiplication is a parse error with a hint.
 
 `parse_expression` (text to pair) and `ast_to_spec` (pair to spec) stay
 two calls, and `ast_to_spec` looks up `factor_linear` in this module,
@@ -28,7 +29,7 @@ import math
 import re
 from fractions import Fraction
 
-from .closedform import fraction_text
+from .closedform import fits_str, fraction_text
 from .errors import DegreeTooHigh, DivisionByZero, ExpressionSyntaxError
 from .partfrac import MAX_DEGREE, MAX_HEIGHT_BITS, SumSpec
 from .polys import FactorList, Polynomial, factor_linear
@@ -48,11 +49,11 @@ def _unexpected(tok) -> str:
     kind, value, _ = tok
     if kind == "end":
         return "unexpected end of input"
-    return f"unexpected token {fraction_text(value) if kind == 'num' else value!r}"
+    return f"unexpected token {fraction_text(Fraction(*value)) if kind == 'num' else value!r}"
 
 
 def _tokenize(text: str):
-    tokens = []  # (kind, value, offset)
+    tokens = []  # (kind, value, offset); a number's value is its pair (p, q)
     i = 0
     while i < len(text):
         ch = text[i]
@@ -69,14 +70,16 @@ def _tokenize(text: str):
                 raise ExpressionSyntaxError("malformed number", end)
             if end == i + 1 and ch == ".":
                 raise ExpressionSyntaxError("malformed number", i)
-            lit = text[i:end]
-            digits = len(lit) - ("." in lit)
-            if digits > _MAX_LITERAL_DIGITS:
+            whole, _, frac = text[i:end].partition(".")
+            digits = whole + frac
+            if len(digits) > _MAX_LITERAL_DIGITS:
                 raise DegreeTooHigh(
-                    f"the expression has a literal of {digits} digits > {_MAX_LITERAL_DIGITS}"
+                    f"the expression has a literal of {len(digits)} digits > {_MAX_LITERAL_DIGITS}"
                 )
-            # Decimal converts without the interpreter's int-to-str digit cap
-            tokens.append(("num", Fraction(decimal.Decimal(lit)), i))
+            p = int(digits) if fits_str(len(digits)) else int(decimal.Decimal(digits))
+            q = 10 ** len(frac)
+            g = math.gcd(p, q)
+            tokens.append(("num", (p // g, q // g), i))
             i = end
             continue
         if ch == "n":
@@ -174,10 +177,10 @@ class _Parser:
             return num, den
         self.advance()
         tok = self.peek()
-        if tok[0] != "num" or tok[1].denominator != 1:
+        if tok[0] != "num" or tok[1][1] != 1:
             raise ExpressionSyntaxError("exponent must be a literal non-negative integer", tok[2])
         self.advance()
-        k = int(tok[1])
+        k = tok[1][0]
         height = max(abs(c).bit_length() for c in num.coeffs + den.coeffs)
         _check_size(max(num.degree, den.degree) * k, height * k)
         return num ** k, den ** k
@@ -196,7 +199,7 @@ class _Parser:
             pair = self.expr()
             self.expect(")")
         elif tok[0] == "num":
-            pair = Polynomial([tok[1].numerator]), Polynomial([tok[1].denominator])
+            pair = Polynomial([tok[1][0]]), Polynomial([tok[1][1]])
         else:
             pair = _N, _ONE
         nxt = self.peek()

@@ -54,8 +54,10 @@ class SumSpec:
     def __post_init__(self):
         if self.sign not in (PLAIN, ALTERNATING):
             raise ValueError(f"unknown sign mode {self.sign!r}")
+        size, den = 0, 1  # sum (|a| + 1) m = size/den
         for a, m in self.factors:
-            if abs(a) > MAX_SHIFT:
+            p, q = abs(a.numerator), a.denominator
+            if p > MAX_SHIFT * q:
                 raise ShiftTooLarge(
                     f"shift {fraction_text(a)} exceeds the limit |a| <= {MAX_SHIFT}"
                 )
@@ -63,11 +65,11 @@ class SumSpec:
                 raise OrderTooLarge(
                     f"pole of order {m} at shift {a} exceeds the limit {MAX_MULTIPLICITY}"
                 )
-        size = sum((abs(a) + 1) * m for a, m in self.factors)
-        if size > MAX_CLOSED_FORM:
+            size, den = size * q + (p + q) * m * den, den * q
+        if -(-size // den) > MAX_CLOSED_FORM:  # the ceiling, as the limit is an integer
             raise ShiftTooLarge(
-                f"sum of (|a| + 1) * m over the poles is {size} > {MAX_CLOSED_FORM}, "
-                "the closed form's limit"
+                f"sum of (|a| + 1) * m over the poles is {fraction_text(Fraction(size, den))} "
+                f"> {MAX_CLOSED_FORM}, the closed form's limit"
             )
         n_total = self.factors.total_degree
         bound = n_total - 2 if self.sign == PLAIN else n_total - 1

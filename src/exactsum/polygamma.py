@@ -251,7 +251,7 @@ def _shift_div(x: int, w: int, den: int) -> int:
 def _log2_size(k: int, n: int, x: Fraction) -> float:
     """A rough log2 |k psi^(n)(x)|, used only to place the first pass's grid."""
     log2_c = math.log2(abs(k))
-    if x < 0:
+    if x.numerator < 0:
         # near a pole the recurrence term n!/delta^(n+1) dominates
         delta = abs(x - round(x))
         return log2_c + _log2_factorial(n) - (n + 1) * math.log2(delta)
@@ -437,63 +437,6 @@ def _scaled_ln(c: int, a: int, b: int, w: int):
     return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
 
 
-def _exp(y: int, wy: int, w: int) -> int:
-    """2^w exp(y/2^wy) within one unit, for y/2^wy <= 2^8.
-
-    y = n ln 2 + r with 0 <= r < ln 2, and exp(r) is a Taylor series in
-    r/2^k squared k times, on a grid g bits finer than the w + n bits the
-    result keeps, so a small result costs few bits.
-    """
-    k = math.isqrt(w) // 2 + 1
-    g = k + 2 * w.bit_length() + 16
-    wg = w + g
-    y = y << (wg - wy) if wg >= wy else y >> (wy - wg)
-    n, r = divmod(y, 2 * _half_ln2(wg)[0])
-    if n < -w - 1:
-        return 0
-    p = wg + min(n, 0)
-    x = r >> (wg - p + k)
-    a = x2 = x * x >> p
-    even = odd = 1 << p
-    j = 2
-    while a:  # even = cosh-like terms x^2i/(2i)!, odd = x^2i/(2i+1)!
-        a //= j
-        even += a
-        a //= j + 1
-        odd += a
-        a = a * x2 >> p
-        j += 2
-    s = even + (odd * x >> p)
-    for _ in range(k):
-        s = s * s >> p
-    shift = p - w - n
-    return s >> shift if shift >= 0 else s << -shift
-
-
-@functools.lru_cache(maxsize=256)  # 64 steps per grid
-def _ln_step(i: int, w: int) -> int:
-    """2^w ln(1 + i/64), by which `_ln1p` reduces its argument."""
-    return _ln_ratio(64 + i, 64, w)[0]
-
-
-def _ln1p(e: int, w: int) -> int:
-    """2^w ln(1 + E) for E = e/2^w in [0, 1]: ln(1 + i/64), i = floor(64 E),
-    plus 2 atanh(z) with z = (1 + E - b)/(1 + E + b) <= 2^-7, b = 1 + i/64.
-    The series runs on shifts, where `_ln_ratio` of w-bit integers would
-    divide by one at every term."""
-    i = e >> (w - 6)
-    base = i << (w - 6)
-    z = ((e - base) << w) // ((2 << w) + base + e)
-    z2 = z * z >> w
-    total = a = z
-    j = 3
-    while a:
-        a = a * z2 >> w
-        total += a // j
-        j += 2
-    return 2 * total + (_ln_step(i, w) if i else 0)
-
-
 def _x_anchored(q: int, p0: int, events, totals: dict, w: int, wd: int):
     """A class's sum on 2^-w, as (value, error), anchored at X past its terms.
 
@@ -580,7 +523,7 @@ def _psi_pass(classes, w: int, wd: int):
 
 
 def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
-    """S = sum c psi^(n)(x) over terms (c, n, x) with exact rational c and x.
+    """S = sum c psi^(n)(x) over terms (c, n, x), c and x ints or Fractions.
 
     With c = s k, s = g/d, the pass sums k psi^(n)(x) on a 2^-W grid, W set
     by the size of that sum; W < 0 when the k lie far above the target's
@@ -603,16 +546,15 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
             raise ValueError("polygamma order must be >= 0")
         if n > MAX_ORDER:
             raise OrderTooLarge(f"order {n} > {MAX_ORDER}")
-        c, x = Fraction(c), Fraction(x)
         if x.denominator == 1 and x <= 0:
-            raise PoleArgument(f"psi^({n}) has a pole at {x}")
+            raise PoleArgument(f"psi^({n}) has a pole at {fraction_text(x)}")
         if c:
             checked.append((c, n, x))
-    # the content s > 0, so that the k = c/s are coprime integers; lists,
-    # not generators: see polys.Polynomial.primitive
-    s = Fraction(math.gcd(*[c.numerator for c, _, _ in checked]),
-                 math.lcm(*[c.denominator for c, _, _ in checked]))
-    g, d = s.numerator, s.denominator
+    # the content s = g/d > 0, so that the k = c/s are coprime integers; g
+    # and d are coprime since each c is in lowest terms; lists, not
+    # generators: see polys.Polynomial.primitive
+    g = math.gcd(*[c.numerator for c, _, _ in checked])
+    d = math.lcm(*[c.denominator for c, _, _ in checked])
     scaled = [(c.numerator * (d // c.denominator) // g, n, x) for c, n, x in checked]
     classes = _classes(scaled)
     est = max((_log2_size(k, n, x) for k, n, x in scaled), default=0.0)
@@ -649,6 +591,6 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
 
 
 def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
-    """psi^(order)(x) as a one-term psi_sum, for any x that Fraction()
-    takes; order 0 is digamma."""
+    """psi^(order)(x) as a one-term psi_sum, for an int or Fraction x;
+    order 0 is digamma."""
     return psi_sum([(1, order, x)], policy)

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .closedform import fraction_text
+from .closedform import fraction_text, terms_text
 from .errors import DuplicateShift, NegativeIntegerShift, NonLinearFactor
 
 # Past this many residues per coefficient, splitting by gcds beats a search
@@ -39,10 +39,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+            cs = cs[:-1]
+        self.coeffs = cs
 
     # -- structure -------------------------------------------------------
 
@@ -81,6 +81,10 @@ class Polynomial:
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Polynomial()
+        small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        if len(small.coeffs) == 1:  # a constant scales the other operand
+            c = small.coeffs[0]
+            return big if c == 1 else big * c
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         rhs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
@@ -94,7 +98,8 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        if k and self.coeffs and not any(self.coeffs[:-1]):  # (c n^j)^k = c^k n^(jk)
+        # for k = 1 the loop returns self: a product with the constant 1 is its other operand
+        if k > 1 and self.coeffs and not any(self.coeffs[:-1]):  # (c n^j)^k = c^k n^(jk)
             return Polynomial([0] * (self.degree * k) + [self.coeffs[-1] ** k])
         result = Polynomial([1])
         base = self
@@ -166,27 +171,8 @@ class Polynomial:
 
     def __str__(self):
         """The polynomial in the input grammar, e.g. `n^3 - 2` or `n^2 + (1/3)*n`."""
-        if self.is_zero():
-            return "0"
-        out = ""
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            coeff = fraction_text(mag) if mag.denominator == 1 else f"({fraction_text(mag)})"
-            power = {0: "", 1: "n"}.get(k, f"n^{k}")
-            if not power:
-                body = coeff
-            elif mag == 1:
-                body = power
-            else:
-                body = f"{coeff}*{power}"
-            if not out:
-                out = ("-" if c < 0 else "") + body
-            else:
-                out += (" - " if c < 0 else " + ") + body
-        return out
+        powers = [(c, {0: None, 1: "n"}.get(k, f"n^{k}")) for k, c in enumerate(self.coeffs) if c]
+        return terms_text(reversed(powers))
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -442,4 +428,7 @@ def factor_linear(p: Polynomial, numerator: Polynomial = None):
     if rest.degree > 0:
         raise NonLinearFactor(rest)
     factors = FactorList([(Fraction(-a, b), m) for (a, b), m in zip(roots, mult) if m])
-    return factors if numerator is None else (numerator * (scale / (content * lead)), factors)
+    if numerator is None:
+        return factors
+    top, low = scale.numerator * content.denominator, scale.denominator * content.numerator * lead
+    return Polynomial([Fraction(c * top, low) for c in numerator.coeffs]), factors

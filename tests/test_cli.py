@@ -274,6 +274,30 @@ class TestLongLiterals:
         assert err == "error: the expression has a literal of 1000000 digits > 19728\n"
 
 
+class TestLoweredIntStrCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1/n^2", "--digits", "1000", "--format", "json"],
+            ["1/n^2", "--digits", "1000", "--verify"],
+            ["1/(n+700)^2", "--format", "exact"],
+            ["1/(n+0." + "3" * 700 + ")^2"],
+        ],
+        ids=["json-1000-digits", "verify-1000-digits", "exact-rational-part", "decimal-literal"],
+    )
+    def test_same_output_under_the_lowest_cap(self, argv, capsys):
+        # 640 is the lowest int-to-str cap the interpreter takes: every long
+        # integer read or printed must go through Decimal, with no traceback
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                   PYTHONINTMAXSTRDIGITS="640")
+        done = subprocess.run([sys.executable, "-m", "exactsum.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
 class TestZeroSummand:
     ZEROS = ["0/n^2", "1/n^2 - 1/n^2", "0"]
 

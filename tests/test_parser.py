@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from exactsum import polys
+from exactsum import parser, polys
 from exactsum.cli import CliRequest, run
 from exactsum.errors import (
     DegreeTooHigh,
@@ -63,6 +63,20 @@ class TestGrammar:
         # a literal p/q in lowest terms enters as the pair (p, q)
         assert parse_expression("0.5") == (Polynomial([1]), Polynomial([2]))
         assert parse_expression("0.1") == (Polynomial([1]), Polynomial([10]))
+
+    @pytest.mark.parametrize(
+        "literal, pair", [("1.50", (3, 2)), (".5", (1, 2)), ("007", (7, 1)), ("1.", (1, 1))]
+    )
+    def test_literal_token_is_a_lowest_terms_pair(self, literal, pair):
+        assert parser._tokenize(literal) == [("num", pair, 0), ("end", None, len(literal))]
+
+    @pytest.mark.parametrize(
+        "expression, offset", [("1..2", 2), (".", 0), ("1/(n+.)", 5), ("1.2.3", 3), ("n+ .", 3)]
+    )
+    def test_malformed_number_offset(self, expression, offset):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(expression)
+        assert str(exc.value) == f"syntax error at offset {offset}: malformed number"
 
     def test_syntax_error_offset_and_hint(self):
         with pytest.raises(ExpressionSyntaxError) as exc:
