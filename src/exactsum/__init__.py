@@ -18,7 +18,6 @@ from .errors import (
     InsufficientTerms,
     NegativeIntegerShift,
     NonLinearFactor,
-    NotApplicable,
     OrderTooLarge,
     PoleArgument,
     PrecisionExhausted,
@@ -42,7 +41,6 @@ __all__ = [
     "InsufficientTerms",
     "NegativeIntegerShift",
     "NonLinearFactor",
-    "NotApplicable",
     "OrderTooLarge",
     "PartialFractions",
     "PoleArgument",

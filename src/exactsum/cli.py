@@ -10,8 +10,9 @@ rounded outward to D digits) must be narrower than one unit in the last
 printed digit and meet the printed value +- half that unit, and the
 quadrature value must agree with it to ceil(D/2) significant digits (to
 10^-ceil(D/2) absolutely when the printed value is 0).  Quadrature
-applies to every sum, plain or alternating, whose shifts are all > -1,
-and integrates the whole partial-fraction table once over [0, 1].
+applies to every sum, plain or alternating: it adds the first k terms, k
+the fewest that leave every shift >= 0, and integrates the rest of the
+partial-fraction table once over [0, 1].
 
 Every number printed is an exact rational until `decimal_text` prints it:
 the value (a rational closed form, or the psi kernel's dyadic, whose text
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .closedform import fraction_text, render
 from .engine import evaluate
-from .errors import ExactSumError, NotApplicable
+from .errors import ExactSumError
 from .oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import ALTERNATING, PLAIN
@@ -59,8 +60,8 @@ def _agrees(result, bracket, quad, digits: int) -> bool:
 
     The bracket must be narrower than the printed value's last unit and
     meet its half-unit interval (an exact zero must lie in the bracket);
-    quadrature, where it applies, must be within 10^-quad_digits(d) |value|,
-    or within 10^-quad_digits(d) of a printed 0.
+    quadrature must be within 10^-quad_digits(d) |value|, or within
+    10^-quad_digits(d) of a printed 0.
     """
     text = decimal.Decimal(result.text)  # read past the int-to-str cap
     printed = Fraction(text)
@@ -68,20 +69,13 @@ def _agrees(result, bracket, quad, digits: int) -> bool:
     lo, hi = bracket.lower, bracket.upper
     narrow = hi - lo <= ulp or not printed
     certified = narrow and lo <= printed + ulp / 2 and hi >= printed - ulp / 2
-    if quad is None:
-        return certified
     tol = Fraction(1, 10 ** quad_digits(digits)) * (abs(result.value) if printed else 1)
     return certified and abs(result.value - quad) <= tol
 
 
 def _quadrature_value(spec, pf, policy):
-    """The quadrature's exact value, or None when a shift is <= -1."""
-    try:
-        if spec.sign == PLAIN:
-            return quad_general(pf, policy)
-        return quad_alternating(pf, policy)
-    except NotApplicable:
-        return None
+    """The quadrature's exact value, for the spec's sign."""
+    return (quad_general if spec.sign == PLAIN else quad_alternating)(pf, policy)
 
 
 def run(request: CliRequest):
@@ -106,7 +100,7 @@ def run(request: CliRequest):
         verify_info = {
             "bracket_lo": decimal_text(bracket.lower, request.digits, -1),
             "bracket_hi": decimal_text(bracket.upper, request.digits, +1),
-            "quadrature": None if quad is None else decimal_text(quad, request.digits),
+            "quadrature": decimal_text(quad, request.digits),
             "agree": verify_ok,
         }
 

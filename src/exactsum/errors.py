@@ -57,10 +57,6 @@ class InsufficientTerms(ExactSumError):
     """Partial-sum bracket would need a head longer than its fixed cap."""
 
 
-class NotApplicable(ExactSumError):
-    """Quadrature oracle declines: parameters outside the integral's domain."""
-
-
 class ConstraintViolated(ExactSumError):
     """Sum of simple-pole coefficients is nonzero; combined integral diverges."""
 

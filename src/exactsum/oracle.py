@@ -8,19 +8,21 @@ partial-fraction table or the polygamma kernel.  Both run on integers
 scaled by 2^W and return exact rationals; no module imports mpmath.
 
 Quadrature is a verifier, not the product: the CLI checks it to
-quad_digits(d) = ceil(d/2) significant digits of the d printed ones.  It
-divides the table by 2^e, e the size of its largest term's sum, and runs
-mpmath's tanh-sinh rule (its levels, truncation and level-error estimate)
-at ten digits more than that, rerunning at more where the estimate plus
-the counted floors is not within that many digits of the integral.  The
-integrand is Horner's rule in L = -ln s per shift class, with one floored
-product per power of s, and W leaves room for the coefficients' size and
-L^(J-1).  A level's nodes and their values (L, powers of s, the weight
-over 1 - sign s^m) are shared by every quadrature in a process-wide cache
-keyed (W, m, degree, depth), W rounded up to 64 bits and depth the
-truncation, of at most 64 levels, the least recently used dropped; every
-value is a function of its key, so no quadrature depends on the cache's
-history or on another thread.
+quad_digits(d) = ceil(d/2) significant digits of the d printed ones.  A
+table with a shift a < 0 has its first k = ceil(-a) terms summed on the
+integral's grid and is shifted by k, so every shift is >= 0 (DLMF
+25.11.25).  It divides the table by 2^e, e the size of its largest term's
+sum, and runs mpmath's tanh-sinh rule (its levels, truncation and
+level-error estimate) at ten digits more than that, rerunning at more
+where the estimate plus the counted floors is not within that many digits
+of the sum.  The integrand is Horner's rule in L = -ln s per shift class,
+with one floored product per power of s, and W leaves room for the
+coefficients' size and L^(J-1).  A level's nodes and their values (L,
+powers of s, the weight over 1 - sign s) are shared by every quadrature in
+a process-wide cache keyed (W, degree, depth), W rounded up to 64 bits and
+depth the truncation, of at most 64 levels, the least recently used
+dropped; every value is a function of its key, so no quadrature depends on
+the cache's history or on another thread.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -43,8 +45,8 @@ divisions, is counted into the half-width.  N, K, p and W are chosen for a
 tolerance aimed from the terms' scale, which takes one pass unless the sum
 cancels far below its terms (see `partial_sum_bracket`); the bracket is
 then widened to 10^-(target+3) |S|, since the engine's numeric value may be
-off by that much.  The oracle fails loudly (InsufficientTerms /
-NotApplicable) rather than ever produce a wrong bracket.
+off by that much.  The oracle fails loudly (InsufficientTerms) rather than
+ever produce a wrong bracket.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstraintViolated, InsufficientTerms, NotApplicable
+from .errors import ConstraintViolated, InsufficientTerms
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
-from .polygamma import (
-    _LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, _half_ln2, _ln_ratio, bernoulli,
-)
+from .polygamma import LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, bernoulli, half_ln2, ln_ratio
 from .polys import Polynomial
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
@@ -144,9 +144,9 @@ def _plan(log2_m: float, rho: int, n: int, log2_tol: float):
     while log2_m + (k + 1) * log2_rho - math.log2(k) - (k - 1) * log2_n - log2_gap > log2_tol:
         k += 1
     # |B_2p| <= 2 zeta(2) (2p)! / (2 pi)^(2p); (2p)! grows by (2p + 1)(2p + 2)
-    p, em = 1, log2_m + 2.72 - 2 * _LOG2_2PI + log2_rho - 2 * log2_gap
+    p, em = 1, log2_m + 2.72 - 2 * LOG2_2PI + log2_rho - 2 * log2_gap
     while em > log2_tol:
-        step = math.log2((2 * p + 1) * (2 * p + 2) * p / (p + 1)) - 2 * (_LOG2_2PI + log2_gap)
+        step = math.log2((2 * p + 1) * (2 * p + 2) * p / (p + 1)) - 2 * (LOG2_2PI + log2_gap)
         if step >= 0:
             return None
         p, em = p + 1, em + step
@@ -274,12 +274,22 @@ def quad_digits(digits: int) -> int:
 
 
 def _table(pf: PartialFractions):
-    """(nonzero entries, m) with m = ceil(1/(1 + min a_i)); needs every a_i > -1."""
+    """(nonzero entries shifted by k, k), k = max(0, ceil(-min a_i)): the sum
+    is its first k terms plus sign^k times the shifted table's."""
     entries = [(a, j, c) for a, j, c in pf.entries if c != 0]
-    if any(a <= -1 for a, _, _ in entries):
-        raise NotApplicable("integral representation needs all a_i > -1")
-    low = min((a for a, _, _ in entries), default=0)
-    return entries, -(-low.denominator // (low.numerator + low.denominator))
+    k = max(0, -math.floor(min((a for a, _, _ in entries), default=0)))
+    return [(a + k, j, c) for a, j, c in entries], k
+
+
+def _head(entries, k: int, sign: int, w: int) -> int:
+    """2^w sum_{n<=k} sign^(n-1) f(n), one floor per (n, entry), f the table
+    before `_table` shifted it by k: n + a_i is i = n - k plus the new a_i."""
+    terms = [(c.numerator * a.denominator ** j << max(0, w), c.denominator << max(0, -w),
+              a.denominator, a.numerator, j) for a, j, c in entries]
+    total = 0
+    for i in range(0, -k, -1):
+        total = sign * total + sum(x // (y * (i * q + p) ** j) for x, y, q, p, j in terms)
+    return total
 
 
 def _scale(entries) -> int:
@@ -293,26 +303,24 @@ def _scale(entries) -> int:
     return math.floor(max(sizes, default=0))
 
 
-def _shift_classes(entries, m: int, e: int = 0):
+def _shift_classes(entries, e: int = 0):
     """The table over 2^e as [(r, [(k, coeffs)])], grouped by power and then by class.
 
-    Entry (a, j, A) adds A m^j/((j-1)! 2^e) to the coefficient of L^(j-1)
-    at the power p = m(a + 1) - 1 >= 0.  A power is p = r + m k with its
-    class r = p mod m in [0, m), kept as (num, den), and an integer k >= 0;
-    the exact coefficients run highest order first, for Horner's rule in L.
+    Entry (a, j, A) adds A/((j-1)! 2^e) to the coefficient of L^(j-1) at
+    the power a >= 0.  A power is a = r + k with its class r = a mod 1 in
+    [0, 1), kept as (num, den), and an integer k >= 0; the exact
+    coefficients run highest order first, for Horner's rule in L.
     """
     powers = {}
     for a, j, c in entries:
-        x, v = m * (a.numerator + a.denominator) - a.denominator, a.denominator  # p = x/v
-        orders = powers.setdefault((x, v), {})
+        orders = powers.setdefault(a, {})
         orders[j - 1] = orders.get(j - 1, 0) + Fraction(
-            c.numerator * m ** j << max(0, -e), c.denominator * math.factorial(j - 1) << max(0, e))
+            c.numerator << max(0, -e), c.denominator * math.factorial(j - 1) << max(0, e))
     classes = {}
-    for (x, v), orders in powers.items():
-        k, r = divmod(x, m * v)
-        g = math.gcd(r, v)
+    for a, orders in powers.items():
+        k, r = divmod(a.numerator, a.denominator)
         coeffs = [orders.get(i, 0) for i in range(max(orders), -1, -1)]
-        classes.setdefault((r // g, v // g), []).append((k, coeffs))
+        classes.setdefault((r, a.denominator), []).append((k, coeffs))
     return list(classes.items())
 
 
@@ -327,7 +335,7 @@ def _exp(y: int, wy: int, w: int) -> int:
     g = k + 2 * w.bit_length() + 16
     wg = w + g
     y = y << (wg - wy) if wg >= wy else y >> (wy - wg)
-    n, r = divmod(y, 2 * _half_ln2(wg)[0])
+    n, r = divmod(y, 2 * half_ln2(wg)[0])
     if n < -w - 1:
         return 0
     p = wg + min(n, 0)
@@ -352,13 +360,13 @@ def _exp(y: int, wy: int, w: int) -> int:
 @functools.lru_cache(maxsize=256)  # 64 steps per grid
 def _ln_step(i: int, w: int) -> int:
     """2^w ln(1 + i/64), by which `_ln1p` reduces its argument."""
-    return _ln_ratio(64 + i, 64, w)[0]
+    return ln_ratio(64 + i, 64, w)[0]
 
 
 def _ln1p(e: int, w: int) -> int:
     """2^w ln(1 + E) for E = e/2^w in [0, 1]: ln(1 + i/64), i = floor(64 E),
     plus 2 atanh(z) with z = (1 + E - b)/(1 + E + b) <= 2^-7, b = 1 + i/64.
-    The series runs on shifts, where `_ln_ratio` of w-bit integers would
+    The series runs on shifts, where `ln_ratio` of w-bit integers would
     divide by one at every term."""
     i = e >> (w - 6)
     base = i << (w - 6)
@@ -376,48 +384,39 @@ def _ln1p(e: int, w: int) -> int:
 _C_NUM, _C_SHIFT = 25, 4  # c = 25/16 of E = exp(-2c sinh t): dyadic, near mpmath's pi/2
 _GRID_STEP = 64  # bits: W is rounded up to a multiple, so requests share node tables
 _NODE_GUARD = 40  # bits finer than L's grid that a level's nodes are computed on
+_LOG_GUARD = 57  # bits below 2^-W that L is kept to; `_floor_counts` counts the rest
 
 
-def _log_guard(m: int) -> int:
-    """Bits below 2^-W that L is kept to: the node-position term of
-    `_floor_counts` grows with m and with the powers p <= m (MAX_SHIFT + 1)."""
-    return 24 + 3 * m.bit_length() + 2 * (MAX_SHIFT + 33).bit_length()
-
-
-def _geometric(s: int, n: int, w: int):
-    """(sum_{i<n} s^i, s^n) on 2^-w for an integer n >= 0, by
-    G(2j) = G(j) (1 + s^j) and G(j + 1) = 1 + s G(j) over n's bits."""
-    one = 1 << w
-    total, power = 0, one
+def _power(s: int, n: int, w: int) -> int:
+    """s^n on 2^-w for an integer n >= 0, squaring over n's bits."""
+    power = 1 << w
     for bit in bin(n)[2:]:
-        total, power = total * (one + power) >> w, power * power >> w
+        power = power * power >> w
         if bit == "1":
-            total, power = one + (s * total >> w), power * s >> w
-    return total, power
+            power = power * s >> w
+    return power
 
 
 class _Level:
-    """The nodes tanh-sinh adds at one level, on the grid W for the power m,
-    down to 1 - s > 2^-depth.
+    """The nodes tanh-sinh adds at one level, on the grid W, down to
+    1 - s > 2^-depth.
 
     Level 1 has t = 0 and t = k/2, level d > 1 the odd multiples of 2^-d,
     and like mpmath the level stops at the first t past the depth, or after
     20 2^d + 1 values of t.  Each t > 0 gives two points, s = 1/(1 + E) and
     E/(1 + E) with E = exp(-2c sinh t), and e^t steps by one product per t.
     A point is a tuple (L, s, 1 - s, h 2c cosh t, values): L = -ln s on
-    2^-(W+lg), that is ln(1 + E), plus 2c sinh t at the second point; the
-    next three on the finer grid wg, where h = 2^-d and
+    2^-(W+_LOG_GUARD), that is ln(1 + E), plus 2c sinh t at the second
+    point; the next three on the finer grid wg, where h = 2^-d and
     h ds/dt = h 2c cosh t s (1 - s); and `values`, filled as met on 2^-W:
-    s^(num/den) under (num, den) and the weight h ds/dt/(1 - sign s^m)
-    under the sign.  lg grows with m, so s^m keeps its precision.  Every
-    value is a function of (W, m, degree, depth), the point's index and the
-    value's key.
+    s^(num/den) under (num, den) and the weight h ds/dt/(1 - sign s) under
+    the sign.  Every value is a function of (W, degree, depth), the point's
+    index and the value's key.
     """
 
-    def __init__(self, big_w: int, m: int, degree: int, depth: int):
-        self.big_w, self.m, self.degree = big_w, m, degree
-        self.lg = _log_guard(m)
-        wg = self.wg = big_w + self.lg + _NODE_GUARD
+    def __init__(self, big_w: int, degree: int, depth: int):
+        self.big_w, self.degree = big_w, degree
+        wg = self.wg = big_w + _LOG_GUARD + _NODE_GUARD
         one = 1 << wg
         self.points = []
         if degree == 1:
@@ -450,39 +449,36 @@ class _Level:
         integer, else exp(-num L/den)."""
         num, den = r
         if den == 1:
-            value = _geometric(point[1], num, self.wg)[1] >> (self.wg - self.big_w)
+            value = _power(point[1], num, self.wg) >> (self.wg - self.big_w)
         else:
-            value = _exp(-(num * point[0]) // den, self.big_w + self.lg, self.big_w)
+            value = _exp(-(num * point[0]) // den, self.big_w + _LOG_GUARD, self.big_w)
         point[4][r] = value
         return value
 
     def scale(self, point, sign: int) -> int:
-        """Store and return h ds/dt/(1 - sign s^m) on 2^-W.  At sign +1 it
-        is h 2c cosh t s/sum_{i<m} s^i, with 1 - s cancelled: no small
-        quotient near s = 1."""
+        """Store and return h ds/dt/(1 - sign s) on 2^-W: at sign +1,
+        h 2c cosh t s, with 1 - s cancelled, so no small quotient near 1."""
         _, s, other, hcosh, values = point
         wg, big_w = self.wg, self.big_w
-        geometric, u = _geometric(s, self.m, wg)
         scaled = hcosh * s >> wg
         if sign > 0:
-            value = (scaled << big_w) // geometric
+            value = scaled >> (wg - big_w)
         else:
-            value = ((scaled * other >> wg) << big_w) // ((1 << wg) + u)
+            value = ((scaled * other >> wg) << big_w) // ((1 << wg) + s)
         values[sign] = value
         return value
 
 
-# _level(W, m, degree, depth): the levels shared by every quadrature in the
-# process; a verify-30d round meets four (W = 128, m = 1, depth 97), ~0.2 MB
+# _level(W, degree, depth): the levels shared by every quadrature in the
+# process; a verify-30d round meets four (W = 128, depth 97), ~0.2 MB
 _level = functools.lru_cache(maxsize=64)(_Level)
 
 
 def _weighted(level: _Level, points, classes, sign: int):
-    """(sum q f(s), sum q) over the points on 2^-W, q = weight/(1 - sign u)
-    and f(s) = sum_r s^r sum_k u^k sum_l c_kl L^l with the coefficients on
+    """(sum q f(s), sum q) over the points on 2^-W, q = weight/(1 - sign s)
+    and f(s) = sum_r s^r sum_k s^k sum_l c_kl L^l with the coefficients on
     2^-W: Horner in L, then one floored product per power and per q."""
-    big_w, m = level.big_w, level.m
-    shift = big_w + level.lg
+    big_w, shift = level.big_w, level.big_w + _LOG_GUARD
     total = weights = 0
     for point in points:
         neglog, values = point[0], point[4]
@@ -494,7 +490,7 @@ def _weighted(level: _Level, points, classes, sign: int):
                 for c in coeffs[1:]:
                     h = (h * neglog >> shift) + c
                 if k:
-                    key = (m * k, 1)
+                    key = (k, 1)
                     u = values.get(key)
                     h = h * (level.power(point, key) if u is None else u) >> big_w
                 part += h
@@ -510,13 +506,13 @@ def _weighted(level: _Level, points, classes, sign: int):
     return total, weights
 
 
-def _floor_counts(groups, m: int, neglog_max: int):
+def _floor_counts(groups, neglog_max: int):
     """(B, C): `_weighted` puts a point of scale q within q B + C units of
     2^-W of its exact q f(s), given node values within 2 units and
     L <= neglog_max.  A Horner step floors twice and later steps grow that
     by L; a product with a node value adds twice the other factor's bound,
-    plus 1; the node's place, within 2^-(W+lg) in L, adds the slope bound
-    4 D 2^-lg, D = (m + 8) sum |c| (p + l + 1)^2 L^l.
+    plus 1; the node's place, within 2^-(W+g) in L for g = _LOG_GUARD,
+    adds the slope bound 4 D 2^-g, D = 9 sum |c| (p + l + 1)^2 L^l.
     """
     top = max(1, neglog_max)
     bound = size = slope = 0
@@ -526,11 +522,11 @@ def _floor_counts(groups, m: int, neglog_max: int):
             n = len(coeffs) - 1
             h = sum(math.ceil(abs(c)) * top ** (n - i) for i, c in enumerate(coeffs))
             bound += 2 * (n + 1) * top ** n + (2 * h + 1 if k else 0)
-            slope += h * -(-(r[0] + (m * k + n + 1) * r[1]) ** 2 // r[1] ** 2)
+            slope += h * -(-(r[0] + (k + n + 1) * r[1]) ** 2 // r[1] ** 2)
             inner += h
         bound += 2 * inner + 1 if r[0] else 0
         size += inner
-    return bound + (4 * (m + 8) * slope >> _log_guard(m)) + 1, 2 * size + 2
+    return bound + (36 * slope >> _LOG_GUARD) + 1, 2 * size + 2
 
 
 def _level_error(results, prec: int, big_w: int):
@@ -549,7 +545,7 @@ def _level_error(results, prec: int, big_w: int):
     return 1, 10 ** -int(min(0, max(d1 * d1 / d2 if d2 else -math.inf, 2 * d1, -prec)))
 
 
-def _tanh_sinh(groups, m: int, sign: int, prec: int):
+def _tanh_sinh(groups, sign: int, prec: int):
     """(W, I, (a, b)): the integral lies within err = a/b of I/2^W.
 
     mpmath's rule at precision prec: levels 1 to its guess_degree(prec),
@@ -561,7 +557,7 @@ def _tanh_sinh(groups, m: int, sign: int, prec: int):
     """
     max_degree = int(4 + max(0, math.log2(prec / 30))) + 2
     neglog_max = math.ceil((prec + 12) * math.log(2))
-    bound, size = _floor_counts(groups, m, neglog_max)
+    bound, size = _floor_counts(groups, neglog_max)
     t_max = math.asinh((prec + 11) * math.log(2) * (1 << _C_SHIFT) / (2 * _C_NUM)) + 1
     count = 2 * ((neglog_max + 2) * bound + math.ceil(2 * t_max * 2 ** max_degree + 2) * size)
     big_w = -(-(prec + 6 + count.bit_length()) // _GRID_STEP) * _GRID_STEP
@@ -569,7 +565,7 @@ def _tanh_sinh(groups, m: int, sign: int, prec: int):
                     for k, coeffs in shifts]) for r, shifts in groups]
     results, total, floors = [], 0, 0
     for degree in range(1, max_degree + 1):
-        level = _level(big_w, m, degree, prec + 11)
+        level = _level(big_w, degree, prec + 11)
         part, weights = _weighted(level, level.points, classes, sign)
         total = (total >> 1) + part
         floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(level.points) * size
@@ -582,26 +578,29 @@ def _tanh_sinh(groups, m: int, sign: int, prec: int):
 
 
 def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
-    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j as one integral over [0, 1].
+    """sum_n sign^(n-1) sum_ij A_ij/(n + a_i)^j: its first k terms (see
+    `_table`) plus sign^k times one integral over [0, 1].
 
     The table is divided by 2^`_scale`, so its terms' sums are near 1 and
-    the integral is too unless they cancel, and the result multiplied back.
-    A pass at dps digits runs `_tanh_sinh` at mpmath's precision for dps
-    and is accepted only when its error is within 10^-quad_digits(d) |I|;
-    otherwise it reruns at the digits it fell short by.  Reruns stop once
-    they resolve _RESOLVE_DIGITS beyond the first pass, where an exact
-    zero ends.
+    the integral is too unless they cancel, and the sum S multiplied back.
+    A pass at dps digits runs `_tanh_sinh` at mpmath's precision for dps,
+    adds the head, and is accepted only when its error is within
+    10^-quad_digits(d) |S|; otherwise it reruns at the digits it fell short
+    by.  Reruns stop once they resolve _RESOLVE_DIGITS beyond the first
+    pass, where an exact zero ends.
     """
-    entries, m = _table(pf)
+    entries, k = _table(pf)
     e = _scale(entries)
-    groups = _shift_classes(entries, m, e)
+    groups = _shift_classes(entries, e)
     want = quad_digits(policy.target_digits)
     dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
         prec = max(1, round((dps + 1) * math.log2(10)))  # mpmath's dps_to_prec
-        big_w, value, (a, b) = _tanh_sinh(groups, m, sign, prec)
-        if a * (10 ** want << big_w) <= abs(value) * b or dps >= ceiling:  # err <= 10^-want |I|
+        big_w, value, (a, b) = _tanh_sinh(groups, sign, prec)
+        value = _head(entries, k, sign, big_w - e) + sign ** k * value
+        a += k * len(entries) * b >> big_w  # the head's floors, one unit each
+        if a * (10 ** want << big_w) <= abs(value) * b or dps >= ceiling:  # err <= 10^-want |S|
             return Fraction(value << max(0, e - big_w), 1 << max(0, big_w - e))
         # the pass resolved max(err, eps) absolutely
         goal = Fraction(abs(value), 10 ** want << big_w)
@@ -622,7 +621,7 @@ def quad_general(
 ) -> Fraction:
     """sum_n sum_ij A_ij/(n + a_i)^j by quadrature of the whole table.
 
-    The j = 1 terms' 1/(1 - u) poles at u = 1 cancel only jointly, under
+    The j = 1 terms' 1/(1 - s) poles at s = 1 cancel only jointly, under
     sum_i A_i1 = 0; without it the integral diverges.
     """
     if pf.simple_pole_sum() != 0:

@@ -188,7 +188,7 @@ def decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
     return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
 
 
-_LOG2_2PI = math.log2(2 * math.pi)
+LOG2_2PI = math.log2(2 * math.pi)
 _GUARD_BITS = 16
 
 
@@ -215,12 +215,12 @@ def _series_plan(order: int, log2_x: float, tol_bits: float):
     n = order
 
     def log2_coeff(k):
-        return 2 + _log2_factorial(2 * k + n - 1) - 2 * k * _LOG2_2PI
+        return 2 + _log2_factorial(2 * k + n - 1) - 2 * k * LOG2_2PI
 
     # The terms C_k / X^(2k+n) fall while 2k + n < 2 pi X: bisect there
     # for the first one below 2^-tol_bits.
     lo = 0
-    hi = max(1, (int(2.0 ** min(60.0, _LOG2_2PI + log2_x)) - n) // 2)
+    hi = max(1, (int(2.0 ** min(60.0, LOG2_2PI + log2_x)) - n) // 2)
     if log2_coeff(hi) - (2 * hi + n) * log2_x >= -tol_bits:
         return None
     while hi - lo > 1:
@@ -404,17 +404,17 @@ def _atanh(u: int, v: int, w: int):
 
 
 @functools.lru_cache(maxsize=8)  # grids; one entry is ~0.5 KB at 1000 digits
-def _half_ln2(w: int):
+def half_ln2(w: int):
     """`_atanh(1, 3, w)` = 2^w ln(2)/2, shared by every request in the process."""
     return _atanh(1, 3, w)
 
 
-def _ln_ratio(a: int, b: int, w: int):
+def ln_ratio(a: int, b: int, w: int):
     """(L, e) with |L - 2^w ln(a/b)| <= e for integers a, b > 0.
 
     a/b = 2^m r with r in [2/3, 4/3], and ln r = 2 atanh((r-1)/(r+1)); the
     ln 2 = 2 atanh(1/3) term, needed only when m != 0, comes from
-    `_half_ln2`.
+    `half_ln2`.
     """
     m = a.bit_length() - b.bit_length()
     a, b = (a, b << m) if m >= 0 else (a << -m, b)
@@ -425,7 +425,7 @@ def _ln_ratio(a: int, b: int, w: int):
     t, e = _atanh(abs(a - b), a + b, w)
     total, err = (2 * t if a >= b else -2 * t), 2 * e
     if m:
-        t, e = _half_ln2(w)
+        t, e = half_ln2(w)
         total, err = total + 2 * m * t, err + 2 * abs(m) * e
     return total, err
 
@@ -433,7 +433,7 @@ def _ln_ratio(a: int, b: int, w: int):
 def _scaled_ln(c: int, a: int, b: int, w: int):
     """(c 2^w ln(a/b), error) for integers a, b > 0 and either sign of w."""
     g = max(abs(c).bit_length() + 2, -w)
-    lg, e = _ln_ratio(a, b, w + g)
+    lg, e = ln_ratio(a, b, w + g)
     return (c * lg) >> g, -((-abs(c) * e) >> g) + 1
 
 

@@ -139,7 +139,7 @@ def cold_psi_cache():
     """Every test starts with empty psi^(n)(b/q) and ln 2 caches, so a spy
     on the kernel sees the ladders and series that a miss runs."""
     polygamma._psi_at_base.cache_clear()
-    polygamma._half_ln2.cache_clear()
+    polygamma.half_ln2.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -575,13 +575,15 @@ class TestVerify:
         assert "quadrature None" not in vline
         assert vline.endswith("agree: true")
 
-    def test_verify_shift_below_minus_one_has_no_quadrature(self):
-        # no integral representation applies; the bracket alone certifies
+    def test_verify_shift_below_minus_one_takes_a_head(self):
+        # quadrature adds the first two terms and integrates the rest
         for sign in ("plain", "alternating"):
-            code, out, _ = _run("1/(n-5/4)^2", sign=sign, verify=True)
+            code, out, _ = _run("1/(n-5/4)^2", sign=sign, format="json", verify=True)
             assert code == 0
-            vline = out.splitlines()[-1]
-            assert "quadrature None" in vline and vline.endswith("agree: true")
+            doc = json.loads(out)
+            assert doc["verify"]["agree"] is True
+            numeric, quad = Decimal(doc["numeric"]), Decimal(doc["verify"]["quadrature"])
+            assert abs(quad - numeric) <= Decimal("1e-15") * abs(numeric)
 
     def test_verify_oracle_error_exit_code(self, capsys, monkeypatch):
         import exactsum.cli as cli_mod
@@ -709,6 +711,40 @@ class TestQuadratureScale:
         code, out, err = _run(expression, sign=sign, digits=digits, format="json", verify=True)
         assert code == 0 and err == ""
         assert json.loads(out)["verify"]["agree"] is True
+
+
+class TestQuadratureHead:
+    """Shifts below 0: quadrature sums a head of k terms and integrates the
+    table shifted by k."""
+
+    @pytest.mark.parametrize("digits", [200, 300])
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_shift_just_above_minus_one(self, sign, digits):
+        # the sum's O(1) part lay within 1 - s < 10^-38 of s = 1 under the
+        # substitution s^(10^40) that a shift of -1 + 10^-40 once took
+        start = time.perf_counter()
+        code, out, err = _run("1/(n-1+1/10^40)^2", sign=sign, digits=digits, format="json",
+                              verify=True)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and err == ""
+        assert json.loads(out)["verify"]["agree"] is True
+        assert elapsed < 1
+
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    def test_head_cancels_the_sum(self, sign):
+        # plain: |S| ~ 1.6e-20 beside a head of ~1
+        expression = "1/(n-1/2)^2 - 3/n^2 + 1/(10^20*n^2)"
+        code, out, err = _run(expression, sign=sign, digits=300, format="json", verify=True)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verify"]["agree"] is True
+
+    @pytest.mark.parametrize("sign", ["plain", "alternating"])
+    @pytest.mark.parametrize("expression", ["1/(n-24999/2)^2", "1/(n-3/2)^2 + 1/(n+1)^3"])
+    def test_reports_a_quadrature(self, expression, sign):
+        code, out, err = _run(expression, sign=sign, format="json", verify=True)
+        assert code == 0 and err == ""
+        v = json.loads(out)["verify"]
+        assert v["quadrature"] is not None and v["agree"] is True
 
 
 class TestJson:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from exactsum.engine import evaluate
-from exactsum.errors import ConstraintViolated, NotApplicable
+from exactsum.errors import ConstraintViolated
 from exactsum import oracle
 from exactsum.oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general
 from exactsum.parser import ast_to_spec, parse_expression
@@ -243,6 +243,9 @@ def test_bracket_contains_psi_reference(pairs, coeffs, sign):
         b = partial_sum_bracket(spec, POLICY)
         assert _holds(b, ref)
         assert to_mpf(b.upper - b.lower) / 2 <= mpmath.mpf(10) ** -33 * abs(ref)
+        # shifts down to -3 take a head of up to 3 terms before the integral
+        quad = (quad_general if sign == "plain" else quad_alternating)(decompose(spec), POLICY)
+        assert abs(to_mpf(quad) - ref) <= mpmath.mpf(10) ** -quad_digits(30) * abs(ref)
 
 
 def _quad(pairs):
@@ -276,8 +279,11 @@ class TestQuadTwoParam:
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_domain(self):
-        with pytest.raises(NotApplicable):
-            _quad([(F(-3, 2), 1), (0, 1)])
+        # the shift -3/2 takes a head of k = 2 terms before the integral
+        with mpmath.workdps(40):
+            ref = _psi_reference(make_spec([(F(-3, 2), 1), (0, 1)]))
+            v = _quad([(F(-3, 2), 1), (0, 1)])
+            assert abs(v - ref) <= mpmath.mpf(10) ** QUAD_TOL_EXP * abs(ref)
 
 
 class TestQuadSquare:
@@ -301,9 +307,12 @@ class TestQuadSquare:
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_domain(self):
-        # -3/2, not -2: a negative integer shift is rejected before quadrature
-        with pytest.raises(NotApplicable):
-            _quad([(F(-3, 2), 2)])
+        # -3/2, not -2: a negative integer shift is rejected before quadrature;
+        # -3/2 takes a head of k = 2 terms, 4 + 4, before the integral
+        with mpmath.workdps(40):
+            ref = mpmath.psi(1, mpmath.mpf(-1) / 2)
+            v = _quad([(F(-3, 2), 2)])
+            assert abs(v - ref) <= mpmath.mpf(10) ** QUAD_TOL_EXP * abs(ref)
 
 
 def _quad_alt(pairs):
@@ -329,8 +338,11 @@ class TestQuadAlternating:
             ) < mpmath.mpf(10) ** QUAD_TOL_EXP
 
     def test_domain(self):
-        with pytest.raises(NotApplicable):
-            _quad_alt([(F(-5, 4), 1)])
+        # the shift -5/4 takes a head of k = 2 terms, 4 - 4/3, before the integral
+        with mpmath.workdps(40):
+            ref = _psi_reference(make_spec([(F(-5, 4), 1)], sign="alternating"))
+            v = _quad_alt([(F(-5, 4), 1)])
+            assert abs(v - ref) <= mpmath.mpf(10) ** QUAD_TOL_EXP * abs(ref)
 
     def test_shift_between_minus_one_and_zero(self):
         # t^(-3/4) near t = 0 cost tanh-sinh all but ~9 digits before t = s^4
@@ -360,9 +372,9 @@ class TestQuadGeneral:
         calls = []
         tanh_sinh = oracle._tanh_sinh
 
-        def counted(groups, m, sign, prec):
+        def counted(groups, sign, prec):
             calls.append(sorted(r for r, _ in groups))
-            return tanh_sinh(groups, m, sign, prec)
+            return tanh_sinh(groups, sign, prec)
 
         monkeypatch.setattr(oracle, "_tanh_sinh", counted)
         quad_general(decompose(make_spec([(0, 2), (F(1, 2), 1)])), POLICY)
@@ -410,9 +422,12 @@ class TestQuadGeneral:
             quad_general(pf, POLICY)
 
     def test_domain(self):
+        # sum 1/(n - 3/2) - 1/n = psi(1) - psi(-1/2), with a head of k = 2 terms
         pf = PartialFractions(((F(-3, 2), 1, F(1)), (F(0), 1, F(-1))))
-        with pytest.raises(NotApplicable):
-            quad_general(pf, POLICY)
+        with mpmath.workdps(40):
+            ref = mpmath.digamma(1) - mpmath.digamma(mpmath.mpf(-1) / 2)
+            v = to_mpf(quad_general(pf, POLICY))
+            assert abs(v - ref) <= mpmath.mpf(10) ** QUAD_TOL_EXP * abs(ref)
 
     def test_substitution_equivalence_with_two_param(self):
         # single simple-pole pair: the x-domain integral equals
@@ -445,17 +460,14 @@ class TestQuadratureValue:
         assert abs(quad - value) <= F(1, 10 ** quad_digits(digits)) * abs(value)
 
 
-def _per_entry_integrand(entries, m, sign):
+def _per_entry_integrand(entries, sign):
     """The integrand term by term, one log and one s**power per entry: s ->
     (value, sum of the terms' moduli)."""
-    terms = [
-        (to_mpf(m * (a + 1) - 1), j - 1, to_mpf(c / math.factorial(j - 1)))
-        for a, j, c in entries
-    ]
+    terms = [(to_mpf(a), j - 1, to_mpf(c / math.factorial(j - 1))) for a, j, c in entries]
 
     def f(s):
-        neglog = -m * mpmath.log(s)
-        scale = m / (1 - sign * s ** m)
+        neglog = -mpmath.log(s)
+        scale = 1 / (1 - sign * s)
         parts = [c * s ** power * neglog ** k * scale for power, k, c in terms]
         return mpmath.fsum(parts), mpmath.fsum(abs(t) for t in parts)
 
@@ -464,8 +476,8 @@ def _per_entry_integrand(entries, m, sign):
 
 @st.composite
 def _integrand_tables(draw):
-    """(entries, m): shifts a in [1/m - 1, 6], so every power m(a + 1) - 1 is
-    >= 0, several of them sharing a fractional part, orders 1-4."""
+    """Entries with shifts a in [1/m - 1, 6], so a head of k = 1 term when
+    m > 1, several of them sharing a fractional part, orders 1-4."""
     m = draw(st.sampled_from([1, 2, 3, 10]))
     den = draw(st.integers(1, 12))
     low = F(1, m) - 1
@@ -480,7 +492,7 @@ def _integrand_tables(draw):
         for a in shifts
         for j in range(1, draw(st.integers(1, 4)) + 1)
     ]
-    return entries, m
+    return entries
 
 
 class TestIntegrand:
@@ -488,19 +500,19 @@ class TestIntegrand:
     per-entry formula, to the floors that the quadrature counts."""
 
     @staticmethod
-    def _agree(entries, m, sign, big_w, degree, picks=None):
-        groups = oracle._shift_classes(entries, m)
+    def _agree(entries, sign, big_w, degree, picks=None):
+        groups = oracle._shift_classes(entries)
         classes = [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
                         for k, coeffs in shifts]) for r, shifts in groups]
-        level = oracle._level(big_w, m, degree, big_w - 20)
+        level = oracle._level(big_w, degree, big_w - 20)
         points = level.points
         if picks is not None:
             points = [points[i % len(points)] for i in picks]
-        grid = big_w + level.lg
+        grid = big_w + oracle._LOG_GUARD
         neglog_max = max(-(-point[0] >> grid) for point in points)
-        bound, size = oracle._floor_counts(groups, m, neglog_max)
+        bound, size = oracle._floor_counts(groups, neglog_max)
         with mpmath.workprec(level.wg + 64):
-            reference = _per_entry_integrand(entries, m, sign)
+            reference = _per_entry_integrand(entries, sign)
             for point in points:
                 (value, q) = oracle._weighted(level, [point], classes, sign)
                 s = mpmath.exp(-mpmath.mpf(point[0]) / 2 ** grid)
@@ -510,35 +522,40 @@ class TestIntegrand:
                 assert abs(value - exact * 2 ** big_w) <= floors
 
     @settings(max_examples=60, deadline=None)
-    @given(table=_integrand_tables(), sign=st.sampled_from([1, -1]),
+    @given(entries=_integrand_tables(), sign=st.sampled_from([1, -1]),
            picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
            degree=st.integers(1, 4), big_w=st.sampled_from([128, 1088]))
-    def test_matches_the_per_entry_formula(self, table, sign, picks, degree, big_w):
-        entries, m = table
+    def test_matches_the_per_entry_formula(self, entries, sign, picks, degree, big_w):
         if sign == 1:
             # quad_general's sum A_i1 = 0, without which the integrand has a
             # 1/L pole at s = 1
             rest = sum((c for _, j, c in entries[1:] if j == 1), F(0))
             entries = [(entries[0][0], 1, -rest)] + entries[1:]
-        self._agree(entries, m, sign, big_w, degree, picks)
+        entries, _ = oracle._table(PartialFractions(tuple(entries)))
+        self._agree(entries, sign, big_w, degree, picks)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_class_one_at_m_two(self, sign):
-        # 1/(n^2 (n - 1/2)): m = 2, and the shift 0 has power 1, class r = 1
-        entries, m = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
-        assert m == 2
-        assert sorted(r for r, _ in oracle._shift_classes(entries, m)) == [(0, 1), (1, 1)]
+    def test_head_of_one_term(self, sign):
+        # 1/(n^2 (n - 1/2)): a head of k = 1 moves the shifts 0 and -1/2 to
+        # the powers 1, in class 0, and 1/2, in class 1/2
+        entries, k = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
+        assert k == 1
+        assert sorted(r for r, _ in oracle._shift_classes(entries)) == [(0, 1), (1, 2)]
         for big_w in (128, 1024):
             for degree in (1, 2):
-                self._agree(entries, m, sign, big_w, degree)
+                self._agree(entries, sign, big_w, degree)
 
-    @pytest.mark.parametrize("shift, m", [(25000, 1), (F(49999, 2), 2), (F(299, 3), 3)])
-    def test_high_powers_of_u(self, shift, m):
-        # 1/(n + 25000)^2 has the power k = 25000 of u = s^m; sum A_i1 = 0
-        entries = [(F(shift), 1, F(3)), (F(shift), 2, F(-1, 2)), (F(1, 2), 1, F(-3))]
+    @pytest.mark.parametrize("shift, k", [(25000, 1), (F(49999, 2), 2), (F(299, 3), 3),
+                                          (25000, 25000)])
+    def test_high_powers_of_u(self, shift, k):
+        # after a head of k terms the shift is the power shift + k of s, up
+        # to 2 MAX_SHIFT for 1/(n + 25000)^2 beside 1/(n - 24999.5); sum A_i1 = 0
+        entries, head = oracle._table(PartialFractions((
+            (F(shift), 1, F(3)), (F(shift), 2, F(-1, 2)), (F(1, 2) - k, 1, F(-3)))))
+        assert head == k
         for big_w in (128, 320):
             for degree in (1, 2, 3):
-                self._agree(entries, m, 1, big_w, degree)
+                self._agree(entries, 1, big_w, degree)
 
 
 class TestLevelError:
@@ -579,7 +596,7 @@ def _quad_both(pairs, digits):
 
 
 class TestNodeMemo:
-    """The process-wide cache of tanh-sinh levels, keyed (W, m, degree, depth)."""
+    """The process-wide cache of tanh-sinh levels, keyed (W, degree, depth)."""
 
     @settings(max_examples=15, deadline=None)
     @given(pairs=_MEMO_SPECS, digits=st.integers(10, 40),
@@ -593,7 +610,7 @@ class TestNodeMemo:
         assert _quad_both(pairs, digits) == cold
 
     def test_entries_are_functions_of_their_keys(self, monkeypatch):
-        # m = 1, 6 and 2 at two precisions
+        # heads of 0 and 1 terms at two precisions
         make, levels = oracle._level.__wrapped__, {}
 
         def recorded(*key):
@@ -604,7 +621,7 @@ class TestNodeMemo:
         for pairs, digits in (([(F(2, 7), 3), (4, 1)], 20), ([(F(1, 3), 2), (F(-5, 6), 2)], 20),
                               ([(F(1, 3), 2), (F(-1, 2), 1)], 30)):
             _quad_both(pairs, digits)
-        assert {m for _, m, _, _ in levels} >= {2, 6}
+        assert len({depth for _, _, depth in levels}) >= 2
         for key, level in levels.items():
             fresh = oracle._Level(*key)
             assert len(fresh.points) == len(level.points)
@@ -617,16 +634,15 @@ class TestNodeMemo:
                 assert point == made
 
     def test_memo_stays_within_its_bound(self):
-        # m = 1, 2, 3, 6 and 12 at four grids make more levels than the cache holds
+        # twenty precisions, each its own depth, make more levels than the cache holds
         pairs = [(F(1, 3), 2), (F(2, 7), 1)]
         cold = _quad_both(pairs, 30)
         size = oracle._level.cache_info().maxsize
-        for shift in (F(-1, 2), F(-2, 3), F(-5, 6), F(-11, 12), F(1, 3)):
-            for digits in (20, 80, 160, 10):
-                _quad_both([(shift, 2), (F(2, 7), 1)], digits)
-                assert oracle._level.cache_info().currsize <= size
+        for digits in range(10, 210, 10):
+            _quad_both([(F(-1, 2), 2), (F(2, 7), 1)], digits)
+            assert oracle._level.cache_info().currsize <= size
         assert oracle._level.cache_info().currsize == size
-        # the first levels were evicted in part by the other grids and m
+        # the first levels were evicted in part by the other grids
         assert _quad_both(pairs, 30) == cold
 
     def test_threads_get_the_serial_quadratures(self):

@@ -239,17 +239,17 @@ class TestLn2Cache:
 
         monkeypatch.setattr(polygamma_module, "_atanh", spy)
         for w in (64, 3411, 64, 3411, 0):
-            assert polygamma_module._half_ln2(w) == atanh(1, 3, w)
+            assert polygamma_module.half_ln2(w) == atanh(1, 3, w)
         assert calls == [(1, 3, 64), (1, 3, 3411), (1, 3, 0)]
         # a ln of a ratio far from 1 takes ln 2 from the cache
         calls.clear()
-        t, e = polygamma_module._ln_ratio(1560, 1, 3411)
+        t, e = polygamma_module.ln_ratio(1560, 1, 3411)
         assert all((u, v) != (1, 3) for u, v, _ in calls)
         with mpmath.workprec(3500):
             assert abs(mpmath.mpf(t) - mpmath.ln(1560) * mpmath.mpf(2) ** 3411) <= e
 
     def test_cache_stays_within_its_bound(self):
-        half_ln2 = polygamma_module._half_ln2
+        half_ln2 = polygamma_module.half_ln2
         size = half_ln2.cache_info().maxsize
         for w in range(size + 5):
             half_ln2(w)
