@@ -29,9 +29,10 @@ atanh series, so no mpmath ln is called.  A class whose totals all cancel
 is a finite sum: its ladder stops at its last term.  Every floor is
 counted, and a Ziv loop reruns a pass whose error does not pin the target
 digits (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann,
-"Modern Computer Arithmetic", ch. 3-4).  The result is one exact dyadic
-whose target-digit decimal_text is true; `polygamma` is a one-term call
-into `psi_sum`.
+"Modern Computer Arithmetic", ch. 3-4).  A pass is accepted when both
+ends of its interval round to the same target digits, compared as
+integers, not as text.  The result is one exact dyadic whose target-digit
+decimal_text is true; `polygamma` is a one-term call into `psi_sum`.
 
 Bernoulli numbers come from tangent numbers in integer arithmetic, cached
 as Fractions for `bernoulli` and as integer pairs for the series; a series
@@ -143,44 +144,65 @@ def bernoulli(m: int) -> Fraction:
 # -- helpers ------------------------------------------------------------------
 
 
-def decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
-    """The rational x/den to `digits` significant digits, in integer arithmetic
-    and in the layout of mpmath's printer with strip_zeros=False.  x is an
-    int or a Fraction, den > 0 an int in any terms (no gcd is taken).
+def _rounded_digits(x, digits: int, direction: int = 0, den: int = 1):
+    """(q, e) with x/den ~ q 10^(e - digits + 1), rounded as in `decimal_text`.
 
-    Direction 0 rounds to nearest, ties away from zero; +1 and -1 round
-    toward +inf and -inf.  The text is fixed point when the leading digit's
-    exponent e has min(-floor(digits/3), -5) < e < digits, else d.ddde+-N.
-    Refs: Steele and White, PLDI 1990; Brent and Zimmermann, op. cit., 1.7.
+    q carries the sign and has exactly `digits` digits, e = floor(log10 of
+    the rounded |x/den|); zero gives (0, 0).  With den x.denominator =
+    odd 2^k, |x/den| 10^s = |num| 5^s 2^(s-k) / odd for s = digits - 1 - e:
+    one product, one shift, and a divmod by the odd part d (d = odd 5^-s
+    when s < 0), which is 1 for a dyadic.  The rounding reads the remainder
+    r and the t bits `low` that the shift drops: to nearest, the fraction
+    (r 2^t + low) / (d 2^t) is >= 1/2 exactly when 2 r + (top bit of low)
+    >= d.
     """
     num, den = x.numerator, x.denominator * den
     if not num:
-        return "0.0"
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    # e = floor(log10 |x|), estimated from the bit lengths to within one
-    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+        return 0, 0
+    mag = abs(num)
+    k = (den & -den).bit_length() - 1
+    odd = den >> k
+    # e = floor(log10 |x|), exact unless |x| lies within ~1e-13 of a power of 10
+    e = math.floor(math.log10(mag) - math.log10(den))
     top = 10 ** digits
     while True:
         shift = digits - 1 - e
-        if shift >= 0:
-            n, d = num * 10 ** shift, den
-        else:
-            n, d = num, den * 10 ** -shift
+        n, d = (mag * 5 ** shift, odd) if shift >= 0 else (mag, odd * 5 ** -shift)
+        t = k - shift  # bits shifted out
+        low, n = (n & ((1 << t) - 1), n >> t) if t > 0 else (0, n << -t)
         q, r = divmod(n, d)  # q = floor(|x| 10^shift)
         step = (q >= top) - (10 * q < top)
         if not step:
             break
         e += step
     if direction == 0:
-        up = 2 * r >= d
+        up = 2 * r + (low >> (t - 1) if t > 0 else 0) >= d
     else:
-        up = r and (direction > 0) == (not sign)
+        up = (r or low) and (direction > 0) == (num > 0)
     if up:
         q += 1
         if q == top:
             q, e = q // 10, e + 1
-    text = fraction_text(q)  # str(q) past the digit cap
+    return (q if num > 0 else -q), e
+
+
+def decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
+    """The rational x/den to `digits` significant digits, in integer arithmetic
+    and in the layout of mpmath's printer with strip_zeros=False.  x is an
+    int or a Fraction, den > 0 an int in any terms (no gcd is taken).
+
+    Direction 0 rounds to nearest, ties away from zero; +1 and -1 round
+    toward +inf and -inf.  The digits come from `_rounded_digits`, which
+    splits the denominator as odd 2^k and divides by the odd part alone.
+    The text is fixed point when the leading digit's exponent e has
+    min(-floor(digits/3), -5) < e < digits, else d.ddde+-N.
+    Refs: Steele and White, PLDI 1990; Brent and Zimmermann, op. cit., 1.7.
+    """
+    q, e = _rounded_digits(x, digits, direction, den)
+    if not q:
+        return "0.0"
+    sign = "-" if q < 0 else ""
+    text = fraction_text(abs(q))  # str(q) past the digit cap
     if not min(-(digits // 3), -5) < e < digits:
         return f"{sign}{text[0]}.{text[1:]}e{e:+d}"
     if e < 0:
@@ -530,10 +552,11 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
     bits.  (g/d) [A - err, A + err] 2^-W is then rounded outward onto the
     2^-(W+t) grid, t = bitlen(d) - bitlen(g) + 1, where one unit of A spans
     at least one unit.  A pass is accepted when |S| exceeds its counted
-    error by 10^(target+3) and both ends of that interval give the same
-    decimal_text at the target digits: that text is the true one.  The
+    error by 10^(target+3) and both ends of that interval round to the
+    same signed target digits and exponent (`_rounded_digits`, compared as
+    integers; no text is built): those digits are the true ones.  The
     interval's midpoint is returned, an exact dyadic; rounding to nearest
-    is monotone, so its decimal_text is that same text.  Otherwise the pass
+    is monotone, so its decimal_text prints those digits.  Otherwise the pass
     reruns at the digits it fell short by, plus a guard (Ziv); when only
     the rounding is undecided, the value lies near a decimal tie and the
     rerun doubles the digits beyond the target.
@@ -573,8 +596,8 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
             # S lies in [v - err, v + err] * scale / den
             scale = 1 << max(0, -w - t)
             den = 1 << max(0, w + t)
-            if err == 0 or (decimal_text((v - err) * scale, target, den=den)
-                            == decimal_text((v + err) * scale, target, den=den)):
+            if err == 0 or (_rounded_digits((v - err) * scale, target, den=den)
+                            == _rounded_digits((v + err) * scale, target, den=den)):
                 return Fraction(v * scale, den)
         if wd >= wd_max:
             raise PrecisionExhausted(

@@ -141,12 +141,8 @@ class Polynomial:
         """
         if not self.coeffs:
             return 0, self
-        # A list, not a generator: on CPython 3.11, unpacking generators of
-        # varying length grew memory ~2 MB over 60 rounds of frontend-30d gcds.
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-        return Fraction(g, den), Polynomial([c // g for c in ints])
+        p, lead = _primitive_part(self.coeffs), self.leading
+        return Fraction(lead.numerator, lead.denominator * p.leading), p
 
     def exact_div(self, other: "Polynomial"):
         """self / other over Z, or None when other does not divide self there.
@@ -178,6 +174,20 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _primitive_part(coeffs) -> Polynomial:
+    """The primitive integer polynomial, lead > 0, that is a rational multiple
+    of the coefficients (ints or Fractions, no trailing zero), with no
+    content built; no coefficients give the zero polynomial."""
+    if not coeffs:
+        return Polynomial()
+    # A list, not a generator: on CPython 3.11, unpacking generators of
+    # varying length grew memory ~2 MB over 60 rounds of frontend-30d gcds.
+    den = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return Polynomial([c // g for c in ints])
+
+
 def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
     """Primitive part of a pseudo-remainder of integer a by integer b.
 
@@ -194,7 +204,7 @@ def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
             rem = [c * scale for c in rem]
             for i, c in enumerate(low):
                 rem[k + i] -= top * c
-    return Polynomial(rem).primitive()[1]
+    return _primitive_part(Polynomial(rem).coeffs)
 
 
 def primitive_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -205,7 +215,7 @@ def primitive_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    a, b = p.primitive()[1], q.primitive()[1]
+    a, b = _primitive_part(p.coeffs), _primitive_part(q.coeffs)
     while not b.is_zero():
         a, b = b, _pseudo_remainder(a, b)
     return a

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath
 import pytest
 
 from exactsum import oracle, polygamma
+from exactsum.closedform import fraction_text
 from exactsum.polys import FactorList, Polynomial, primitive_gcd
 from exactsum.partfrac import SumSpec
 
@@ -58,6 +60,53 @@ def reduced(num: Polynomial, den: Polynomial):
     g = primitive_gcd(num, den)
     num, den = num.exact_div(g), den.exact_div(g)
     return num * (cn / (cd * den.leading)), den
+
+
+def reference_decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
+    """`polygamma.decimal_text` by one division by the whole denominator:
+    the reference that the product-and-shift digits are compared with.
+
+    The rational x/den to `digits` significant digits, in integer arithmetic
+    and in the layout of mpmath's printer with strip_zeros=False.  x is an
+    int or a Fraction, den > 0 an int in any terms (no gcd is taken).
+
+    Direction 0 rounds to nearest, ties away from zero; +1 and -1 round
+    toward +inf and -inf.  The text is fixed point when the leading digit's
+    exponent e has min(-floor(digits/3), -5) < e < digits, else d.ddde+-N.
+    """
+    num, den = x.numerator, x.denominator * den
+    if not num:
+        return "0.0"
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # e = floor(log10 |x|), estimated from the bit lengths to within one
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    top = 10 ** digits
+    while True:
+        shift = digits - 1 - e
+        if shift >= 0:
+            n, d = num * 10 ** shift, den
+        else:
+            n, d = num, den * 10 ** -shift
+        q, r = divmod(n, d)  # q = floor(|x| 10^shift)
+        step = (q >= top) - (10 * q < top)
+        if not step:
+            break
+        e += step
+    if direction == 0:
+        up = 2 * r >= d
+    else:
+        up = r and (direction > 0) == (not sign)
+    if up:
+        q += 1
+        if q == top:
+            q, e = q // 10, e + 1
+    text = fraction_text(q)  # str(q) past the digit cap
+    if not min(-(digits // 3), -5) < e < digits:
+        return f"{sign}{text[0]}.{text[1:]}e{e:+d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{text}"
+    return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
 
 
 def recombine(pf):

@@ -17,7 +17,7 @@ from exactsum.polygamma import (
     PrecisionPolicy, _ladder, _shift_div, bernoulli, decimal_text, polygamma, psi_sum,
 )
 
-from conftest import to_mpf
+from conftest import reference_decimal_text, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 
@@ -501,10 +501,62 @@ def test_near_tie_reruns_until_the_rounding_is_decided(monkeypatch):
     assert len(passes) >= 3
 
 
+@pytest.mark.parametrize("digits", [10, 1000])
+def test_ends_compared_as_integers_rerun_near_a_tie(monkeypatch, digits):
+    # pi^2/6 + r (psi(2) - psi(1)) lies ~10^-(digits+30) above the tie
+    # 1 + 5 10^-digits; a pass whose two ends round to different digits,
+    # (q, e) and (q + 1, e), reruns, and at 1000 digits the ends are
+    # ~3370-bit dyadics
+    rounded, ends = polygamma_module._rounded_digits, []
+
+    def spy(x, target, direction=0, den=1):
+        result = rounded(x, target, direction, den)
+        ends.append((result, den))
+        return result
+
+    monkeypatch.setattr(polygamma_module, "_rounded_digits", spy)
+    tie = 1 + F(5, 10 ** digits)
+    with mpmath.workdps(digits + 80):
+        scaled = mpmath.pi ** 2 / 6 * mpmath.mpf(10) ** (digits + 30)
+        assert 10 ** -30 < scaled - mpmath.floor(scaled) < 1 - 10 ** -30
+        r = tie - F(int(mpmath.floor(scaled)), 10 ** (digits + 30))
+    value = psi_sum([(1, 1, 1), (-r, 0, 1), (r, 0, 2)], PrecisionPolicy(digits))
+    monkeypatch.undo()
+    pairs = [(ends[i][0], ends[i + 1][0]) for i in range(0, len(ends), 2)]
+    low = (10 ** (digits - 1), 0)
+    assert pairs[-1] == ((low[0] + 1, 0),) * 2
+    assert (low, (low[0] + 1, 0)) in pairs[:-1]
+    assert decimal_text(value, digits) == "1." + "0" * (digits - 2) + "1"
+    if digits == 1000:
+        assert min(den.bit_length() for _, den in ends) > 3300
+
+
 def test_exact_zero_reaches_the_precision_ceiling():
     # psi'(1/3) + psi'(2/3) = 4 pi^2/3 = 8 psi'(1): no pass can bound the sum away from 0
     with pytest.raises(PrecisionExhausted):
         psi_sum([(1, 1, F(1, 3)), (1, 1, F(2, 3)), (-8, 1, 1)])
+
+
+@st.composite
+def decimal_cases(draw):
+    """(x, digits, den): psi_sum's (int, 2^k) ends, odd 2^k denominators
+    on x and on den, and values within one unit of the den grid of a tie."""
+    digits = draw(st.integers(10, 1000))
+    kind = draw(st.sampled_from(["psi_sum", "odd", "tie"]))
+    if kind == "psi_sum":
+        return draw(st.integers(-(2 ** 3400), 2 ** 3400)), digits, 1 << draw(st.integers(0, 3500))
+    odd = 2 * draw(st.integers(0, 2 ** 200)) + 1
+    den = draw(st.sampled_from([1, 3, 5 ** 7, 2 * draw(st.integers(0, 2 ** 20)) + 1]))
+    den <<= draw(st.integers(0, 400))
+    x_den = odd << draw(st.integers(0, 3400))
+    if kind == "odd":
+        return F(draw(st.integers(-(2 ** 4000), 2 ** 4000)), x_den), digits, den
+    # the tie (10 q + 5) 10^(e - digits), then floor(tie D) or one unit above it
+    q = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    tie = (10 * q + 5) * F(10) ** (draw(st.integers(-40, 40)) - digits)
+    big_d = x_den * den
+    units = tie.numerator * big_d // tie.denominator + draw(st.sampled_from([0, 1]))
+    return F(units * draw(st.sampled_from([1, -1])), x_den), digits, den
 
 
 class TestDecimalText:
@@ -573,6 +625,14 @@ class TestDecimalText:
         assert decimal_text(x, 10, -1) == "9.999999999"
         assert decimal_text(-x, 10, -1) == "-10.00000000"
         assert decimal_text(-x, 10, 1) == "-9.999999999"
+
+    @settings(max_examples=400, deadline=None)
+    @given(decimal_cases())
+    def test_matches_the_division_reference(self, case):
+        x, digits, den = case
+        for direction in (-1, 0, 1):
+            assert (decimal_text(x, digits, direction, den=den)
+                    == reference_decimal_text(x, digits, direction, den=den))
 
     def test_more_digits_than_the_int_to_str_cap(self):
         # a rational library value at 5000 digits; str() of an int stops at 4300
