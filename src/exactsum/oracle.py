@@ -16,13 +16,15 @@ sum, and runs mpmath's tanh-sinh rule (its levels, truncation and
 level-error estimate) at ten digits more than that, rerunning at more
 where the estimate plus the counted floors is not within that many digits
 of the sum.  The integrand is Horner's rule in L = -ln s per shift class,
-with one floored product per power of s, and W leaves room for the
-coefficients' size and L^(J-1).  A level's nodes and their values (L,
-powers of s, the weight over 1 - sign s) are shared by every quadrature in
-a process-wide cache keyed (W, degree, depth), W rounded up to 64 bits and
-depth the truncation, of at most 64 levels, the least recently used
-dropped; every value is a function of its key, so no quadrature depends on
-the cache's history or on another thread.
+with one floored product per power of s, run over a whole level at once,
+and W leaves room for the coefficients' size and L^(J-1).  A level holds
+its nodes and one column per value met at them (a power of s, the weight
+over 1 - sign s), the value at every node; levels are shared by every
+quadrature in a process-wide cache keyed (W, degree, depth), W rounded up
+to 64 bits and depth the truncation, of at most 64 levels, the least
+recently used dropped.  Every column is a function of its level's key and
+its own, so no quadrature depends on the cache's history or on another
+thread.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -59,7 +61,7 @@ from fractions import Fraction
 from .errors import ConstraintViolated, InsufficientTerms
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
 from .polygamma import LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, bernoulli, half_ln2, ln_ratio
-from .polys import Polynomial
+from .polys import linear_product
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
 _RESOLVE_DIGITS = 60  # digits of cancellation below the sum's scale resolved beyond the target
@@ -105,14 +107,6 @@ def _series_errors(length: int, poles: int, count: int) -> tuple:
 # -- partial-sum bracket -----------------------------------------------------------
 
 
-def _den(c: int, poles) -> Polynomial:
-    """c prod (v n - u) over the poles u/v, as pairs (u, v)."""
-    coeffs = [c]
-    for u, v in poles:
-        coeffs = [v * y - u * x for x, y in zip(coeffs + [0], [0] + coeffs)]
-    return Polynomial(coeffs)
-
-
 def _summand(spec: SumSpec):
     """(num, den, poles): h = num/den in integer polynomials, each pole u/v
     as the pair (u, v), once per multiplicity."""
@@ -121,10 +115,11 @@ def _summand(spec: SumSpec):
     num = num * (content.numerator * math.prod(a.denominator ** m for a, m in spec.factors))
     poles = [(-a.numerator, a.denominator) for a, m in spec.factors for _ in range(m)]
     if spec.sign == PLAIN:
-        return num, _den(content.denominator, poles), poles
+        return num, linear_product(poles) * content.denominator, poles
     # h(x) = f(2x - 1) - f(2x): f's pole u/v moves to (u + v)/2v and u/2v
     odd, even = [(u + v, 2 * v) for u, v in poles], [(u, 2 * v) for u, v in poles]
-    odd_den, even_den = _den(content.denominator, odd), _den(content.denominator, even)
+    odd_den = linear_product(odd) * content.denominator
+    even_den = linear_product(even) * content.denominator
     return (num.compose(2, -1) * even_den - num.compose(2, 0) * odd_den,
             odd_den * even_den, odd + even)
 
@@ -399,26 +394,25 @@ def _power(s: int, n: int, w: int) -> int:
 
 class _Level:
     """The nodes tanh-sinh adds at one level, on the grid W, down to
-    1 - s > 2^-depth.
+    1 - s > 2^-depth, and the values met at them.
 
     Level 1 has t = 0 and t = k/2, level d > 1 the odd multiples of 2^-d,
     and like mpmath the level stops at the first t past the depth, or after
     20 2^d + 1 values of t.  Each t > 0 gives two points, s = 1/(1 + E) and
     E/(1 + E) with E = exp(-2c sinh t), and e^t steps by one product per t.
-    A point is a tuple (L, s, 1 - s, h 2c cosh t, values): L = -ln s on
+    A point is a tuple (L, s, 1 - s, h 2c cosh t): L = -ln s on
     2^-(W+_LOG_GUARD), that is ln(1 + E), plus 2c sinh t at the second
-    point; the next three on the finer grid wg, where h = 2^-d and
-    h ds/dt = h 2c cosh t s (1 - s); and `values`, filled as met on 2^-W:
-    s^(num/den) under (num, den) and the weight h ds/dt/(1 - sign s) under
-    the sign.  Every value is a function of (W, degree, depth), the point's
-    index and the value's key.
+    point; the rest on the finer grid wg, where h = 2^-d and h ds/dt =
+    h 2c cosh t s (1 - s).  `columns` maps a value's key to that value at
+    every point, on 2^-W, made by `column` on first use.  Every column is a
+    function of (W, degree, depth) and its key.
     """
 
     def __init__(self, big_w: int, degree: int, depth: int):
         self.big_w, self.degree = big_w, degree
         wg = self.wg = big_w + _LOG_GUARD + _NODE_GUARD
         one = 1 << wg
-        self.points = []
+        self.points, self.columns = [], {}
         if degree == 1:
             self._add(one, one, depth)
         et = _exp(1, degree, wg)  # e^t at the first t, 1/2^d
@@ -439,76 +433,69 @@ class _Level:
         if near_zero <= one >> depth:
             return False
         neglog = _ln1p(big_e, wg)
-        self.points.append((neglog >> _NODE_GUARD, near_one, near_zero, hcosh, {}))
+        self.points.append((neglog >> _NODE_GUARD, near_one, near_zero, hcosh))
         if x:
-            self.points.append(((neglog + x) >> _NODE_GUARD, near_zero, near_one, hcosh, {}))
+            self.points.append(((neglog + x) >> _NODE_GUARD, near_zero, near_one, hcosh))
         return True
 
-    def power(self, point, r) -> int:
-        """Store and return s^(num/den) on 2^-W: a binary power for an
-        integer, else exp(-num L/den)."""
-        num, den = r
-        if den == 1:
-            value = _power(point[1], num, self.wg) >> (self.wg - self.big_w)
-        else:
-            value = _exp(-(num * point[0]) // den, self.big_w + _LOG_GUARD, self.big_w)
-        point[4][r] = value
-        return value
+    def column(self, key) -> list:
+        """The value under `key` at every point on 2^-W, stored on first use.
 
-    def scale(self, point, sign: int) -> int:
-        """Store and return h ds/dt/(1 - sign s) on 2^-W: at sign +1,
-        h 2c cosh t s, with 1 - s cancelled, so no small quotient near 1."""
-        _, s, other, hcosh, values = point
+        Under (num, den), s^(num/den): a binary power for den = 1, else
+        exp(-num L/den).  Under the sign, the weight h ds/dt/(1 - sign s):
+        at sign +1, h 2c cosh t s, with 1 - s cancelled, so no small
+        quotient near 1.
+        """
+        column = self.columns.get(key)
+        if column is not None:
+            return column
         wg, big_w = self.wg, self.big_w
-        scaled = hcosh * s >> wg
-        if sign > 0:
-            value = scaled >> (wg - big_w)
+        if isinstance(key, tuple):
+            num, den = key
+            if den == 1:
+                column = [_power(s, num, wg) >> (wg - big_w) for _, s, _, _ in self.points]
+            else:
+                column = [_exp(-(num * neglog) // den, big_w + _LOG_GUARD, big_w)
+                          for neglog, _, _, _ in self.points]
+        elif key > 0:
+            column = [(hcosh * s >> wg) >> (wg - big_w) for _, s, _, hcosh in self.points]
         else:
-            value = ((scaled * other >> wg) << big_w) // ((1 << wg) + s)
-        values[sign] = value
-        return value
+            column = [((hcosh * s >> wg) * other >> wg << big_w) // ((1 << wg) + s)
+                      for _, s, other, hcosh in self.points]
+        self.columns[key] = column
+        return column
 
 
 # _level(W, degree, depth): the levels shared by every quadrature in the
-# process; a verify-30d round meets four (W = 128, depth 97), ~0.2 MB
+# process; a verify-30d round meets four (W = 128, depth 97), ~0.15 MB
 _level = functools.lru_cache(maxsize=64)(_Level)
 
 
-def _weighted(level: _Level, points, classes, sign: int):
-    """(sum q f(s), sum q) over the points on 2^-W, q = weight/(1 - sign s)
-    and f(s) = sum_r s^r sum_k s^k sum_l c_kl L^l with the coefficients on
-    2^-W: Horner in L, then one floored product per power and per q."""
+def _integrand(level: _Level, classes) -> list:
+    """f(s) = sum_r s^r sum_k s^k sum_l c_kl L^l at every point of the level,
+    with the coefficients on 2^-W: Horner in L, then one floored product per
+    power and per class."""
     big_w, shift = level.big_w, level.big_w + _LOG_GUARD
-    total = weights = 0
-    for point in points:
-        neglog, values = point[0], point[4]
-        f = 0
-        for r, shifts in classes:
-            part = 0
-            for k, coeffs in shifts:
-                h = coeffs[0]
-                for c in coeffs[1:]:
-                    h = (h * neglog >> shift) + c
-                if k:
-                    key = (k, 1)
-                    u = values.get(key)
-                    h = h * (level.power(point, key) if u is None else u) >> big_w
-                part += h
-            if r[0]:
-                v = values.get(r)
-                part = part * (level.power(point, r) if v is None else v) >> big_w
-            f += part
-        q = values.get(sign)
-        if q is None:
-            q = level.scale(point, sign)
-        total += f * q >> big_w
-        weights += q
-    return total, weights
+    neglogs = [point[0] for point in level.points]
+    f = [0] * len(neglogs)
+    for r, shifts in classes:
+        part = [0] * len(neglogs)
+        for k, coeffs in shifts:
+            h = [coeffs[0]] * len(neglogs)
+            for c in coeffs[1:]:
+                h = [(x * neglog >> shift) + c for x, neglog in zip(h, neglogs)]
+            if k:
+                h = [x * u >> big_w for x, u in zip(h, level.column((k, 1)))]
+            part = [p + x for p, x in zip(part, h)]
+        if r[0]:
+            part = [p * v >> big_w for p, v in zip(part, level.column(r))]
+        f = [a + b for a, b in zip(f, part)]
+    return f
 
 
 def _floor_counts(groups, neglog_max: int):
-    """(B, C): `_weighted` puts a point of scale q within q B + C units of
-    2^-W of its exact q f(s), given node values within 2 units and
+    """(B, C): `_integrand`'s f times a weight q, floored, is within q B + C
+    units of 2^-W of its exact q f(s), given node values within 2 units and
     L <= neglog_max.  A Horner step floors twice and later steps grow that
     by L; a product with a node value adds twice the other factor's bound,
     plus 1; the node's place, within 2^-(W+g) in L for g = _LOG_GUARD,
@@ -566,8 +553,9 @@ def _tanh_sinh(groups, sign: int, prec: int):
     results, total, floors = [], 0, 0
     for degree in range(1, max_degree + 1):
         level = _level(big_w, degree, prec + 11)
-        part, weights = _weighted(level, level.points, classes, sign)
-        total = (total >> 1) + part
+        q = level.column(sign)
+        total = (total >> 1) + sum(x * y >> big_w for x, y in zip(_integrand(level, classes), q))
+        weights = sum(q)
         floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(level.points) * size
         results.append(total)
         if degree > 1:

@@ -340,7 +340,7 @@ def _rational_roots(f: Polynomial):
     the roots found before it, a simple root there too, and once p^e
     exceeds twice the bound, N is the symmetric residue of lead * z.  A
     candidate N / lead is kept only if f divides exactly over Z by q n - p',
-    for p'/q its lowest terms.
+    for p'/q its lowest terms, and returned as the pair (p', q), q > 0.
     """
     ints, dints, lead = f.coeffs, f.derivative().coeffs, f.leading
     p = 1
@@ -358,8 +358,10 @@ def _rational_roots(f: Polynomial):
             m *= m
             r = (r - _value_mod(ints, r, m) * pow(_value_mod(dints, r, m), -1, m)) % m
         num = lead * r % m
-        root = Fraction(num - m if 2 * num > m else num, lead)
-        quot = f.exact_div(Polynomial([-root.numerator, root.denominator]))
+        num = num - m if 2 * num > m else num
+        g = math.gcd(num, lead)  # lead > 0 keeps q > 0
+        root = num // g, lead // g
+        quot = f.exact_div(Polynomial([-root[0], root[1]]))
         if quot is not None:
             roots.append(root)
             f = quot
@@ -367,7 +369,7 @@ def _rational_roots(f: Polynomial):
     return roots, f
 
 
-def _linear_product(roots) -> Polynomial:
+def linear_product(roots) -> Polynomial:
     """The product of the linear factors q n - p of the roots (p, q)."""
     out = [1]
     for p, q in roots:
@@ -393,10 +395,10 @@ def _linear_part(f: Polynomial):
     over its linear factors, has no rational root.
     """
     g = primitive_gcd(f, f.derivative())
-    roots = [(r.numerator, r.denominator) for r in _rational_roots(f.exact_div(g))[0]]
+    roots = _rational_roots(f.exact_div(g))[0]
     mult, live = [1] * len(roots), range(len(roots))
     while live and g.degree > 0:
-        quot = g.exact_div(_linear_product(roots[i] for i in live))
+        quot = g.exact_div(linear_product(roots[i] for i in live))
         if quot is None:
             live = [i for i in live if _vanishes(g, *roots[i])]
             continue
@@ -404,7 +406,7 @@ def _linear_part(f: Polynomial):
         for i in live:
             mult[i] += 1
     linear = [r for r, m in zip(roots, mult) for _ in range(m)]
-    rest = f.exact_div(_linear_product(linear)) if len(linear) < f.degree else Polynomial([1])
+    rest = f.exact_div(linear_product(linear)) if len(linear) < f.degree else Polynomial([1])
     return roots, mult, rest
 
 

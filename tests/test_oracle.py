@@ -17,7 +17,7 @@ from exactsum.partfrac import MAX_SHIFT, PartialFractions, decompose
 from exactsum.polygamma import PrecisionPolicy
 from exactsum.polys import Polynomial
 
-from conftest import make_spec, random_plain_spec, to_mpf
+from conftest import make_spec, random_plain_spec, reference_weighted, to_mpf
 
 POLICY = PrecisionPolicy(target_digits=30)
 QUAD_TOL_EXP = -15  # error target 10^(-target/2)
@@ -500,21 +500,27 @@ class TestIntegrand:
     per-entry formula, to the floors that the quadrature counts."""
 
     @staticmethod
-    def _agree(entries, sign, big_w, degree, picks=None):
+    def _classes(entries, big_w):
         groups = oracle._shift_classes(entries)
-        classes = [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
-                        for k, coeffs in shifts]) for r, shifts in groups]
+        return groups, [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
+                              for k, coeffs in shifts]) for r, shifts in groups]
+
+    @classmethod
+    def _agree(cls, entries, sign, big_w, degree, picks=None):
+        groups, classes = cls._classes(entries, big_w)
         level = oracle._level(big_w, degree, big_w - 20)
-        points = level.points
+        indices = range(len(level.points))
         if picks is not None:
-            points = [points[i % len(points)] for i in picks]
+            indices = [i % len(level.points) for i in picks]
+        points = [level.points[i] for i in indices]
         grid = big_w + oracle._LOG_GUARD
         neglog_max = max(-(-point[0] >> grid) for point in points)
         bound, size = oracle._floor_counts(groups, neglog_max)
+        f, weights = oracle._integrand(level, classes), level.column(sign)
         with mpmath.workprec(level.wg + 64):
             reference = _per_entry_integrand(entries, sign)
-            for point in points:
-                (value, q) = oracle._weighted(level, [point], classes, sign)
+            for i, point in zip(indices, points):
+                value, q = f[i] * weights[i] >> big_w, weights[i]
                 s = mpmath.exp(-mpmath.mpf(point[0]) / 2 ** grid)
                 weight = mpmath.mpf(point[1] * point[2] * point[3]) / 2 ** (3 * level.wg)
                 exact = weight * reference(s)[0]
@@ -533,6 +539,18 @@ class TestIntegrand:
             entries = [(entries[0][0], 1, -rest)] + entries[1:]
         entries, _ = oracle._table(PartialFractions(tuple(entries)))
         self._agree(entries, sign, big_w, degree, picks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_integrand_tables(), sign=st.sampled_from([1, -1]),
+           degree=st.integers(1, 4), big_w=st.sampled_from([128, 1088]))
+    def test_columns_match_the_per_point_reference(self, entries, sign, degree, big_w):
+        # the same operands, floors and order at every point, so the same integers
+        entries, _ = oracle._table(PartialFractions(tuple(entries)))
+        classes = self._classes(entries, big_w)[1]
+        level = oracle._level(big_w, degree, big_w - 20)
+        f, q = oracle._integrand(level, classes), level.column(sign)
+        assert (sum(x * y >> big_w for x, y in zip(f, q)), sum(q)) == \
+            reference_weighted(level, classes, sign)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_head_of_one_term(self, sign):
@@ -624,14 +642,10 @@ class TestNodeMemo:
         assert len({depth for _, _, depth in levels}) >= 2
         for key, level in levels.items():
             fresh = oracle._Level(*key)
-            assert len(fresh.points) == len(level.points)
-            for point, made in zip(fresh.points, level.points):
-                for value_key in made[4]:
-                    if isinstance(value_key, tuple):
-                        fresh.power(point, value_key)
-                    else:
-                        fresh.scale(point, value_key)
-                assert point == made
+            assert fresh.points == level.points
+            for column_key in level.columns:
+                fresh.column(column_key)
+            assert fresh.columns == level.columns
 
     def test_memo_stays_within_its_bound(self):
         # twenty precisions, each its own depth, make more levels than the cache holds
