@@ -15,16 +15,17 @@ integral's grid and is shifted by k, so every shift is >= 0 (DLMF
 sum, and runs mpmath's tanh-sinh rule (its levels, truncation and
 level-error estimate) at ten digits more than that, rerunning at more
 where the estimate plus the counted floors is not within that many digits
-of the sum.  The integrand is Horner's rule in L = -ln s per shift class,
-with one floored product per power of s, run over a whole level at once,
-and W leaves room for the coefficients' size and L^(J-1).  A level holds
-its nodes and one column per value met at them (a power of s, the weight
-over 1 - sign s), the value at every node; levels are shared by every
-quadrature in a process-wide cache keyed (W, degree, depth), W rounded up
-to 64 bits and depth the truncation, of at most 64 levels, the least
-recently used dropped.  Every column is a function of its level's key and
-its own, so no quadrature depends on the cache's history or on another
-thread.
+of the sum.  The integrand is one Horner's rule over the table's powers of
+s, highest first: each power adds its polynomial in L = -ln s, and one
+floored product by s^gap steps to the next power.  It runs over a whole
+level at once, and W leaves room for the coefficients' size and L^(J-1).
+A level holds its nodes and one column per value met at them (a power of
+s, the weight over 1 - sign s), the value at every node; levels are shared
+by every quadrature in a process-wide cache keyed (W, degree, depth), W
+rounded up to 64 bits and depth the truncation, of at most 64 levels, the
+least recently used dropped.  Every column is a function of its level's
+key and its own, so no quadrature depends on the cache's history or on
+another thread.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -298,25 +299,20 @@ def _scale(entries) -> int:
     return math.floor(max(sizes, default=0))
 
 
-def _shift_classes(entries, e: int = 0):
-    """The table over 2^e as [(r, [(k, coeffs)])], grouped by power and then by class.
+def _by_power(entries, e: int = 0):
+    """The table over 2^e as [(a, coeffs)], one per power a >= 0, highest first.
 
     Entry (a, j, A) adds A/((j-1)! 2^e) to the coefficient of L^(j-1) at
-    the power a >= 0.  A power is a = r + k with its class r = a mod 1 in
-    [0, 1), kept as (num, den), and an integer k >= 0; the exact
-    coefficients run highest order first, for Horner's rule in L.
+    the power a; the exact coefficients run highest order first, for
+    Horner's rule in L.
     """
     powers = {}
     for a, j, c in entries:
         orders = powers.setdefault(a, {})
         orders[j - 1] = orders.get(j - 1, 0) + Fraction(
             c.numerator << max(0, -e), c.denominator * math.factorial(j - 1) << max(0, e))
-    classes = {}
-    for a, orders in powers.items():
-        k, r = divmod(a.numerator, a.denominator)
-        coeffs = [orders.get(i, 0) for i in range(max(orders), -1, -1)]
-        classes.setdefault((r, a.denominator), []).append((k, coeffs))
-    return list(classes.items())
+    return [(a, [orders.get(i, 0) for i in range(max(orders), -1, -1)])
+            for a, orders in sorted(powers.items(), reverse=True)]
 
 
 def _exp(y: int, wy: int, w: int) -> int:
@@ -471,48 +467,43 @@ class _Level:
 _level = functools.lru_cache(maxsize=64)(_Level)
 
 
-def _integrand(level: _Level, classes) -> list:
-    """f(s) = sum_r s^r sum_k s^k sum_l c_kl L^l at every point of the level,
-    with the coefficients on 2^-W: Horner in L, then one floored product per
-    power and per class."""
+def _integrand(level: _Level, powers) -> list:
+    """f(s) = sum_i s^(a_i) sum_l c_il L^l at every point of the level, with
+    the coefficients on 2^-W: Horner's rule over the powers, highest first,
+    adding each one's Horner polynomial in L and then multiplying by
+    s^(a_i - a_(i+1)), or by s^(a_last) after the last, in one floored
+    product each."""
     big_w, shift = level.big_w, level.big_w + _LOG_GUARD
     neglogs = [point[0] for point in level.points]
     f = [0] * len(neglogs)
-    for r, shifts in classes:
-        part = [0] * len(neglogs)
-        for k, coeffs in shifts:
-            h = [coeffs[0]] * len(neglogs)
-            for c in coeffs[1:]:
-                h = [(x * neglog >> shift) + c for x, neglog in zip(h, neglogs)]
-            if k:
-                h = [x * u >> big_w for x, u in zip(h, level.column((k, 1)))]
-            part = [p + x for p, x in zip(part, h)]
-        if r[0]:
-            part = [p * v >> big_w for p, v in zip(part, level.column(r))]
-        f = [a + b for a, b in zip(f, part)]
+    for (a, coeffs), (b, _) in zip(powers, powers[1:] + [(0, [])]):
+        h = [coeffs[0]] * len(neglogs)
+        for c in coeffs[1:]:
+            h = [(x * neglog >> shift) + c for x, neglog in zip(h, neglogs)]
+        f = [x + y for x, y in zip(f, h)]
+        gap = a - b
+        if gap:
+            f = [x * u >> big_w for x, u in zip(f, level.column((gap.numerator, gap.denominator)))]
     return f
 
 
-def _floor_counts(groups, neglog_max: int):
+def _floor_counts(powers, neglog_max: int):
     """(B, C): `_integrand`'s f times a weight q, floored, is within q B + C
     units of 2^-W of its exact q f(s), given node values within 2 units and
     L <= neglog_max.  A Horner step floors twice and later steps grow that
     by L; a product with a node value adds twice the other factor's bound,
-    plus 1; the node's place, within 2^-(W+g) in L for g = _LOG_GUARD,
-    adds the slope bound 4 D 2^-g, D = 9 sum |c| (p + l + 1)^2 L^l.
+    the sum of the Horner bounds so far, plus 1; the node's place, within
+    2^-(W+g) in L for g = _LOG_GUARD, adds the slope bound 4 D 2^-g,
+    D = 9 sum |c| (a + l + 1)^2 L^l.
     """
     top = max(1, neglog_max)
     bound = size = slope = 0
-    for r, shifts in groups:
-        inner = 0
-        for k, coeffs in shifts:
-            n = len(coeffs) - 1
-            h = sum(math.ceil(abs(c)) * top ** (n - i) for i, c in enumerate(coeffs))
-            bound += 2 * (n + 1) * top ** n + (2 * h + 1 if k else 0)
-            slope += h * -(-(r[0] + (k + n + 1) * r[1]) ** 2 // r[1] ** 2)
-            inner += h
-        bound += 2 * inner + 1 if r[0] else 0
-        size += inner
+    for (a, coeffs), (b, _) in zip(powers, powers[1:] + [(0, [])]):
+        n = len(coeffs) - 1
+        h = sum(math.ceil(abs(c)) * top ** (n - i) for i, c in enumerate(coeffs))
+        size += h
+        bound += 2 * (n + 1) * top ** n + (2 * size + 1 if a != b else 0)
+        slope += h * math.ceil((a + n + 1) ** 2)
     return bound + (36 * slope >> _LOG_GUARD) + 1, 2 * size + 2
 
 
@@ -532,7 +523,7 @@ def _level_error(results, prec: int, big_w: int):
     return 1, 10 ** -int(min(0, max(d1 * d1 / d2 if d2 else -math.inf, 2 * d1, -prec)))
 
 
-def _tanh_sinh(groups, sign: int, prec: int):
+def _tanh_sinh(table, sign: int, prec: int):
     """(W, I, (a, b)): the integral lies within err = a/b of I/2^W.
 
     mpmath's rule at precision prec: levels 1 to its guess_degree(prec),
@@ -544,17 +535,16 @@ def _tanh_sinh(groups, sign: int, prec: int):
     """
     max_degree = int(4 + max(0, math.log2(prec / 30))) + 2
     neglog_max = math.ceil((prec + 12) * math.log(2))
-    bound, size = _floor_counts(groups, neglog_max)
+    bound, size = _floor_counts(table, neglog_max)
     t_max = math.asinh((prec + 11) * math.log(2) * (1 << _C_SHIFT) / (2 * _C_NUM)) + 1
     count = 2 * ((neglog_max + 2) * bound + math.ceil(2 * t_max * 2 ** max_degree + 2) * size)
     big_w = -(-(prec + 6 + count.bit_length()) // _GRID_STEP) * _GRID_STEP
-    classes = [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
-                    for k, coeffs in shifts]) for r, shifts in groups]
+    powers = [(a, [(c.numerator << big_w) // c.denominator for c in coeffs]) for a, coeffs in table]
     results, total, floors = [], 0, 0
     for degree in range(1, max_degree + 1):
         level = _level(big_w, degree, prec + 11)
         q = level.column(sign)
-        total = (total >> 1) + sum(x * y >> big_w for x, y in zip(_integrand(level, classes), q))
+        total = (total >> 1) + sum(x * y >> big_w for x, y in zip(_integrand(level, powers), q))
         weights = sum(q)
         floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(level.points) * size
         results.append(total)
@@ -579,13 +569,13 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
     """
     entries, k = _table(pf)
     e = _scale(entries)
-    groups = _shift_classes(entries, e)
+    table = _by_power(entries, e)
     want = quad_digits(policy.target_digits)
     dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
         prec = max(1, round((dps + 1) * math.log2(10)))  # mpmath's dps_to_prec
-        big_w, value, (a, b) = _tanh_sinh(groups, sign, prec)
+        big_w, value, (a, b) = _tanh_sinh(table, sign, prec)
         value = _head(entries, k, sign, big_w - e) + sign ** k * value
         a += k * len(entries) * b >> big_w  # the head's floors, one unit each
         if a * (10 ** want << big_w) <= abs(value) * b or dps >= ceiling:  # err <= 10^-want |S|

@@ -232,8 +232,10 @@ class FactorList:
 
     def __init__(self, pairs: Sequence):
         # checked in ascending order, so that of several negative integer
-        # shifts the same one is named whatever order they come in
-        norm = sorted(((Fraction(a), int(m)) for a, m in pairs), key=lambda t: t[0])
+        # shifts the same one is named whatever order they come in; a Fraction
+        # shift is kept as given
+        norm = sorted(((a if isinstance(a, Fraction) else Fraction(a), int(m)) for a, m in pairs),
+                      key=lambda t: t[0])
         for a, m in norm:
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m}")

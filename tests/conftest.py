@@ -109,32 +109,29 @@ def reference_decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> 
     return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
 
 
-def reference_weighted(level, classes, sign: int):
+def reference_weighted(level, powers, sign: int):
     """(sum q f(s), sum q) over a tanh-sinh level, point by point: the
     reference that the column integrand is compared with.
 
-    q is the level's weight column under `sign` and f(s) = sum_r s^r sum_k
-    s^k sum_l c_kl L^l, with the coefficients on 2^-W: Horner in L, then
-    one floored product per power and per q, node values read as
-    `level.column(key)[i]`.
+    q is the level's weight column under `sign` and f(s) = sum_i s^(a_i)
+    sum_l c_il L^l, with the coefficients on 2^-W: Horner's rule over the
+    powers, highest first, adding each one's Horner polynomial in L, then
+    one floored product by s^(a_i - a_(i+1)), or by s^(a_last) after the
+    last, and one by q, node values read as `level.column(key)[i]`.
     """
     big_w, shift = level.big_w, level.big_w + oracle._LOG_GUARD
     total = weights = 0
     for i, point in enumerate(level.points):
         neglog = point[0]
         f = 0
-        for r, shifts in classes:
-            part = 0
-            for k, coeffs in shifts:
-                h = coeffs[0]
-                for c in coeffs[1:]:
-                    h = (h * neglog >> shift) + c
-                if k:
-                    h = h * level.column((k, 1))[i] >> big_w
-                part += h
-            if r[0]:
-                part = part * level.column(r)[i] >> big_w
-            f += part
+        for (a, coeffs), (b, _) in zip(powers, powers[1:] + [(0, [])]):
+            h = coeffs[0]
+            for c in coeffs[1:]:
+                h = (h * neglog >> shift) + c
+            f += h
+            gap = a - b
+            if gap:
+                f = f * level.column((gap.numerator, gap.denominator))[i] >> big_w
         q = level.column(sign)[i]
         total += f * q >> big_w
         weights += q

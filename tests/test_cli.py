@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from exactsum import engine, parser
+from exactsum import engine, oracle, parser
 from exactsum.cli import CliRequest, main, run
 from exactsum.engine import evaluate
 from exactsum.errors import (
@@ -26,8 +26,8 @@ from exactsum.errors import (
     NonLinearFactor,
     ShiftTooLarge,
 )
-from exactsum.partfrac import MAX_SHIFT
-from exactsum.polygamma import decimal_text
+from exactsum.partfrac import MAX_SHIFT, decompose
+from exactsum.polygamma import PrecisionPolicy, decimal_text
 from exactsum.polys import FactorList, factor_linear
 
 from conftest import expand
@@ -358,6 +358,23 @@ class TestFactoring:
         assert time.perf_counter() - start < 0.5
         # mpmath.nsum agrees to all 30 digits
         assert code == 0 and json.loads(out)["numeric"] == "1.52042757974121615814398467522e-15"
+
+    def test_seventh_shifts_quadrature_makes_one_gap_column(self, monkeypatch):
+        # the powers k/7 are 1/7 apart and the lowest is 0, so on a fresh level
+        # the integrand makes the one value column s^(1/7) beside the weight
+        levels, make = [], oracle._level
+
+        def recorded(*key):
+            levels.append(make(*key))
+            return levels[-1]
+
+        monkeypatch.setattr(oracle, "_level", recorded)
+        policy = PrecisionPolicy(target_digits=30)
+        spec = parser.ast_to_spec(parser.parse_expression(self.SEVENTHS), "plain")
+        quad = oracle.quad_general(decompose(spec), policy)
+        assert levels and {key for level in levels for key in level.columns} == {1, (1, 7)}
+        psi = evaluate(spec, policy).value
+        assert abs(quad - psi) <= F(1, 10 ** 15) * abs(psi)
 
     def test_no_floating_point_root_finder(self, monkeypatch):
         def refuse(*args, **kwargs):

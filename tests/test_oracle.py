@@ -73,17 +73,6 @@ class TestPartialSumBracket:
             assert _holds(b, 2 - mpmath.pi / 2)
             assert b.upper - b.lower <= F(1, 10 ** 4)
 
-    def test_exact_small_path(self):
-        with mpmath.workdps(40):
-            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
-            assert _holds(b, mpmath.pi ** 2 / 6)
-
-    def test_numpy_large_path(self):
-        with mpmath.workdps(40):
-            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
-            assert _holds(b, mpmath.pi ** 2 / 6)
-            assert b.upper - b.lower < F("5e-5")
-
     def test_negative_summand_bracket(self):
         # Q = -1: negative terms put the tail below the partial sum
         with mpmath.workdps(40):
@@ -368,17 +357,17 @@ class TestQuadAlternating:
 
 class TestQuadGeneral:
     def test_one_integral_over_the_unit_interval(self, monkeypatch):
-        # both shift classes of the table go to one tanh-sinh pass over [0, 1]
+        # both powers of the table go to one tanh-sinh pass over [0, 1]
         calls = []
         tanh_sinh = oracle._tanh_sinh
 
-        def counted(groups, sign, prec):
-            calls.append(sorted(r for r, _ in groups))
-            return tanh_sinh(groups, sign, prec)
+        def counted(table, sign, prec):
+            calls.append([a for a, _ in table])
+            return tanh_sinh(table, sign, prec)
 
         monkeypatch.setattr(oracle, "_tanh_sinh", counted)
         quad_general(decompose(make_spec([(0, 2), (F(1, 2), 1)])), POLICY)
-        assert calls == [[(0, 1), (1, 2)]]
+        assert calls == [[F(1, 2), 0]]
 
     @pytest.mark.parametrize("shift", [20, 200])
     def test_relative_accuracy_far_below_one(self, shift):
@@ -500,14 +489,14 @@ class TestIntegrand:
     per-entry formula, to the floors that the quadrature counts."""
 
     @staticmethod
-    def _classes(entries, big_w):
-        groups = oracle._shift_classes(entries)
-        return groups, [(r, [(k, [(c.numerator << big_w) // c.denominator for c in coeffs])
-                              for k, coeffs in shifts]) for r, shifts in groups]
+    def _powers(entries, big_w):
+        table = oracle._by_power(entries)
+        return table, [(a, [(c.numerator << big_w) // c.denominator for c in coeffs])
+                       for a, coeffs in table]
 
     @classmethod
     def _agree(cls, entries, sign, big_w, degree, picks=None):
-        groups, classes = cls._classes(entries, big_w)
+        table, powers = cls._powers(entries, big_w)
         level = oracle._level(big_w, degree, big_w - 20)
         indices = range(len(level.points))
         if picks is not None:
@@ -515,8 +504,8 @@ class TestIntegrand:
         points = [level.points[i] for i in indices]
         grid = big_w + oracle._LOG_GUARD
         neglog_max = max(-(-point[0] >> grid) for point in points)
-        bound, size = oracle._floor_counts(groups, neglog_max)
-        f, weights = oracle._integrand(level, classes), level.column(sign)
+        bound, size = oracle._floor_counts(table, neglog_max)
+        f, weights = oracle._integrand(level, powers), level.column(sign)
         with mpmath.workprec(level.wg + 64):
             reference = _per_entry_integrand(entries, sign)
             for i, point in zip(indices, points):
@@ -546,19 +535,19 @@ class TestIntegrand:
     def test_columns_match_the_per_point_reference(self, entries, sign, degree, big_w):
         # the same operands, floors and order at every point, so the same integers
         entries, _ = oracle._table(PartialFractions(tuple(entries)))
-        classes = self._classes(entries, big_w)[1]
+        powers = self._powers(entries, big_w)[1]
         level = oracle._level(big_w, degree, big_w - 20)
-        f, q = oracle._integrand(level, classes), level.column(sign)
+        f, q = oracle._integrand(level, powers), level.column(sign)
         assert (sum(x * y >> big_w for x, y in zip(f, q)), sum(q)) == \
-            reference_weighted(level, classes, sign)
+            reference_weighted(level, powers, sign)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_head_of_one_term(self, sign):
         # 1/(n^2 (n - 1/2)): a head of k = 1 moves the shifts 0 and -1/2 to
-        # the powers 1, in class 0, and 1/2, in class 1/2
+        # the powers 1 and 1/2
         entries, k = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
         assert k == 1
-        assert sorted(r for r, _ in oracle._shift_classes(entries)) == [(0, 1), (1, 2)]
+        assert [a for a, _ in oracle._by_power(entries)] == [1, F(1, 2)]
         for big_w in (128, 1024):
             for degree in (1, 2):
                 self._agree(entries, sign, big_w, degree)

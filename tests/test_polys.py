@@ -203,6 +203,12 @@ class TestFactorList:
     def test_total_degree(self):
         assert FactorList([(0, 2), (F(1, 2), 1)]).total_degree == 3
 
+    def test_fraction_shifts_kept_and_others_wrapped(self):
+        half = F(1, 2)
+        (zero, _), (kept, _) = FactorList([(half, 1), (0, 2)]).pairs
+        assert kept is half
+        assert type(zero) is F and zero == 0
+
 
 class TestRfNormalize:
     """Reduction of a quotient by the test helper `reduced`."""
