@@ -73,6 +73,17 @@ class TestPartialSumBracket:
             assert _holds(b, 2 - mpmath.pi / 2)
             assert b.upper - b.lower <= F(1, 10 ** 4)
 
+    def test_exact_small_path(self):
+        with mpmath.workdps(40):
+            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
+            assert _holds(b, mpmath.pi ** 2 / 6)
+
+    def test_numpy_large_path(self):
+        with mpmath.workdps(40):
+            b = partial_sum_bracket(make_spec([(0, 2)]), POLICY)
+            assert _holds(b, mpmath.pi ** 2 / 6)
+            assert b.upper - b.lower < F("5e-5")
+
     def test_negative_summand_bracket(self):
         # Q = -1: negative terms put the tail below the partial sum
         with mpmath.workdps(40):
