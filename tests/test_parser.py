@@ -109,6 +109,60 @@ class TestGrammar:
         assert parse_expression(" 1 / ( n + 1 ) ") == parse_expression("1/(n+1)")
 
 
+_EXPECTED = "expected a number, 'n', '(' or '-'"
+_IMPLICIT = "implicit multiplication is not supported"
+_EXPONENT = "exponent must be a literal non-negative integer"
+
+
+@pytest.mark.parametrize("text, error, offset, message, hint", [
+    # the tokenizer
+    ("1/n^2 $", ExpressionSyntaxError, 6, "unexpected character '$'",
+     "expected a number, 'n' or an operator"),
+    ("1..5/n^2", ExpressionSyntaxError, 2, "malformed number", None),
+    (".", ExpressionSyntaxError, 0, "malformed number", None),
+    ("9" * 20000, DegreeTooHigh, None, "the expression has a literal of 20000 digits > 19728",
+     None),
+    # an exponent
+    ("n^-1", ExpressionSyntaxError, 2, _EXPONENT, None),
+    ("n^1.5", ExpressionSyntaxError, 2, _EXPONENT, None),
+    ("n^(2)", ExpressionSyntaxError, 2, _EXPONENT, None),
+    ("n^", ExpressionSyntaxError, 2, _EXPONENT, None),
+    # an operand followed by an operand
+    ("2n", ExpressionSyntaxError, 1, _IMPLICIT, "write '*' explicitly"),
+    ("n(n+1)", ExpressionSyntaxError, 1, _IMPLICIT, "write '*' explicitly"),
+    ("(n)(n+1)", ExpressionSyntaxError, 3, _IMPLICIT, "write '*' explicitly"),
+    ("n 2", ExpressionSyntaxError, 2, _IMPLICIT, "write '*' explicitly"),
+    ("2 3", ExpressionSyntaxError, 2, "unexpected token '3'", None),
+    ("2 1.5", ExpressionSyntaxError, 2, "unexpected token '3/2'", None),
+    ("n^2 n", ExpressionSyntaxError, 4, "unexpected token 'n'", None),
+    ("2^2(n)", ExpressionSyntaxError, 3, "unexpected token '('",
+     "implicit multiplication is not supported; write '*' explicitly"),
+    # a missing operand or parenthesis
+    ("1/(n^2", ExpressionSyntaxError, 6, "unexpected end of input", "expected ')'"),
+    (")", ExpressionSyntaxError, 0, "unexpected token ')'", _EXPECTED),
+    ("*n", ExpressionSyntaxError, 0, "unexpected token '*'", _EXPECTED),
+    ("n+*2", ExpressionSyntaxError, 2, "unexpected token '*'", _EXPECTED),
+    ("-", ExpressionSyntaxError, 1, "unexpected end of input", _EXPECTED),
+    # the value
+    ("n/((n+1)*(2-2))", DivisionByZero, None, "division by zero", None),
+    ("1/0", DivisionByZero, None, "division by zero", None),
+    ("n^257", DegreeTooHigh, None, "the expression has degree 257 > 256", None),
+    ("0*n^300", DegreeTooHigh, None, "the expression has degree 300 > 256", None),
+    ("(n+1)^200*(n+1)^100", DegreeTooHigh, None, "the expression has degree 300 > 256", None),
+    ("n^200/2 + n^100/3", DegreeTooHigh, None, "the expression has degree 300 > 256", None),
+    ("3^100000", DegreeTooHigh, None,
+     "the expression has coefficients of 200000 bits > 65536", None),
+])
+def test_error_class_offset_message_and_hint(text, error, offset, message, hint):
+    with pytest.raises(ExactSumError) as exc:
+        parse_expression(text)
+    assert type(exc.value) is error
+    if error is ExpressionSyntaxError:
+        assert (exc.value.offset, exc.value.hint) == (offset, hint)
+        message = f"syntax error at offset {offset}: {message}" + (f" ({hint})" if hint else "")
+    assert str(exc.value) == message
+
+
 class TestAstToSpec:
     def test_half_shift_pair(self):
         spec = ast_to_spec(parse_expression("1/(n^2+n/2)"), "plain")
