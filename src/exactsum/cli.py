@@ -8,11 +8,11 @@ Exit codes: 0 success, 2 input/validation error, 3 verification failure.
 --verify certifies the printed value: the partial-sum bracket (printed
 rounded outward to D digits) must be narrower than one unit in the last
 printed digit and meet the printed value +- half that unit, and the
-quadrature value must agree with it to ceil(D/2) significant digits (to
-10^-ceil(D/2) absolutely when the printed value is 0).  Quadrature
-applies to every sum, plain or alternating: it adds the first k terms, k
-the fewest that leave every shift >= 0, and integrates the rest of the
-partial-fraction table once over [0, 1].
+quadrature value (printed to ceil(D/2) digits) must agree with it to
+ceil(D/2) significant digits (to 10^-ceil(D/2) absolutely when the printed
+value is 0).  Quadrature applies to every sum, plain or alternating: it
+adds the first k terms, k the fewest that leave every shift >= 0, and
+integrates the rest of the partial-fraction table once over [0, 1].
 
 Every number printed is an exact rational until `decimal_text` prints it:
 the value (a rational closed form, or the psi kernel's dyadic, whose text
@@ -100,7 +100,7 @@ def run(request: CliRequest):
         verify_info = {
             "bracket_lo": decimal_text(bracket.lower, request.digits, -1),
             "bracket_hi": decimal_text(bracket.upper, request.digits, +1),
-            "quadrature": decimal_text(quad, request.digits),
+            "quadrature": decimal_text(quad, quad_digits(request.digits)),
             "agree": verify_ok,
         }
 

@@ -9,12 +9,15 @@ Grammar (standard precedence, left associative):
     rational := uint ('/' uint)? | decimal literal
 
 The value is folded while it is parsed (a syntax-directed translation), so
-no syntax tree is built: each rule returns what it read as an unreduced
-pair (N, D) of integer polynomials, of value N/D, and combines its
-operands' pairs as it reads them.  A literal enters as its lowest-terms
-integer pair (0.5 -> (1, 2)), so no Fraction is built before
-`factor_linear` writes Q over the monic denominator.  Digits are ASCII
-only.  Implicit multiplication is a parse error with a hint.
+no syntax tree is built: nested rule functions walk the token list with one
+local index, and each returns the value of what it read.  A literal enters
+as its lowest-terms integer pair (0.5 -> (1, 2)), so no Fraction is built
+before `factor_linear` writes Q over the monic denominator.  Literals, n and
+n^k are monomials c n^k / d of three integers, and a run of terms joined by
++ and - over one shared denominator, such as an expanded c_k n^k + ... + c_0,
+adds into one integer coefficient list.  A Polynomial is made only where a
+product, a quotient, the power of a non-monomial or a parenthesized sum
+needs one.  Digits are ASCII only; implicit multiplication is an error.
 
 `parse_expression` (text to pair) and `ast_to_spec` (pair to spec) stay
 two calls, and `ast_to_spec` looks up `factor_linear` in this module,
@@ -54,179 +57,193 @@ def _unexpected(tok) -> str:
 
 def _tokenize(text: str):
     tokens = []  # (kind, value, offset); a number's value is its pair (p, q)
-    i = 0
-    while i < len(text):
+    i, size = 0, len(text)
+    while i < size:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _PUNCT:
             tokens.append((ch, ch, i))
             i += 1
-            continue
-        if ch in "0123456789.":
-            end = _NUMBER.match(text, i).end()
-            if text.startswith(".", end):
-                raise ExpressionSyntaxError("malformed number", end)
-            if end == i + 1 and ch == ".":
-                raise ExpressionSyntaxError("malformed number", i)
-            whole, _, frac = text[i:end].partition(".")
-            digits = whole + frac
-            if len(digits) > _MAX_LITERAL_DIGITS:
-                raise DegreeTooHigh(
-                    f"the expression has a literal of {len(digits)} digits > {_MAX_LITERAL_DIGITS}"
-                )
-            p = int(digits) if fits_str(len(digits)) else int(decimal.Decimal(digits))
-            q = 10 ** len(frac)
-            g = math.gcd(p, q)
-            tokens.append(("num", (p // g, q // g), i))
-            i = end
-            continue
-        if ch == "n":
+        elif ch == "n":
             tokens.append(("var", "n", i))
             i += 1
-            continue
-        raise ExpressionSyntaxError(
-            f"unexpected character {ch!r}", i, "expected a number, 'n' or an operator"
-        )
-    tokens.append(("end", None, len(text)))
+        elif ch in "0123456789.":
+            end = _NUMBER.match(text, i).end()
+            digits, q = text[i:end], 1
+            if "." in digits:  # else the match ended at no '.', and p/1 is in lowest terms
+                if text.startswith(".", end):
+                    raise ExpressionSyntaxError("malformed number", end)
+                if end == i + 1:
+                    raise ExpressionSyntaxError("malformed number", i)
+                whole, _, frac = digits.partition(".")
+                digits, q = whole + frac, 10 ** len(frac)
+            if len(digits) > _MAX_LITERAL_DIGITS:
+                raise DegreeTooHigh(
+                    f"the expression has a literal of {len(digits)} digits > {_MAX_LITERAL_DIGITS}")
+            p = int(digits) if fits_str(len(digits)) else int(decimal.Decimal(digits))
+            if q > 1:
+                g = math.gcd(p, q)
+                p, q = p // g, q // g
+            tokens.append(("num", (p, q), i))
+            i = end
+        elif ch.isspace():
+            i += 1
+        else:
+            raise ExpressionSyntaxError(
+                f"unexpected character {ch!r}", i, "expected a number, 'n' or an operator")
+    tokens.append(("end", None, size))
     return tokens
 
 
 # -- recursive descent, folding as it goes -------------------------------------------
-
-_ONE, _N = Polynomial([1]), Polynomial([0, 1])
+# A value is a monomial (c, k, d), of value c n^k / d for integers c and d != 0
+# (k = 0 when c = 0), or an unreduced pair (N, D) of Polynomials.  Monomials
+# multiply, divide by constants, negate and raise to powers as the same
+# Polynomials would, so the pair the parse returns is the same either way.
 
 
 def _check_size(degree: int, bits: int = 0):
     if degree > MAX_DEGREE:
-        raise DegreeTooHigh(
-            f"the expression has degree {fraction_text(degree)} > {MAX_DEGREE}"
-        )
+        raise DegreeTooHigh(f"the expression has degree {fraction_text(degree)} > {MAX_DEGREE}")
     if bits > MAX_HEIGHT_BITS:
         raise DegreeTooHigh(
-            f"the expression has coefficients of {fraction_text(bits)} bits > {MAX_HEIGHT_BITS}"
-        )
+            f"the expression has coefficients of {fraction_text(bits)} bits > {MAX_HEIGHT_BITS}")
 
 
-class _Parser:
-    """Each rule returns the unreduced pair (N, D) of what it read.
+def _pair(value):
+    if len(value) == 2:
+        return value
+    c, k, d = value
+    return Polynomial([0] * k + [c]), Polynomial([d])
 
-    The size of every power and product is checked before it is expanded; a
-    sum over one denominator expands nothing and stays within its terms' size.
-    """
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _run(num, den):
+    """A pair over a constant denominator as a coefficient list and an int."""
+    return (list(num.coeffs), den.coeffs[0]) if den.degree == 0 else (num, den)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExpressionSyntaxError(_unexpected(tok), tok[2], f"expected {kind!r}")
-        return self.advance()
-
-    def parse(self):
-        pair = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            hint = None
-            if tok[0] == "(":
-                hint = "implicit multiplication is not supported; write '*' explicitly"
-            raise ExpressionSyntaxError(_unexpected(tok), tok[2], hint)
-        return pair
-
-    def expr(self):
-        num, den = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            n2, d2 = self.term()
-            if op == "-":
-                n2 = -n2
-            if den == d2:
-                num = num + n2
-            else:
-                _check_size(max(num.degree, den.degree) + max(n2.degree, d2.degree))
-                num, den = num * d2 + n2 * den, den * d2
-        return num, den
-
-    def term(self):
-        num, den = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            n2, d2 = self.factor()
-            if op == "/":
-                if n2.is_zero():
-                    raise DivisionByZero("division by zero")
-                n2, d2 = d2, n2
-            _check_size(max(num.degree, den.degree) + max(n2.degree, d2.degree))
-            num, den = num * n2, den * d2
-        return num, den
-
-    def factor(self):
-        num, den = self.base()
-        if self.peek()[0] != "^":
-            return num, den
-        self.advance()
-        tok = self.peek()
-        if tok[0] != "num" or tok[1][1] != 1:
-            raise ExpressionSyntaxError("exponent must be a literal non-negative integer", tok[2])
-        self.advance()
-        k = tok[1][0]
-        height = max(abs(c).bit_length() for c in num.coeffs + den.coeffs)
-        _check_size(max(num.degree, den.degree) * k, height * k)
-        return num ** k, den ** k
-
-    def base(self):
-        tok = self.peek()
-        if tok[0] not in ("num", "var", "(", "-"):
-            raise ExpressionSyntaxError(
-                _unexpected(tok), tok[2], "expected a number, 'n', '(' or '-'"
-            )
-        self.advance()
-        if tok[0] == "-":
-            num, den = self.factor()
-            return -num, den
-        if tok[0] == "(":
-            pair = self.expr()
-            self.expect(")")
-        elif tok[0] == "num":
-            pair = Polynomial([tok[1][0]]), Polynomial([tok[1][1]])
-        else:
-            pair = _N, _ONE
-        nxt = self.peek()
-        # a number after a number is left to parse()'s "unexpected token"
-        if nxt[0] in ("var", "(") or (nxt[0] == "num" and tok[0] != "num"):
-            raise ExpressionSyntaxError(
-                "implicit multiplication is not supported",
-                nxt[2],
-                "write '*' explicitly",
-            )
-        return pair
+def _add(num, den, value, negate: bool):
+    """(num, den) plus or minus the value: N1/D + N2/D is (N1 + N2)/D, and
+    other denominators are cross-multiplied after a size check."""
+    n2, d2 = _pair(value)
+    if negate:
+        n2 = -n2
+    if type(den) is int:
+        num, den = Polynomial(num), Polynomial([den])
+    if den == d2:
+        return _run(num + n2, den)
+    _check_size(max(num.degree, den.degree) + max(n2.degree, d2.degree))
+    return _run(num * d2 + n2 * den, den * d2)
 
 
 def parse_expression(text: str):
     """The expression's value as an unreduced integer pair (N, D), N/D.
 
     Raises ExpressionSyntaxError, DivisionByZero, or DegreeTooHigh (a literal,
-    power or product above the size limits), whichever the parse meets first.
-    Recursive descent takes a few frames per nesting level, so input nested
-    past the interpreter's recursion limit raises ExpressionSyntaxError; a
-    chain of operands is folded in a loop and has no such limit.
+    power or product above the size limits, checked before it is expanded),
+    whichever the parse meets first.  Recursive descent takes three frames
+    per parenthesis and one per unary minus, so input nested past the
+    interpreter's recursion limit (330 parentheses at the default limit of
+    1000) raises ExpressionSyntaxError; a chain of operands is folded in a
+    loop and has no such limit.
     """
-    parser = _Parser(text)
+    tokens = _tokenize(text)
+    i = 0
+
+    def expr():
+        nonlocal i
+        value = term()
+        op = tokens[i][0]
+        if op != "+" and op != "-":
+            return value
+        # a run: a coefficient list over an int denominator, or a pair
+        num, den = ([0] * value[1] + [value[0]], value[2]) if len(value) == 3 else _run(*value)
+        while op == "+" or op == "-":
+            i += 1
+            value = term()
+            if type(den) is int and len(value) == 3 and value[2] == den:
+                c, k, _ = value
+                num += [0] * (k + 1 - len(num))
+                num[k] += -c if op == "-" else c
+            else:
+                num, den = _add(num, den, value, op == "-")
+            op = tokens[i][0]
+        return (Polynomial(num), Polynomial([den])) if type(den) is int else (num, den)
+
+    def term():
+        nonlocal i
+        value = factor()
+        op = tokens[i][0]
+        while op == "*" or op == "/":
+            i += 1
+            other = factor()
+            if op == "/":
+                constant = len(other) == 3 and not other[1]  # c/d, or 0
+                num, den = other[::2] if constant else _pair(other)
+                if not (num if constant else num.coeffs):
+                    raise DivisionByZero("division by zero")
+                other = (den, 0, num) if constant else (den, num)
+            if len(value) == 3 and len(other) == 3:
+                _check_size(value[1] + other[1])
+                c = value[0] * other[0]
+                value = c, value[1] + other[1] if c else 0, value[2] * other[2]
+            else:
+                (n1, d1), (n2, d2) = _pair(value), _pair(other)
+                _check_size(max(n1.degree, d1.degree) + max(n2.degree, d2.degree))
+                value = n1 * n2, d1 * d2
+            op = tokens[i][0]
+        return value
+
+    def factor():
+        nonlocal i
+        kind, literal, offset = tokens[i]
+        i += 1
+        if kind == "-":
+            value = factor()
+            value = (-value[0],) + value[1:]
+        else:
+            if kind == "num":
+                value = literal[0], 0, literal[1]
+            elif kind == "var":
+                value = 1, 1, 1
+            elif kind == "(":
+                value = expr()
+                if tokens[i][0] != ")":
+                    raise ExpressionSyntaxError(
+                        _unexpected(tokens[i]), tokens[i][2], "expected ')'")
+                i += 1
+            else:
+                raise ExpressionSyntaxError(
+                    _unexpected(tokens[i - 1]), offset, "expected a number, 'n', '(' or '-'")
+            nxt, _, offset = tokens[i]
+            # a number after a number is left to the caller's "unexpected token"
+            if nxt in ("var", "(", "num") and (nxt != "num" or kind != "num"):
+                raise ExpressionSyntaxError(
+                    "implicit multiplication is not supported", offset, "write '*' explicitly")
+        if tokens[i][0] != "^":
+            return value
+        kind, literal, offset = tokens[i + 1]
+        if kind != "num" or literal[1] != 1:
+            raise ExpressionSyntaxError("exponent must be a literal non-negative integer", offset)
+        i += 2
+        e = literal[0]
+        if len(value) == 3:
+            c, k, d = value
+            _check_size(k * e, max(abs(c).bit_length(), abs(d).bit_length()) * e)
+            return c ** e, k * e, d ** e
+        num, den = value
+        height = max(abs(c).bit_length() for c in num.coeffs + den.coeffs)
+        _check_size(max(num.degree, den.degree) * e, height * e)
+        return num ** e, den ** e
+
     try:
-        return parser.parse()
+        value = expr()
     except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply", parser.peek()[2]) from None
+        raise ExpressionSyntaxError("expression nested too deeply", tokens[i][2]) from None
+    kind, _, offset = tokens[i]
+    if kind != "end":
+        hint = "implicit multiplication is not supported; write '*' explicitly"
+        raise ExpressionSyntaxError(_unexpected(tokens[i]), offset, hint if kind == "(" else None)
+    return _pair(value)
 
 
 def ast_to_spec(pair, sign: str = "plain") -> SumSpec:

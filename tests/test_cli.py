@@ -37,6 +37,11 @@ def _run(expression, **kwargs):
     return run(CliRequest(expression=expression, **kwargs))
 
 
+def _last_unit(printed: Decimal) -> Decimal:
+    """One unit in the last digit of a printed decimal."""
+    return Decimal(1).scaleb(printed.as_tuple().exponent)
+
+
 class TestGoldenOutputs:
     def test_half_shift_pair_both(self):
         code, out, err = _run("1/(n^2+n/2)")
@@ -149,14 +154,19 @@ class TestExitCodes:
         [
             "(" * 400 + "1/n^2" + ")" * 400,
             "1/(" + "+(".join(["n"] * 2000) + ")" * 1999 + ")^2",
+            "1/" + "(" * 5000 + "n^2" + ")" * 5000,
+            "1/(" + "- " * 5000 + "n)^2",
         ],
-        ids=["400-parentheses", "2000-operand-chain"],
+        ids=["400-parentheses", "2000-operand-chain", "5000-parentheses", "5000-unary-minus"],
     )
     def test_deep_nesting_exits_2(self, expression):
-        # deeper than the parser's recursion can go: parentheses, or a chain
-        # nested to the right, n+(n+(n+...)), where each operand opens a level
+        # deeper than the parser's recursion can go: parentheses, a chain
+        # nested to the right, n+(n+(n+...)), where each operand opens a
+        # level, or unary minus signs; the offset where the limit is met
+        # moves with the parser's frames per level
         code, out, err = _run(expression)
-        assert code == 2 and out == "" and err.startswith("error:") and "nested" in err
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: syntax error at offset \d+: expression nested too deeply\n", err)
 
     def test_fold_too_deep_names_no_offset(self):
         # a product chain folds in a loop until its degree passes the limit;
@@ -164,6 +174,10 @@ class TestExitCodes:
         code, out, err = _run("1/(" + "*".join(["n"] * 2000) + ")")
         assert (code, out) == (2, "") and "offset" not in err
         assert err == "error: the expression has degree 257 > 256\n"
+
+    def test_zero_chain_has_no_length_limit(self):
+        code, out, err = _run("1/n^2" + " + 0" * 20000, format="exact")
+        assert (code, out, err) == (0, "(1/6)*pi^2\n", "")
 
     def test_operand_chain_has_no_depth_limit(self):
         # a chain is folded in a loop: 1/(2000 n)^2 sums to pi^2/(6*2000^2)
@@ -600,7 +614,7 @@ class TestVerify:
             doc = json.loads(out)
             assert doc["verify"]["agree"] is True
             numeric, quad = Decimal(doc["numeric"]), Decimal(doc["verify"]["quadrature"])
-            assert abs(quad - numeric) <= Decimal("1e-15") * abs(numeric)
+            assert abs(quad - numeric) <= _last_unit(quad)
 
     def test_verify_oracle_error_exit_code(self, capsys, monkeypatch):
         import exactsum.cli as cli_mod
@@ -669,9 +683,20 @@ class TestVerify:
         v = doc["verify"]
         assert v["agree"] is True
         assert Decimal(v["bracket_hi"]) - Decimal(v["bracket_lo"]) <= Decimal("1e-100")
-        with mpmath.workdps(50):
-            quad = mpmath.mpf(v["quadrature"])
-            assert abs(quad - mpmath.mpf(doc["numeric"])) <= mpmath.mpf(10) ** -15 * quad
+        quad = Decimal(v["quadrature"])
+        assert abs(quad - Decimal(doc["numeric"])) <= _last_unit(quad)
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    @pytest.mark.parametrize("sign, divisor", [("plain", 6), ("alternating", 12)])
+    def test_quadrature_printed_to_the_digits_it_checked(self, digits, sign, divisor):
+        # ceil(D/2) digits, each true: within one unit of the last of pi^2/6 or pi^2/12
+        code, out, err = _run("1/n^2", sign=sign, digits=digits, format="json", verify=True)
+        assert (code, err) == (0, "")
+        quad = Decimal(json.loads(out)["verify"]["quadrature"])
+        assert len(quad.as_tuple().digits) == oracle.quad_digits(digits)
+        with mpmath.workdps(2 * digits + 20):
+            error = abs(mpmath.mpf(str(quad)) - mpmath.pi ** 2 / divisor)
+            assert error <= mpmath.mpf(str(_last_unit(quad)))
 
     def test_verify_at_1000_digits(self):
         code, out, err = _run("1/(n^2*(n+1/2))", digits=1000, verify=True)
