@@ -14,28 +14,26 @@ value is 0).  Quadrature applies to every sum, plain or alternating: it
 adds the first k terms, k the fewest that leave every shift >= 0, and
 integrates the rest of the partial-fraction table once over [0, 1].
 
-Every number printed is an exact rational until `decimal_text` prints it:
-the value (a rational closed form, or the psi kernel's dyadic, whose text
-the kernel certified), the bracket ends and the quadrature's value.  The
-check compares those rationals exactly.
+Every number is exact until it is printed: the value with its certified
+digits, the bracket's integer ends on 2^-w and the quadrature's rational.
+The check compares them as integers scaled to a common 2^a 10^b.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .closedform import fraction_text, render
 from .engine import evaluate
 from .errors import ExactSumError
+from .fixedpoint import decimal_text
 from .oracle import partial_sum_bracket, quad_alternating, quad_digits, quad_general
 from .parser import ast_to_spec, parse_expression
 from .partfrac import ALTERNATING, PLAIN
-from .polygamma import PrecisionPolicy, decimal_text
+from .polygamma import PrecisionPolicy
 
 
 @dataclass(frozen=True)
@@ -56,21 +54,23 @@ class CliRequest:
 
 
 def _agrees(result, bracket, quad, digits: int) -> bool:
-    """Whether the oracles certify the printed value, in exact rationals.
+    """Whether the oracles certify the printed value q 10^s, s = e - d + 1,
+    compared as integers on the grid 2^-w 10^-max(0, -s) of the bracket.
 
     The bracket must be narrower than the printed value's last unit and
     meet its half-unit interval (an exact zero must lie in the bracket);
     quadrature must be within 10^-quad_digits(d) |value|, or within
     10^-quad_digits(d) of a printed 0.
     """
-    text = decimal.Decimal(result.text)  # read past the int-to-str cap
-    printed = Fraction(text)
-    ulp = Fraction(10) ** text.as_tuple().exponent if printed else 0  # the last digit's unit
-    lo, hi = bracket.lower, bracket.upper
-    narrow = hi - lo <= ulp or not printed
-    certified = narrow and lo <= printed + ulp / 2 and hi >= printed - ulp / 2
-    tol = Fraction(1, 10 ** quad_digits(digits)) * (abs(result.value) if printed else 1)
-    return certified and abs(result.value - quad) <= tol
+    q, e = result.digits
+    s = e - digits + 1
+    lo, hi = bracket.lo * 10 ** max(0, -s), bracket.hi * 10 ** max(0, -s)
+    unit = (10 ** max(0, s) << bracket.w) if q else 0  # the last printed digit's unit
+    narrow = hi - lo <= unit or not q
+    certified = narrow and 2 * lo <= (2 * q + 1) * unit and 2 * hi >= (2 * q - 1) * unit
+    num, den = result.ratio
+    gap = abs(num * quad.denominator - quad.numerator * den) * 10 ** quad_digits(digits)
+    return certified and gap <= (abs(num) if q else den) * quad.denominator
 
 
 def _quadrature_value(spec, pf, policy):
@@ -98,8 +98,8 @@ def run(request: CliRequest):
             return 2, "", f"error: {exc}\n"
         verify_ok = _agrees(result, bracket, quad, request.digits)
         verify_info = {
-            "bracket_lo": decimal_text(bracket.lower, request.digits, -1),
-            "bracket_hi": decimal_text(bracket.upper, request.digits, +1),
+            "bracket_lo": decimal_text(bracket.lo, request.digits, -1, den=1 << bracket.w),
+            "bracket_hi": decimal_text(bracket.hi, request.digits, +1, den=1 << bracket.w),
             "quadrature": decimal_text(quad, quad_digits(request.digits)),
             "agree": verify_ok,
         }
@@ -140,14 +140,8 @@ def run(request: CliRequest):
             lines.append(f"exact: {exact_text}")
             lines.append(f"numeric: {result.text}")
         if verify_info is not None:
-            lines.append(
-                "verify: bracket [{}, {}], quadrature {}, agree: {}".format(
-                    verify_info["bracket_lo"],
-                    verify_info["bracket_hi"],
-                    verify_info["quadrature"],
-                    str(verify_info["agree"]).lower(),
-                )
-            )
+            lines.append("verify: bracket [{bracket_lo}, {bracket_hi}], quadrature {quadrature}, "
+                         "agree: {}".format(str(verify_ok).lower(), **verify_info))
         out = "\n".join(lines) + "\n"
 
     if request.verify and not verify_ok:

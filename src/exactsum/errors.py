@@ -44,7 +44,7 @@ class OrderTooLarge(ExactSumError):
 
 
 class PrecisionExhausted(ExactSumError):
-    """The psi kernel (polygamma.psi_sum) cannot certify the sum's digits
+    """The psi kernel (polygamma.psi_dyadic) cannot certify the sum's digits
     below its precision ceiling: the sum cancels too far."""
 
 

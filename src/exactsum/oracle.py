@@ -5,7 +5,7 @@ a rigorously bounded tail, and tanh-sinh quadrature of one integral
 representation of the whole partial-fraction table over s in [0, 1], for
 either sign.  The bracket reads only the `SumSpec`, never the
 partial-fraction table or the polygamma kernel.  Both run on integers
-scaled by 2^W and return exact rationals; no module imports mpmath.
+scaled by 2^W (see `fixedpoint`) and no module imports mpmath.
 
 Quadrature is a verifier, not the product: the CLI checks it to
 quad_digits(d) = ceil(d/2) significant digits of the d printed ones.  A
@@ -61,7 +61,8 @@ from fractions import Fraction
 
 from .errors import ConstraintViolated, InsufficientTerms
 from .partfrac import MAX_SHIFT, PLAIN, PartialFractions, SumSpec
-from .polygamma import LOG2_2PI, DEFAULT_POLICY, PrecisionPolicy, bernoulli, half_ln2, ln_ratio
+from .fixedpoint import LOG2_2PI, _exp, _ln1p, _power
+from .polygamma import DEFAULT_POLICY, PrecisionPolicy, bernoulli
 from .polys import linear_product
 
 _HEAD_TERMS_MAX = 4 * (MAX_SHIFT + 1)  # longest head; N >= 4 rho, rho <= MAX_SHIFT + 1
@@ -71,11 +72,14 @@ _HEAD_PER_DIGIT = 1.5  # head terms per digit sought; 1-2 measured fastest at 30
 
 @dataclass(frozen=True)
 class Bracket:
-    """Rigorous interval [lower, upper] of exact rationals guaranteed to
-    contain the series limit."""
+    """Rigorous interval [lo, hi] 2^-w, of integers, guaranteed to contain
+    the series limit; `lower` and `upper` are its ends as exact Fractions."""
 
-    lower: Fraction
-    upper: Fraction
+    lo: int
+    hi: int
+    w: int
+    lower = property(lambda self: Fraction(self.lo, 1 << self.w))
+    upper = property(lambda self: Fraction(self.hi, 1 << self.w))
 
 
 # -- fixed-point series ------------------------------------------------------------
@@ -231,7 +235,7 @@ def partial_sum_bracket(
     """
     num, den, poles = _summand(spec)
     if num.is_zero():
-        return Bracket(Fraction(0), Fraction(0))
+        return Bracket(0, 0, 0)
     rho = max(abs(u) // v for u, v in poles) + 1
     m_bound = Fraction(
         sum(abs(c) * rho ** i for i, c in enumerate(num.coeffs)) * math.prod(v for _, v in poles),
@@ -258,7 +262,7 @@ def partial_sum_bracket(
         # |S| >= s_min makes the next pass the last; while the bracket
         # straddles zero, |S| <= hi - lo
         tol = max(rel * Fraction(s_min or hi - lo, 1 << w) / 2, 0 if s_min else floor)
-    return Bracket(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+    return Bracket(lo, hi, w)
 
 
 # -- quadrature oracles ---------------------------------------------------------
@@ -315,77 +319,10 @@ def _by_power(entries, e: int = 0):
             for a, orders in sorted(powers.items(), reverse=True)]
 
 
-def _exp(y: int, wy: int, w: int) -> int:
-    """2^w exp(y/2^wy) within one unit, for y/2^wy <= 2^8.
-
-    y = n ln 2 + r with 0 <= r < ln 2, and exp(r) is a Taylor series in
-    r/2^k squared k times, on a grid g bits finer than the w + n bits the
-    result keeps, so a small result costs few bits.
-    """
-    k = math.isqrt(w) // 2 + 1
-    g = k + 2 * w.bit_length() + 16
-    wg = w + g
-    y = y << (wg - wy) if wg >= wy else y >> (wy - wg)
-    n, r = divmod(y, 2 * half_ln2(wg)[0])
-    if n < -w - 1:
-        return 0
-    p = wg + min(n, 0)
-    x = r >> (wg - p + k)
-    a = x2 = x * x >> p
-    even = odd = 1 << p
-    j = 2
-    while a:  # even = cosh-like terms x^2i/(2i)!, odd = x^2i/(2i+1)!
-        a //= j
-        even += a
-        a //= j + 1
-        odd += a
-        a = a * x2 >> p
-        j += 2
-    s = even + (odd * x >> p)
-    for _ in range(k):
-        s = s * s >> p
-    shift = p - w - n
-    return s >> shift if shift >= 0 else s << -shift
-
-
-@functools.lru_cache(maxsize=256)  # 64 steps per grid
-def _ln_step(i: int, w: int) -> int:
-    """2^w ln(1 + i/64), by which `_ln1p` reduces its argument."""
-    return ln_ratio(64 + i, 64, w)[0]
-
-
-def _ln1p(e: int, w: int) -> int:
-    """2^w ln(1 + E) for E = e/2^w in [0, 1]: ln(1 + i/64), i = floor(64 E),
-    plus 2 atanh(z) with z = (1 + E - b)/(1 + E + b) <= 2^-7, b = 1 + i/64.
-    The series runs on shifts, where `ln_ratio` of w-bit integers would
-    divide by one at every term."""
-    i = e >> (w - 6)
-    base = i << (w - 6)
-    z = ((e - base) << w) // ((2 << w) + base + e)
-    z2 = z * z >> w
-    total = a = z
-    j = 3
-    while a:
-        a = a * z2 >> w
-        total += a // j
-        j += 2
-    return 2 * total + (_ln_step(i, w) if i else 0)
-
-
 _C_NUM, _C_SHIFT = 25, 4  # c = 25/16 of E = exp(-2c sinh t): dyadic, near mpmath's pi/2
 _GRID_STEP = 64  # bits: W is rounded up to a multiple, so requests share node tables
 _NODE_GUARD = 40  # bits finer than L's grid that a level's nodes are computed on
 _LOG_GUARD = 57  # bits below 2^-W that L is kept to; `_floor_counts` counts the rest
-
-
-def _power(s: int, n: int, w: int) -> int:
-    """s^n on 2^-w for an integer n >= 0, squaring over n's bits."""
-    power = 1 << w
-    for bit in bin(n)[2:]:
-        power = power * power >> w
-        if bit == "1":
-            power = power * s >> w
-    return power
 
 
 class _Level:

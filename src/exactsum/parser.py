@@ -4,8 +4,8 @@ Grammar (standard precedence, left associative):
 
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
-    factor   := base ('^' uint)?
-    base     := rational | 'n' | '(' expr ')' | '-' factor
+    factor   := '-' factor | base ('^' uint)?
+    base     := rational | 'n' | '(' expr ')'
     rational := uint ('/' uint)? | decimal literal
 
 The value is folded while it is parsed (a syntax-directed translation), so
@@ -131,7 +131,7 @@ def _add(num, den, value, negate: bool):
         num, den = Polynomial(num), Polynomial([den])
     if den == d2:
         return _run(num + n2, den)
-    _check_size(max(num.degree, den.degree) + max(n2.degree, d2.degree))
+    _check_size(max(num.degree + d2.degree, n2.degree + den.degree, den.degree + d2.degree))
     return _run(num * d2 + n2 * den, den * d2)
 
 
@@ -188,7 +188,7 @@ def parse_expression(text: str):
                 value = c, value[1] + other[1] if c else 0, value[2] * other[2]
             else:
                 (n1, d1), (n2, d2) = _pair(value), _pair(other)
-                _check_size(max(n1.degree, d1.degree) + max(n2.degree, d2.degree))
+                _check_size(max(n1.degree + n2.degree, d1.degree + d2.degree))
                 value = n1 * n2, d1 * d2
             op = tokens[i][0]
         return value
@@ -199,26 +199,24 @@ def parse_expression(text: str):
         i += 1
         if kind == "-":
             value = factor()
-            value = (-value[0],) + value[1:]
+            return (-value[0],) + value[1:]
+        if kind == "num":
+            value = literal[0], 0, literal[1]
+        elif kind == "var":
+            value = 1, 1, 1
+        elif kind == "(":
+            value = expr()
+            if tokens[i][0] != ")":
+                raise ExpressionSyntaxError(_unexpected(tokens[i]), tokens[i][2], "expected ')'")
+            i += 1
         else:
-            if kind == "num":
-                value = literal[0], 0, literal[1]
-            elif kind == "var":
-                value = 1, 1, 1
-            elif kind == "(":
-                value = expr()
-                if tokens[i][0] != ")":
-                    raise ExpressionSyntaxError(
-                        _unexpected(tokens[i]), tokens[i][2], "expected ')'")
-                i += 1
-            else:
-                raise ExpressionSyntaxError(
-                    _unexpected(tokens[i - 1]), offset, "expected a number, 'n', '(' or '-'")
-            nxt, _, offset = tokens[i]
-            # a number after a number is left to the caller's "unexpected token"
-            if nxt in ("var", "(", "num") and (nxt != "num" or kind != "num"):
-                raise ExpressionSyntaxError(
-                    "implicit multiplication is not supported", offset, "write '*' explicitly")
+            raise ExpressionSyntaxError(
+                _unexpected(tokens[i - 1]), offset, "expected a number, 'n', '(' or '-'")
+        nxt, _, offset = tokens[i]
+        # a number after a number is left to the caller's "unexpected token"
+        if nxt in ("var", "(", "num") and (nxt != "num" or kind != "num"):
+            raise ExpressionSyntaxError(
+                "implicit multiplication is not supported", offset, "write '*' explicitly")
         if tokens[i][0] != "^":
             return value
         kind, literal, offset = tokens[i + 1]

@@ -16,11 +16,8 @@ A class whose last argument lies below the shift threshold X (about 1.5
 times the working digits) is anchored at its base b/q in (0, 1]: its
 ladder runs from the base or its smallest argument, if lower, to its last
 argument, a few rungs, and sum T_n psi^(n)(b/q) over its order totals T_n
-is added.  Those values come from a process-wide cache keyed (n, b, q, W),
-W the grid rounded up to a multiple of _PSI_GRID_STEP bits, of at most 256
-entries, the least recently used dropped.  A value depends on its key
-alone, so a hit returns the integers a miss would compute, and no result
-depends on what the cache held before.  A miss, and a class with an
+is added from a process-wide cache keyed (n, b, q, W), `_psi_at_base`,
+whose values depend on their key alone.  A miss, and a class with an
 argument above X, is anchored at X: its ladder climbs from its smallest
 argument to X = P/q, and further while the series there cannot reach its
 coefficients' precision, and one asymptotic series with exact Bernoulli
@@ -31,8 +28,9 @@ counted, and a Ziv loop reruns a pass whose error does not pin the target
 digits (A. Ziv, ACM TOMS 17(3), 1991; R. P. Brent and P. Zimmermann,
 "Modern Computer Arithmetic", ch. 3-4).  A pass is accepted when both
 ends of its interval round to the same target digits, compared as
-integers, not as text.  The result is one exact dyadic whose target-digit
-decimal_text is true; `polygamma` is a one-term call into `psi_sum`.
+integers, not as text.  `psi_dyadic` returns one dyadic with those
+digits, which the engine prints as they are; `psi_sum` and `polygamma`, a
+one-term call into it, return the dyadic as a Fraction.
 
 Bernoulli numbers come from tangent numbers in integer arithmetic, cached
 as Fractions for `bernoulli` and as integer pairs for the series; a series
@@ -54,6 +52,7 @@ from fractions import Fraction
 
 from .closedform import fraction_text
 from .errors import OrderTooLarge, PoleArgument, PrecisionExhausted
+from .fixedpoint import LOG2_2PI, _rounded_digits, ln_ratio
 
 MAX_ORDER = 30
 MAX_WORKING_BITS = 10_000  # precision ceiling of the Ziv loop (~3000 digits)
@@ -127,6 +126,12 @@ def _fill_bernoulli(m: int):
         return _even_bernoulli, _bernoulli_pairs
 
 
+def _clear_bernoulli():
+    global _even_bernoulli, _bernoulli_pairs
+    with _bernoulli_lock:
+        _even_bernoulli, _bernoulli_pairs = [Fraction(1)], [(1, 1)]
+
+
 def bernoulli(m: int) -> Fraction:
     """Exact Bernoulli number B_m (B_1 = -1/2), from the tangent numbers (cached)."""
     if m < 0:
@@ -144,73 +149,6 @@ def bernoulli(m: int) -> Fraction:
 # -- helpers ------------------------------------------------------------------
 
 
-def _rounded_digits(x, digits: int, direction: int = 0, den: int = 1):
-    """(q, e) with x/den ~ q 10^(e - digits + 1), rounded as in `decimal_text`.
-
-    q carries the sign and has exactly `digits` digits, e = floor(log10 of
-    the rounded |x/den|); zero gives (0, 0).  With den x.denominator =
-    odd 2^k, |x/den| 10^s = |num| 5^s 2^(s-k) / odd for s = digits - 1 - e:
-    one product, one shift, and a divmod by the odd part d (d = odd 5^-s
-    when s < 0), which is 1 for a dyadic.  The rounding reads the remainder
-    r and the t bits `low` that the shift drops: to nearest, the fraction
-    (r 2^t + low) / (d 2^t) is >= 1/2 exactly when 2 r + (top bit of low)
-    >= d.
-    """
-    num, den = x.numerator, x.denominator * den
-    if not num:
-        return 0, 0
-    mag = abs(num)
-    k = (den & -den).bit_length() - 1
-    odd = den >> k
-    # e = floor(log10 |x|), exact unless |x| lies within ~1e-13 of a power of 10
-    e = math.floor(math.log10(mag) - math.log10(den))
-    top = 10 ** digits
-    while True:
-        shift = digits - 1 - e
-        n, d = (mag * 5 ** shift, odd) if shift >= 0 else (mag, odd * 5 ** -shift)
-        t = k - shift  # bits shifted out
-        low, n = (n & ((1 << t) - 1), n >> t) if t > 0 else (0, n << -t)
-        q, r = divmod(n, d)  # q = floor(|x| 10^shift)
-        step = (q >= top) - (10 * q < top)
-        if not step:
-            break
-        e += step
-    if direction == 0:
-        up = 2 * r + (low >> (t - 1) if t > 0 else 0) >= d
-    else:
-        up = (r or low) and (direction > 0) == (num > 0)
-    if up:
-        q += 1
-        if q == top:
-            q, e = q // 10, e + 1
-    return (q if num > 0 else -q), e
-
-
-def decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
-    """The rational x/den to `digits` significant digits, in integer arithmetic
-    and in the layout of mpmath's printer with strip_zeros=False.  x is an
-    int or a Fraction, den > 0 an int in any terms (no gcd is taken).
-
-    Direction 0 rounds to nearest, ties away from zero; +1 and -1 round
-    toward +inf and -inf.  The digits come from `_rounded_digits`, which
-    splits the denominator as odd 2^k and divides by the odd part alone.
-    The text is fixed point when the leading digit's exponent e has
-    min(-floor(digits/3), -5) < e < digits, else d.ddde+-N.
-    Refs: Steele and White, PLDI 1990; Brent and Zimmermann, op. cit., 1.7.
-    """
-    q, e = _rounded_digits(x, digits, direction, den)
-    if not q:
-        return "0.0"
-    sign = "-" if q < 0 else ""
-    text = fraction_text(abs(q))  # str(q) past the digit cap
-    if not min(-(digits // 3), -5) < e < digits:
-        return f"{sign}{text[0]}.{text[1:]}e{e:+d}"
-    if e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{text}"
-    return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
-
-
-LOG2_2PI = math.log2(2 * math.pi)
 _GUARD_BITS = 16
 
 
@@ -273,11 +211,12 @@ def _shift_div(x: int, w: int, den: int) -> int:
 def _log2_size(k: int, n: int, x: Fraction) -> float:
     """A rough log2 |k psi^(n)(x)|, used only to place the first pass's grid."""
     log2_c = math.log2(abs(k))
-    if x.numerator < 0:
+    p, q = x.numerator, x.denominator
+    if p < 0:
         # near a pole the recurrence term n!/delta^(n+1) dominates
-        delta = abs(x - round(x))
-        return log2_c + _log2_factorial(n) - (n + 1) * math.log2(delta)
-    log2_x = math.log2(x.numerator) - math.log2(x.denominator)
+        delta = abs(p - (2 * p + q) // (2 * q) * q)  # q |x - round(x)|
+        return log2_c + _log2_factorial(n) - (n + 1) * (math.log2(delta) - math.log2(q))
+    log2_x = math.log2(p) - math.log2(q)
     if n == 0:
         # |psi(x)| ~ max(|ln x|, 1/x), taken as at least 1
         return log2_c + max(0.0, -log2_x, math.log2(abs(log2_x) * math.log(2) or 1.0))
@@ -414,44 +353,6 @@ def _series(q: int, big_p: int, totals: dict, terms: int, w: int):
     return value, err
 
 
-def _atanh(u: int, v: int, w: int):
-    """(T, e) with |T - 2^w atanh(u/v)| <= e, for 0 <= u/v <= 1/3."""
-    t = (u << w) // v
-    total, u2, v2, j = t, u * u, v * v, 1
-    while t:
-        t = t * u2 // v2
-        total += t // (2 * j + 1)
-        j += 1
-    return total, 2 * j + 4
-
-
-@functools.lru_cache(maxsize=8)  # grids; one entry is ~0.5 KB at 1000 digits
-def half_ln2(w: int):
-    """`_atanh(1, 3, w)` = 2^w ln(2)/2, shared by every request in the process."""
-    return _atanh(1, 3, w)
-
-
-def ln_ratio(a: int, b: int, w: int):
-    """(L, e) with |L - 2^w ln(a/b)| <= e for integers a, b > 0.
-
-    a/b = 2^m r with r in [2/3, 4/3], and ln r = 2 atanh((r-1)/(r+1)); the
-    ln 2 = 2 atanh(1/3) term, needed only when m != 0, comes from
-    `half_ln2`.
-    """
-    m = a.bit_length() - b.bit_length()
-    a, b = (a, b << m) if m >= 0 else (a << -m, b)
-    if 3 * a > 4 * b:
-        m, b = m + 1, b << 1
-    elif 3 * a < 2 * b:
-        m, a = m - 1, a << 1
-    t, e = _atanh(abs(a - b), a + b, w)
-    total, err = (2 * t if a >= b else -2 * t), 2 * e
-    if m:
-        t, e = half_ln2(w)
-        total, err = total + 2 * m * t, err + 2 * abs(m) * e
-    return total, err
-
-
 def _scaled_ln(c: int, a: int, b: int, w: int):
     """(c 2^w ln(a/b), error) for integers a, b > 0 and either sign of w."""
     g = max(abs(c).bit_length() + 2, -w)
@@ -544,8 +445,9 @@ def _psi_pass(classes, w: int, wd: int):
     return total, err
 
 
-def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
-    """S = sum c psi^(n)(x) over terms (c, n, x), c and x ints or Fractions.
+def psi_dyadic(terms, policy: PrecisionPolicy = DEFAULT_POLICY):
+    """(m, k, (q, e)) for S = sum c psi^(n)(x) over terms (c, n, x), c and x
+    ints or Fractions: S ~ m/2^k, and (q, e) are its true target digits.
 
     With c = s k, s = g/d, the pass sums k psi^(n)(x) on a 2^-W grid, W set
     by the size of that sum; W < 0 when the k lie far above the target's
@@ -554,9 +456,9 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
     at least one unit.  A pass is accepted when |S| exceeds its counted
     error by 10^(target+3) and both ends of that interval round to the
     same signed target digits and exponent (`_rounded_digits`, compared as
-    integers; no text is built): those digits are the true ones.  The
-    interval's midpoint is returned, an exact dyadic; rounding to nearest
-    is monotone, so its decimal_text prints those digits.  Otherwise the pass
+    integers; no text is built): those digits are the true ones, and are
+    returned with the interval's midpoint m/2^k; rounding to nearest is
+    monotone, so the midpoint rounds to them too.  Otherwise the pass
     reruns at the digits it fell short by, plus a guard (Ziv); when only
     the rounding is undecided, the value lies near a decimal tie and the
     rerun doubles the digits beyond the target.
@@ -569,7 +471,7 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
             raise ValueError("polygamma order must be >= 0")
         if n > MAX_ORDER:
             raise OrderTooLarge(f"order {n} > {MAX_ORDER}")
-        if x.denominator == 1 and x <= 0:
+        if x.denominator == 1 and x.numerator <= 0:
             raise PoleArgument(f"psi^({n}) has a pole at {fraction_text(x)}")
         if c:
             checked.append((c, n, x))
@@ -593,12 +495,11 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
         v, err = (lo + hi) // 2, (hi - lo + 1) // 2
         lower, need = abs(v) - err, err * 10 ** (target + 3)
         if err == 0 or lower >= need:
-            # S lies in [v - err, v + err] * scale / den
-            scale = 1 << max(0, -w - t)
-            den = 1 << max(0, w + t)
-            if err == 0 or (_rounded_digits((v - err) * scale, target, den=den)
-                            == _rounded_digits((v + err) * scale, target, den=den)):
-                return Fraction(v * scale, den)
+            # S lies in [v - err, v + err] * scale / 2^k
+            scale, k = 1 << max(0, -w - t), max(0, w + t)
+            digits = _rounded_digits((v - err) * scale, target, den=1 << k)
+            if err == 0 or digits == _rounded_digits((v + err) * scale, target, den=1 << k):
+                return v * scale, k, digits
         if wd >= wd_max:
             raise PrecisionExhausted(
                 f"the sum cancels below the {MAX_WORKING_BITS}-bit precision ceiling; "
@@ -611,6 +512,12 @@ def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
             wd = min(wd_max, wd + math.ceil(deficit) + _ZIV_GUARD_DIGITS)
         else:
             wd = min(wd_max, 2 * wd)
+
+
+def psi_sum(terms, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
+    """`psi_dyadic`'s m/2^k, whose decimal_text prints its certified digits."""
+    m, k, _ = psi_dyadic(terms, policy)
+    return Fraction(m, 1 << k)
 
 
 def polygamma(order: int, x, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from exactsum import oracle, polygamma
+from exactsum import clear_caches, oracle
 from exactsum.closedform import fraction_text
 from exactsum.polys import FactorList, Polynomial, primitive_gcd
 from exactsum.partfrac import SumSpec
@@ -63,7 +64,7 @@ def reduced(num: Polynomial, den: Polynomial):
 
 
 def reference_decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> str:
-    """`polygamma.decimal_text` by one division by the whole denominator:
+    """`fixedpoint.decimal_text` by one division by the whole denominator:
     the reference that the product-and-shift digits are compared with.
 
     The rational x/den to `digits` significant digits, in integer arithmetic
@@ -107,6 +108,26 @@ def reference_decimal_text(x, digits: int, direction: int = 0, den: int = 1) -> 
     if e < 0:
         return f"{sign}0.{'0' * (-e - 1)}{text}"
     return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
+
+
+def reference_agrees(result, bracket, quad, digits: int) -> bool:
+    """`cli._agrees` in exact rationals: the reference that the integer
+    comparison is checked against.
+
+    The printed text is read back through Decimal into a Fraction.  The
+    bracket must be narrower than the printed value's last unit and meet its
+    half-unit interval (an exact zero must lie in the bracket); quadrature
+    must be within 10^-quad_digits(d) |value|, or within 10^-quad_digits(d)
+    of a printed 0.
+    """
+    text = decimal.Decimal(result.text)  # read past the int-to-str cap
+    printed = Fraction(text)
+    ulp = Fraction(10) ** text.as_tuple().exponent if printed else 0  # the last digit's unit
+    lo, hi = bracket.lower, bracket.upper
+    narrow = hi - lo <= ulp or not printed
+    certified = narrow and lo <= printed + ulp / 2 and hi >= printed - ulp / 2
+    tol = Fraction(1, 10 ** oracle.quad_digits(digits)) * (abs(result.value) if printed else 1)
+    return certified and abs(result.value - quad) <= tol
 
 
 def reference_weighted(level, powers, sign: int):
@@ -213,18 +234,11 @@ def random_plain_spec(rng: random.Random, max_factors=4, max_mult=3) -> SumSpec:
 
 
 @pytest.fixture(autouse=True)
-def cold_psi_cache():
-    """Every test starts with empty psi^(n)(b/q) and ln 2 caches, so a spy
-    on the kernel sees the ladders and series that a miss runs."""
-    polygamma._psi_at_base.cache_clear()
-    polygamma.half_ln2.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_node_cache():
-    """Every test starts with an empty cache of tanh-sinh levels, so each
+def cold_caches():
+    """Every test starts with every process-wide cache empty, so a spy on
+    the psi kernel sees the ladders and series that a miss runs, and each
     quadrature makes its nodes and their values."""
-    oracle._level.cache_clear()
+    clear_caches()
 
 
 @pytest.fixture

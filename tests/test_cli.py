@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exactsum import engine, oracle, parser
-from exactsum.cli import CliRequest, main, run
-from exactsum.engine import evaluate
+from exactsum.cli import CliRequest, _agrees, main, run
+from exactsum.engine import SumResult, evaluate
 from exactsum.errors import (
     DegreeTooHigh,
     InsufficientTerms,
@@ -26,11 +27,13 @@ from exactsum.errors import (
     NonLinearFactor,
     ShiftTooLarge,
 )
+from exactsum.oracle import Bracket
 from exactsum.partfrac import MAX_SHIFT, decompose
-from exactsum.polygamma import PrecisionPolicy, decimal_text
+from exactsum.fixedpoint import _rounded_digits, digits_text
+from exactsum.polygamma import PrecisionPolicy
 from exactsum.polys import FactorList, factor_linear
 
-from conftest import expand
+from conftest import expand, reference_agrees
 
 
 def _run(expression, **kwargs):
@@ -665,8 +668,10 @@ class TestVerify:
         def skewed(spec, policy):
             result = evaluate(spec, policy)
             value = result.value + F(3, 10 ** 29)
+            digits = _rounded_digits(value, policy.target_digits)
             return dataclasses.replace(
-                result, value=value, text=decimal_text(value, policy.target_digits)
+                result, ratio=(value.numerator, value.denominator), digits=digits,
+                text=digits_text(*digits, policy.target_digits),
             )
 
         monkeypatch.setattr(cli_mod, "evaluate", skewed)
@@ -730,6 +735,65 @@ class TestVerify:
         assert code == 3
         assert "verification failed" in err
         assert "agree: false" in out
+
+
+@st.composite
+def _agree_cases(draw):
+    """(result, bracket, quad, digits) for `_agrees`: dyadic and other
+    values, values within 2^-60 of a decimal tie and a printed 0; brackets
+    around the value or the printed value, of widths about one unit, and
+    straddling zero; quadratures at the tolerance's edge."""
+    digits = draw(st.integers(10, 60))
+    kind = draw(st.sampled_from(["dyadic", "rational", "tie", "zero"]))
+    if kind == "zero":
+        value = F(0)
+    elif kind == "dyadic":
+        value = F(draw(st.integers(1, 2 ** 300)), 1 << draw(st.integers(0, 400)))
+    elif kind == "rational":
+        value = F(draw(st.integers(1, 10 ** 80)), draw(st.integers(1, 10 ** 40)))
+    else:
+        q = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+        value = (10 * q + 5) * F(10) ** draw(st.integers(-60 - digits, 60))
+        value += draw(st.sampled_from([-1, 0, 1])) * F(1, 1 << draw(st.integers(60, 400)))
+    value *= draw(st.sampled_from([1, -1]))
+    q, e = _rounded_digits(value, digits)
+    result = SumResult(None, (value.numerator, value.denominator), (q, e),
+                       digits_text(q, e, digits), None)
+    unit = F(10) ** (e - digits + 1) if q else F(0)
+    printed = q * unit
+    centre = draw(st.sampled_from([value, printed, F(0)]))
+    half = draw(st.sampled_from([F(0), unit / 2, unit, abs(value) + 1]))
+    w = draw(st.integers(0, 500))
+    lo = math.floor((centre - half) * 2 ** w) + draw(st.integers(-1, 1))
+    hi = math.ceil((centre + half) * 2 ** w) + draw(st.integers(-1, 1))
+    tol = F(1, 10 ** oracle.quad_digits(digits)) * (abs(value) if q else 1)
+    quad = value + tol * draw(st.sampled_from([0, 1, -1, F(1, 2), F(3, 2)])) + draw(
+        st.sampled_from([0, 1, -1])) * F(1, 1 << draw(st.integers(64, 600)))
+    return result, Bracket(min(lo, hi), max(lo, hi), w), quad, digits
+
+
+@settings(max_examples=400, deadline=None)
+@given(_agree_cases())
+def test_integer_agreement_matches_the_rational_reference(case):
+    assert _agrees(*case) == reference_agrees(*case)
+
+
+@pytest.mark.parametrize("value", [F(12345678901234567), -F(12345678901234567, 3)])
+def test_integer_agreement_at_the_half_unit_ends(value):
+    # brackets whose ends lie exactly on the printed value's half-unit ends,
+    # or on it, which its integer unit (10 digits of 17) puts on 2^-1
+    q, e = _rounded_digits(value, 10)
+    result = SumResult(None, (value.numerator, value.denominator), (q, e),
+                       digits_text(q, e, 10), None)
+    unit = 10 ** (e - 9)
+    ends = [(2 * q - 1) * unit, 2 * q * unit, (2 * q + 1) * unit]
+    outcomes = set()
+    for lo, hi in itertools.combinations_with_replacement(ends, 2):
+        for quad in (value, value * (1 + F(1, 10 ** 5)), value * (1 + F(2, 10 ** 5))):
+            case = result, Bracket(lo, hi, 1), quad, 10
+            assert _agrees(*case) == reference_agrees(*case)
+            outcomes.add(_agrees(*case))
+    assert outcomes == {True, False}
 
 
 class TestQuadratureScale:

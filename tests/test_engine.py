@@ -1,19 +1,23 @@
+import fractions
 import importlib
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+import exactsum
+from exactsum import engine, fixedpoint, oracle, polygamma as pg
 from exactsum.cli import CliRequest, run
 from exactsum.closedform import GAMMA, LN2, ONE, PI_SQUARED, SymbolicValue, assemble, render
-from exactsum import engine
 from exactsum.engine import evaluate
 from exactsum.errors import NegativeIntegerShift
 from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.oracle import partial_sum_bracket
-from exactsum.polygamma import PrecisionPolicy, decimal_text, polygamma, psi_sum
+from exactsum.fixedpoint import decimal_text
+from exactsum.polygamma import PrecisionPolicy, polygamma, psi_sum
 
 from conftest import make_spec, random_plain_spec, random_shift, symbolic_numeric, to_mpf
 
@@ -323,7 +327,7 @@ class TestCancellationFamily:
         assert doc["numeric"] == _psi_reference(doc, 100)
 
 
-def _refuse_psi_sum(*args):
+def _refuse_psi_dyadic(*args):
     raise AssertionError("fixed-point pass made")
 
 
@@ -334,7 +338,7 @@ class TestExactnessAndCeiling:
     def test_telescoping_class_is_exactly_zero(self, monkeypatch, digits):
         # one residue class whose coefficients cancel: the closed form is the
         # rational 0, which is the value, so no fixed-point pass is made
-        monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
+        monkeypatch.setattr(engine, "psi_dyadic", _refuse_psi_dyadic)
         spec = ast_to_spec(parse_expression(self.TELESCOPING), "plain")
         r = evaluate(spec, PrecisionPolicy(target_digits=digits))
         assert r.value == 0
@@ -359,13 +363,13 @@ class TestExactnessAndCeiling:
         # psi(1/4) + psi(3/4) - 3 psi(1/2) + psi(1) = 0 (Gauss multiplication):
         # no fixed-point pass can separate it from zero; the closed form,
         # identically zero, is the value
-        monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
+        monkeypatch.setattr(engine, "psi_dyadic", _refuse_psi_dyadic)
         code, out, _ = run(CliRequest("-(1/(n-3/4) + 1/(n-1/4) - 3/(n-1/2) + 1/n)"))
         assert code == 0 and out == "exact: 0\nnumeric: 0.0\n"
 
     def test_rational_value_is_exact_to_the_printed_digits(self, monkeypatch):
         # sum 1/((n+1/3)(n+4/3)) = 3/4; sum 1/((n+1/7)(n+8/7)) = 7/8
-        monkeypatch.setattr(engine, "psi_sum", _refuse_psi_sum)
+        monkeypatch.setattr(engine, "psi_dyadic", _refuse_psi_dyadic)
         for expression, value in (("1/((n+1/3)*(n+4/3))", "0.75"), ("1/((n+1/7)*(n+8/7))", "0.875")):
             code, out, _ = run(CliRequest(expression, "plain", 40, "numeric"))
             assert code == 0 and out == value.ljust(42, "0") + "\n"
@@ -389,6 +393,66 @@ class TestExactnessAndCeiling:
         code, out, _ = run(CliRequest("1/((n+1/2)*(n+200))", "plain", digits, "json"))
         doc = json.loads(out)
         assert code == 0 and doc["numeric"] == _psi_reference(doc, digits)
+
+
+_FRACTION_MAKERS = {fractions.Fraction.__new__.__code__} | (
+    {fractions.Fraction._from_coprime_ints.__func__.__code__}
+    if hasattr(fractions.Fraction, "_from_coprime_ints") else set())
+
+
+def _counting_fractions(made):
+    """A wrapper that records, in `made`, each Fraction its function builds."""
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in _FRACTION_MAKERS:
+            made.append(frame.f_back.f_code.co_name)
+
+    def wrap(fn):
+        def counted(*args):
+            sys.setprofile(profile)
+            try:
+                return fn(*args)
+            finally:
+                sys.setprofile(None)
+        return counted
+    return wrap
+
+
+def test_psi_kernel_and_printing_build_no_fraction(monkeypatch):
+    # a 1000-digit request: psi_dyadic hands its dyadic and certified
+    # digits to digits_text, and neither builds a Fraction; the first
+    # request fills the Bernoulli tables, the second runs on cold psi caches
+    made = []
+    counted = _counting_fractions(made)
+    counted(lambda: F(1, 3) + 1)()
+    assert made  # the count sees a construction
+    made.clear()
+    spec = ast_to_spec(parse_expression("1/((n+1/3)^2*(n+3/4))"), "alternating")
+    policy = PrecisionPolicy(target_digits=1000)
+    first = evaluate(spec, policy)
+    pg._psi_at_base.cache_clear()
+    fixedpoint.half_ln2.cache_clear()
+    monkeypatch.setattr(engine, "psi_dyadic", counted(engine.psi_dyadic))
+    monkeypatch.setattr(engine, "digits_text", counted(engine.digits_text))
+    r = evaluate(spec, policy)
+    assert made == []
+    assert r.text == first.text and r.exact.residuals
+    assert isinstance(r.value, F) and r.value == first.value
+
+
+def test_clear_caches_empties_every_cache():
+    # a 100-digit --verify request fills the psi, ln 2, ln step, error
+    # count, level and Bernoulli caches; cold and warm, it prints the same bytes
+    request = CliRequest("1/((n+1/3)^2*(n+1/2))", "alternating", 100, "json", verify=True)
+    cold = run(request)
+    caches = [pg._psi_at_base, fixedpoint.half_ln2, fixedpoint._ln_step,
+              oracle._series_errors, oracle._level]
+    assert all(cache.cache_info().currsize for cache in caches)
+    assert len(pg._even_bernoulli) > 1 and len(pg._bernoulli_pairs) > 1
+    assert run(request) == cold
+    exactsum.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    assert (pg._even_bernoulli, pg._bernoulli_pairs) == ([1], [(1, 1)])
+    assert run(request) == cold and cold[0] == 0
 
 
 def test_every_exported_name_resolves():

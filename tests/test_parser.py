@@ -137,6 +137,9 @@ _EXPONENT = "exponent must be a literal non-negative integer"
     ("n^2 n", ExpressionSyntaxError, 4, "unexpected token 'n'", None),
     ("2^2(n)", ExpressionSyntaxError, 3, "unexpected token '('",
      "implicit multiplication is not supported; write '*' explicitly"),
+    # a unary minus takes no second power, as a power takes none
+    ("-n^2^3", ExpressionSyntaxError, 4, "unexpected token '^'", None),
+    ("--n^2^3^2", ExpressionSyntaxError, 5, "unexpected token '^'", None),
     # a missing operand or parenthesis
     ("1/(n^2", ExpressionSyntaxError, 6, "unexpected end of input", "expected ')'"),
     (")", ExpressionSyntaxError, 0, "unexpected token ')'", _EXPECTED),
@@ -149,7 +152,8 @@ _EXPONENT = "exponent must be a literal non-negative integer"
     ("n^257", DegreeTooHigh, None, "the expression has degree 257 > 256", None),
     ("0*n^300", DegreeTooHigh, None, "the expression has degree 300 > 256", None),
     ("(n+1)^200*(n+1)^100", DegreeTooHigh, None, "the expression has degree 300 > 256", None),
-    ("n^200/2 + n^100/3", DegreeTooHigh, None, "the expression has degree 300 > 256", None),
+    ("n^200/(n+1) + n^100/(n^60+1)", DegreeTooHigh, None,
+     "the expression has degree 260 > 256", None),
     ("3^100000", DegreeTooHigh, None,
      "the expression has coefficients of 200000 bits > 65536", None),
 ])
@@ -161,6 +165,19 @@ def test_error_class_offset_message_and_hint(text, error, offset, message, hint)
         assert (exc.value.offset, exc.value.hint) == (offset, hint)
         message = f"syntax error at offset {offset}: {message}" + (f" ({hint})" if hint else "")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, num, den", [
+    ("n^200/2 + n^100/3", {200: 3, 100: 2}, {0: 6}),
+    ("n^200/n^100", {200: 1}, {100: 1}),
+    ("n^200*(1/(n^100+1))", {200: 1}, {100: 1, 0: 1}),
+])
+def test_size_checks_bound_the_degree_formed(text, num, den):
+    # a sum over constants and a quotient form degree 200, not 300
+    def poly(terms):
+        return Polynomial([terms.get(k, 0) for k in range(max(terms) + 1)])
+
+    assert parse_expression(text) == (poly(num), poly(den))
 
 
 class TestAstToSpec:

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, to_str
 
+import exactsum.fixedpoint as fixedpoint
 import exactsum.polygamma as polygamma_module
 from exactsum.errors import OrderTooLarge, PoleArgument, PrecisionExhausted
+from exactsum.fixedpoint import decimal_text
 from exactsum.polygamma import (
-    PrecisionPolicy, _ladder, _shift_div, bernoulli, decimal_text, polygamma, psi_sum,
+    PrecisionPolicy, _ladder, _shift_div, bernoulli, polygamma, psi_sum,
 )
 
 from conftest import reference_decimal_text, to_mpf
@@ -231,25 +233,25 @@ class TestLn2Cache:
     """atanh(1/3) = ln(2)/2 per grid, computed once."""
 
     def test_same_integers_as_the_series(self, monkeypatch):
-        atanh, calls = polygamma_module._atanh, []
+        atanh, calls = fixedpoint._atanh, []
 
         def spy(u, v, w):
             calls.append((u, v, w))
             return atanh(u, v, w)
 
-        monkeypatch.setattr(polygamma_module, "_atanh", spy)
+        monkeypatch.setattr(fixedpoint, "_atanh", spy)
         for w in (64, 3411, 64, 3411, 0):
-            assert polygamma_module.half_ln2(w) == atanh(1, 3, w)
+            assert fixedpoint.half_ln2(w) == atanh(1, 3, w)
         assert calls == [(1, 3, 64), (1, 3, 3411), (1, 3, 0)]
         # a ln of a ratio far from 1 takes ln 2 from the cache
         calls.clear()
-        t, e = polygamma_module.ln_ratio(1560, 1, 3411)
+        t, e = fixedpoint.ln_ratio(1560, 1, 3411)
         assert all((u, v) != (1, 3) for u, v, _ in calls)
         with mpmath.workprec(3500):
             assert abs(mpmath.mpf(t) - mpmath.ln(1560) * mpmath.mpf(2) ** 3411) <= e
 
     def test_cache_stays_within_its_bound(self):
-        half_ln2 = polygamma_module.half_ln2
+        half_ln2 = fixedpoint.half_ln2
         size = half_ln2.cache_info().maxsize
         for w in range(size + 5):
             half_ln2(w)
@@ -529,6 +531,22 @@ def test_ends_compared_as_integers_rerun_near_a_tie(monkeypatch, digits):
     assert decimal_text(value, digits) == "1." + "0" * (digits - 2) + "1"
     if digits == 1000:
         assert min(den.bit_length() for _, den in ends) > 3300
+
+
+@settings(max_examples=20, deadline=None)
+@given(terms=_CACHE_TERMS, digits=st.integers(10, 1000), sign=st.sampled_from([1, -1]))
+def test_certified_digits_print_as_the_dyadic_does(terms, digits, sign):
+    # the engine prints psi_dyadic's digits as they are, with no third
+    # rounding: the text decimal_text makes of psi_sum's dyadic
+    terms = [(sign * c, n, x) for c, n, x in terms]
+    policy = PrecisionPolicy(digits)
+    try:
+        m, k, certified = polygamma_module.psi_dyadic(terms, policy)
+    except PrecisionExhausted:  # an exactly zero sum
+        return
+    value = psi_sum(terms, policy)
+    assert value == F(m, 1 << k)
+    assert fixedpoint.digits_text(*certified, digits) == decimal_text(value, digits)
 
 
 def test_exact_zero_reaches_the_precision_ceiling():
