@@ -4,14 +4,13 @@ Coefficient tuples are dense (index = power of n); degrees in this package
 are small, so simplicity wins over sparse representations.  Values are
 immutable and operations are pure functions.
 
-The arithmetic is generic over exact numbers, but every algorithm here
-runs on integer coefficients: splitting off the repeated factors with one
-gcd, taking out rational roots and cancelling a numerator all divide
-exactly by primitive divisors.  By Gauss's lemma (Knuth, TAOCP vol. 2,
-4.6.1), a primitive integer polynomial that divides an integer one over Q
-divides it over Z, so none of these steps ever needs a Fraction.  Rational
-coefficients appear only where a result has them, such as a numerator
-over a monic denominator.
+The arithmetic is generic over exact numbers, but factoring runs on lists
+of integer coefficients and makes a Polynomial only for what it returns.
+Its one gcd, its root lifts and its cancellations divide exactly by
+primitive divisors, which by Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1)
+divide over Z what they divide over Q, so none needs a Fraction.  Rational
+coefficients appear only where a result has them, such as a numerator over
+a monic denominator.
 """
 
 from __future__ import annotations
@@ -131,9 +130,6 @@ class Polynomial:
             out = out * inner + Polynomial([c])
         return out
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def primitive(self):
         """(c, p) with self = c * p, p integer and primitive, lead(p) > 0.
 
@@ -188,37 +184,34 @@ def _primitive_part(coeffs) -> Polynomial:
     return Polynomial([c // g for c in ints])
 
 
-def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Primitive part of a pseudo-remainder of integer a by integer b.
-
-    Each step scales the remainder by lead(b) / gcd(lead(b), top) only, so
-    the result is a remainder of a times some integer.
-    """
-    rem, lead, low = list(a.coeffs), b.leading, b.coeffs[:-1]
-    while len(rem) > len(low):
-        top = rem.pop()
-        if top:
-            g = math.gcd(top, lead)
-            scale, top = lead // g, top // g
-            k = len(rem) - len(low)
-            rem = [c * scale for c in rem]
-            for i, c in enumerate(low):
-                rem[k + i] -= top * c
-    return _primitive_part(Polynomial(rem).coeffs)
+def _gcd(a, b):
+    """The primitive gcd, lead > 0, of integer coefficients a, b not both zero:
+    Euclid on primitive pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1), each
+    step scaled by lead(b) / gcd(lead(b), top) only, so coefficients stay small."""
+    while b:
+        rem, lead, low = list(a), b[-1], b[:-1]
+        while len(rem) > len(low):
+            top = rem.pop()
+            if top:
+                g = math.gcd(top, lead)
+                scale, top = lead // g, top // g
+                k = len(rem) - len(low)
+                rem = [c * scale for c in rem]
+                for i, c in enumerate(low):
+                    rem[k + i] -= top * c
+        while rem and not rem[-1]:
+            rem.pop()
+        g = math.gcd(*rem)
+        a, b = b, [c // g for c in rem]
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // g for c in a]
 
 
 def primitive_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Greatest common divisor: primitive, integer, with positive leading coefficient.
-
-    Euclid's algorithm on primitive pseudo-remainders (Knuth, TAOCP vol. 2,
-    4.6.1), so every coefficient stays an integer of bounded size.
-    """
+    """Greatest common divisor: primitive, integer, with positive leading coefficient."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    a, b = _primitive_part(p.coeffs), _primitive_part(q.coeffs)
-    while not b.is_zero():
-        a, b = b, _pseudo_remainder(a, b)
-    return a
+    return Polynomial(_gcd(_primitive_part(p.coeffs).coeffs, _primitive_part(q.coeffs).coeffs))
 
 
 class FactorList:
@@ -298,25 +291,46 @@ def _powmod_p(a: Polynomial, e: int, f: Polynomial, p: int) -> Polynomial:
     return out
 
 
-def _value_mod(coeffs, x, m):
-    """Horner evaluation of integer coeffs at x, mod m."""
-    acc = 0
+def _horner(coeffs, x, m):
+    """(f(x), f'(x)) mod m for integer coefficients f, by Horner's rule."""
+    value = slope = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
+        slope = (slope * x + value) % m
+        value = (value * x + c) % m
+    return value, slope
+
+
+def _div_linear(coeffs, a, b):
+    """Integer coefficients over b n - a, b > 0, by synthetic division; None if inexact."""
+    if not coeffs:
+        return []
+    if a and coeffs[0] % a:  # f(0) is -a times the quotient's
+        return None
+    quot, q = [], 0
+    for c in coeffs[:0:-1]:
+        q, r = divmod(c + a * q, b)
+        if r:
+            return None
+        quot.append(q)
+    return None if coeffs[0] + a * q else quot[::-1]
+
+
+def _reconstruct(u, m):
+    """Coprime (a, b), b > 0, with a = b u mod m and |a|, b <= sqrt(m/2), or None:
+    Wang's rational reconstruction (von zur Gathen & Gerhard, MCA, 5.10)."""
+    half, r0, r1, t0, t1 = math.isqrt(m // 2), m, u, 0, 1
+    while r1 > half:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > half or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _roots_mod(fp: Polynomial, p: int):
-    """The roots of fp, square-free mod p, as residues.
-
-    A small field, p = 2 always among them, is searched residue by residue.
-    Otherwise the product h = gcd(fp, x^p - x) of the linear factors is
-    split by gcds with (x + a)^((p-1)/2) - 1 for a = 0, 1, ...; some a
-    separates any two roots (von zur Gathen & Gerhard, Modern Computer
-    Algebra, 14.3).
-    """
-    if p <= _SEARCH_FACTOR * len(fp.coeffs):
-        return [r for r in range(p) if _value_mod(fp.coeffs, r, p) == 0]
+    """The distinct roots of fp mod p, for a prime p past the residue search:
+    their product gcd(fp, x^p - x) split by gcds with (x + a)^((p-1)/2) - 1,
+    a = 0, 1, ... (von zur Gathen & Gerhard, Modern Computer Algebra, 14.3)."""
     x = Polynomial([0, 1])
     stack, roots, a = [_gcd_p(fp, _powmod_p(x, p, fp, p) - x, p)], [], 0
     while stack:
@@ -331,44 +345,52 @@ def _roots_mod(fp: Polynomial, p: int):
     return roots
 
 
-def _rational_roots(f: Polynomial):
-    """Rational roots of a primitive square-free integer f, and f divided by them.
+def _rational_roots(s):
+    """The rational roots of a primitive square-free integer s, lead > 0 (a
+    coefficient list), as pairs (p, q) in lowest terms, q > 0.
 
-    A rational root z makes N = lead * z an integer below lead + max|c_i|,
-    Cauchy's bound.  For the least prime p that leaves f square-free and of
-    full degree (only the primes dividing lead * disc(f) do not, so the
-    search ends), z mod p is a simple root of f mod p.  Newton's iteration
-    lifts it to z mod p^e (Loos, SIAM J. Comput. 12, 1983) on f divided by
-    the roots found before it, a simple root there too, and once p^e
-    exceeds twice the bound, N is the symmetric residue of lead * z.  A
-    candidate N / lead is kept only if f divides exactly over Z by q n - p',
-    for p'/q its lowest terms, and returned as the pair (p', q), q > 0.
+    A root a/b has b | lead, so mod a prime p not dividing lead it reduces to
+    a root r of s.  p is the least such prime with s'(r) != 0 mod p at every
+    residue root r, dropped at the first r where s' vanishes; only primes
+    dividing disc(s) fail, so the search ends.  Newton's iteration on s lifts
+    each r to mod m = p^(2^k) (Loos, SIAM J. Comput. 12, 1983).  After each
+    squaring the candidate a/b is r's rational reconstruction; once m passes
+    twice Cauchy's bound lead + max|c_i| on |lead z|, as p itself may, it is
+    lead r's symmetric residue over lead, so no rational root is missed.  A
+    candidate with b | lead where s divides exactly by b n - a is the one
+    p-adic root above r, and its lift stops; a residue whose last candidate
+    fails lifts none.
     """
-    ints, dints, lead = f.coeffs, f.derivative().coeffs, f.leading
-    p = 1
+    lead, p, sieve = s[-1], 1, s[-1]
     while True:
         p += 1
-        if lead % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
-            fp, dp = (Polynomial([c % p for c in g]) for g in (ints, dints))
-            if _gcd_p(fp, dp, p).degree == 0:
-                break
-    bound = 2 * (lead + max(abs(c) for c in ints))
-    roots = []
-    for r in _roots_mod(fp, p):
+        if math.gcd(p, sieve) > 1:  # p divides lead or has a prime factor below it
+            continue
+        sieve *= p
+        sp, simple = [c % p for c in s], []
+        for r in range(p) if p <= _SEARCH_FACTOR * len(s) else _roots_mod(Polynomial(sp), p):
+            value, slope = _horner(sp, r, p)
+            if value == 0:
+                if slope == 0:
+                    break
+                simple.append(r)
+        else:
+            break
+    bound, roots = 2 * (lead + max(abs(c) for c in s)), []
+    for r in simple:
         m = p
-        while m <= bound:
-            m *= m
-            r = (r - _value_mod(ints, r, m) * pow(_value_mod(dints, r, m), -1, m)) % m
-        num = lead * r % m
-        num = num - m if 2 * num > m else num
-        g = math.gcd(num, lead)  # lead > 0 keeps q > 0
-        root = num // g, lead // g
-        quot = f.exact_div(Polynomial([-root[0], root[1]]))
-        if quot is not None:
-            roots.append(root)
-            f = quot
-            ints, dints = f.coeffs, f.derivative().coeffs
-    return roots, f
+        while True:  # one squaring at least, though p may be past the bound
+            m, old = m * m, m
+            value, slope = _horner(s, r, m)
+            r = (r - value * pow(slope, -1, old)) % m
+            root = (_reconstruct(r, m) if m <= bound  # past the bound, the last candidate
+                    else Fraction((lead * r + m // 2) % m - m // 2, lead).as_integer_ratio())
+            if root and lead % root[1] == 0 and _div_linear(s, *root) is not None:
+                roots.append(root)
+                break
+            if m > bound:
+                break
+    return roots
 
 
 def linear_product(roots) -> Polynomial:
@@ -379,45 +401,14 @@ def linear_product(roots) -> Polynomial:
     return Polynomial(out)
 
 
-def _vanishes(f: Polynomial, p: int, q: int) -> bool:
-    """Whether integer f has the root p/q: q^d f(p/q) = 0, on integers."""
-    acc, scale = 0, 1
-    for c in reversed(f.coeffs):
-        acc, scale = acc * p + c * scale, scale * q
-    return acc == 0
-
-
-def _linear_part(f: Polynomial):
-    """(roots (p, q), multiplicities, rest) of a primitive integer f, deg f >= 1.
-
-    One gcd g = gcd(f, f') leaves the square-free part f/g, with f's
-    rational roots.  A root of multiplicity m divides g m - 1 times, so g is
-    divided once per level by the product of the roots still live; when
-    that fails, the roots where g no longer vanishes drop out.  The rest, f
-    over its linear factors, has no rational root.
-    """
-    g = primitive_gcd(f, f.derivative())
-    roots = _rational_roots(f.exact_div(g))[0]
-    mult, live = [1] * len(roots), range(len(roots))
-    while live and g.degree > 0:
-        quot = g.exact_div(linear_product(roots[i] for i in live))
-        if quot is None:
-            live = [i for i in live if _vanishes(g, *roots[i])]
-            continue
-        g = quot
-        for i in live:
-            mult[i] += 1
-    linear = [r for r, m in zip(roots, mult) for _ in range(m)]
-    rest = f.exact_div(linear_product(linear)) if len(linear) < f.degree else Polynomial([1])
-    return roots, mult, rest
-
-
 def factor_linear(p: Polynomial, numerator: Polynomial = None):
     """Factor p into rational linear factors (n + a_i)^{m_i}.
 
-    Raises NonLinearFactor when some factor has no rational root; its
-    remainder is the primitive integer product of the factors left over,
-    each raised to its multiplicity.
+    One gcd g = gcd(f, f') of p's primitive part f leaves the square-free
+    part f/g, with f's rational roots; a root of multiplicity m divides g
+    m - 1 times, counted by synthetic division.  Raises NonLinearFactor when
+    some factor has no rational root; its remainder is the primitive integer
+    product of the factors left over, each raised to its multiplicity.
 
     Given a numerator N, returns (Q, factors) for N/p in lowest terms, Q
     over the monic product of the factors.  N is divided by each root's
@@ -427,15 +418,22 @@ def factor_linear(p: Polynomial, numerator: Polynomial = None):
     if p.degree < 1:
         raise ValueError("factor_linear requires a nonzero polynomial of degree >= 1")
     content, f = p.primitive()
-    roots, mult, rest = _linear_part(f)
+    g = _gcd(f.coeffs, [k * c for k, c in enumerate(f.coeffs)][1:])
+    roots, mult = _rational_roots(f.exact_div(Polynomial(g)).coeffs), []
+    for root in roots:
+        mult.append(1)
+        while len(g) > 1 and (quot := _div_linear(g, *root)) is not None:
+            g, mult[-1] = quot, mult[-1] + 1
+    linear = [root for root, m in zip(roots, mult) for _ in range(m)]
+    rest = f.exact_div(linear_product(linear)) if len(linear) < f.degree else Polynomial([1])
     if numerator is not None:
         scale, numerator = numerator.primitive()
-        lead = 1
-        for i, (a, b) in enumerate(roots):
-            while mult[i] and _vanishes(numerator, a, b):
-                numerator = numerator.exact_div(Polynomial([-a, b]))
-                mult[i] -= 1
-            lead *= b ** mult[i]
+        num, lead = numerator.coeffs, 1
+        for i, root in enumerate(roots):
+            while mult[i] and (quot := _div_linear(num, *root)) is not None:
+                num, mult[i] = quot, mult[i] - 1
+            lead *= root[1] ** mult[i]
+        numerator = Polynomial(num)
         if rest.degree > 0:
             g = primitive_gcd(numerator, rest)
             numerator, rest = numerator.exact_div(g), rest.exact_div(g)

@@ -15,7 +15,7 @@ from exactsum.cli import CliRequest, run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# The engine sums psi terms with `polygamma.psi_sum`, so this hook records nothing.
+# The engine sums psi terms with `polygamma.psi_dyadic`, so this hook records nothing.
 STALE = {"polygamma.polygamma"}
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from exactsum.errors import (
 )
 from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.partfrac import SumSpec
-from exactsum.polys import Polynomial
+from exactsum.polys import FactorList, Polynomial
 
 from conftest import from_pairs, reduced
 
@@ -232,6 +233,21 @@ class TestAstToSpec:
         assert spec.numerator == Polynomial([2])
         assert spec.factors.pairs == tuple((F(k), 1) for k in range(1, 131))
 
+    @pytest.mark.parametrize("shifts, seconds", [
+        ([F(k, 13) for k in range(256)], 3),
+        ([F(k, 257) for k in range(1, 257)], 3),
+        ([F(-k, 257) for k in range(1, 257)], 3),
+        ([F(k, 7) for k in range(128)], 0.5),
+    ], ids=["256-shifts-k/13", "256-shifts-k/257", "256-shifts-minus-k/257", "128-shifts-k/7"])
+    def test_factoring_at_the_degree_limit(self, shifts, seconds):
+        # each takes well under these bounds, which catch a return to seconds
+        pair = parse_expression(
+            "1/(" + "*".join(f"(n{'+' if a >= 0 else '-'}{abs(a)})" for a in shifts) + ")")
+        start = time.perf_counter()
+        spec = ast_to_spec(pair, "plain")
+        assert time.perf_counter() - start < seconds
+        assert spec.factors == FactorList([(a, 1) for a in shifts])
+
     def test_integer_fold_keeps_rational_numerator(self):
         # (2/3)/(2n^2 + n) is (1/3)/(n^2 + n/2) over the monic denominator
         spec = ast_to_spec(parse_expression("(2/3)/(2*n^2+n)"), "plain")
@@ -269,13 +285,13 @@ class TestCancellation:
             2, "", "error: denominator has a factor with no rational root: n^2 + 1\n")
 
     def test_one_gcd_when_every_root_is_rational(self, monkeypatch):
-        gcd, calls = polys.primitive_gcd, []
+        gcd, calls = polys._gcd, []
 
         def counted(p, q):
             calls.append((p, q))
             return gcd(p, q)
 
-        monkeypatch.setattr(polys, "primitive_gcd", counted)
+        monkeypatch.setattr(polys, "_gcd", counted)
         spec = ast_to_spec(parse_expression(
             "(n-1)*(n+1/2)/((n-1)*(n+1/2)^2*(n+1/3)^3*n^2*(n+5)^31)"), "plain")
         assert spec.factors.pairs == (

@@ -158,6 +158,16 @@ class TestFactorLinear:
         fl = FactorList([(F(k, lead), 1) for k in range(41)])
         assert factor_linear(expand(fl) * lead) == fl
 
+    def test_prime_past_cauchys_bound(self):
+        # (n + 2)(n - 1)(n^2 + 1) has a double root mod 2, 3 and 5, so its
+        # prime is 7, already past twice Cauchy's bound 1 + 2: each root is
+        # still lifted once and tried
+        p = P(2, 1) * P(-1, 1) * P(1, 0, 1)
+        with pytest.raises(NonLinearFactor) as exc:
+            factor_linear(p)
+        assert exc.value.remainder == P(1, 0, 1)
+        assert factor_linear(p, P(-1, 1) * P(1, 0, 1)) == (P(1), FactorList([(2, 1)]))
+
     def test_good_prime_past_the_residue_search(self):
         # every prime a residue search would take divides the lead, so the
         # roots mod the first good prime come from splitting by gcds
@@ -168,7 +178,8 @@ class TestFactorLinear:
 
     def test_degree_256_shifts_over_a_prime(self):
         # 256 roots k/257 share one lead, the largest a request may fold;
-        # each is lifted on what the roots before it leave
+        # each is lifted on the square-free part itself until its
+        # reconstruction divides it
         fl = FactorList([(F(k, 257), 1) for k in range(1, 257)])
         assert factor_linear(expand(fl)) == fl
 
@@ -284,14 +295,44 @@ _cubics = st.tuples(st.integers(1, 3), *[st.integers(-9, 9)] * 3).filter(
 )
 def test_rational_roots_match_the_rational_root_theorem(roots, cofactors):
     """A primitive square-free product of linear factors and irreducible
-    quadratics or cubics gives back its rational roots and the cofactors."""
+    quadratics or cubics gives back its rational roots, and factor_linear
+    the cofactors as its remainder."""
     assume(roots or cofactors)
     rest = math.prod(cofactors, start=P(1))
     f = math.prod((P(-r.numerator, r.denominator) for r in roots), start=rest)
-    found, left = polys._rational_roots(f)
+    found = polys._rational_roots(f.coeffs)
     assert all(q > 0 and math.gcd(p, q) == 1 for p, q in found)
     assert sorted(F(p, q) for p, q in found) == _brute_rational_roots(f) == sorted(roots)
-    assert left == rest
+    if cofactors:
+        with pytest.raises(NonLinearFactor) as exc:
+            factor_linear(f)
+        assert exc.value.remainder == rest
+    elif not any(r.denominator == 1 and r > 0 for r in roots):
+        assert factor_linear(f) == FactorList([(-r, 1) for r in roots])
+
+
+_tall_shifts = st.builds(F, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(_tall_shifts, shifts), st.integers(1, 4)), min_size=1,
+             max_size=5, unique_by=lambda t: t[0]).filter(
+        lambda pairs: not any(a.denominator == 1 and a < 0 for a, _ in pairs)),
+    st.one_of(st.none(), st.one_of(_quadratics, _cubics).map(lambda t: Polynomial(reversed(t)))),
+)
+def test_lifts_run_past_their_first_reconstructions(pairs, cofactor):
+    """Roots of height up to 10^12 over 10^6 beside small ones: a root's
+    early reconstructions fail to divide, and its lift goes on until one
+    does.  factor_linear gives back the factors, or the cofactor as its
+    remainder."""
+    fl = FactorList(pairs)
+    if cofactor is None:
+        assert factor_linear(expand(fl) * F(-5, 3)) == fl
+    else:
+        with pytest.raises(NonLinearFactor) as exc:
+            factor_linear(expand(fl) * cofactor)
+        assert exc.value.remainder == cofactor
 
 
 @settings(max_examples=60, deadline=None)
