@@ -11,21 +11,26 @@ Quadrature is a verifier, not the product: the CLI checks it to
 quad_digits(d) = ceil(d/2) significant digits of the d printed ones.  A
 table with a shift a < 0 has its first k = ceil(-a) terms summed on the
 integral's grid and is shifted by k, so every shift is >= 0 (DLMF
-25.11.25).  It divides the table by 2^e, e the size of its largest term's
-sum, and runs mpmath's tanh-sinh rule (its levels, truncation and
-level-error estimate) at ten digits more than that, rerunning at more
-where the estimate plus the counted floors is not within that many digits
-of the sum.  The integrand is one Horner's rule over the table's powers of
-s, highest first: each power adds its polynomial in L = -ln s, and one
-floored product by s^gap steps to the next power.  It runs over a whole
-level at once, and W leaves room for the coefficients' size and L^(J-1).
-A level holds its nodes and one column per value met at them (a power of
-s, the weight over 1 - sign s), the value at every node; levels are shared
-by every quadrature in a process-wide cache keyed (W, degree, depth), W
-rounded up to 64 bits and depth the truncation, of at most 64 levels, the
-least recently used dropped.  Every column is a function of its level's
-key and its own, so no quadrature depends on the cache's history or on
-another thread.
+25.11.25).  It is divided by 2^e, e the size of its largest term's sum,
+and integrated by mpmath's tanh-sinh rule (its levels, truncation and
+level-error estimate) at ten digits more than the check, rerun at more
+where that estimate plus the counted floors, or the 2^(1-prec) a pass
+resolves, misses it.  On one level, with weights q_p and L = -ln s, the
+integral of sum C_ij s^(a_i) L^(j-1)/(1 - sign s), C_ij = A_ij/((j-1)!
+2^e), is sum C_ij M(sign, a_i, j-1), M(sign, a, l) = sum_p q_p s_p^a L_p^l.
+A level keeps M as an integer on 2^-W, made on 2^-(W+g) (`_Level._make`).
+Against s = exp(-L) exactly, an `_exp` column is within 2 units, s within
+6 and `_power`'s s^n within 4n + 2, and a product floors once, so q s^a,
+a = n + k/d, is within (ceil(q) + 1)(6 (n + k) + 2) units and q s^a L^l
+within that plus l, times Lc^l, Lc = max ceil(L): M is within E = ((6 (n
++ k) + 2 + l) Lc^l sum_p (ceil(q_p) + 1) >> g) + 2 units.  A pass sums
+c M >> W, c = floor(2^W C), within sum ((|c| + 1) E + |M|) >> W units
+plus one per product, so a warm level costs a few products.  Levels sit
+in a process-wide cache keyed (W, degree, depth), W a multiple of 64 bits
+and depth the truncation, of 64 levels, the least recently used dropped,
+and a level keeps at most _MOMENTS_MAX moments.  Every moment is a function
+of its level's key and its own, so no quadrature depends on the cache's
+history or on another thread.
 
 The bracket sums h(n) over n >= 1, with h = Q/P for plain sums and
 h(x) = f(2x-1) - f(2x), f = Q/P, for alternating ones, so both signs share
@@ -278,7 +283,7 @@ def _table(pf: PartialFractions):
     is its first k terms plus sign^k times the shifted table's."""
     entries = [(a, j, c) for a, j, c in pf.entries if c != 0]
     k = max(0, -math.floor(min((a for a, _, _ in entries), default=0)))
-    return [(a + k, j, c) for a, j, c in entries], k
+    return ([(a + k, j, c) for a, j, c in entries] if k else entries), k
 
 
 def _head(entries, k: int, sign: int, w: int) -> int:
@@ -303,49 +308,40 @@ def _scale(entries) -> int:
     return math.floor(max(sizes, default=0))
 
 
-def _by_power(entries, e: int = 0):
-    """The table over 2^e as [(a, coeffs)], one per power a >= 0, highest first.
-
-    Entry (a, j, A) adds A/((j-1)! 2^e) to the coefficient of L^(j-1) at
-    the power a; the exact coefficients run highest order first, for
-    Horner's rule in L.
-    """
-    powers = {}
-    for a, j, c in entries:
-        orders = powers.setdefault(a, {})
-        orders[j - 1] = orders.get(j - 1, 0) + Fraction(
-            c.numerator << max(0, -e), c.denominator * math.factorial(j - 1) << max(0, e))
-    return [(a, [orders.get(i, 0) for i in range(max(orders), -1, -1)])
-            for a, orders in sorted(powers.items(), reverse=True)]
+def _terms(entries, e: int) -> list:
+    """The table over 2^e as [(num, den, l, N, D)], one per entry (a, j, A): a =
+    num/den, l = j - 1 and the exact coefficient N/D = A/((j-1)! 2^e)."""
+    return [(a.numerator, a.denominator, j - 1, c.numerator << max(0, -e),
+             c.denominator * math.factorial(j - 1) << max(0, e)) for a, j, c in entries]
 
 
 _C_NUM, _C_SHIFT = 25, 4  # c = 25/16 of E = exp(-2c sinh t): dyadic, near mpmath's pi/2
-_GRID_STEP = 64  # bits: W is rounded up to a multiple, so requests share node tables
+_GRID_STEP = 64  # bits: W is rounded up to a multiple, so requests share levels
 _NODE_GUARD = 40  # bits finer than L's grid that a level's nodes are computed on
-_LOG_GUARD = 57  # bits below 2^-W that L is kept to; `_floor_counts` counts the rest
+_LOG_GUARD = 57  # bits below 2^-W that L, the weights and the moments' sums are kept to
+_ROOT_CHAIN, _STEP_CHAIN = 256, 32  # most products by s^(1/d), by s, to make s^(n+k/d)
+_MOMENTS_MAX = 1024  # moments a level keeps; one table makes at most MAX_DEGREE
 
 
 class _Level:
     """The nodes tanh-sinh adds at one level, on the grid W, down to
-    1 - s > 2^-depth, and the values met at them.
+    1 - s > 2^-depth, and the moments of the powers of s at them.
 
     Level 1 has t = 0 and t = k/2, level d > 1 the odd multiples of 2^-d,
     and like mpmath the level stops at the first t past the depth, or after
     20 2^d + 1 values of t.  Each t > 0 gives two points, s = 1/(1 + E) and
     E/(1 + E) with E = exp(-2c sinh t), and e^t steps by one product per t.
-    A point is a tuple (L, s, 1 - s, h 2c cosh t): L = -ln s on
-    2^-(W+_LOG_GUARD), that is ln(1 + E), plus 2c sinh t at the second
-    point; the rest on the finer grid wg, where h = 2^-d and h ds/dt =
-    h 2c cosh t s (1 - s).  `columns` maps a value's key to that value at
-    every point, on 2^-W, made by `column` on first use.  Every column is a
-    function of (W, degree, depth) and its key.
+    A point is (L, s, 1 - s, h 2c cosh t): L = -ln s = ln(1 + E), plus 2c
+    sinh t at the second point, on 2^-(W+g), g = _LOG_GUARD; the rest on
+    the finer grid wg, where h = 2^-d and h ds/dt = h 2c cosh t s (1 - s).
+    Every column and moment is a function of (W, degree, depth) and its key.
     """
 
     def __init__(self, big_w: int, degree: int, depth: int):
         self.big_w, self.degree = big_w, degree
         wg = self.wg = big_w + _LOG_GUARD + _NODE_GUARD
         one = 1 << wg
-        self.points, self.columns = [], {}
+        self.points, self.columns, self.moments = [], {}, {}
         if degree == 1:
             self._add(one, one, depth)
         et = _exp(1, degree, wg)  # e^t at the first t, 1/2^d
@@ -372,76 +368,81 @@ class _Level:
         return True
 
     def column(self, key) -> list:
-        """The value under `key` at every point on 2^-W, stored on first use.
-
-        Under (num, den), s^(num/den): a binary power for den = 1, else
-        exp(-num L/den).  Under the sign, the weight h ds/dt/(1 - sign s):
-        at sign +1, h 2c cosh t s, with 1 - s cancelled, so no small
-        quotient near 1.
-        """
-        column = self.columns.get(key)
-        if column is not None:
-            return column
-        wg, big_w = self.wg, self.big_w
-        if isinstance(key, tuple):
-            num, den = key
-            if den == 1:
-                column = [_power(s, num, wg) >> (wg - big_w) for _, s, _, _ in self.points]
-            else:
-                column = [_exp(-(num * neglog) // den, big_w + _LOG_GUARD, big_w)
-                          for neglog, _, _, _ in self.points]
-        elif key > 0:
-            column = [(hcosh * s >> wg) >> (wg - big_w) for _, s, _, hcosh in self.points]
+        """The value under `key` at every point on 2^-(W+g), stored on first
+        use.  Under the sign, the weight q = h ds/dt/(1 - sign s), 1 - s
+        cancelled at sign +1; under (num, den), s^(num/den), by `_power` or `_exp`."""
+        if key in self.columns:
+            return self.columns[key]
+        wg, wm = self.wg, self.big_w + _LOG_GUARD
+        if not isinstance(key, tuple):
+            column = [((hcosh * s >> wg) * other >> wg << wm) // ((1 << wg) + s) if key < 0
+                      else hcosh * s >> wg >> _NODE_GUARD for _, s, other, hcosh in self.points]
+        elif key[1] == 1:
+            column = [_power(s, key[0], wg) >> _NODE_GUARD for _, s, _, _ in self.points]
         else:
-            column = [((hcosh * s >> wg) * other >> wg << big_w) // ((1 << wg) + s)
-                      for _, s, other, hcosh in self.points]
-        self.columns[key] = column
-        return column
+            column = [_exp(-(key[0] * neglog) // key[1], wm, wm) for neglog, *_ in self.points]
+        return self.columns.setdefault(key, column)
+
+    def integrate(self, keys, coeffs):
+        """(V, F): V = sum_k c_k M_k >> W, M_k the moment under keys[k] and
+        c_k = floor(2^W C_k), is within F units of 2^-W of sum_k C_k times
+        M_k's exact value.  Missing moments are made together and stored in
+        a new store, which starts empty if it would pass _MOMENTS_MAX."""
+        found = [self.moments.get(key) for key in keys]
+        if None in found:
+            made = self._make({key for key, got in zip(keys, found) if got is None})
+            within = len(self.moments) + len(made) <= _MOMENTS_MAX
+            self.moments = {**self.moments, **made} if within else made
+            found = [got or made[key] for key, got in zip(keys, found)]
+        value = sum(c * m >> self.big_w for c, (m, _) in zip(coeffs, found))
+        floors = sum((abs(c) + 1) * e + abs(m) for c, (m, e) in zip(coeffs, found))
+        return value, (floors >> self.big_w) + 1 + len(keys)
+
+    def _make(self, keys) -> dict:
+        """The moments under `keys` and every lower l of their powers.  At each
+        point q s^(n+k/d) is q times s^(k/d), the column s^(1/d) times itself
+        k - 1 times (past _ROOT_CHAIN one direct column), then times s n times
+        (past _STEP_CHAIN, q times one direct s^a); M sums it times L^l."""
+        wm = self.big_w + _LOG_GUARD
+        neglogs = [point[0] for point in self.points]
+        steps = [point[1] >> _NODE_GUARD for point in self.points]
+        top = max(1, -(-max(neglogs) >> wm))  # >= ceil(L) at every point
+        tops, chains, made = {}, {}, {}
+        for sign, num, den, l in keys:
+            tops[sign, num, den] = max(l, tops.get((sign, num, den), 0))
+
+        def emit(sign, num, den, u):
+            rows = sum(-(-q >> wm) + 1 for q in self.column(sign))  # sum_p (ceil(q_p) + 1)
+            for l in range(tops[sign, num, den] + 1):  # u = q s^a L^l
+                u = [x * y >> wm for x, y in zip(u, neglogs)] if l else u
+                error = ((6 * sum(divmod(num, den)) + 2 + l) * rows * top ** l >> _LOG_GUARD) + 2
+                made[sign, num, den, l] = (sum(u) >> _LOG_GUARD, error)
+
+        for sign, num, den in tops:
+            n, k = divmod(num, den)
+            n, k = (0, num) if n > _STEP_CHAIN else (n, k)  # then s^(num/d) is one column
+            chains.setdefault(den, {}).setdefault(k, {}).setdefault(sign, set()).add(n)
+        for den, by_k in chains.items():
+            done, power, limit = 0, None, min(den, _ROOT_CHAIN + 1)  # power = s^(done/d)
+            for k in sorted(by_k):
+                while done < k < limit:
+                    root, done = self.column((1, den)), done + 1
+                    power = [x * y >> wm for x, y in zip(power, root)] if done > 1 else root
+                if k >= limit:
+                    power = self.column((k, den))
+                for sign, ns in by_k[k].items():
+                    u = self.column(sign)
+                    u = [x * y >> wm for x, y in zip(u, power)] if k else u
+                    for n in range(max(ns) + 1):
+                        u = [x * y >> wm for x, y in zip(u, steps)] if n else u
+                        if n in ns:
+                            emit(sign, n * den + k, den, u)
+        return made
 
 
-# _level(W, degree, depth): the levels shared by every quadrature in the
-# process; a verify-30d round meets four (W = 128, depth 97), ~0.15 MB
+# _level(W, degree, depth): the levels shared by every quadrature in the process;
+# a verify-30d round meets four (W = 128, depth 97), ~0.2 MB with their moments
 _level = functools.lru_cache(maxsize=64)(_Level)
-
-
-def _integrand(level: _Level, powers) -> list:
-    """f(s) = sum_i s^(a_i) sum_l c_il L^l at every point of the level, with
-    the coefficients on 2^-W: Horner's rule over the powers, highest first,
-    adding each one's Horner polynomial in L and then multiplying by
-    s^(a_i - a_(i+1)), or by s^(a_last) after the last, in one floored
-    product each."""
-    big_w, shift = level.big_w, level.big_w + _LOG_GUARD
-    neglogs = [point[0] for point in level.points]
-    f = [0] * len(neglogs)
-    for (a, coeffs), (b, _) in zip(powers, powers[1:] + [(0, [])]):
-        h = [coeffs[0]] * len(neglogs)
-        for c in coeffs[1:]:
-            h = [(x * neglog >> shift) + c for x, neglog in zip(h, neglogs)]
-        f = [x + y for x, y in zip(f, h)]
-        gap = a - b
-        if gap:
-            f = [x * u >> big_w for x, u in zip(f, level.column((gap.numerator, gap.denominator)))]
-    return f
-
-
-def _floor_counts(powers, neglog_max: int):
-    """(B, C): `_integrand`'s f times a weight q, floored, is within q B + C
-    units of 2^-W of its exact q f(s), given node values within 2 units and
-    L <= neglog_max.  A Horner step floors twice and later steps grow that
-    by L; a product with a node value adds twice the other factor's bound,
-    the sum of the Horner bounds so far, plus 1; the node's place, within
-    2^-(W+g) in L for g = _LOG_GUARD, adds the slope bound 4 D 2^-g,
-    D = 9 sum |c| (a + l + 1)^2 L^l.
-    """
-    top = max(1, neglog_max)
-    bound = size = slope = 0
-    for (a, coeffs), (b, _) in zip(powers, powers[1:] + [(0, [])]):
-        n = len(coeffs) - 1
-        h = sum(math.ceil(abs(c)) * top ** (n - i) for i, c in enumerate(coeffs))
-        size += h
-        bound += 2 * (n + 1) * top ** n + (2 * size + 1 if a != b else 0)
-        slope += h * math.ceil((a + n + 1) ** 2)
-    return bound + (36 * slope >> _LOG_GUARD) + 1, 2 * size + 2
 
 
 def _level_error(results, prec: int, big_w: int):
@@ -460,30 +461,33 @@ def _level_error(results, prec: int, big_w: int):
     return 1, 10 ** -int(min(0, max(d1 * d1 / d2 if d2 else -math.inf, 2 * d1, -prec)))
 
 
-def _tanh_sinh(table, sign: int, prec: int):
-    """(W, I, (a, b)): the integral lies within err = a/b of I/2^W.
+def _tanh_sinh(terms, sign: int, prec: int):
+    """(W, I, (a, b)): the `_terms` table's integral is within a/b of I/2^W.
 
     mpmath's rule at precision prec: levels 1 to its guess_degree(prec),
-    each truncated at 1 - s <= 2^-(prec+11), stopping once err is at most
-    2^-(prec+2).  err is the level estimate plus the floors, counted per
-    point by `_floor_counts` and once per level.  W, on the _GRID_STEP
-    grid, has room for the coefficients' size and L^(J-1), so that the
-    floors stay below 2^-(prec+6).
+    each truncated at 1 - s <= 2^-(prec+11), stopping once a/b, the level
+    estimate plus the floors `_Level.integrate` counts, is <= 2^-(prec+2).
+    W, on the _GRID_STEP grid, keeps those floors, bounded before any level
+    (`points` points, L <= Lmax, weights summing to Lmax + 2), below 2^-(prec+6).
     """
     max_degree = int(4 + max(0, math.log2(prec / 30))) + 2
     neglog_max = math.ceil((prec + 12) * math.log(2))
-    bound, size = _floor_counts(table, neglog_max)
     t_max = math.asinh((prec + 11) * math.log(2) * (1 << _C_SHIFT) / (2 * _C_NUM)) + 1
-    count = 2 * ((neglog_max + 2) * bound + math.ceil(2 * t_max * 2 ** max_degree + 2) * size)
-    big_w = -(-(prec + 6 + count.bit_length()) // _GRID_STEP) * _GRID_STEP
-    powers = [(a, [(c.numerator << big_w) // c.denominator for c in coeffs]) for a, coeffs in table]
+    points = math.ceil(2 * t_max * 2 ** max_degree + 2)
+    weights, count = neglog_max + 2, len(terms) + 2
+    rows = weights + 2 * points  # >= sum_p (ceil(q_p) + 1)
+    for num, den, l, n, d in terms:
+        top = neglog_max ** l
+        error = ((6 * sum(divmod(num, den)) + 2 + l) * rows * top >> _LOG_GUARD) + 2
+        count += (-(-abs(n) // d) + 1) * error + weights * top + 1
+    big_w = -(-(prec + 6 + (2 * count).bit_length()) // _GRID_STEP) * _GRID_STEP
+    keys = [(sign, num, den, l) for num, den, l, _, _ in terms]
+    coeffs = [(n << big_w) // d for _, _, _, n, d in terms]
     results, total, floors = [], 0, 0
     for degree in range(1, max_degree + 1):
-        level = _level(big_w, degree, prec + 11)
-        q = level.column(sign)
-        total = (total >> 1) + sum(x * y >> big_w for x, y in zip(_integrand(level, powers), q))
-        weights = sum(q)
-        floors = (floors + 1 >> 1) + 2 + (weights * bound >> big_w) + len(level.points) * size
+        value, level_floors = _level(big_w, degree, prec + 11).integrate(keys, coeffs)
+        total = (total >> 1) + value
+        floors = (floors + 1 >> 1) + 1 + level_floors
         results.append(total)
         if degree > 1:
             a, b = _level_error(results, prec, big_w)
@@ -502,38 +506,34 @@ def _quad(pf: PartialFractions, sign: int, policy: PrecisionPolicy) -> Fraction:
     adds the head, and is accepted only when its error is within
     10^-quad_digits(d) |S|; otherwise it reruns at the digits it fell short
     by.  Reruns stop once they resolve _RESOLVE_DIGITS beyond the first
-    pass, where an exact zero ends.
+    pass, where an exact zero ends.  The returned value is the one Fraction.
     """
     entries, k = _table(pf)
     e = _scale(entries)
-    table = _by_power(entries, e)
+    terms = _terms(entries, e)
     want = quad_digits(policy.target_digits)
     dps = want + 10  # ten guard digits above what the check uses keep tanh-sinh inside it
     ceiling = dps + _RESOLVE_DIGITS
     while True:
         prec = max(1, round((dps + 1) * math.log2(10)))  # mpmath's dps_to_prec
-        big_w, value, (a, b) = _tanh_sinh(table, sign, prec)
+        big_w, value, (a, b) = _tanh_sinh(terms, sign, prec)
         value = _head(entries, k, sign, big_w - e) + sign ** k * value
         a += k * len(entries) * b >> big_w  # the head's floors, one unit each
+        if a << (prec - 1) < b:  # no pass resolves the terms' scale finer than 2^(1-prec)
+            a, b = 1, 1 << (prec - 1)
         if a * (10 ** want << big_w) <= abs(value) * b or dps >= ceiling:  # err <= 10^-want |S|
             return Fraction(value << max(0, e - big_w), 1 << max(0, big_w - e))
-        # the pass resolved max(err, eps) absolutely
-        goal = Fraction(abs(value), 10 ** want << big_w)
-        short = (_log2(max(Fraction(a, b), Fraction(2) ** (1 - prec)) / goal) * math.log10(2)
-                 if goal else ceiling - dps)
+        short = ((math.log2(a) - math.log2(b) + big_w - math.log2(abs(value))) * math.log10(2)
+                 + want if value else ceiling - dps)
         dps = min(ceiling, dps + math.ceil(short))
 
 
-def quad_alternating(
-    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> Fraction:
+def quad_alternating(pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
     """sum (-1)^(n+1) sum_ij A_ij/(n + a_i)^j by quadrature of the whole table."""
     return _quad(pf, -1, policy)
 
 
-def quad_general(
-    pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> Fraction:
+def quad_general(pf: PartialFractions, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
     """sum_n sum_ij A_ij/(n + a_i)^j by quadrature of the whole table.
 
     The j = 1 terms' 1/(1 - s) poles at s = 1 cancel only jointly, under

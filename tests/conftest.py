@@ -8,6 +8,7 @@ import pytest
 
 from exactsum import clear_caches, oracle
 from exactsum.closedform import fraction_text
+from exactsum.fixedpoint import _exp, _power
 from exactsum.polys import FactorList, Polynomial, primitive_gcd
 from exactsum.partfrac import SumSpec
 
@@ -130,33 +131,48 @@ def reference_agrees(result, bracket, quad, digits: int) -> bool:
     return certified and abs(result.value - quad) <= tol
 
 
-def reference_weighted(level, powers, sign: int):
-    """(sum q f(s), sum q) over a tanh-sinh level, point by point: the
-    reference that the column integrand is compared with.
+def reference_weighted(level, keys):
+    """[(M, E)] under each (sign, num, den, l) of `keys`, point by point: the
+    reference that a level's moments are compared with.
 
-    q is the level's weight column under `sign` and f(s) = sum_i s^(a_i)
-    sum_l c_il L^l, with the coefficients on 2^-W: Horner's rule over the
-    powers, highest first, adding each one's Horner polynomial in L, then
-    one floored product by s^(a_i - a_(i+1)), or by s^(a_last) after the
-    last, and one by q, node values read as `level.column(key)[i]`.
+    At each point, on 2^-(W+g), g = _LOG_GUARD: u = q s^a, a = num/den =
+    n + k/d, is the weight q times s^(1/d) times itself k - 1 times, or
+    for k > _ROOT_CHAIN the direct value of s^(k/d), then times s n times;
+    for n > _STEP_CHAIN, q times the direct value of s^a.  Then u L^l is l
+    more products, each floored.  M is the sum of u L^l over the points,
+    floored to 2^-W, and E = ((6 (n + k) + 2 + l) max_p ceil(L_p)^l
+    sum_p (ceil(q_p) + 1) >> g) + 2.
     """
-    big_w, shift = level.big_w, level.big_w + oracle._LOG_GUARD
-    total = weights = 0
-    for i, point in enumerate(level.points):
-        neglog = point[0]
-        f = 0
-        for (a, coeffs), (b, _) in zip(powers, powers[1:] + [(0, [])]):
-            h = coeffs[0]
-            for c in coeffs[1:]:
-                h = (h * neglog >> shift) + c
-            f += h
-            gap = a - b
-            if gap:
-                f = f * level.column((gap.numerator, gap.denominator))[i] >> big_w
-        q = level.column(sign)[i]
-        total += f * q >> big_w
-        weights += q
-    return total, weights
+    wg, wm = level.wg, level.big_w + oracle._LOG_GUARD
+    moments = []
+    for sign, num, den, l in keys:
+        n, k = divmod(num, den)
+        total = rows = 0
+        top = max(max(1, -(-neglog >> wm)) for neglog, *_ in level.points)
+        for i, (neglog, s, _, _) in enumerate(level.points):
+            q = level.column(sign)[i]
+            if n > oracle._STEP_CHAIN:
+                direct = (_power(s, num, wg) >> oracle._NODE_GUARD if den == 1
+                          else _exp(-(num * neglog) // den, wm, wm))
+                u = q * direct >> wm
+            else:
+                u = q
+                if k > oracle._ROOT_CHAIN:
+                    u = u * _exp(-(k * neglog) // den, wm, wm) >> wm
+                elif k:
+                    root = power = level.column((1, den))[i]
+                    for _ in range(k - 1):
+                        power = power * root >> wm
+                    u = u * power >> wm
+                for _ in range(n):
+                    u = u * (s >> oracle._NODE_GUARD) >> wm
+            for _ in range(l):
+                u = u * neglog >> wm
+            total += u
+            rows += -(-q >> wm) + 1
+        error = ((6 * (n + k) + 2 + l) * top ** l * rows >> oracle._LOG_GUARD) + 2
+        moments.append((total >> oracle._LOG_GUARD, error))
+    return moments
 
 
 def recombine(pf):

@@ -376,20 +376,23 @@ class TestFactoring:
         # mpmath.nsum agrees to all 30 digits
         assert code == 0 and json.loads(out)["numeric"] == "1.52042757974121615814398467522e-15"
 
-    def test_seventh_shifts_quadrature_makes_one_gap_column(self, monkeypatch):
-        # the powers k/7 are 1/7 apart and the lowest is 0, so on a fresh level
-        # the integrand makes the one value column s^(1/7) beside the weight
-        levels, make = [], oracle._level
+    def test_seventh_shifts_quadrature_makes_one_exp_column(self, monkeypatch):
+        # the powers k/7 share the denominator 7, so on a fresh level the
+        # moments make one column by exp, s^(1/7), beside the weight, and
+        # every other power of s by products
+        made, column = [], oracle._Level.column
 
-        def recorded(*key):
-            levels.append(make(*key))
-            return levels[-1]
+        def recorded(level, key):
+            if key not in level.columns:
+                made.append(key)
+            return column(level, key)
 
-        monkeypatch.setattr(oracle, "_level", recorded)
+        monkeypatch.setattr(oracle._Level, "column", recorded)
         policy = PrecisionPolicy(target_digits=30)
         spec = parser.ast_to_spec(parser.parse_expression(self.SEVENTHS), "plain")
         quad = oracle.quad_general(decompose(spec), policy)
-        assert levels and {key for level in levels for key in level.columns} == {1, (1, 7)}
+        levels = oracle._level.cache_info().currsize
+        assert levels and sorted(made, key=str) == [(1, 7)] * levels + [1] * levels
         psi = evaluate(spec, policy).value
         assert abs(quad - psi) <= F(1, 10 ** 15) * abs(psi)
 

@@ -16,6 +16,7 @@ from exactsum.engine import evaluate
 from exactsum.errors import NegativeIntegerShift
 from exactsum.parser import ast_to_spec, parse_expression
 from exactsum.oracle import partial_sum_bracket
+from exactsum.partfrac import decompose
 from exactsum.fixedpoint import decimal_text
 from exactsum.polygamma import PrecisionPolicy, polygamma, psi_sum
 
@@ -437,6 +438,32 @@ def test_psi_kernel_and_printing_build_no_fraction(monkeypatch):
     assert made == []
     assert r.text == first.text and r.exact.residuals
     assert isinstance(r.value, F) and r.value == first.value
+
+
+def test_warm_quadrature_builds_no_fraction_past_the_table(monkeypatch):
+    # a warm quad_general runs on integers once _table has shifted the
+    # table: the one Fraction it builds is the value it returns
+    pf = decompose(ast_to_spec(parse_expression("1/((n+1/3)^2*(n+3/4))"), "plain"))
+    policy = PrecisionPolicy(target_digits=30)
+    first = oracle.quad_general(pf, policy)
+    made, counting, table = [], [], oracle._table
+
+    def shifted(pf):
+        entries = table(pf)
+        counting.append(True)
+        return entries
+
+    def profile(frame, event, arg):
+        if counting and event == "call" and frame.f_code in _FRACTION_MAKERS:
+            made.append(frame.f_back.f_code.co_name)
+
+    monkeypatch.setattr(oracle, "_table", shifted)
+    sys.setprofile(profile)
+    try:
+        value = oracle.quad_general(pf, policy)
+    finally:
+        sys.setprofile(None)
+    assert counting and made == ["_quad"] and value == first
 
 
 def test_clear_caches_empties_every_cache():

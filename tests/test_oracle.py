@@ -372,13 +372,13 @@ class TestQuadGeneral:
         calls = []
         tanh_sinh = oracle._tanh_sinh
 
-        def counted(table, sign, prec):
-            calls.append([a for a, _ in table])
-            return tanh_sinh(table, sign, prec)
+        def counted(terms, sign, prec):
+            calls.append({F(num, den) for num, den, *_ in terms})
+            return tanh_sinh(terms, sign, prec)
 
         monkeypatch.setattr(oracle, "_tanh_sinh", counted)
         quad_general(decompose(make_spec([(0, 2), (F(1, 2), 1)])), POLICY)
-        assert calls == [[F(1, 2), 0]]
+        assert calls == [{F(1, 2), 0}]
 
     @pytest.mark.parametrize("shift", [20, 200])
     def test_relative_accuracy_far_below_one(self, shift):
@@ -496,49 +496,42 @@ def _integrand_tables(draw):
 
 
 class TestIntegrand:
-    """The grouped integer integrand at the tanh-sinh nodes against the
-    per-entry formula, to the floors that the quadrature counts."""
+    """A level's moment sum against the per-entry formula, to the floors
+    that `_Level.integrate` counts, and its moments against the per-point
+    reference."""
 
     @staticmethod
-    def _powers(entries, big_w):
-        table = oracle._by_power(entries)
-        return table, [(a, [(c.numerator << big_w) // c.denominator for c in coeffs])
-                       for a, coeffs in table]
+    def _level_terms(entries, big_w, sign):
+        terms = oracle._terms(entries, 0)
+        return ([(sign, num, den, l) for num, den, l, _, _ in terms],
+                [(n << big_w) // d for *_, n, d in terms])
 
     @classmethod
-    def _agree(cls, entries, sign, big_w, degree, picks=None):
-        table, powers = cls._powers(entries, big_w)
+    def _agree(cls, entries, sign, big_w, degree):
+        keys, coeffs = cls._level_terms(entries, big_w, sign)
         level = oracle._level(big_w, degree, big_w - 20)
-        indices = range(len(level.points))
-        if picks is not None:
-            indices = [i % len(level.points) for i in picks]
-        points = [level.points[i] for i in indices]
+        value, floors = level.integrate(keys, coeffs)
+        assert [level.moments[key] for key in keys] == reference_weighted(level, keys)
         grid = big_w + oracle._LOG_GUARD
-        neglog_max = max(-(-point[0] >> grid) for point in points)
-        bound, size = oracle._floor_counts(table, neglog_max)
-        f, weights = oracle._integrand(level, powers), level.column(sign)
         with mpmath.workprec(level.wg + 64):
             reference = _per_entry_integrand(entries, sign)
-            for i, point in zip(indices, points):
-                value, q = f[i] * weights[i] >> big_w, weights[i]
-                s = mpmath.exp(-mpmath.mpf(point[0]) / 2 ** grid)
-                weight = mpmath.mpf(point[1] * point[2] * point[3]) / 2 ** (3 * level.wg)
-                exact = weight * reference(s)[0]
-                floors = (q * bound >> big_w) + size
-                assert abs(value - exact * 2 ** big_w) <= floors
+            exact = mpmath.fsum(
+                mpmath.mpf(point[1] * point[2] * point[3]) / 2 ** (3 * level.wg)
+                * reference(mpmath.exp(-mpmath.mpf(point[0]) / 2 ** grid))[0]
+                for point in level.points)
+            assert abs(value - exact * 2 ** big_w) <= floors
 
     @settings(max_examples=60, deadline=None)
     @given(entries=_integrand_tables(), sign=st.sampled_from([1, -1]),
-           picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
            degree=st.integers(1, 4), big_w=st.sampled_from([128, 1088]))
-    def test_matches_the_per_entry_formula(self, entries, sign, picks, degree, big_w):
+    def test_matches_the_per_entry_formula(self, entries, sign, degree, big_w):
         if sign == 1:
             # quad_general's sum A_i1 = 0, without which the integrand has a
             # 1/L pole at s = 1
             rest = sum((c for _, j, c in entries[1:] if j == 1), F(0))
             entries = [(entries[0][0], 1, -rest)] + entries[1:]
         entries, _ = oracle._table(PartialFractions(tuple(entries)))
-        self._agree(entries, sign, big_w, degree, picks)
+        self._agree(entries, sign, big_w, degree)
 
     @settings(max_examples=60, deadline=None)
     @given(entries=_integrand_tables(), sign=st.sampled_from([1, -1]),
@@ -546,11 +539,10 @@ class TestIntegrand:
     def test_columns_match_the_per_point_reference(self, entries, sign, degree, big_w):
         # the same operands, floors and order at every point, so the same integers
         entries, _ = oracle._table(PartialFractions(tuple(entries)))
-        powers = self._powers(entries, big_w)[1]
+        keys = self._level_terms(entries, big_w, sign)[0]
         level = oracle._level(big_w, degree, big_w - 20)
-        f, q = oracle._integrand(level, powers), level.column(sign)
-        assert (sum(x * y >> big_w for x, y in zip(f, q)), sum(q)) == \
-            reference_weighted(level, powers, sign)
+        level.integrate(keys, [0] * len(keys))
+        assert [level.moments[key] for key in keys] == reference_weighted(level, keys)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_head_of_one_term(self, sign):
@@ -558,16 +550,17 @@ class TestIntegrand:
         # the powers 1 and 1/2
         entries, k = oracle._table(decompose(make_spec([(0, 2), (F(-1, 2), 1)])))
         assert k == 1
-        assert [a for a, _ in oracle._by_power(entries)] == [1, F(1, 2)]
+        assert {F(num, den) for num, den, *_ in oracle._terms(entries, 0)} == {1, F(1, 2)}
         for big_w in (128, 1024):
             for degree in (1, 2):
                 self._agree(entries, sign, big_w, degree)
 
     @pytest.mark.parametrize("shift, k", [(25000, 1), (F(49999, 2), 2), (F(299, 3), 3),
-                                          (25000, 25000)])
+                                          (25000, 25000), (F(17530864219, 2469135781), 1)])
     def test_high_powers_of_u(self, shift, k):
         # after a head of k terms the shift is the power shift + k of s, up
-        # to 2 MAX_SHIFT for 1/(n + 25000)^2 beside 1/(n - 24999.5); sum A_i1 = 0
+        # to 2 MAX_SHIFT for 1/(n + 25000)^2 beside 1/(n - 24999.5), each
+        # past one of the chains of products; sum A_i1 = 0
         entries, head = oracle._table(PartialFractions((
             (F(shift), 1, F(3)), (F(shift), 2, F(-1, 2)), (F(1, 2) - k, 1, F(-3)))))
         assert head == k
@@ -628,7 +621,8 @@ class TestNodeMemo:
         assert _quad_both(pairs, digits) == cold
 
     def test_entries_are_functions_of_their_keys(self, monkeypatch):
-        # heads of 0 and 1 terms at two precisions
+        # heads of 0 and 1 terms at two precisions, powers with the denominator
+        # 7 made in different fills, and a power past the chains of products
         make, levels = oracle._level.__wrapped__, {}
 
         def recorded(*key):
@@ -637,24 +631,59 @@ class TestNodeMemo:
 
         monkeypatch.setattr(oracle, "_level", functools.lru_cache(64)(recorded))
         for pairs, digits in (([(F(2, 7), 3), (4, 1)], 20), ([(F(1, 3), 2), (F(-5, 6), 2)], 20),
-                              ([(F(1, 3), 2), (F(-1, 2), 1)], 30)):
+                              ([(F(1, 3), 2), (F(-1, 2), 1)], 30),
+                              ([(F(9, 7), 2), (F(5, 7), 1)], 20), ([(40, 2), (F(1, 3), 1)], 20)):
             _quad_both(pairs, digits)
         assert len({depth for _, _, depth in levels}) >= 2
         for key, level in levels.items():
             fresh = oracle._Level(*key)
             assert fresh.points == level.points
+            # every moment at once, where the quadratures made them a table at a time
+            fresh.integrate(list(level.moments), [0] * len(level.moments))
+            assert fresh.moments == level.moments
             for column_key in level.columns:
                 fresh.column(column_key)
             assert fresh.columns == level.columns
 
-    def test_memo_stays_within_its_bound(self):
-        # twenty precisions, each its own depth, make more levels than the cache holds
+    def test_other_coefficients_make_no_column_or_moment(self, monkeypatch):
+        # a second table over the same powers and orders reads every moment
+        # that the first made, and returns what it returns on cold caches
+        def table(c1, c2):
+            return PartialFractions(((F(1, 3), 1, c1), (F(1, 3), 2, c2), (F(2, 7), 1, -c1)))
+
+        quads, policy = (quad_general, quad_alternating), PrecisionPolicy(target_digits=30)
+        first, second = table(F(3), F(-1, 2)), table(F(-5, 4), F(7))
+        cold = [quad(second, policy) for quad in quads]
+        oracle._level.cache_clear()
+        for quad in quads:
+            quad(first, policy)
+
+        def refuse(*args):
+            raise AssertionError("a column or moment was made")
+
+        monkeypatch.setattr(oracle._Level, "_make", refuse)
+        monkeypatch.setattr(oracle._Level, "column", refuse)
+        assert [quad(second, policy) for quad in quads] == cold
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        # twenty precisions, each its own depth, make more levels than the
+        # cache holds; a store of four moments is emptied as each sign's
+        # three moments come in
+        monkeypatch.setattr(oracle, "_MOMENTS_MAX", 4)
+        integrate, levels = oracle._Level.integrate, set()
+
+        def recorded(level, keys, coeffs):
+            levels.add(level)
+            return integrate(level, keys, coeffs)
+
+        monkeypatch.setattr(oracle._Level, "integrate", recorded)
         pairs = [(F(1, 3), 2), (F(2, 7), 1)]
         cold = _quad_both(pairs, 30)
         size = oracle._level.cache_info().maxsize
         for digits in range(10, 210, 10):
             _quad_both([(F(-1, 2), 2), (F(2, 7), 1)], digits)
             assert oracle._level.cache_info().currsize <= size
+            assert all(len(level.moments) <= 4 for level in levels)
         assert oracle._level.cache_info().currsize == size
         # the first levels were evicted in part by the other grids
         assert _quad_both(pairs, 30) == cold
